@@ -13,8 +13,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclic import CyclicFunction, convolve
-from .errors import InvalidArgumentError, ResourceLimitError
+from .cyclic import CyclicFunction, clamp_at_zero, convolve
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import is_prime
 
 # q*min(t, P-t) must stay inside int64: with P <= 2**23 this allows
@@ -66,10 +66,17 @@ class BohrSet:
 
 
 def build_bohr_set(p: int, frequencies, eps) -> BohrSet:
-    """Exact member scan in O(P * |R|) integer arithmetic.
+    """Exact member scan by survivor compaction.
 
-    Asserts the pigeonhole lower bound |B| >= P * eps^|R| (an exact theorem
-    at modulus P), via integer cross-multiplication.
+    Candidates start as all of Z/PZ; each frequency, in ascending order,
+    keeps only the candidates that pass the exact integer test
+    q*min(t, P-t) <= p*P. The scan stops once only 0 is left, since 0 lies
+    in every Bohr set. Each step touches only the survivors of the one
+    before, so the cost is about P / (1 - 2*eps) rather than P * |R|.
+
+    Checks the pigeonhole lower bound |B| >= P * eps^|R| (an exact theorem
+    at modulus P) by integer cross-multiplication, and raises
+    InvariantError if it fails.
     """
     if not is_prime(p):
         raise InvalidArgumentError(f"modulus {p} is not prime")
@@ -83,21 +90,25 @@ def build_bohr_set(p: int, frequencies, eps) -> BohrSet:
         raise InvalidArgumentError("frequency set must be nonempty")
 
     num, den = radius.numerator, radius.denominator
-    n = np.arange(p, dtype=np.int64)
-    member = np.ones(p, dtype=bool)
+    survivors = np.arange(p, dtype=np.int64)
     bound = num * p  # compare q*min(t, P-t) <= p*P exactly
     for x in freqs:
-        t = (n * x) % p
-        dist = np.minimum(t, p - t)
-        member &= dist * den <= bound
-    size = int(np.count_nonzero(member))
+        t = (survivors * x) % p
+        survivors = survivors[np.minimum(t, p - t) * den <= bound]
+        if survivors.size == 1:  # only 0 is left
+            break
+    size = int(survivors.size)
 
     # |B| * q^d >= P * p^d in exact big-int arithmetic
     d = len(freqs)
-    assert size * den**d >= p * num**d, (
-        "pigeonhole lower bound |B| >= P*eps^|R| failed; membership scan is broken"
-    )
+    if size * den**d < p * num**d:
+        raise InvariantError(
+            f"pigeonhole lower bound |B| >= P*eps^|R| failed (|B| = {size}, "
+            f"P = {p}, eps = {radius}, |R| = {d}); membership scan is broken"
+        )
 
+    member = np.zeros(p, dtype=bool)
+    member[survivors] = True
     return BohrSet(
         modulus=p,
         frequencies=tuple(freqs),
@@ -111,7 +122,8 @@ def normalized_indicator(bohr: BohrSet) -> CyclicFunction:
     """sigma = (P/|B|) * 1_B, the probability kernel of the Bohr set.
 
     When 1 is a frequency and eps < 1/4 the support provably sits inside
-    [-P/4, P/4]; that containment is asserted under those hypotheses.
+    [-P/4, P/4]; under those hypotheses a support outside it raises
+    InvariantError.
     """
     if bohr.size < 1:
         raise InvalidArgumentError("empty Bohr set has no normalized indicator")
@@ -119,18 +131,25 @@ def normalized_indicator(bohr: BohrSet) -> CyclicFunction:
     members = bohr.members()
     if 1 in bohr.frequencies and bohr.radius < Fraction(1, 4):
         folded = np.minimum(members, p - members)
-        assert int(folded.max()) * 4 < p, (
-            "support must lie in [-P/4, P/4] when 1 in R and eps < 1/4"
-        )
+        if int(folded.max()) * 4 >= p:
+            raise InvariantError(
+                "support must lie in [-P/4, P/4] when 1 in R and eps < 1/4"
+            )
     values = np.zeros(p)
     values[members] = p / bohr.size
     return CyclicFunction(p, values, validate_modulus=False)
 
 
 def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
-    """h = a * sigma. Mass is preserved (||h||_1 = ||a||_1 for a >= 0) and the
-    output is clamped at zero: the exact convolution of nonnegative functions
-    is nonnegative, so any dip below zero is transform roundoff.
+    """h = a * sigma. Mass is preserved (||h||_1 = ||a||_1 for a >= 0).
+
+    h carries the product spectrum ahat * sigmahat from the convolution, so
+    evaluating an operator on h transforms nothing again. The output is
+    clamped at zero: the exact convolution of nonnegative functions is
+    nonnegative, so any dip below zero is transform roundoff. A dip deeper
+    than 1e-9 * (1 + sup h) raises InvariantError. The clamp keeps the
+    carried spectrum, which it moves by at most the deepest dip in every
+    coefficient, the same order as the rounding already in h.
     """
     if a.modulus != bohr.modulus:
         raise InvalidArgumentError(
@@ -141,8 +160,10 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     h = convolve(a, normalized_indicator(bohr))
     low = float(h.values.min())
     if low < 0:
-        assert -low <= 1e-9 * (1.0 + h.sup_norm()), (
-            "convolution of nonnegative inputs went significantly negative"
-        )
-        return CyclicFunction(h.modulus, np.maximum(h.values, 0.0), validate_modulus=False)
+        if -low > 1e-9 * (1.0 + h.sup_norm()):
+            raise InvariantError(
+                f"convolution of nonnegative inputs went to {low!r}, "
+                "beyond transform roundoff"
+            )
+        return clamp_at_zero(h)
     return h

@@ -13,16 +13,11 @@ from __future__ import annotations
 
 import math
 import struct
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 from .primes import is_prime
-
-# Below this modulus the O(P^2) direct sum beats chirp setup; it also serves
-# as the always-available oracle path.
-DIRECT_TRANSFORM_CUTOFF = 64
 
 # Row width of fixed_sum: few enough rows that the Python loop over them is
 # short, few enough partial sums that fsum over them is cheap.
@@ -102,52 +97,13 @@ class Spectrum:
 # transforms
 # ----------------------------------------------------------------------
 
-def _next_pow2(n: int) -> int:
-    return 1 << (n - 1).bit_length()
-
-
-@lru_cache(maxsize=16)
-def _chirp_tables(p: int, sign: int):
-    """Chirp c[n] = exp(sign*pi*i*n^2/p) and the FFT of its reflected conjugate.
-
-    n^2 is reduced mod 2p in exact integers before any float conversion,
-    which keeps the phase accurate for p in the millions.
-    """
-    n = np.arange(p, dtype=np.int64)
-    idx = (n * n) % (2 * p)
-    chirp = np.exp(sign * 1j * np.pi * idx / p)
-    length = _next_pow2(2 * p - 1)
-    kernel = np.zeros(length, dtype=np.complex128)
-    kernel[:p] = np.conj(chirp)
-    kernel[length - p + 1 :] = np.conj(chirp[p - 1 : 0 : -1])
-    return chirp, np.fft.fft(kernel), length
-
-
-def _dft(values: np.ndarray, sign: int) -> np.ndarray:
-    """Unnormalized sum_n values[n] * exp(sign*2*pi*i*n*k/p) for k = 0..p-1."""
-    p = values.shape[0]
-    if p < DIRECT_TRANSFORM_CUTOFF:
-        return _dft_direct(values, sign)
-    chirp, kernel_fft, length = _chirp_tables(p, sign)
-    padded = np.zeros(length, dtype=np.complex128)
-    padded[:p] = values * chirp
-    conv = np.fft.ifft(np.fft.fft(padded) * kernel_fft)
-    return chirp * conv[:p]
-
-
-def _dft_direct(values: np.ndarray, sign: int) -> np.ndarray:
-    p = values.shape[0]
-    n = np.arange(p, dtype=np.int64)
-    table = np.exp(sign * 2j * np.pi * n / p)
-    out = np.empty(p, dtype=np.complex128)
-    for k in range(p):
-        out[k] = np.dot(values, table[(n * k) % p])
-    return out
-
-
 def forward_transform(f: CyclicFunction) -> Spectrum:
-    """Normalized transform: coeff[t] = mean_x f(x) exp(+2*pi*i*x*t/P)."""
-    return Spectrum(f.modulus, _dft(f.values, +1) / f.modulus, validate_modulus=False)
+    """Normalized transform: coeff[t] = mean_x f(x) exp(+2*pi*i*x*t/P).
+
+    numpy's ifft is exactly this average; its pocketfft applies
+    Bluestein's chirp-z method to prime lengths.
+    """
+    return Spectrum(f.modulus, np.fft.ifft(f.values), validate_modulus=False)
 
 
 def inverse_transform(s: Spectrum) -> CyclicFunction:
@@ -156,7 +112,7 @@ def inverse_transform(s: Spectrum) -> CyclicFunction:
     The spectrum must come from a real function (conjugate-symmetric); a
     large imaginary residual is rejected rather than silently dropped.
     """
-    complex_values = _dft(np.asarray(s.coefficients, dtype=np.complex128), -1)
+    complex_values = np.fft.fft(s.coefficients)
     scale = float(np.max(np.abs(complex_values))) or 1.0
     imag_residual = float(np.max(np.abs(complex_values.imag)))
     if imag_residual > 1e-6 * scale:
@@ -167,13 +123,35 @@ def inverse_transform(s: Spectrum) -> CyclicFunction:
 
 
 def convolve(f: CyclicFunction, g: CyclicFunction) -> CyclicFunction:
-    """(f*g)(x) = (1/P) sum_y f(y) g(x-y), computed spectrally."""
+    """(f*g)(x) = (1/P) sum_y f(y) g(x-y), computed spectrally.
+
+    The result carries the product spectrum fhat * ghat as its memoized
+    spectrum, so it is never transformed forward again.
+    """
     if f.modulus != g.modulus:
         raise InvalidArgumentError(
             f"modulus mismatch: {f.modulus} vs {g.modulus}"
         )
-    product = f.spectrum().coefficients * g.spectrum().coefficients
-    return inverse_transform(Spectrum(f.modulus, product, validate_modulus=False))
+    product = Spectrum(
+        f.modulus,
+        f.spectrum().coefficients * g.spectrum().coefficients,
+        validate_modulus=False,
+    )
+    out = inverse_transform(product)
+    out._spectrum = product
+    return out
+
+
+def clamp_at_zero(f: CyclicFunction) -> CyclicFunction:
+    """max(f, 0), keeping the memoized spectrum of f.
+
+    Only for clamps that remove rounding noise: if c = max(f, 0) - f, then
+    |chat(t)| <= max |c| for every t, so the kept spectrum is off by no
+    more than the largest clamped value. The caller bounds that value.
+    """
+    out = CyclicFunction(f.modulus, np.maximum(f.values, 0.0), validate_modulus=False)
+    out._spectrum = f._spectrum
+    return out
 
 
 # ----------------------------------------------------------------------

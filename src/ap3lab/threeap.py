@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .cyclic import CyclicFunction
+from .cyclic import CyclicFunction, fixed_sum
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 
 # Above this modulus the O(P^2) double loop is refused and callers should
@@ -95,7 +95,7 @@ def additive_counts(members) -> AdditiveCounts:
 def trivial_mass(f: CyclicFunction, g: CyclicFunction, h: CyclicFunction) -> float:
     """The d = 0 contribution (1/P^2) sum_x f(x) g(x) h(x), in O(P)."""
     p = f.modulus
-    return float(np.sum(f.values * g.values * h.values)) / (p * p)
+    return fixed_sum(f.values * g.values * h.values) / (p * p)
 
 
 def lambda_direct(
@@ -107,7 +107,9 @@ def lambda_direct(
     """Exact double sum (1/P^2) sum_{x,d} f(x) g(x+d) h(x+2d).
 
     O(P^2); refuses past the ceiling (raise it only for one-off oracle
-    runs). Ascending-d accumulation keeps the result deterministic.
+    runs). The terms f(x) g(x+d) h(x+2d) are added elementwise into one
+    P-wide accumulator in ascending d, and the accumulator is reduced by
+    one fixed_sum, so the result does not depend on the numpy build.
     """
     p = _common_modulus(f, g, h)
     if p > ceiling:
@@ -118,10 +120,14 @@ def lambda_direct(
     fv = f.values
     g2 = np.concatenate([g.values, g.values])
     h2 = np.concatenate([h.values, h.values])
-    total = 0.0
+    acc = np.zeros(p)
+    term = np.empty(p)
     for d in range(p):
-        total += float(np.dot(fv * g2[d : d + p], h2[2 * d % p : 2 * d % p + p]))
-    lam = total / (p * p)
+        shift = 2 * d % p
+        np.multiply(fv, g2[d : d + p], out=term)
+        term *= h2[shift : shift + p]
+        acc += term
+    lam = fixed_sum(acc) / (p * p)
     triv = trivial_mass(f, g, h)
     return APReport(
         lambda_value=lam,

@@ -1,12 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ap3lab
 from ap3lab.bohr import as_radius, build_bohr_set, normalized_indicator, smooth
-from ap3lab.cyclic import CyclicFunction, lp_norm
-from ap3lab.errors import InvalidArgumentError
+from ap3lab.cyclic import CyclicFunction, convolve, lp_norm
+from ap3lab.errors import InvalidArgumentError, InvariantError
+from ap3lab.threeap import lambda_direct, lambda_fourier
+from conftest import direct_forward
 
 
 def test_single_frequency_interval():
@@ -39,12 +46,16 @@ def test_exact_boundary_membership():
 
 
 def test_membership_against_fraction_oracle():
-    # element-by-element oracle in exact rational arithmetic
+    # element-by-element oracle in exact rational arithmetic; the draws
+    # include repeated, negative and >= P frequencies, and reach both a
+    # scan that ends at {0} and one that keeps several members
     rng = np.random.default_rng(137)
-    for _ in range(5):
+    shapes = set()
+    for _ in range(40):
         p = int(rng.choice([101, 211, 1009]))
-        freqs = rng.integers(0, p, size=int(rng.integers(1, 4))).tolist()
-        eps = str(rng.choice(["0.05", "0.1", "0.25", "0.4"]))
+        freqs = rng.integers(-2 * p, 2 * p, size=int(rng.integers(1, 13))).tolist()
+        freqs += freqs[: int(rng.integers(0, 3))]
+        eps = str(rng.choice(["0.02", "0.05", "0.1", "0.25", "0.4"]))
         bohr = build_bohr_set(p, freqs, eps)
         radius = Fraction(eps)
         want = {
@@ -56,6 +67,11 @@ def test_membership_against_fraction_oracle():
             )
         }
         assert set(bohr.members().tolist()) == want
+        assert bohr.size == len(want)
+        distinct = {x % p for x in freqs} - {0}
+        if len(distinct) >= 2:
+            shapes.add("only zero" if want == {0} else "several members")
+    assert shapes == {"only zero", "several members"}
 
 
 def test_pigeonhole_lower_bound_random_cases():
@@ -150,3 +166,78 @@ def test_smooth_preserves_mass_and_bounds_sup():
     assert h.sup_norm() <= a.sup_norm() * (1 + 1e-12)
     with pytest.raises(InvalidArgumentError):
         smooth(CyclicFunction.constant(101, 1.0), bohr)
+
+
+def test_carried_spectra_match_the_direct_transform():
+    # a sparse 0/1 input leaves h exactly zero on many residues, where the
+    # computed convolution dips below zero by rounding and the clamp fires
+    rng = np.random.default_rng(2003)
+    p = 2003
+    a = CyclicFunction(p, (rng.random(p) < 0.01).astype(float))
+    bohr = build_bohr_set(p, [1, 2], "0.01")
+    assert bohr.size > 1
+    sigma = normalized_indicator(bohr)
+    raw = convolve(a, sigma)
+    h = smooth(a, bohr)
+    assert float(raw.values.min()) < 0.0
+    assert float(h.values.min()) == 0.0
+    tol = 1e-12 * a.mean()
+    for f in (raw, h):
+        assert np.max(np.abs(f.spectrum().coefficients - direct_forward(f.values))) < tol
+    assert math.isclose(
+        lambda_fourier(h, h, h), lambda_direct(h, h, h).lambda_value, rel_tol=1e-12
+    )
+
+
+def _dipping_convolution(f, g):
+    values = np.ones(f.modulus)
+    values[1] = -1e-3
+    return CyclicFunction(f.modulus, values)
+
+
+def test_smooth_raises_on_a_dip_beyond_roundoff(monkeypatch):
+    p = 101
+    a = CyclicFunction.constant(p, 1.0)
+    bohr = build_bohr_set(p, [1], "0.1")
+    monkeypatch.setattr("ap3lab.bohr.convolve", _dipping_convolution)
+    with pytest.raises(InvariantError):
+        smooth(a, bohr)
+
+
+def test_invariants_survive_optimized_mode():
+    script = """
+import numpy as np
+import ap3lab.bohr as bohr_module
+from fractions import Fraction
+from ap3lab.bohr import BohrSet, build_bohr_set, normalized_indicator, smooth
+from ap3lab.cyclic import CyclicFunction
+from ap3lab.errors import InvariantError
+
+assert False, "this assert must be stripped"
+
+def dipping(f, g):
+    values = np.ones(f.modulus)
+    values[1] = -1e-3
+    return CyclicFunction(f.modulus, values)
+
+bohr_module.convolve = dipping
+raised = []
+try:
+    smooth(CyclicFunction.constant(101, 1.0), build_bohr_set(101, [1], "0.1"))
+except InvariantError:
+    raised.append("smooth")
+bits = np.packbits(np.isin(np.arange(101), [0, 50, 51]))
+wide = BohrSet(101, (1,), Fraction(1, 10), bits, 3)
+try:
+    normalized_indicator(wide)
+except InvariantError:
+    raised.append("support")
+print(",".join(raised))
+"""
+    src = Path(ap3lab.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "smooth,support"

@@ -21,7 +21,7 @@ from ap3lab.cyclic import (
 from ap3lab.errors import InvalidArgumentError
 from conftest import direct_convolve, direct_forward
 
-MODULI = (5, 101, 1009, 2003)
+MODULI = (2, 3, 5, 61, 101, 1009, 2003)
 
 
 def random_function(p, rng, shift=0.0):
