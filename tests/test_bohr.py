@@ -204,6 +204,26 @@ def test_smooth_raises_on_a_dip_beyond_roundoff(monkeypatch):
         smooth(a, bohr)
 
 
+def test_smooth_drops_the_carried_spectrum_after_a_dip_above_rounding(monkeypatch):
+    # a dip the clamp accepts but that is far above FFT rounding: the clamped
+    # h must not keep the (deliberately wrong) spectrum of the convolution
+    p = 101
+    a = CyclicFunction.constant(p, 1.0)
+    bohr = build_bohr_set(p, [1], "0.1")
+
+    def shallow_dip(f, g):
+        values = np.ones(p)
+        values[1] = -1e-11
+        out = CyclicFunction(p, values)
+        out._spectrum = CyclicFunction(p, np.zeros(p)).spectrum()
+        return out
+
+    monkeypatch.setattr("ap3lab.bohr.convolve", shallow_dip)
+    h = smooth(a, bohr)
+    assert float(h.values.min()) == 0.0
+    assert np.max(np.abs(h.spectrum().coefficients - direct_forward(h.values))) < 1e-12
+
+
 def test_invariants_survive_optimized_mode():
     script = """
 import numpy as np
