@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 
 # Odd numbers sieved per segment; 2**18 odds keeps the working bool array
 # inside L2 cache while packbits output stays byte-aligned.
@@ -161,7 +161,7 @@ def is_prime(n: int) -> bool:
 
 
 def next_prime_above(x: int) -> int:
-    """Least prime p with p > x. Asserts Bertrand's postulate p <= 2x."""
+    """Least prime p with p > x. Checks Bertrand's postulate p <= 2x."""
     if x < 1:
         raise InvalidArgumentError(f"next_prime_above needs x >= 1, got {x}")
     if x >= (1 << 62):
@@ -173,7 +173,10 @@ def next_prime_above(x: int) -> int:
         n += 1
     while not is_prime(n):
         n += 2
-    assert n <= 2 * x, "Bertrand's postulate violated; sieve logic is broken"
+    if n > 2 * x:
+        raise InvariantError(
+            f"next prime {n} above {x} breaks Bertrand's postulate p <= 2x"
+        )
     return n
 
 

@@ -15,15 +15,16 @@ from itertools import product as iter_product
 import numpy as np
 
 from .cyclic import CyclicFunction, convolve, lp_norm
-from .errors import InvalidArgumentError, PreconditionError, ResourceLimitError
+from .errors import (
+    InvalidArgumentError,
+    InvariantError,
+    PreconditionError,
+    ResourceLimitError,
+)
 from .primes import is_prime, sieve_primes
 from .wtrick import WTrickContext
 
 DEFAULT_SERIES_CUTOFF = 10**6
-
-# count_prime_tuples switches from one shared sieve table to per-element
-# Miller-Rabin above this value ceiling.
-_TUPLE_SIEVE_CEILING = 10**8
 
 
 @dataclass(frozen=True)
@@ -96,16 +97,28 @@ def singular_series(
     """prod_{p <= cutoff} (1 - rho(p)/p) * (1 - 1/p)^{-k}, accumulated in log
     space over ascending p.
 
-    The factors settle to 1 + O(k^2/p^2) once rho(p) = k, so the truncation
-    tail is estimated as k^2/cutoff.
+    rho(p) is read off the offsets, with no modular arithmetic: it is 0 when
+    p | W; otherwise the roots -b * W^{-1} mod p are distinct exactly when
+    the offsets b are, so rho(p) = |{b mod p}|, which is k once p exceeds
+    max b - min b. The result equals accumulating `root_count_rho` bit for
+    bit. The factors settle to 1 + O(k^2/p^2) once rho(p) = k, so the
+    truncation tail is estimated as k^2/cutoff.
     """
     if cutoff < 100:
         raise InvalidArgumentError(f"cutoff must be >= 100, got {cutoff}")
     k = spec.k
+    w = spec.w
+    offsets = spec.offsets
+    spread = max(offsets) - min(offsets)
     log_total = 0.0
     for block in sieve_primes(cutoff).iter_blocks():
         for p in block.tolist():
-            rho = root_count_rho(p, spec)
+            if w % p == 0:
+                rho = 0
+            elif p <= spread:
+                rho = len({b % p for b in offsets})
+            else:
+                rho = k
             if rho == p:
                 raise PreconditionError(
                     f"rho({p}) = {p}: the tuple is locally impossible mod {p}"
@@ -120,37 +133,52 @@ def singular_series(
 
 
 def count_prime_tuples(spec: TupleSpec, limit: int) -> int:
-    """|{n <= limit : b_1 + nW, ..., b_k + nW all prime}|, exactly."""
+    """|{n <= limit : b_1 + nW, ..., b_k + nW all prime}|, exactly.
+
+    A value <= 1 (zero and negative values included) is not prime. One bool
+    per n in [1, limit] is sieved over the tuple's own progression: for each
+    base prime p <= z with p not dividing W and each offset b, the class
+    n = -b * W^{-1} (mod p) is struck, except the one n with b + nW = p.
+    Here z = min(isqrt(top), limit) for the largest value top; when
+    z < isqrt(top), the survivors are confirmed with `is_prime`. The work
+    and memory grow with the limit, not with the size of the values.
+    """
     if limit < 1:
         raise InvalidArgumentError(f"limit must be >= 1, got {limit}")
-    top = max(spec.offsets) + limit * spec.w
+    w = spec.w
+    top = max(spec.offsets) + limit * w
     if top >= 1 << 63:
         raise ResourceLimitError(f"tuple values reach {top}, past the 64-bit budget")
 
-    if top <= _TUPLE_SIEVE_CEILING:
-        flags = _prime_flags(int(top))
-        n = np.arange(1, limit + 1, dtype=np.int64)
-        mask = np.ones(limit, dtype=bool)
-        for b in spec.offsets:
-            mask &= flags[n * spec.w + b]
-        return int(np.count_nonzero(mask))
+    alive = np.ones(limit + 1, dtype=bool)
+    alive[0] = False
+    for b in spec.offsets:
+        last_dead = (1 - b) // w  # the largest n with b + nW <= 1
+        if last_dead >= 1:
+            alive[1 : last_dead + 1] = False
 
-    count = 0
-    for n in range(1, limit + 1):
-        if all(is_prime(b + n * spec.w) for b in spec.offsets):
-            count += 1
-    return count
+    root = math.isqrt(max(top, 0))
+    z = min(root, limit)
+    if z >= 2:
+        for block in sieve_primes(z).iter_blocks():
+            for p in block.tolist():
+                if w % p == 0:
+                    continue
+                w_inv = pow(w, -1, p)
+                for b in spec.offsets:
+                    # From the first n with b + nW > p on, the class holds
+                    # only multiples of p above p; below it, b + nW = p is
+                    # prime and smaller values are <= 1, struck already.
+                    first = max(1, (p - b) // w + 1)
+                    alive[first + (-b * w_inv - first) % p :: p] = False
 
-
-def _prime_flags(top: int) -> np.ndarray:
-    flags = np.zeros(top + 1, dtype=bool)
-    if top >= 2:
-        flags[2] = True
-        flags[3::2] = True
-        for p in range(3, math.isqrt(top) + 1, 2):
-            if flags[p]:
-                flags[p * p :: 2 * p] = False
-    return flags
+    if z == root:
+        return int(np.count_nonzero(alive))
+    return sum(
+        1
+        for n in np.flatnonzero(alive).tolist()
+        if all(is_prime(b + n * w) for b in spec.offsets)
+    )
 
 
 def klimov_upper_bound(
@@ -204,7 +232,7 @@ def brun_titchmarsh_bound(ctx: WTrickContext) -> BrunTitchmarshBound:
     """Both forms of the progression-count bound.
 
     The simplification raw <= 12 P ln z / ln N needs P/W >= N^(1/3) and
-    W/phi(W) <= 2 ln z; the comparison is asserted only when both hold.
+    W/phi(W) <= 2 ln z; the comparison is checked only when both hold.
     """
     if ctx.p <= ctx.w:
         raise InvalidArgumentError(f"need P > W, got P = {ctx.p}, W = {ctx.w}")
@@ -214,8 +242,11 @@ def brun_titchmarsh_bound(ctx: WTrickContext) -> BrunTitchmarshBound:
         ctx.p / ctx.w >= ctx.n ** (1.0 / 3.0)
         and ctx.w / ctx.phi_w <= 2 * math.log(ctx.z)
     )
-    if conditions:
-        assert raw <= simplified, "simplified form must dominate under its conditions"
+    if conditions and raw > simplified:
+        raise InvariantError(
+            f"raw form {raw} exceeds the simplified form {simplified}"
+            " although its side conditions hold"
+        )
     return BrunTitchmarshBound(
         raw_form=raw,
         simplified_form=simplified,

@@ -14,10 +14,14 @@ from .errors import (
     DegenerateParametersError,
     EmptySelectionError,
     InvalidArgumentError,
+    InvariantError,
     PreconditionError,
     ResourceLimitError,
 )
-from .primes import PrimeTable, is_prime, next_prime_above, prime_count, sieve_primes
+from .primes import PrimeTable, next_prime_above, prime_count, sieve_primes
+
+# is_prime stays importable here because perfbench/spans.py counts wtrick.is_prime.
+from .primes import is_prime  # noqa: F401
 
 
 @dataclass
@@ -98,7 +102,8 @@ def compute_parameters(n: int, z_override: float | None = None) -> WTrickParams:
         )
 
     p = next_prime_above(3 * n // w)
-    assert 3 * n / w < p <= 6 * n / w, "P must land in (3N/W, 6N/W]"
+    if not 3 * n / w < p <= 6 * n / w:
+        raise InvariantError(f"P = {p} outside (3N/W, 6N/W] for N = {n}, W = {w}")
 
     log_w = math.log(w)
     ratio = w / phi_w
@@ -148,9 +153,11 @@ def build_sieved_function(
     on Z/PZ.
 
     Every lifted element must be prime (the input is supposed to be a prime
-    subset); support lands in [1, P/3] because P > 3N/W.
+    subset); each is looked up in `prime_table`, which is sieved to N here
+    when the caller's table does not reach N. Support lands in [1, P/3]
+    because P > 3N/W.
     """
-    members = np.asarray(sorted(set(int(m) for m in members)), dtype=np.int64)
+    members = np.unique(np.asarray(members, dtype=np.int64))
     if members.size == 0:
         raise InvalidArgumentError("input set is empty")
     if members.max() > ctx.n:
@@ -163,26 +170,23 @@ def build_sieved_function(
         raise PreconditionError(
             f"no elements of the set lie in class {ctx.b} mod {ctx.w} above W"
         )
-    table_covers = prime_table is not None and prime_table.limit >= ctx.n
-    for m in in_class:
-        prime = (
-            prime_table.is_prime(int(m)) if table_covers else is_prime(int(m))
-        )
-        if not prime:
-            raise InvalidArgumentError(
-                f"element {int(m)} of the chosen class is not prime"
-            )
+    if prime_table is None or prime_table.limit < ctx.n:
+        prime_table = sieve_primes(ctx.n)
+    for m in in_class.tolist():
+        if not prime_table.is_prime(m):
+            raise InvalidArgumentError(f"element {m} of the chosen class is not prime")
 
     a0 = (in_class - ctx.b) // ctx.w
-    assert int(a0.max()) * 3 <= ctx.p, "support must stay inside [0, P/3]"
+    if int(a0.max()) * 3 > ctx.p:
+        raise InvariantError(
+            f"lifted support reaches {int(a0.max())}, past P/3 for P = {ctx.p}"
+        )
     ctx.a0 = a0
 
     values = np.zeros(ctx.p)
     values[a0] = ctx.scale
     function = CyclicFunction(ctx.p, values, validate_modulus=False)
 
-    if prime_table is None or prime_table.limit < ctx.n:
-        prime_table = sieve_primes(ctx.n)
     alpha = members.size / prime_count(prime_table, ctx.n)
     l1_norm = ctx.scale * a0.size / ctx.p
     return SievedFunction(

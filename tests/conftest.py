@@ -7,11 +7,14 @@ division, the progression operator by a pure-Python double loop.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from ap3lab.pipeline import PipelineConfig, run_pipeline
 from ap3lab.primes import sieve_primes
+from ap3lab.sieve_bounds import root_count_rho
 
 
 # ----------------------------------------------------------------------
@@ -27,6 +30,16 @@ def trial_is_prime(n: int) -> bool:
             return False
         d += 1
     return True
+
+
+def singular_series_by_root_counts(spec, cutoff: int) -> float:
+    """The truncated singular series with rho(p) from `root_count_rho`
+    (modular inversion of W) at every prime, accumulated in ascending p."""
+    log_total = 0.0
+    for p in sieve_primes(cutoff).primes().tolist():
+        rho = root_count_rho(p, spec)
+        log_total += math.log1p(-rho / p) - spec.k * math.log1p(-1.0 / p)
+    return math.exp(log_total)
 
 
 def direct_dft_stack(stack: np.ndarray, p: int, sign: int = +1) -> np.ndarray:

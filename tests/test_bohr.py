@@ -252,6 +252,19 @@ try:
     normalized_indicator(wide)
 except InvariantError:
     raised.append("support")
+
+import ap3lab.primes as primes_module
+from ap3lab.wtrick import WTrickContext, build_sieved_function
+
+try:
+    build_sieved_function([3, 97], WTrickContext(100, 2.0, 2, 1, 1, 101, 1.0))
+except InvariantError:
+    raised.append("lift")
+primes_module.is_prime = lambda n: n > 100
+try:
+    primes_module.next_prime_above(10)
+except InvariantError:
+    raised.append("bertrand")
 print(",".join(raised))
 """
     src = Path(ap3lab.__file__).resolve().parent.parent
@@ -260,4 +273,4 @@ print(",".join(raised))
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.strip() == "smooth,support"
+    assert out.stdout.strip() == "smooth,support,lift,bertrand"

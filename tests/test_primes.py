@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ap3lab.errors import InvalidArgumentError, ResourceLimitError
+import ap3lab.primes as primes_module
+from ap3lab.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from ap3lab.primes import (
     chebyshev_theta,
     is_prime,
@@ -95,10 +96,16 @@ def test_is_prime_large_words():
         is_prime(1 << 64)
 
 
-def test_next_prime_above_examples():
+def test_next_prime_above_examples(monkeypatch):
+    assert next_prime_above(1) == 2
     assert next_prime_above(2) == 3
     assert next_prime_above(10) == 11
     assert next_prime_above(500000) == 500009
+    # Bertrand's postulate is a theorem; a primality test that misses every
+    # prime below 100 is the only way to reach the check that guards it.
+    monkeypatch.setattr(primes_module, "is_prime", lambda n: n > 100)
+    with pytest.raises(InvariantError):
+        next_prime_above(10)
 
 
 def test_next_prime_above_leaves_no_gap():

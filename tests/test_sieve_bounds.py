@@ -1,11 +1,13 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ap3lab.sieve_bounds as sieve_bounds_module
 from ap3lab.cyclic import CyclicFunction
-from ap3lab.errors import InvalidArgumentError, PreconditionError
-from ap3lab.primes import sieve_primes
+from ap3lab.errors import InvalidArgumentError, InvariantError, PreconditionError
+from ap3lab.primes import is_prime, sieve_primes
 from ap3lab.sieve_bounds import (
     TupleSpec,
     brun_titchmarsh_bound,
@@ -20,7 +22,7 @@ from ap3lab.sieve_bounds import (
     singular_series,
 )
 from ap3lab.wtrick import build_context
-from conftest import trial_is_prime
+from conftest import singular_series_by_root_counts, trial_is_prime
 
 TWIN_CONSTANT = 0.6601618158468696
 
@@ -91,18 +93,77 @@ def test_series_truncation_stability():
         singular_series(TupleSpec(w=1, offsets=(0,)), 99)
 
 
+def test_series_matches_root_count_accumulation_bit_for_bit():
+    for spec in (
+        TupleSpec(w=30, offsets=(1, 7, 11, 13)),  # 2, 3, 5 divide W
+        TupleSpec(w=1, offsets=(0, 6, 12, 18)),  # collide mod 2 and mod 3
+        TupleSpec(w=6, offsets=(1, 11, 31)),  # all equal mod 5
+        TupleSpec(w=2, offsets=(-7, -1, 5)),  # negative, collide mod 3
+        TupleSpec(w=1, offsets=(0, 2)),
+        TupleSpec(w=1, offsets=(0,)),
+        TupleSpec(w=10**12, offsets=(-997, 1, 1003)),  # collide mod 3
+    ):
+        for cutoff in (100, 10**4):
+            got = singular_series(spec, cutoff).value
+            assert got == singular_series_by_root_counts(spec, cutoff), (spec, cutoff)
+
+
 def test_locally_impossible_tuple_is_rejected():
     with pytest.raises(PreconditionError):
         singular_series(TupleSpec(w=1, offsets=(0, 1)), 1000)  # rho(2) = 2
+    with pytest.raises(PreconditionError):
+        singular_series(TupleSpec(w=1, offsets=(1, 3, 5)), 1000)  # rho(3) = 3
+    with pytest.raises(PreconditionError):
+        singular_series(TupleSpec(w=2, offsets=(-3, 5, 13)), 1000)  # rho(3) = 3
 
 
 def test_count_prime_tuples_examples():
     assert count_prime_tuples(TupleSpec(w=6, offsets=(1, 5)), 10) == 5
     assert count_prime_tuples(TupleSpec(w=1, offsets=(0,)), 100) == 25
     assert count_prime_tuples(TupleSpec(w=2, offsets=(1,)), 10) == 7
+    # values <= 1 are not prime: only (2, 11), and only 3, 5, 7, 11, 13
+    assert count_prime_tuples(TupleSpec(w=1, offsets=(-18, -9)), 1545) == 1
+    assert count_prime_tuples(TupleSpec(w=2, offsets=(-7,)), 10) == 5
+    assert count_prime_tuples(TupleSpec(w=1, offsets=(-100,)), 10) == 0
 
 
-def test_count_prime_tuples_against_per_element_recount():
+def _recount_tuples(spec, limit, prime) -> int:
+    return sum(
+        1
+        for n in range(1, limit + 1)
+        if all(b + n * spec.w > 1 and prime(b + n * spec.w) for b in spec.offsets)
+    )
+
+
+def test_count_prime_tuples_against_per_element_recount(monkeypatch):
+    sieved_to = []
+
+    def recording_sieve(limit, *args, **kwargs):
+        sieved_to.append(limit)
+        return sieve_primes(limit, *args, **kwargs)
+
+    monkeypatch.setattr(sieve_bounds_module, "sieve_primes", recording_sieve)
+
+    def counted(spec, limit):
+        sieved_to.clear()
+        count = count_prime_tuples(spec, limit)
+        assert all(z <= limit for z in sieved_to), (spec, limit, sieved_to)
+        return count
+
+    # tops past 1e8, the confirmation regime z = limit < isqrt(top), values
+    # equal to a base prime, and negative offsets
+    for spec, limit in (
+        (TupleSpec(w=2310, offsets=(1, 13)), 50_000),
+        (TupleSpec(w=30030, offsets=(1, 17)), 20_000),
+        (TupleSpec(w=10**12, offsets=(1, 7)), 200),
+        (TupleSpec(w=10**12, offsets=(-1,)), 1),
+        (TupleSpec(w=1, offsets=(0,)), 3000),
+        (TupleSpec(w=2, offsets=(1,)), 3000),
+        (TupleSpec(w=6, offsets=(-5, -1, 1)), 3000),
+        (TupleSpec(w=1, offsets=(-18, -9)), 1545),
+    ):
+        assert counted(spec, limit) == _recount_tuples(spec, limit, is_prime), spec
+
     rng = np.random.default_rng(53)
     for _ in range(8):
         w = int(rng.choice([1, 2, 6, 30]))
@@ -114,12 +175,7 @@ def test_count_prime_tuples_against_per_element_recount():
                 offsets.append(candidate)
         spec = TupleSpec(w=w, offsets=tuple(offsets))
         limit = int(rng.integers(50, 2000))
-        recount = sum(
-            1
-            for n in range(1, limit + 1)
-            if all(trial_is_prime(b + n * w) for b in spec.offsets)
-        )
-        assert count_prime_tuples(spec, limit) == recount
+        assert counted(spec, limit) == _recount_tuples(spec, limit, trial_is_prime)
 
 
 def test_klimov_bound_formula():
@@ -179,11 +235,18 @@ def test_brun_titchmarsh_forms(table_1e6):
     assert not bound.side_conditions_hold
 
 
-def test_brun_titchmarsh_comparison_when_conditions_hold():
+def test_brun_titchmarsh_comparison_when_conditions_hold(monkeypatch):
     ctx, _ = build_context(sieve_primes(10**5).primes(), 10**5)
     bound = brun_titchmarsh_bound(ctx)
     assert bound.side_conditions_hold
     assert bound.raw_form <= bound.simplified_form
+    # Under its side conditions the comparison is a theorem; shrinking
+    # ln(P/W) is the only way to reach the check that guards it.
+    log = math.log
+    shrunk = SimpleNamespace(log=lambda x: 1e-3 if x == ctx.p / ctx.w else log(x))
+    monkeypatch.setattr(sieve_bounds_module, "math", shrunk)
+    with pytest.raises(InvariantError):
+        brun_titchmarsh_bound(ctx)
 
 
 def test_brun_titchmarsh_rejects_degenerate_modulus():

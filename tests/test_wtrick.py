@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from ap3lab.errors import EmptySelectionError, InvalidArgumentError, ResourceLimitError
-from ap3lab.primes import prime_count
+import ap3lab.wtrick as wtrick_module
+from ap3lab.errors import (
+    EmptySelectionError,
+    InvalidArgumentError,
+    InvariantError,
+    ResourceLimitError,
+)
+from ap3lab.primes import next_prime_above, prime_count, sieve_primes
 from ap3lab.threeap import count_3aps_integers, greedy_3ap_free
 from ap3lab.wtrick import (
+    WTrickContext,
     build_context,
     build_sieved_function,
     choose_residue,
@@ -42,10 +49,19 @@ def test_parameters_validation():
         compute_parameters(1 << 51)
 
 
-def test_parameters_p_window():
+def test_parameters_p_window(monkeypatch):
     for n in (10**4, 10**5, 10**6, 10**7):
         params = compute_parameters(n)
         assert 3 * n / params.w < params.p <= 6 * n / params.w
+    # Bertrand's postulate keeps P in the window; a next-prime search that
+    # overshoots it is the only way to reach the check that guards it.
+    monkeypatch.setattr(
+        wtrick_module,
+        "next_prime_above",
+        lambda x: next_prime_above(x) if x < 100 else next_prime_above(2 * x),
+    )
+    with pytest.raises(InvariantError):
+        compute_parameters(10**6)
 
 
 def test_choose_residue_examples():
@@ -83,6 +99,11 @@ def test_support_stays_inside_first_third(sieved_1e5):
     support = np.flatnonzero(sieved.function.values)
     assert int(support.max()) * 3 <= ctx.p
     assert int(support.min()) >= 1
+    # P below 3N/W, which compute_parameters never picks: the lift of 97
+    # is 48 > 101/3
+    small_p = WTrickContext(n=100, z=2.0, w=2, phi_w=1, b=1, p=101, scale=1.0)
+    with pytest.raises(InvariantError):
+        build_sieved_function([3, 5, 97], small_p)
 
 
 def test_mass_lower_bound_for_all_primes(table_1e5):
@@ -106,6 +127,10 @@ def test_rejects_empty_and_composite_inputs():
     ctx, _ = build_context([9], 1000)  # 9 = 1 mod 2, 9 > 2, but not prime
     with pytest.raises(InvalidArgumentError):
         build_sieved_function([9], ctx)
+    # with a covering table, and with one too short that is replaced
+    for table in (sieve_primes(1000), sieve_primes(100)):
+        with pytest.raises(InvalidArgumentError, match="element 91 "):
+            build_sieved_function([3, 5, 7, 91, 95, 97], ctx, prime_table=table)
     with pytest.raises(InvalidArgumentError):
         build_sieved_function([], ctx)
 
