@@ -116,9 +116,11 @@ def test_mass_lower_bound_for_all_primes(table_1e5):
 def test_single_element_class():
     # A = {b + W} for W = 2, b = 1: lift is {1}
     ctx, _ = build_context([3], 100)
-    sieved = build_sieved_function([3], ctx)
-    assert ctx.a0.tolist() == [1]
-    assert math.isclose(sieved.l1_norm, ctx.scale / ctx.p, rel_tol=1e-12)
+    for members in ([3], [3, 3, 3]):  # repeats count once
+        sieved = build_sieved_function(members, ctx)
+        assert ctx.a0.tolist() == [1]
+        assert math.isclose(sieved.l1_norm, ctx.scale / ctx.p, rel_tol=1e-12)
+        assert sieved.alpha == 1 / 25
 
 
 def test_rejects_empty_and_composite_inputs():
