@@ -11,8 +11,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bounds as bd
 from .bohr import build_bohr_set
 from .cyclic import CyclicFunction, forward_transform, load_function, save_spectrum
@@ -21,6 +19,7 @@ from .pipeline import (
     PipelineConfig,
     canonical_json,
     delta_sweep,
+    lift,
     load_member_file,
     norm_sweep,
     run_pipeline,
@@ -36,7 +35,6 @@ from .sieve_bounds import (
     singular_series,
 )
 from .threeap import lambda_direct, lambda_fourier, trivial_mass
-from .wtrick import build_context, build_sieved_function
 
 
 class _CliArgumentError(Exception):
@@ -51,8 +49,6 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ap3lab", description=__doc__)
     parser.add_argument("--config", help="JSON config file merged into pipeline runs")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker hint; results never depend on it")
     parser.add_argument("--force", action="store_true",
                         help="lift theory-range guards, tagging output exploratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,7 +142,6 @@ def _pipeline_config(args) -> PipelineConfig:
         raw["delta_grid"] = [v for v in args.delta_grid.split(",")]
     if getattr(args, "eps_grid", None):
         raw["epsilon_grid"] = [v for v in args.eps_grid.split(",")]
-    raw["threads"] = args.threads
     raw["force"] = args.force
     if "n" not in raw:
         raise InvalidArgumentError("--n (or a config file with n) is required")
@@ -180,10 +175,9 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_wtrick(args) -> int:
-    table = sieve_primes(args.n)
-    members = load_member_file(args.set_file) if args.set_file else table.primes()
-    ctx, params = build_context(members, args.n, args.z)
-    sieved = build_sieved_function(members, ctx, prime_table=table)
+    config = PipelineConfig(n=args.n, z_override=args.z,
+                            set_source=args.set_file or "all-primes")
+    members, ctx, params, sieved = lift(config)
     report = {
         "n": args.n,
         "z": ctx.z,
@@ -191,7 +185,7 @@ def _cmd_wtrick(args) -> int:
         "phi_w": ctx.phi_w,
         "b": ctx.b,
         "p": ctx.p,
-        "set_size": int(np.asarray(members).size),
+        "set_size": int(members.size),
         "a0_size": int(ctx.a0.size),
         "alpha": sieved.alpha,
         "l1_norm": sieved.l1_norm,
@@ -199,7 +193,7 @@ def _cmd_wtrick(args) -> int:
             "log_w_in_band": params.log_w_in_band,
             "ratio_in_band": params.ratio_in_band,
             "mass_ok": sieved.mass_ok,
-            "alpha_threshold_ok": sieved.alpha >= float(np.log(args.n)) ** -0.25,
+            "alpha_threshold_ok": sieved.alpha_threshold_ok,
         },
     }
     _emit(canonical_json(report), args.out)

@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, InvariantError
 from .primes import is_prime
 
 # Row width of fixed_sum: few enough rows that the Python loop over them is
@@ -26,6 +26,9 @@ SUM_BLOCK = 4096
 _FUNCTION_MAGIC = b"ZPFN"
 _SPECTRUM_MAGIC = b"ZPSP"
 _FORMAT_VERSION = 1
+_HEADER = struct.Struct("<4sIQ")
+# The Markov count holds exactly; this allows for rounding in the fourth moment.
+_MARKOV_REL_TOL = 1e-9
 
 
 class CyclicFunction:
@@ -204,16 +207,18 @@ def threshold_spectrum(s: Spectrum, delta: float) -> np.ndarray:
     """Frequencies t with |coeff[t]| >= delta, with 1 always adjoined.
 
     The raw threshold set obeys the Markov count
-    |{t : |coeff| >= delta}| <= sum |coeff|^4 / delta^4, asserted here.
+    |{t : |coeff| >= delta}| <= sum |coeff|^4 / delta^4, checked here up to
+    summation rounding.
     """
     if delta <= 0:
         raise InvalidArgumentError(f"delta must be positive, got {delta}")
     magnitudes = np.abs(s.coefficients)
     raw = np.flatnonzero(magnitudes >= delta)
-    fourth_moment = float(np.sum(magnitudes**4))
-    assert raw.size * delta**4 <= fourth_moment or raw.size == 0, (
-        "Markov bound on the large spectrum failed; transform is inconsistent"
-    )
+    fourth_moment = fixed_sum(magnitudes**4)
+    if raw.size * delta**4 > fourth_moment * (1 + _MARKOV_REL_TOL):
+        raise InvariantError(
+            "Markov bound on the large spectrum failed; transform is inconsistent"
+        )
     return np.union1d(raw, np.array([1], dtype=np.int64)).astype(np.int64)
 
 
@@ -224,18 +229,28 @@ def threshold_spectrum(s: Spectrum, delta: float) -> np.ndarray:
 def save_function(f: CyclicFunction, path) -> None:
     """Write magic ZPFN, u32 version, u64 P, then P little-endian float64."""
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQ", _FUNCTION_MAGIC, _FORMAT_VERSION, f.modulus))
+        fh.write(_HEADER.pack(_FUNCTION_MAGIC, _FORMAT_VERSION, f.modulus))
         fh.write(f.values.astype("<f8").tobytes())
 
 
-def load_function(path) -> CyclicFunction:
+def _read_payload(path, magic: bytes, floats_per_point: int):
+    """Check a ZPFN or ZPSP header and payload length; return P, the float64s."""
     with open(path, "rb") as fh:
-        magic, version, modulus = struct.unpack("<4sIQ", fh.read(16))
-        if magic != _FUNCTION_MAGIC:
-            raise InvalidArgumentError(f"bad magic {magic!r}, expected ZPFN")
-        if version != _FORMAT_VERSION:
-            raise InvalidArgumentError(f"unsupported format version {version}")
-        data = np.frombuffer(fh.read(8 * modulus), dtype="<f8")
+        header, payload = fh.read(_HEADER.size), fh.read()
+    if len(header) < _HEADER.size:
+        raise InvalidArgumentError(f"truncated header of {len(header)} bytes")
+    found, version, modulus = _HEADER.unpack(header)
+    if found != magic:
+        raise InvalidArgumentError(f"bad magic {found!r}, expected {magic.decode()}")
+    if version != _FORMAT_VERSION:
+        raise InvalidArgumentError(f"unsupported format version {version}")
+    if len(payload) != 8 * floats_per_point * modulus:
+        raise InvalidArgumentError(f"payload has {len(payload)} bytes for P = {modulus}")
+    return modulus, np.frombuffer(payload, dtype="<f8")
+
+
+def load_function(path) -> CyclicFunction:
+    modulus, data = _read_payload(path, _FUNCTION_MAGIC, 1)
     return CyclicFunction(modulus, data.copy())
 
 
@@ -245,16 +260,10 @@ def save_spectrum(s: Spectrum, path) -> None:
     interleaved[0::2] = s.coefficients.real
     interleaved[1::2] = s.coefficients.imag
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIQ", _SPECTRUM_MAGIC, _FORMAT_VERSION, s.modulus))
+        fh.write(_HEADER.pack(_SPECTRUM_MAGIC, _FORMAT_VERSION, s.modulus))
         fh.write(interleaved.tobytes())
 
 
 def load_spectrum(path) -> Spectrum:
-    with open(path, "rb") as fh:
-        magic, version, modulus = struct.unpack("<4sIQ", fh.read(16))
-        if magic != _SPECTRUM_MAGIC:
-            raise InvalidArgumentError(f"bad magic {magic!r}, expected ZPSP")
-        if version != _FORMAT_VERSION:
-            raise InvalidArgumentError(f"unsupported format version {version}")
-        data = np.frombuffer(fh.read(16 * modulus), dtype="<f8")
+    modulus, data = _read_payload(path, _SPECTRUM_MAGIC, 2)
     return Spectrum(modulus, data[0::2] + 1j * data[1::2])

@@ -202,7 +202,8 @@ def behrend_set(limit: int) -> list[int]:
                 if len(bucket) > len(best):
                     best = bucket
     result = sorted(best)
-    assert count_3aps_integers(result) == 0, "construction produced a 3AP"
+    if count_3aps_integers(result) != 0:
+        raise InvariantError("construction produced a 3AP")
     return result
 
 
@@ -242,7 +243,6 @@ def _all_indicator(*functions) -> bool:
 def _pair_count(lam: float, p: int) -> int:
     scaled = lam * p * p
     rounded = round(scaled)
-    assert math.isclose(scaled, rounded, abs_tol=1e-6), (
-        "indicator lambda should be an integer multiple of 1/P^2"
-    )
+    if not math.isclose(scaled, rounded, abs_tol=1e-6):
+        raise InvariantError(f"indicator lambda {lam!r} is not a multiple of 1/P^2")
     return int(rounded)

@@ -63,6 +63,7 @@ class SievedFunction:
     alpha: float  # |A| / pi(N)
     l1_norm: float  # scale * |A0| / P
     mass_ok: bool  # l1_norm >= alpha / 10 (reported; asserted only for dense A)
+    alpha_threshold_ok: bool  # alpha >= (ln N)^(-1/4), the paper's density range
 
 
 def compute_parameters(n: int, z_override: float | None = None) -> WTrickParams:
@@ -197,6 +198,7 @@ def build_sieved_function(
         alpha=alpha,
         l1_norm=l1_norm,
         mass_ok=l1_norm >= alpha / 10,
+        alpha_threshold_ok=alpha >= math.log(ctx.n) ** -0.25,
     )
 
 

@@ -260,6 +260,24 @@ try:
     build_sieved_function([3, 97], WTrickContext(100, 2.0, 2, 1, 1, 101, 1.0))
 except InvariantError:
     raised.append("lift")
+import ap3lab.cyclic as cyclic_module
+import ap3lab.threeap as threeap_module
+from ap3lab.cyclic import Spectrum, threshold_spectrum
+
+cyclic_module.fixed_sum = lambda values: 0.0
+try:
+    threshold_spectrum(Spectrum(101, np.full(101, 0.5) + 0j), 0.1)
+except InvariantError:
+    raised.append("markov")
+threeap_module.count_3aps_integers = lambda members: 1
+try:
+    threeap_module.behrend_set(100)
+except InvariantError:
+    raised.append("behrend")
+try:
+    threeap_module._pair_count(0.5 / 101**2, 101)
+except InvariantError:
+    raised.append("pair_count")
 primes_module.is_prime = lambda n: n > 100
 try:
     primes_module.next_prime_above(10)
@@ -273,4 +291,6 @@ print(",".join(raised))
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.strip() == "smooth,support,lift,bertrand"
+    assert out.stdout.strip() == (
+        "smooth,support,lift,markov,behrend,pair_count,bertrand"
+    )

@@ -156,11 +156,71 @@ def test_exit_code_precondition(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_exit_code_resource_limit(capsys):
+def test_exit_code_resource_limit(tmp_path, capsys):
     assert run_cli("primes", "--limit", str(1 << 40)) == 3
+    # P = 8388617 at the default z is past the 2^23 FFT budget
+    assert run_cli("wtrick", "--n", "16777216", "--out", str(tmp_path / "w.json")) == 3
     capsys.readouterr()
 
 
 def test_missing_n_is_invalid(capsys):
     assert run_cli("pipeline", "--out", "/tmp/y.json") == 1
     capsys.readouterr()
+
+
+def _damaged_function(damage):
+    def argv(tmp_path):
+        path = tmp_path / "f.zpfn"
+        save_function(CyclicFunction(101, np.linspace(0.0, 1.0, 101)), path)
+        path.write_bytes(damage(path.read_bytes()))
+        return ["transform", "--in", str(path), "--out", str(tmp_path / "s.zpsp")]
+    return argv
+
+
+def _config_file(raw):
+    def argv(tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        return ["--config", str(path), "pipeline", "--out", str(tmp_path / "r.json")]
+    return argv
+
+
+def _empty_set_file(tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_text("\n")
+    return ["wtrick", "--n", "100", "--set", str(path), "--out", str(tmp_path / "w.json")]
+
+
+# case -> (argv builder, fragment of the one-line error message)
+MALFORMED_INPUTS = {
+    "zpfn-truncated-header": (_damaged_function(lambda blob: blob[:10]), "truncated header"),
+    "zpfn-magic": (_damaged_function(lambda blob: b"ZPSP" + blob[4:]), "bad magic"),
+    "zpfn-version": (
+        _damaged_function(lambda blob: blob[:4] + (2).to_bytes(4, "little") + blob[8:]),
+        "unsupported format version",
+    ),
+    "zpfn-short-payload": (_damaged_function(lambda blob: blob[:-8]), "payload has"),
+    "zpfn-composite-modulus": (
+        _damaged_function(lambda blob: blob[:8] + (100).to_bytes(8, "little") + blob[16:816]),
+        "is not prime",
+    ),
+    "set-empty": (_empty_set_file, "is empty"),
+    "n-string": (_config_file({"n": "100000"}), "n must be an integer"),
+    "n-float": (_config_file({"n": 100000.0}), "n must be an integer"),
+    "n-bool": (_config_file({"n": True}), "n must be an integer"),
+    "threads-key": (_config_file({"n": 10000, "threads": 2}), "unknown config keys"),
+    "threads-flag": (
+        lambda tmp_path: ["--threads=2", "pipeline", "--n", "10000",
+                          "--out", str(tmp_path / "r.json")],
+        "unrecognized arguments: --threads",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_1_with_a_message(tmp_path, capsys, case):
+    argv, fragment = MALFORMED_INPUTS[case]
+    assert run_cli(*argv(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert "Traceback" not in err

@@ -225,6 +225,11 @@ def test_threshold_spectrum_adjoins_one():
     assert threshold_spectrum(const.spectrum(), 0.5).tolist() == [0, 1]
     mass = CyclicFunction.indicator(101, [0], scale=101.0)
     assert threshold_spectrum(mass.spectrum(), 0.9).tolist() == list(range(101))
+    # a flat spectrum meets the Markov count with equality; only rounding
+    # of the fourth moment separates the two sides
+    for p, delta in ((101, 0.1), (1009, 0.3), (2003, 0.3)):
+        flat = Spectrum(p, np.full(p, delta) + 0j)
+        assert threshold_spectrum(flat, delta).tolist() == list(range(p))
     with pytest.raises(InvalidArgumentError):
         threshold_spectrum(const.spectrum(), 0.0)
 
@@ -276,6 +281,29 @@ def test_serialization_round_trip(tmp_path):
     assert len(raw) == 16 + 16 * 101
     back_s = load_spectrum(spath)
     assert np.array_equal(back_s.coefficients, s.coefficients)
+
+
+MALFORMED_FILES = {
+    "truncated-header": lambda blob: blob[:10],
+    "version": lambda blob: blob[:4] + (2).to_bytes(4, "little") + blob[8:],
+    "short-payload": lambda blob: blob[:-8],
+}
+
+
+@pytest.mark.parametrize("kind", ["function", "spectrum"])
+@pytest.mark.parametrize("damage", sorted(MALFORMED_FILES))
+def test_load_rejects_malformed_files(tmp_path, kind, damage):
+    f = CyclicFunction(101, np.linspace(0.0, 1.0, 101))
+    path = tmp_path / "f.bin"
+    if kind == "function":
+        save_function(f, path)
+        load = load_function
+    else:
+        save_spectrum(f.spectrum(), path)
+        load = load_spectrum
+    path.write_bytes(MALFORMED_FILES[damage](path.read_bytes()))
+    with pytest.raises(InvalidArgumentError):
+        load(path)
 
 
 def test_load_rejects_wrong_magic(tmp_path):

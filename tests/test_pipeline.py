@@ -14,6 +14,7 @@ from ap3lab.pipeline import (
     PipelineConfig,
     canonical_json,
     delta_sweep,
+    lift,
     norm_sweep,
     run_pipeline,
     write_csv,
@@ -131,17 +132,11 @@ def test_rerun_is_bit_identical(pipeline_smoothing):
     assert again.to_json() == pipeline_smoothing.to_json()
 
 
-def test_thread_hint_does_not_change_bytes(pipeline_smoothing):
-    config = PipelineConfig(
-        n=10**5, delta="0.4", epsilon="0.1", k_values=(1, 2), threads=4
-    )
-    assert run_pipeline(config).to_json() == pipeline_smoothing.to_json()
-
-
-def test_fft_budget_guard():
+@pytest.mark.parametrize("entry", [run_pipeline, delta_sweep, lift])
+def test_fft_budget_guard(entry):
     config = PipelineConfig(n=10**5, fft_budget=10**4)
     with pytest.raises(ResourceLimitError):
-        run_pipeline(config)
+        entry(config)
 
 
 def test_pipeline_from_set_file(tmp_path):
