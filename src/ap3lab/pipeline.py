@@ -9,9 +9,14 @@ on every numpy build: lambda(a, a, a), its d = 0 part and sum |ahat|^4
 come from exact integer counts of A0 (threeap.additive_counts), and every
 mean and L^k norm is a cyclic.fixed_sum with integer powers by repeated
 multiplication. With B = {0}, h is a, and every report value is a fixed
-function of integers and IEEE operations in a fixed order. Two things
-still carry the transform's rounding: values derived from h when |B| > 1,
-and threshold membership for a coefficient within rounding of delta.
+function of integers and IEEE operations in a fixed order. With a small
+Bohr set (bohr.smooth's shifted sum, |B| = 15 at N = 1e7), h is a
+fixed-order sum of a's values, and so are its norms and level sets;
+lambda_hhh is evaluated on the carried spectrum ahat * sigmahat and
+carries the rounding of ahat's transform. Three things still carry the
+transform's rounding: that lambda_hhh, every value derived from h when B
+is past the shifted-sum cutoff (h is then an inverse transform), and
+threshold membership for a coefficient within rounding of delta.
 math.log and pow come from the platform's libm and are outside this
 guarantee.
 """
@@ -70,6 +75,14 @@ DELTA_SWEEP_CSV_COLUMNS = [
 ]
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class PipelineConfig:
     """One grid point of the experiment, plus sweep grids and the explicit
@@ -92,17 +105,34 @@ class PipelineConfig:
     fft_budget: int = DEFAULT_FFT_BUDGET
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise InvalidArgumentError(f"n must be an integer, got {self.n!r}")
+        for name in ("n", "fft_budget"):
+            if not _is_integer(getattr(self, name)):
+                raise InvalidArgumentError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                )
+        if not isinstance(self.force, bool):
+            raise InvalidArgumentError(f"force must be a boolean, got {self.force!r}")
+        if not isinstance(self.set_source, str):
+            raise InvalidArgumentError(
+                f"set_source must be a path string, got {self.set_source!r}"
+            )
+        if self.z_override is not None and not _is_real(self.z_override):
+            raise InvalidArgumentError(
+                f"z_override must be a real number or null, got {self.z_override!r}"
+            )
         for name in ("delta", "epsilon"):
             value = Fraction(getattr(self, name))
             if not 0 < value < Fraction(1, 2):
                 raise InvalidArgumentError(f"{name} must lie in (0, 1/2), got {value}")
         for name in ("c4", "c_sanders", "c1", "eta"):
-            if getattr(self, name) <= 0:
-                raise InvalidArgumentError(f"constant {name} must be positive")
-        if any(k < 1 for k in self.k_values):
-            raise InvalidArgumentError("k values must be >= 1")
+            value = getattr(self, name)
+            if not _is_real(value) or not 0 < value < math.inf:
+                raise InvalidArgumentError(
+                    f"constant {name} must be a positive real number, got {value!r}"
+                )
+        for name in ("k_values", "k_grid"):
+            if not all(_is_integer(k) and k >= 1 for k in getattr(self, name)):
+                raise InvalidArgumentError(f"{name} must be integers >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -114,9 +144,12 @@ class PipelineConfig:
         for name in ("delta", "epsilon"):
             if name in coerced:
                 coerced[name] = str(coerced[name])
+        for name in ("k_values", "k_grid", "delta_grid", "epsilon_grid"):
+            if name in coerced and not isinstance(coerced[name], (list, tuple)):
+                raise InvalidArgumentError(f"{name} must be a list")
         for name in ("k_values", "k_grid"):
             if name in coerced:
-                coerced[name] = tuple(int(v) for v in coerced[name])
+                coerced[name] = tuple(coerced[name])
         for name in ("delta_grid", "epsilon_grid"):
             if name in coerced:
                 coerced[name] = tuple(str(v) for v in coerced[name])
@@ -180,15 +213,21 @@ def load_member_file(path) -> np.ndarray:
 def lift(config: PipelineConfig) -> tuple:
     """The W-trick lift shared by every entry point.
 
-    Sieves to N, reads the members (all primes up to N, or a set file),
-    picks W, b and P, refuses P past the FFT budget, and lifts the chosen
-    class to the sieved function. Returns (members, ctx, params, sieved).
+    Sieves to N, reads the members (all primes up to N, or a set file,
+    each member of which must be a prime up to N), picks W, b and P,
+    refuses P past the FFT budget, and lifts the chosen class to the
+    sieved function. Returns (members, ctx, params, sieved).
     """
     table = sieve_primes(config.n)
     if config.set_source == "all-primes":
         members = table.primes()
     else:
         members = load_member_file(config.set_source)
+        outside = members[~table.is_prime_many(members)]
+        if outside.size:
+            raise InvalidArgumentError(
+                f"set member {int(outside[0])} is not a prime in [2, N = {config.n}]"
+            )
     ctx, params = build_context(members, config.n, config.z_override)
     if ctx.p > config.fft_budget:
         raise ResourceLimitError(

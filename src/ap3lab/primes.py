@@ -48,6 +48,16 @@ class PrimeTable:
         i = (n - 1) // 2
         return not (self.bits[i >> 3] >> (7 - (i & 7))) & 1
 
+    def is_prime_many(self, values) -> np.ndarray:
+        """is_prime of each value, as one bool array, by one vectorized
+        lookup into `bits`. Values outside [2, limit] are not prime here."""
+        n = np.asarray(values, dtype=np.int64)
+        inside = (n >= 2) & (n <= self.limit)
+        odd = inside & (n % 2 == 1)
+        i = np.where(odd, (n - 1) // 2, 0)
+        composite = (self.bits[i >> 3] >> (7 - (i & 7))) & 1
+        return np.where(odd, composite == 0, inside & (n == 2))
+
     def iter_blocks(self):
         """Yield ascending numpy arrays of primes, segment by segment."""
         if self.limit >= 2:

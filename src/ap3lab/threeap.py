@@ -145,7 +145,9 @@ def lambda_fourier(
     The closed form follows from expanding f, g, h against this package's
     transform pair: the x-average forces r + s + u = 0 and the d-average
     forces s + 2u = 0, leaving r = u and s = -2u. Verified against
-    lambda_direct in the test suite before any production use.
+    lambda_direct in the test suite before any production use. The real
+    parts of the products are reduced by fixed_sum, so the order of the
+    sum does not depend on the numpy build.
     """
     p = _common_modulus(f, g, h)
     fs = f.spectrum().coefficients
@@ -153,8 +155,7 @@ def lambda_fourier(
     hs = h.spectrum().coefficients
     t = np.arange(p, dtype=np.int64)
     minus_2t = (-2 * t) % p
-    value = np.sum(fs * gs[minus_2t] * hs)
-    return float(value.real)
+    return fixed_sum((fs * gs[minus_2t] * hs).real)
 
 
 def count_3aps_integers(members) -> int:

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import ap3lab
-from ap3lab.bohr import as_radius, build_bohr_set, normalized_indicator, smooth
+from ap3lab.bohr import (
+    _SHIFTED_SUM_MAX_SIZE,
+    BohrSet,
+    as_radius,
+    build_bohr_set,
+    normalized_indicator,
+    smooth,
+)
 from ap3lab.cyclic import CyclicFunction, convolve, lp_norm
 from ap3lab.errors import InvalidArgumentError, InvariantError
 from ap3lab.threeap import lambda_direct, lambda_fourier
@@ -174,8 +181,8 @@ def test_carried_spectra_match_the_direct_transform():
     rng = np.random.default_rng(2003)
     p = 2003
     a = CyclicFunction(p, (rng.random(p) < 0.01).astype(float))
-    bohr = build_bohr_set(p, [1, 2], "0.01")
-    assert bohr.size > 1
+    bohr = build_bohr_set(p, [1], "0.05")
+    assert bohr.size > _SHIFTED_SUM_MAX_SIZE  # the transform path
     sigma = normalized_indicator(bohr)
     raw = convolve(a, sigma)
     h = smooth(a, bohr)
@@ -189,6 +196,75 @@ def test_carried_spectra_match_the_direct_transform():
     )
 
 
+# (P, frequencies, radius): Bohr sets of 21, 41, 7 and 121 members, within
+# the shifted-sum cutoff, and of 133 and 201 members, above it
+SMOOTHING_CASES = [
+    (1009, [1, 2], "0.01"),
+    (1009, [1], "0.02"),
+    (2003, [3, 25, 119], "0.07"),
+    (1009, [1], "0.06"),
+    (2003, [1, 3], "0.1"),
+    (1009, [1], "0.1"),
+]
+
+
+@pytest.mark.parametrize("p, freqs, eps", SMOOTHING_CASES)
+def test_smooth_agrees_with_the_convolution_on_both_paths(p, freqs, eps):
+    rng = np.random.default_rng(p)
+    a = CyclicFunction(p, rng.random(p) * (rng.random(p) < 0.3))
+    bohr = build_bohr_set(p, freqs, eps)
+    h = smooth(a, bohr)
+    reference = convolve(a, normalized_indicator(bohr))
+    assert np.max(np.abs(h.values - reference.values)) < 1e-12
+    fresh = np.fft.ifft(h.values)
+    assert np.max(np.abs(h.spectrum().coefficients - fresh)) < 1e-12 * a.mean()
+    assert math.isclose(
+        lambda_fourier(h, h, h), lambda_direct(h, h, h).lambda_value, rel_tol=1e-12
+    )
+
+
+def test_smoothing_cases_reach_both_paths():
+    sizes = [build_bohr_set(p, f, e).size for p, f, e in SMOOTHING_CASES]
+    assert any(1 < size <= _SHIFTED_SUM_MAX_SIZE for size in sizes)
+    assert any(size > _SHIFTED_SUM_MAX_SIZE for size in sizes)
+
+
+def test_shifted_sum_is_an_exact_average_of_values():
+    # h(x) = (1/|B|) sum_b a(x - b): exactly zero away from the support of
+    # a, with no clamp, and equal to the plain average of the shifts
+    rng = np.random.default_rng(1009)
+    p = 1009
+    a = CyclicFunction(p, (rng.random(p) < 0.01).astype(float))
+    bohr = build_bohr_set(p, [1, 2], "0.01")
+    assert 1 < bohr.size <= _SHIFTED_SUM_MAX_SIZE
+    h = smooth(a, bohr)
+    assert float(h.values.min()) == 0.0
+    total = np.zeros(p)
+    for b in bohr.members().tolist():
+        total += np.roll(a.values, b)
+    assert np.array_equal(h.values, total / bohr.size)
+
+
+def test_shifted_sum_rejects_a_negative_value_without_clamping():
+    p = 1009
+    values = np.zeros(p)
+    values[5] = -1e-15
+    bohr = build_bohr_set(p, [1, 2], "0.01")
+    assert 1 < bohr.size <= _SHIFTED_SUM_MAX_SIZE
+    with pytest.raises(InvariantError, match="went to"):
+        smooth(CyclicFunction(p, values), bohr)
+
+
+def test_shifted_sum_needs_a_symmetric_set_with_zero():
+    p = 101
+    a = CyclicFunction.constant(p, 1.0)
+    for members in ([0, 1, 2], [1, 100]):
+        bits = np.packbits(np.isin(np.arange(p), members))
+        lopsided = BohrSet(p, (1,), Fraction(1, 10), bits, len(members))
+        with pytest.raises(InvariantError, match="symmetric"):
+            smooth(a, lopsided)
+
+
 def _dipping_convolution(f, g):
     values = np.ones(f.modulus)
     values[1] = -1e-3
@@ -196,9 +272,10 @@ def _dipping_convolution(f, g):
 
 
 def test_smooth_raises_on_a_dip_beyond_roundoff(monkeypatch):
-    p = 101
+    p = 1009
     a = CyclicFunction.constant(p, 1.0)
-    bohr = build_bohr_set(p, [1], "0.1")
+    bohr = build_bohr_set(p, [1], "0.2")
+    assert bohr.size > _SHIFTED_SUM_MAX_SIZE  # the transform path
     monkeypatch.setattr("ap3lab.bohr.convolve", _dipping_convolution)
     with pytest.raises(InvariantError):
         smooth(a, bohr)
@@ -207,9 +284,10 @@ def test_smooth_raises_on_a_dip_beyond_roundoff(monkeypatch):
 def test_smooth_drops_the_carried_spectrum_after_a_dip_above_rounding(monkeypatch):
     # a dip the clamp accepts but that is far above FFT rounding: the clamped
     # h must not keep the (deliberately wrong) spectrum of the convolution
-    p = 101
+    p = 1009
     a = CyclicFunction.constant(p, 1.0)
-    bohr = build_bohr_set(p, [1], "0.1")
+    bohr = build_bohr_set(p, [1], "0.2")
+    assert bohr.size > _SHIFTED_SUM_MAX_SIZE  # the transform path
 
     def shallow_dip(f, g):
         values = np.ones(p)
@@ -242,10 +320,19 @@ def dipping(f, g):
 
 bohr_module.convolve = dipping
 raised = []
+wide_bohr = build_bohr_set(1009, [1], "0.2")
+if wide_bohr.size <= bohr_module._SHIFTED_SUM_MAX_SIZE:
+    raise SystemExit("the Bohr set must take the transform path")
 try:
-    smooth(CyclicFunction.constant(101, 1.0), build_bohr_set(101, [1], "0.1"))
+    smooth(CyclicFunction.constant(1009, 1.0), wide_bohr)
 except InvariantError:
     raised.append("smooth")
+dipped = np.zeros(101)
+dipped[5] = -1e-15
+try:
+    smooth(CyclicFunction(101, dipped), build_bohr_set(101, [1], "0.05"))
+except InvariantError:
+    raised.append("shifted_sum")
 bits = np.packbits(np.isin(np.arange(101), [0, 50, 51]))
 wide = BohrSet(101, (1,), Fraction(1, 10), bits, 3)
 try:
@@ -292,5 +379,5 @@ print(",".join(raised))
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == (
-        "smooth,support,lift,markov,behrend,pair_count,bertrand"
+        "smooth,shifted_sum,support,lift,markov,behrend,pair_count,bertrand"
     )

@@ -185,10 +185,12 @@ def _config_file(raw):
     return argv
 
 
-def _empty_set_file(tmp_path):
-    path = tmp_path / "set.txt"
-    path.write_text("\n")
-    return ["wtrick", "--n", "100", "--set", str(path), "--out", str(tmp_path / "w.json")]
+def _set_file(text):
+    def argv(tmp_path):
+        path = tmp_path / "set.txt"
+        path.write_text(text)
+        return ["wtrick", "--n", "100", "--set", str(path), "--out", str(tmp_path / "w.json")]
+    return argv
 
 
 # case -> (argv builder, fragment of the one-line error message)
@@ -204,10 +206,16 @@ MALFORMED_INPUTS = {
         _damaged_function(lambda blob: blob[:8] + (100).to_bytes(8, "little") + blob[16:816]),
         "is not prime",
     ),
-    "set-empty": (_empty_set_file, "is empty"),
+    "set-empty": (_set_file("\n"), "is empty"),
     "n-string": (_config_file({"n": "100000"}), "n must be an integer"),
     "n-float": (_config_file({"n": 100000.0}), "n must be an integer"),
     "n-bool": (_config_file({"n": True}), "n must be an integer"),
+    "c4-string": (_config_file({"n": 100000, "c4": "1"}), "constant c4 must be a positive real"),
+    "z-string": (_config_file({"n": 100000, "z_override": "3"}), "z_override must be a real"),
+    "fft-budget-string": (_config_file({"n": 10000, "fft_budget": "8"}), "fft_budget must be an integer"),
+    "k-values-null": (_config_file({"n": 10000, "k_values": [None]}), "k_values must be integers"),
+    "set-composite": (_set_file("-5\n4\n5\n11\n17\n23\n"), "set member -5 is not a prime"),
+    "set-above-n": (_set_file("5\n11\n17\n23\n101\n"), "set member 101 is not a prime"),
     "threads-key": (_config_file({"n": 10000, "threads": 2}), "unknown config keys"),
     "threads-flag": (
         lambda tmp_path: ["--threads=2", "pipeline", "--n", "10000",

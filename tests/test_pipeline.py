@@ -35,6 +35,19 @@ def test_config_validation():
         PipelineConfig.from_dict({"n": 10**4, "bogus": 1})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("c4", "1"), ("c_sanders", True), ("c1", None), ("eta", float("nan")),
+    ("z_override", "3"), ("z_override", False), ("fft_budget", 2.0**23),
+    ("fft_budget", True), ("force", "yes"), ("set_source", 5),
+    ("k_values", (1, True)), ("k_grid", (2.0,)),
+])
+def test_config_rejects_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(InvalidArgumentError, match=field):
+        PipelineConfig(n=10**4, **{field: value})
+    with pytest.raises(InvalidArgumentError, match=field):
+        PipelineConfig.from_dict({"n": 10**4, field: value})
+
+
 def test_config_from_dict_coercions():
     config = PipelineConfig.from_dict(
         {"n": 10**4, "delta": 0.4, "k_values": [1, 2], "delta_grid": [0.3, 0.4]}

@@ -160,3 +160,12 @@ def test_membership_outside_table_is_false():
     table = sieve_primes(100)
     assert not table.is_prime(101)  # prime, but past the limit
     assert not table.is_prime(-7)
+
+
+def test_is_prime_many_matches_is_prime():
+    table = sieve_primes(1000)
+    values = np.arange(-20, 1030)
+    got = table.is_prime_many(values)
+    assert got.dtype == bool and got.shape == values.shape
+    assert got.tolist() == [table.is_prime(int(n)) for n in values]
+    assert table.is_prime_many([]).size == 0

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from ap3lab.cyclic import CyclicFunction
+from ap3lab.cyclic import CyclicFunction, fixed_sum
 from ap3lab.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from ap3lab.primes import next_prime_above
 from ap3lab.threeap import (
@@ -74,6 +74,18 @@ def test_fourier_matches_direct_on_random_functions(p):
         f, g, h = random_triple(p, rng)
         direct = lambda_direct(f, g, h).lambda_value
         assert abs(lambda_fourier(f, g, h) - direct) < 1e-8
+
+
+def test_fourier_reduces_the_real_products_in_a_fixed_order():
+    p = 1009
+    f, g, h = random_triple(p, np.random.default_rng(5))
+    t = np.arange(p)
+    products = (
+        f.spectrum().coefficients
+        * g.spectrum().coefficients[(-2 * t) % p]
+        * h.spectrum().coefficients
+    )
+    assert lambda_fourier(f, g, h) == fixed_sum(products.real)
 
 
 def test_direct_decomposition_sums():
