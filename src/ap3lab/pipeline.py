@@ -145,10 +145,9 @@ class PipelineConfig:
             if name in coerced:
                 coerced[name] = str(coerced[name])
         for name in ("k_values", "k_grid", "delta_grid", "epsilon_grid"):
-            if name in coerced and not isinstance(coerced[name], (list, tuple)):
-                raise InvalidArgumentError(f"{name} must be a list")
-        for name in ("k_values", "k_grid"):
             if name in coerced:
+                if not isinstance(coerced[name], (list, tuple)):
+                    raise InvalidArgumentError(f"{name} must be a list")
                 coerced[name] = tuple(coerced[name])
         for name in ("delta_grid", "epsilon_grid"):
             if name in coerced:
