@@ -7,7 +7,7 @@ and sieve bounds), bounds (closed-form evaluators), pipeline (end-to-end
 runs), cli (command line).
 """
 
-from .bohr import BohrSet, build_bohr_set, normalized_indicator, smooth
+from .bohr import BohrSet, build_bohr_set, kernel_spectrum, normalized_indicator, smooth
 from .bounds import (
     choose_k,
     choose_k_from_log,
@@ -63,6 +63,7 @@ from .threeap import (
     greedy_3ap_free,
     lambda_direct,
     lambda_fourier,
+    lambda_of_spectra,
 )
 from .wtrick import (
     WTrickContext,

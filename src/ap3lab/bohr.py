@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclic import CyclicFunction, Spectrum, clamp_at_zero, convolve
+from .cyclic import CyclicFunction, Spectrum, clamp_at_zero, from_spectrum
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import is_prime
 
@@ -25,10 +25,14 @@ _MAX_DENOMINATOR = 1 << 30
 # smooth keeps the carried spectrum of h through its clamp at zero only when
 # the deepest clamped value is at most this many ulps of (1 + sup h) times
 # log2 P. FFT rounding grows like log P; in the N = 1e6 delta sweep every
-# dip is at most 0.011 of this bound. Only Bohr sets past
-# _SHIFTED_SUM_MAX_SIZE reach the clamp: the N = 1e7 pipeline (|B| = 15)
-# sums shifts instead.
+# dip was at most 0.011 of this bound. Only `smooth` on a Bohr set past
+# _SHIFTED_SUM_MAX_SIZE reaches the clamp: the N = 1e7 pipeline (|B| = 15)
+# sums shifts instead, and delta_sweep never builds h, only its spectrum.
 _ROUNDOFF_DIP_ULPS = 16
+
+# kernel_spectrum checks sigmahat(0) = 1, Im sigmahat = 0 and
+# |sigmahat| <= 1 to this absolute tolerance.
+_KERNEL_SPECTRUM_TOL = 1e-9
 
 # smooth sums shifted copies of a, instead of convolving through the
 # transform, for Bohr sets with 1 < |B| <= this. On a 2-core x86_64 machine
@@ -168,18 +172,18 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     * 1 < |B| <= _SHIFTED_SUM_MAX_SIZE: h(x) = (1/|B|) sum_{b in B} a(x - b)
       by |B| shifted adds in ascending b, a fixed-order sum of a's values
       that is exactly >= 0 when a is. Nothing is clamped: any value below
-      zero raises InvariantError. B is symmetric, so sigmahat is real and
-      is read off a cosine table (see _shifted_average). No transform is
-      made beyond the one of a.
-    * larger B: h is the convolution through the transform, clamped at
-      zero, since any dip below zero is transform roundoff. A dip deeper
-      than 1e-9 * (1 + sup h) raises InvariantError. The clamp moves every
-      coefficient of the carried spectrum by at most the deepest clamped
-      value, so it is kept only while that value is within
+      zero raises InvariantError. The carried sigmahat is real and read
+      off a cosine table (see kernel_spectrum). No transform is made
+      beyond the one of a.
+    * larger B: h is the inverse transform of ahat * kernel_spectrum(B),
+      clamped at zero, since any dip below zero is transform roundoff. A
+      dip deeper than 1e-9 * (1 + sup h) raises InvariantError. The clamp
+      moves every coefficient of the carried spectrum by at most the
+      deepest clamped value, so it is kept only while that value is within
       _ROUNDOFF_DIP_ULPS ulps of (1 + sup h) times log2 P, the scale of
       FFT rounding. A deeper (but still accepted) dip drops the carried
       spectrum, and the next use of h's spectrum transforms the clamped
-      values afresh.
+      values afresh. sigma is freed before the inverse transform.
     """
     if a.modulus != bohr.modulus:
         raise InvalidArgumentError(
@@ -189,7 +193,12 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
         return a  # B = {0}: sigma is the exact convolution identity
     if bohr.size <= _SHIFTED_SUM_MAX_SIZE:
         return _shifted_average(a, bohr)
-    h = convolve(a, normalized_indicator(bohr))
+    sigma_hat = kernel_spectrum(bohr)
+    product = Spectrum(
+        a.modulus, a.spectrum().coefficients * sigma_hat, validate_modulus=False
+    )
+    del sigma_hat  # free it before the inverse transform
+    h = from_spectrum(product)
     low = float(h.values.min())
     if low < 0:
         scale = 1.0 + h.sup_norm()
@@ -205,30 +214,44 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     return h
 
 
-def _shifted_average(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
-    """h(x) = (1/|B|) sum_{b in B} a(x - b), carrying ahat * sigmahat.
+def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
+    """sigmahat, the spectrum of sigma = (P/|B|) * 1_B, as an array.
 
-    B = -B, so sigmahat(t) = (1/|B|) sum_{b in B} e(b*t/P) is real:
+    For |B| <= _SHIFTED_SUM_MAX_SIZE it is read off a cosine table: B = -B,
+    so sigmahat(t) = (1/|B|) sum_{b in B} e(b*t/P) is real and equals
     (1 + 2 * sum_{b in B, 0 < b < P/2} cos(2*pi*b*t/P)) / |B|. Each cosine
     is gathered from one P-entry table at the integer phase b*t mod P, for
-    t up to P/2 only, since sigmahat(P - t) = sigmahat(t).
+    t up to P/2 only, since sigmahat(P - t) = sigmahat(t). The set must
+    contain 0 and be symmetric, or InvariantError is raised. Larger sets
+    transform normalized_indicator(bohr) and return the complex result as
+    it is; sigma itself lives only inside this call.
+
+    sigma is a probability kernel symmetric about 0, so sigmahat(0) = 1,
+    sigmahat is real and |sigmahat| <= 1; each is checked to
+    _KERNEL_SPECTRUM_TOL and a failure raises InvariantError. Callers skip
+    B = {0}, where sigma is the convolution identity and sigmahat is 1.
     """
-    p = a.modulus
+    if bohr.size > _SHIFTED_SUM_MAX_SIZE:
+        sigma_hat = normalized_indicator(bohr).spectrum().coefficients
+    else:
+        sigma_hat = _cosine_table_spectrum(bohr)
+    tol = _KERNEL_SPECTRUM_TOL
+    if abs(sigma_hat[0] - 1.0) > tol:
+        raise InvariantError(f"kernel spectrum at 0 is {sigma_hat[0]!r}, not 1")
+    if np.iscomplexobj(sigma_hat) and float(np.max(np.abs(sigma_hat.imag))) > tol:
+        raise InvariantError("kernel spectrum is not real: the Bohr set is not symmetric")
+    peak = float(np.max(np.abs(sigma_hat)))
+    if peak > 1.0 + tol:
+        raise InvariantError(f"kernel spectrum reaches {peak!r}, above 1")
+    return sigma_hat
+
+
+def _cosine_table_spectrum(bohr: BohrSet) -> np.ndarray:
+    """The real sigmahat of a small symmetric Bohr set (see kernel_spectrum)."""
+    p = bohr.modulus
     members = bohr.members()  # ascending in [0, P)
     if members[0] != 0 or not np.array_equal(members, np.sort((p - members) % p)):
         raise InvariantError("Bohr set must contain 0 and be symmetric about it")
-
-    values = np.zeros(p)
-    for b in members.tolist():
-        values[b:] += a.values[: p - b]
-        values[:b] += a.values[p - b :]
-    values /= bohr.size
-    low = float(values.min())
-    if low < 0:
-        raise InvariantError(
-            f"shifted average of nonnegative inputs went to {low!r}"
-        )
-
     k = np.arange(p, dtype=np.int64)
     cosines = np.cos((2 * np.pi / p) * np.minimum(k, p - k))
     t = k[: p // 2 + 1]
@@ -241,7 +264,23 @@ def _shifted_average(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
         np.take(cosines, phase, out=gathered, mode="clip")
         cosine_sum += gathered
     half = (1.0 + 2.0 * cosine_sum) / bohr.size
-    sigma_hat = np.concatenate((half, half[:0:-1]))
+    return np.concatenate((half, half[:0:-1]))
+
+
+def _shifted_average(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
+    """h(x) = (1/|B|) sum_{b in B} a(x - b), carrying ahat * sigmahat."""
+    p = a.modulus
+    sigma_hat = kernel_spectrum(bohr)  # checks that B contains 0 and is symmetric
+    values = np.zeros(p)
+    for b in bohr.members().tolist():
+        values[b:] += a.values[: p - b]
+        values[:b] += a.values[p - b :]
+    values /= bohr.size
+    low = float(values.min())
+    if low < 0:
+        raise InvariantError(
+            f"shifted average of nonnegative inputs went to {low!r}"
+        )
 
     h = CyclicFunction(p, values, validate_modulus=False)
     h._spectrum = Spectrum(

@@ -18,6 +18,7 @@ from .errors import InvalidArgumentError, LabError
 from .pipeline import (
     PipelineConfig,
     canonical_json,
+    check_fft_budget,
     delta_sweep,
     lift,
     load_member_file,
@@ -201,6 +202,7 @@ def _cmd_wtrick(args) -> int:
 
 
 def _cmd_bohr(args) -> int:
+    check_fft_budget(args.p)
     freqs = [int(v) for v in args.freqs.split(",")]
     bohr = build_bohr_set(args.p, freqs, args.eps)
     report = {
@@ -217,6 +219,7 @@ def _cmd_bohr(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
+    check_fft_budget(args.p)
     members = load_member_file(args.set_file)
     f = CyclicFunction.indicator(args.p, members.tolist())
     use_direct = args.direct or args.both

@@ -140,8 +140,15 @@ def convolve(f: CyclicFunction, g: CyclicFunction) -> CyclicFunction:
         f.spectrum().coefficients * g.spectrum().coefficients,
         validate_modulus=False,
     )
-    out = inverse_transform(product)
-    out._spectrum = product
+    return from_spectrum(product)
+
+
+def from_spectrum(s: Spectrum) -> CyclicFunction:
+    """The real function with spectrum s, by one inverse transform. It
+    carries s as its memoized spectrum, so it is never transformed forward
+    again."""
+    out = inverse_transform(s)
+    out._spectrum = s
     return out
 
 

@@ -19,6 +19,10 @@ is past the shifted-sum cutoff (h is then an inverse transform), and
 threshold membership for a coefficient within rounding of delta.
 math.log and pow come from the platform's libm and are outside this
 guarantee.
+
+delta_sweep reads h only through lambda(h, h, h), so it never builds h: it
+evaluates the operator on ahat * sigmahat (bohr.kernel_spectrum), with no
+inverse transform and no clamp at any grid point.
 """
 
 from __future__ import annotations
@@ -33,13 +37,13 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bd
-from .bohr import build_bohr_set, smooth
+from .bohr import build_bohr_set, kernel_spectrum, smooth
 # lp_norm stays importable here because perfbench/spans.py wraps pipeline.lp_norm.
 from .cyclic import lp_norm, spectral_lp_norm, threshold_spectrum  # noqa: F401
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import sieve_primes
 from .sieve_bounds import convolution_norm_bound, moment_index_in_range
-from .threeap import additive_counts, lambda_fourier
+from .threeap import additive_counts, lambda_fourier, lambda_of_spectra
 from .wtrick import build_context, build_sieved_function
 
 REPORT_SCHEMA = "ap3lab-report/1"
@@ -209,6 +213,13 @@ def load_member_file(path) -> np.ndarray:
     return np.asarray(sorted(set(values)), dtype=np.int64)
 
 
+def check_fft_budget(p: int, budget: int = DEFAULT_FFT_BUDGET) -> None:
+    """Refuse a modulus P past the budget on the length of P-point arrays,
+    before any of them is allocated."""
+    if p > budget:
+        raise ResourceLimitError(f"P = {p} exceeds the FFT budget {budget}")
+
+
 def lift(config: PipelineConfig) -> tuple:
     """The W-trick lift shared by every entry point.
 
@@ -228,10 +239,7 @@ def lift(config: PipelineConfig) -> tuple:
                 f"set member {int(outside[0])} is not a prime in [2, N = {config.n}]"
             )
     ctx, params = build_context(members, config.n, config.z_override)
-    if ctx.p > config.fft_budget:
-        raise ResourceLimitError(
-            f"P = {ctx.p} exceeds the FFT budget {config.fft_budget}"
-        )
+    check_fft_budget(ctx.p, config.fft_budget)
     sieved = build_sieved_function(members, ctx, prime_table=table)
     return members, ctx, params, sieved
 
@@ -416,7 +424,12 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
     """Rows over the (delta, epsilon) grid in ascending lexicographic order.
 
     The sieved function and its spectrum are shared across grid points; the
-    threshold set, Bohr set, and smoothing are rebuilt per point.
+    threshold set and Bohr set are rebuilt per point. A row reads h only
+    through lambda(h, h, h), so h is never built: its spectrum
+    hhat = ahat * sigmahat (bohr.kernel_spectrum) goes straight to the
+    operator, with no inverse transform and no clamp. For B = {0}, h is a
+    and lambda_hhh is the exact count lambda_aaa. lambda_hhh equals
+    run_pipeline's bit for bit whenever smooth keeps its carried spectrum.
     """
     deltas = config.delta_grid or (config.delta,)
     epsilons = config.epsilon_grid or (config.epsilon,)
@@ -429,16 +442,24 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
     a = sieved.function
     lam_a, _, _ = _counted_moments(a, ctx)
     spec_a = a.spectrum()
+    a_hat = spec_a.coefficients
 
     rows = []
     for _, delta_str, _, eps_str in points:
         delta_f = float(Fraction(delta_str))
         eps_f = float(Fraction(eps_str))
         r_set = threshold_spectrum(spec_a, delta_f)
-        raw_size = int(np.count_nonzero(np.abs(spec_a.coefficients) >= delta_f))
+        raw_size = int(np.count_nonzero(np.abs(a_hat) >= delta_f))
         bohr = build_bohr_set(ctx.p, r_set.tolist(), eps_str)
-        h = smooth(a, bohr)
-        lam_h = lam_a if h is a else lambda_fourier(h, h, h)
+        if bohr.size == 1:
+            lam_h = lam_a  # B = {0}: h is a
+        else:
+            # sigma_hat stays bound, so numpy cannot reuse it in place as
+            # sigma_hat *= a_hat: a complex product is not bitwise symmetric
+            # in its operands, and that form moves lambda_hhh by an ulp
+            sigma_hat = kernel_spectrum(bohr)
+            h_hat = a_hat * sigma_hat
+            lam_h = lambda_of_spectra(h_hat, h_hat, h_hat)
         gap = abs(lam_a - lam_h)
         smoothing_bound = eps_f + delta_f ** 0.6
         constraint = bd.epsilon_delta_constraint(delta_f, eps_f, config.n, config.c4)

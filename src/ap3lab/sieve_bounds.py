@@ -10,11 +10,9 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 import numpy as np
 
-from .cyclic import CyclicFunction, convolve, lp_norm
 from .errors import (
     InvalidArgumentError,
     InvariantError,
@@ -75,20 +73,6 @@ def root_count_rho(p: int, spec: TupleSpec) -> int:
         return 0
     w_inv = pow(spec.w, -1, p)
     return len({(-b * w_inv) % p for b in spec.offsets})
-
-
-def root_count_rho_scan(p: int, spec: TupleSpec) -> int:
-    """Same count by brute scan over n = 1..p; the oracle for the fast path."""
-    if not is_prime(p):
-        raise InvalidArgumentError(f"{p} is not prime")
-    count = 0
-    for n in range(1, p + 1):
-        prod = 1
-        for b in spec.offsets:
-            prod = prod * (spec.w * n + b) % p
-        if prod == 0:
-            count += 1
-    return count
 
 
 def singular_series(
@@ -286,61 +270,3 @@ def convolution_norm_bound(
 
 def moment_index_in_range(k: int, z: float) -> bool:
     return 1 <= k <= 0.5 * math.log(z) ** (1.0 / 3.0)
-
-
-@dataclass
-class MomentSplit:
-    """2k-th moment of a*sigma split by the number of distinct shifts."""
-
-    k: int
-    sigma_size: int
-    by_distinct: dict[int, float]
-    repeated_share: float  # tuples with fewer than 2k distinct coordinates
-    distinct_share: float  # tuples with exactly 2k distinct coordinates
-    total: float
-    norm_check: float  # ||a*sigma||_{2k}^{2k} computed independently
-
-
-def moment_distinct_split(
-    a: CyclicFunction, sigma_members, k: int, max_tuples: int = 200_000
-) -> MomentSplit:
-    """Expand ||a*sigma||_{2k}^{2k} over explicit 2k-tuples of shifts and
-    bucket by the number of distinct coordinates.
-
-    For nonnegative a the expansion is an identity, so the buckets sum to
-    the directly computed norm; desk-scale only (|Sigma|^(2k) tuples).
-    """
-    members = sorted(set(int(m) % a.modulus for m in sigma_members))
-    if not members:
-        raise InvalidArgumentError("Sigma must be nonempty")
-    if len(members) ** (2 * k) > max_tuples:
-        raise ResourceLimitError(
-            f"|Sigma|^(2k) = {len(members) ** (2 * k)} tuples exceeds {max_tuples}"
-        )
-    p = a.modulus
-    av = a.values
-    idx = np.arange(p, dtype=np.int64)
-    shifted = {y: av[(idx - y) % p] for y in members}
-
-    buckets: dict[int, float] = {}
-    for tup in iter_product(members, repeat=2 * k):
-        prod = shifted[tup[0]].copy()
-        for y in tup[1:]:
-            prod *= shifted[y]
-        buckets.setdefault(len(set(tup)), 0.0)
-        buckets[len(set(tup))] += float(np.mean(prod))
-    scale = 1.0 / len(members) ** (2 * k)
-    by_distinct = {r: v * scale for r, v in sorted(buckets.items())}
-
-    sigma = CyclicFunction.indicator(p, members, scale=p / len(members))
-    norm_check = lp_norm(convolve(a, sigma), 2 * k) ** (2 * k)
-    total = sum(by_distinct.values())
-    return MomentSplit(
-        k=k,
-        sigma_size=len(members),
-        by_distinct=by_distinct,
-        repeated_share=sum(v for r, v in by_distinct.items() if r < 2 * k),
-        distinct_share=by_distinct.get(2 * k, 0.0),
-        total=total,
-        norm_check=norm_check,
-    )

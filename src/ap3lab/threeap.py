@@ -149,12 +149,21 @@ def lambda_fourier(
     parts of the products are reduced by fixed_sum, so the order of the
     sum does not depend on the numpy build.
     """
-    p = _common_modulus(f, g, h)
-    fs = f.spectrum().coefficients
-    gs = g.spectrum().coefficients
-    hs = h.spectrum().coefficients
-    t = np.arange(p, dtype=np.int64)
-    minus_2t = (-2 * t) % p
+    _common_modulus(f, g, h)
+    return lambda_of_spectra(
+        f.spectrum().coefficients, g.spectrum().coefficients, h.spectrum().coefficients
+    )
+
+
+def lambda_of_spectra(fs: np.ndarray, gs: np.ndarray, hs: np.ndarray) -> float:
+    """The spectral core of lambda_fourier on coefficient arrays of one
+    length P: fixed_sum of the real part of fs(t) * gs(-2t) * hs(t).
+
+    Takes any array that holds a spectrum, so a caller that needs only the
+    operator (delta_sweep's hhat = ahat * sigmahat) never builds h.
+    """
+    p = fs.size
+    minus_2t = (-2 * np.arange(p, dtype=np.int64)) % p
     return fixed_sum((fs * gs[minus_2t] * hs).real)
 
 

@@ -14,13 +14,14 @@ from ap3lab.bohr import (
     BohrSet,
     as_radius,
     build_bohr_set,
+    kernel_spectrum,
     normalized_indicator,
     smooth,
 )
-from ap3lab.cyclic import CyclicFunction, convolve, lp_norm
+from ap3lab.cyclic import CyclicFunction, Spectrum, convolve, lp_norm
 from ap3lab.errors import InvalidArgumentError, InvariantError
 from ap3lab.threeap import lambda_direct, lambda_fourier
-from conftest import direct_forward
+from conftest import direct_dft_stack, direct_forward
 
 
 def test_single_frequency_interval():
@@ -229,6 +230,53 @@ def test_smoothing_cases_reach_both_paths():
     assert any(size > _SHIFTED_SUM_MAX_SIZE for size in sizes)
 
 
+@pytest.mark.parametrize("p, freqs, eps", SMOOTHING_CASES)
+def test_kernel_spectrum_matches_the_direct_transform(p, freqs, eps):
+    bohr = build_bohr_set(p, freqs, eps)
+    sigma_hat = kernel_spectrum(bohr)
+    want = direct_dft_stack(normalized_indicator(bohr).values, p)[0] / p
+    assert np.max(np.abs(sigma_hat - want)) < 1e-12
+    # the cosine table gives a real array, the transform a complex one
+    assert np.iscomplexobj(sigma_hat) == (bohr.size > _SHIFTED_SUM_MAX_SIZE)
+
+
+def _crafted_kernel_spectrum(first, rest):
+    def transform(f):
+        coefficients = np.full(f.modulus, rest, dtype=complex)
+        coefficients[0] = first
+        return Spectrum(f.modulus, coefficients)
+    return transform
+
+
+# case -> (value at 0, value elsewhere, fragment of the message)
+BROKEN_KERNEL_SPECTRA = {
+    "mass": (0.5, 0.25, "at 0"),
+    "imaginary": (1.0, 0.25 + 1e-6j, "not real"),
+    "above-one": (1.0, 1.5, "above 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_KERNEL_SPECTRA))
+def test_kernel_spectrum_rejects_a_broken_transform(monkeypatch, case):
+    first, rest, fragment = BROKEN_KERNEL_SPECTRA[case]
+    bohr = build_bohr_set(1009, [1], "0.2")
+    assert bohr.size > _SHIFTED_SUM_MAX_SIZE  # the transform path
+    monkeypatch.setattr(
+        "ap3lab.cyclic.forward_transform", _crafted_kernel_spectrum(first, rest)
+    )
+    with pytest.raises(InvariantError, match=fragment):
+        kernel_spectrum(bohr)
+
+
+def test_kernel_spectrum_rejects_a_wrong_mass_on_the_cosine_table():
+    # three members but a recorded size of 4: sigmahat(0) = 3/4
+    p = 101
+    bits = np.packbits(np.isin(np.arange(p), [0, 1, 100]))
+    miscounted = BohrSet(p, (1,), Fraction(1, 50), bits, 4)
+    with pytest.raises(InvariantError, match="at 0"):
+        kernel_spectrum(miscounted)
+
+
 def test_shifted_sum_is_an_exact_average_of_values():
     # h(x) = (1/|B|) sum_b a(x - b): exactly zero away from the support of
     # a, with no clamp, and equal to the plain average of the shifts
@@ -265,10 +313,10 @@ def test_shifted_sum_needs_a_symmetric_set_with_zero():
             smooth(a, lopsided)
 
 
-def _dipping_convolution(f, g):
-    values = np.ones(f.modulus)
+def _dipping_inverse(s):
+    values = np.ones(s.modulus)
     values[1] = -1e-3
-    return CyclicFunction(f.modulus, values)
+    return CyclicFunction(s.modulus, values)
 
 
 def test_smooth_raises_on_a_dip_beyond_roundoff(monkeypatch):
@@ -276,27 +324,26 @@ def test_smooth_raises_on_a_dip_beyond_roundoff(monkeypatch):
     a = CyclicFunction.constant(p, 1.0)
     bohr = build_bohr_set(p, [1], "0.2")
     assert bohr.size > _SHIFTED_SUM_MAX_SIZE  # the transform path
-    monkeypatch.setattr("ap3lab.bohr.convolve", _dipping_convolution)
+    monkeypatch.setattr("ap3lab.cyclic.inverse_transform", _dipping_inverse)
     with pytest.raises(InvariantError):
         smooth(a, bohr)
 
 
 def test_smooth_drops_the_carried_spectrum_after_a_dip_above_rounding(monkeypatch):
     # a dip the clamp accepts but that is far above FFT rounding: the clamped
-    # h must not keep the (deliberately wrong) spectrum of the convolution
+    # h must not keep the (deliberately wrong) carried product spectrum
     p = 1009
     a = CyclicFunction.constant(p, 1.0)
     bohr = build_bohr_set(p, [1], "0.2")
     assert bohr.size > _SHIFTED_SUM_MAX_SIZE  # the transform path
 
-    def shallow_dip(f, g):
+    def shallow_dip(s):
         values = np.ones(p)
         values[1] = -1e-11
-        out = CyclicFunction(p, values)
-        out._spectrum = CyclicFunction(p, np.zeros(p)).spectrum()
-        return out
+        return CyclicFunction(p, values)
 
-    monkeypatch.setattr("ap3lab.bohr.convolve", shallow_dip)
+    monkeypatch.setattr("ap3lab.bohr.kernel_spectrum", lambda bohr: np.zeros(p))
+    monkeypatch.setattr("ap3lab.cyclic.inverse_transform", shallow_dip)
     h = smooth(a, bohr)
     assert float(h.values.min()) == 0.0
     assert np.max(np.abs(h.spectrum().coefficients - direct_forward(h.values))) < 1e-12
@@ -313,12 +360,14 @@ from ap3lab.errors import InvariantError
 
 assert False, "this assert must be stripped"
 
-def dipping(f, g):
-    values = np.ones(f.modulus)
+def dipping(s):
+    values = np.ones(s.modulus)
     values[1] = -1e-3
-    return CyclicFunction(f.modulus, values)
+    return CyclicFunction(s.modulus, values)
 
-bohr_module.convolve = dipping
+import ap3lab.cyclic as cyclic_module
+
+cyclic_module.inverse_transform = dipping
 raised = []
 wide_bohr = build_bohr_set(1009, [1], "0.2")
 if wide_bohr.size <= bohr_module._SHIFTED_SUM_MAX_SIZE:
@@ -347,7 +396,6 @@ try:
     build_sieved_function([3, 97], WTrickContext(100, 2.0, 2, 1, 1, 101, 1.0))
 except InvariantError:
     raised.append("lift")
-import ap3lab.cyclic as cyclic_module
 import ap3lab.threeap as threeap_module
 from ap3lab.cyclic import Spectrum, threshold_spectrum
 

@@ -232,3 +232,26 @@ def test_malformed_input_exits_1_with_a_message(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert "Traceback" not in err
+
+
+# P = 8388617, the least prime above the default 2^23 FFT budget; the set
+# file does not exist, so the budget must be checked before it is read
+OVERSIZED_INPUTS = {
+    "bohr-p": lambda tmp_path: ["bohr", "--p", "8388617", "--freqs", "1", "--eps", "0.1"],
+    "lambda-p": lambda tmp_path: [
+        "lambda", "--p", "8388617", "--set", str(tmp_path / "missing.txt"),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_INPUTS))
+def test_oversized_input_exits_3_with_a_message(tmp_path, capsys, monkeypatch, case):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a P-length array was built past the budget")
+
+    monkeypatch.setattr("ap3lab.cli.build_bohr_set", unreachable)
+    monkeypatch.setattr("ap3lab.cli.CyclicFunction", unreachable)
+    assert run_cli(*OVERSIZED_INPUTS[case](tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds the FFT budget 8388608" in err
+    assert "Traceback" not in err

@@ -227,6 +227,32 @@ def test_delta_sweep_shares_lambda_aaa():
     assert len({row[lam_idx] for row in rows}) == 1
 
 
+# At N = 1e4 (P = 15013) and epsilon = 0.1 these deltas give Bohr sets of 1,
+# 51 and 501 members: B = {0}, the cosine table and the transform path.
+SWEEP_REGIMES = {"0.05": 1, "0.2": 51, "0.3": 501}
+
+
+def test_delta_sweep_makes_no_inverse_transform(monkeypatch):
+    def refuse(s):
+        raise AssertionError("delta_sweep inverse-transformed a spectrum")
+
+    monkeypatch.setattr("ap3lab.cyclic.inverse_transform", refuse)
+    config = PipelineConfig(n=10**4, epsilon="0.1", delta_grid=tuple(SWEEP_REGIMES))
+    header, rows = delta_sweep(config)
+    sizes = {row[header.index("delta")]: row[header.index("bohr_size")] for row in rows}
+    assert sizes == SWEEP_REGIMES
+
+
+@pytest.mark.parametrize("delta", ["0.2", "0.3"])
+def test_delta_sweep_lambda_hhh_is_the_pipelines_bit_for_bit(delta):
+    config = PipelineConfig(n=10**4, delta=delta, epsilon="0.1", k_values=(1,))
+    header, rows = delta_sweep(config)
+    report = run_pipeline(config)
+    assert report.data["bohr"]["bohr_size"] == SWEEP_REGIMES[delta]
+    assert rows[0][header.index("bohr_size")] == SWEEP_REGIMES[delta]
+    assert rows[0][header.index("lambda_hhh")] == repr(report.data["lambda"]["lambda_hhh"])
+
+
 def test_self_convolution_square_norm_identity(sieved_1e5):
     # ||a*a||_2^2 equals the fourth power of the spectral 4-norm of a
     from ap3lab.cyclic import convolve, lp_norm, spectral_lp_norm

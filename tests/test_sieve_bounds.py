@@ -14,15 +14,18 @@ from ap3lab.sieve_bounds import (
     count_prime_tuples,
     hypothesis_flags,
     klimov_upper_bound,
-    moment_distinct_split,
     convolution_norm_bound,
     moment_index_in_range,
     root_count_rho,
-    root_count_rho_scan,
     singular_series,
 )
 from ap3lab.wtrick import build_context
-from conftest import singular_series_by_root_counts, trial_is_prime
+from conftest import (
+    moment_distinct_split,
+    root_count_rho_scan,
+    singular_series_by_root_counts,
+    trial_is_prime,
+)
 
 TWIN_CONSTANT = 0.6601618158468696
 
