@@ -170,7 +170,7 @@ def _cmd_primes(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    function = load_function(args.infile)
+    function = load_function(args.infile, check_modulus=check_fft_budget)
     save_spectrum(forward_transform(function), args.out)
     return 0
 

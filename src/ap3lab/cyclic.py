@@ -16,7 +16,7 @@ import struct
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvariantError
+from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import is_prime
 
 # Row width of fixed_sum: few enough rows that the Python loop over them is
@@ -29,6 +29,8 @@ _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQ")
 # The Markov count holds exactly; this allows for rounding in the fourth moment.
 _MARKOV_REL_TOL = 1e-9
+# The forward transform squares n mod 2P in int64: (2P - 1)^2 must fit.
+_EXACT_PHASE_MAX_MODULUS = (math.isqrt(np.iinfo(np.int64).max) + 1) // 2
 
 
 class CyclicFunction:
@@ -103,10 +105,108 @@ class Spectrum:
 def forward_transform(f: CyclicFunction) -> Spectrum:
     """Normalized transform: coeff[t] = mean_x f(x) exp(+2*pi*i*x*t/P).
 
-    numpy's ifft is exactly this average; its pocketfft applies
-    Bluestein's chirp-z method to prime lengths.
+    f is real, so only t <= P/2 is computed and coeff[P - t] is filled in
+    as exactly conj(coeff[t]). Those coefficients come from Bluestein's
+    chirp-z method, restricted to the shortest cyclic window that holds
+    the nonzero values of f, with each chirp phase n^2 mod 2P formed in
+    exact integers (see _half_chirp_z). The lift's a lives in [1, P/3],
+    so its convolution is about 5P/6 long instead of the 2P a generic
+    prime-length FFT pads to.
     """
-    return Spectrum(f.modulus, np.fft.ifft(f.values), validate_modulus=False)
+    return Spectrum(f.modulus, _half_chirp_z(f.values), validate_modulus=False)
+
+
+def _half_chirp_z(values: np.ndarray) -> np.ndarray:
+    """(1/P) sum_x values[x] exp(2*pi*i*x*t/P) for every t in Z/PZ, where
+    P = len(values) and the values are real.
+
+    With x*t = (x^2 + t^2 - (t - x)^2)/2 and w(n) = exp(i*pi*n^2/P),
+    coeff[t] = w(t)/P * sum_x values[x] w(x) conj(w(t - x)), which holds
+    for any integer representative x of a residue. So x runs over the
+    window [x0, x0 + L) of the nonzero values and t over [0, P//2], and
+    the sum is a linear convolution of L chirped values with
+    P//2 + L conjugate chirps. A cyclic convolution of any length
+    >= P//2 + L holds it without wrap-around; the least 5-smooth one is
+    used, since numpy's FFT handles its factors by direct radix passes.
+    """
+    p = values.size
+    if p > _EXACT_PHASE_MAX_MODULUS:
+        raise ResourceLimitError(
+            f"P = {p} is past {_EXACT_PHASE_MAX_MODULUS}, where the chirp phase "
+            "n^2 mod 2P could overflow int64"
+        )
+    half = p // 2 + 1
+    x0, length = _support_window(values)
+    size = _five_smooth_at_least(half + length - 1)
+
+    kernel = np.zeros(size, dtype=np.complex128)
+    _chirp(1 - length - x0, half - x0, p, kernel[: half + length - 1])
+    window = np.zeros(size, dtype=np.complex128)
+    # w is even, so w(x0 + j) = w(-x0 - j), which kernel holds at L - 1 - j
+    window[:length] = kernel[length - 1 :: -1]
+    np.conjugate(kernel, out=kernel)
+    np.fft.fft(kernel, out=kernel)
+
+    head = min(length, p - x0)  # the window wraps past P - 1 after head values
+    window[:head] *= values[x0 : x0 + head]
+    window[head:length] *= values[: length - head]
+    np.fft.fft(window, out=window)
+    window *= kernel
+    del kernel
+    np.fft.ifft(window, out=window)
+
+    spectrum = np.empty(p, dtype=np.complex128)
+    spectrum[:half] = window[length - 1 : length - 1 + half]
+    del window
+    chirp = np.empty(half, dtype=np.complex128)
+    _chirp(0, half, p, chirp)
+    spectrum[:half] *= chirp
+    del chirp
+    spectrum[:half] /= p
+    np.conjugate(spectrum[p - half : 0 : -1], out=spectrum[half:])
+    return spectrum
+
+
+def _support_window(values: np.ndarray) -> tuple[int, int]:
+    """(x0, L) with 0 <= x0 < P: the shortest cyclic window
+    [x0, x0 + L) mod P that holds every nonzero value. It lies opposite
+    the widest cyclic gap between nonzero indices."""
+    nonzero = np.flatnonzero(values)
+    if nonzero.size == 0:
+        return 0, 1
+    gaps = np.diff(nonzero, append=nonzero[0] + values.size)
+    widest = int(np.argmax(gaps))
+    return int(nonzero[(widest + 1) % nonzero.size]), values.size + 1 - int(gaps[widest])
+
+
+def _five_smooth_at_least(n: int) -> int:
+    """The least 2^a * 3^b * 5^c >= n."""
+    best = 1 << (n - 1).bit_length()
+    power5 = 1
+    while power5 < best:
+        power35 = power5
+        while power35 < best:
+            length = power35
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            power35 *= 3
+        power5 *= 5
+    return best
+
+
+def _chirp(start: int, stop: int, p: int, out: np.ndarray) -> None:
+    """Write w(n) = exp(i*pi*n^2/P) for n in [start, stop) into out. The
+    phase n^2 mod 2P is formed in int64 from n mod 2P, so it is exact, and
+    w(n) = exp(i*pi*phase/P) is the only rounding."""
+    phase = np.arange(start, stop, dtype=np.int64)
+    phase %= 2 * p
+    phase *= phase
+    phase %= 2 * p
+    angle = phase * (np.pi / p)
+    del phase
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
 
 
 def inverse_transform(s: Spectrum) -> CyclicFunction:
@@ -240,24 +340,32 @@ def save_function(f: CyclicFunction, path) -> None:
         fh.write(f.values.astype("<f8").tobytes())
 
 
-def _read_payload(path, magic: bytes, floats_per_point: int):
-    """Check a ZPFN or ZPSP header and payload length; return P, the float64s."""
+def _read_payload(path, magic: bytes, floats_per_point: int, check_modulus=None):
+    """Check a ZPFN or ZPSP header and payload length; return P, the float64s.
+
+    check_modulus, if given, is called with P from the header before the
+    payload is read, and may raise to refuse it.
+    """
     with open(path, "rb") as fh:
-        header, payload = fh.read(_HEADER.size), fh.read()
-    if len(header) < _HEADER.size:
-        raise InvalidArgumentError(f"truncated header of {len(header)} bytes")
-    found, version, modulus = _HEADER.unpack(header)
-    if found != magic:
-        raise InvalidArgumentError(f"bad magic {found!r}, expected {magic.decode()}")
-    if version != _FORMAT_VERSION:
-        raise InvalidArgumentError(f"unsupported format version {version}")
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise InvalidArgumentError(f"truncated header of {len(header)} bytes")
+        found, version, modulus = _HEADER.unpack(header)
+        if found != magic:
+            raise InvalidArgumentError(f"bad magic {found!r}, expected {magic.decode()}")
+        if version != _FORMAT_VERSION:
+            raise InvalidArgumentError(f"unsupported format version {version}")
+        if check_modulus is not None:
+            check_modulus(modulus)
+        payload = fh.read()
     if len(payload) != 8 * floats_per_point * modulus:
         raise InvalidArgumentError(f"payload has {len(payload)} bytes for P = {modulus}")
     return modulus, np.frombuffer(payload, dtype="<f8")
 
 
-def load_function(path) -> CyclicFunction:
-    modulus, data = _read_payload(path, _FUNCTION_MAGIC, 1)
+def load_function(path, check_modulus=None) -> CyclicFunction:
+    """Read a ZPFN file; check_modulus(P) runs before its payload is read."""
+    modulus, data = _read_payload(path, _FUNCTION_MAGIC, 1, check_modulus)
     return CyclicFunction(modulus, data.copy())
 
 

@@ -234,9 +234,18 @@ def test_malformed_input_exits_1_with_a_message(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+def _oversized_function_header(tmp_path):
+    # a ZPFN header for P = 8388617 and no payload: the budget must be
+    # checked from the header, before the payload is read or transformed
+    path = tmp_path / "big.zpfn"
+    path.write_bytes(b"ZPFN" + (1).to_bytes(4, "little") + (8388617).to_bytes(8, "little"))
+    return ["transform", "--in", str(path), "--out", str(tmp_path / "s.zpsp")]
+
+
 # P = 8388617, the least prime above the default 2^23 FFT budget; the set
 # file does not exist, so the budget must be checked before it is read
 OVERSIZED_INPUTS = {
+    "transform-in": _oversized_function_header,
     "bohr-p": lambda tmp_path: ["bohr", "--p", "8388617", "--freqs", "1", "--eps", "0.1"],
     "lambda-p": lambda tmp_path: [
         "lambda", "--p", "8388617", "--set", str(tmp_path / "missing.txt"),
@@ -251,6 +260,7 @@ def test_oversized_input_exits_3_with_a_message(tmp_path, capsys, monkeypatch, c
 
     monkeypatch.setattr("ap3lab.cli.build_bohr_set", unreachable)
     monkeypatch.setattr("ap3lab.cli.CyclicFunction", unreachable)
+    monkeypatch.setattr("ap3lab.cli.forward_transform", unreachable)
     assert run_cli(*OVERSIZED_INPUTS[case](tmp_path)) == 3
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exceeds the FFT budget 8388608" in err

@@ -1,8 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from ap3lab import cyclic
 from ap3lab.cyclic import (
     SUM_BLOCK,
     CyclicFunction,
@@ -19,7 +22,7 @@ from ap3lab.cyclic import (
     spectral_lp_norm,
     threshold_spectrum,
 )
-from ap3lab.errors import InvalidArgumentError
+from ap3lab.errors import InvalidArgumentError, ResourceLimitError
 from conftest import direct_convolve, direct_forward
 
 MODULI = (2, 3, 5, 61, 101, 1009, 2003)
@@ -61,6 +64,113 @@ def test_forward_matches_direct_sum(p):
     got = f.spectrum().coefficients
     want = direct_forward(f.values)
     assert np.max(np.abs(got - want)) < 1e-9 * lp_norm(f, 2) * math.sqrt(p)
+
+
+def _random_on(p, rng, support):
+    values = np.zeros(p)
+    support = np.asarray(support, dtype=np.int64) % p
+    values[support] = rng.random(support.size) + 0.5
+    return values
+
+
+# shape -> (P, rng) -> values; each puts the nonzero values in another window
+SUPPORT_SHAPES = {
+    "all-zero": lambda p, rng: np.zeros(p),
+    "point-at-0": lambda p, rng: _random_on(p, rng, [0]),
+    "point-at-last": lambda p, rng: _random_on(p, rng, [p - 1]),
+    "wrapped": lambda p, rng: _random_on(p, rng, range(-(p // 10), p // 10 + 1)),
+    "first-third": lambda p, rng: _random_on(p, rng, range(1, p // 3 + 1)),
+    "dense": lambda p, rng: rng.random(p) + 0.5,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SUPPORT_SHAPES))
+@pytest.mark.parametrize("p", MODULI)
+def test_forward_matches_direct_sum_on_every_support_shape(p, shape):
+    values = SUPPORT_SHAPES[shape](p, np.random.default_rng(p))
+    got = forward_transform(CyclicFunction(p, values)).coefficients
+    assert np.max(np.abs(got - direct_forward(values))) < 1e-12
+
+
+@pytest.mark.parametrize("shape", sorted(SUPPORT_SHAPES))
+def test_upper_half_is_the_bitwise_conjugate_of_the_lower(shape):
+    p = 2003
+    values = SUPPORT_SHAPES[shape](p, np.random.default_rng(5))
+    coeffs = forward_transform(CyclicFunction(p, values)).coefficients
+    t = np.arange(1, p)
+    assert np.array_equal(coeffs[p - t], np.conj(coeffs[t]))
+
+
+def test_transform_lengths_follow_the_support(monkeypatch):
+    # a on [1, P/3], as the lift builds it: the convolution needs
+    # P//2 + P/3 points, against P//2 + P untrimmed (759375 at this P)
+    p = 500009
+    values = SUPPORT_SHAPES["first-third"](p, np.random.default_rng(7))
+    lengths = []
+
+    def recording(transform):
+        def wrapped(a, *args, **kwargs):
+            lengths.append(np.shape(a)[-1])
+            return transform(a, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(np.fft, "fft", recording(np.fft.fft))
+    monkeypatch.setattr(np.fft, "ifft", recording(np.fft.ifft))
+    forward_transform(CyclicFunction(p, values))
+    assert lengths
+    for n in lengths:
+        assert n <= 419904 and n != p
+        for factor in (2, 3, 5):
+            while n % factor == 0:
+                n //= factor
+        assert n == 1
+
+
+def test_five_smooth_lengths():
+    assert [cyclic._five_smooth_at_least(n) for n in (1, 2, 7, 11, 17, 31, 97)] == [
+        1, 2, 8, 12, 18, 32, 100,
+    ]
+    assert cyclic._five_smooth_at_least(416674) == 419904
+    assert cyclic._five_smooth_at_least(750013) == 759375
+
+
+def test_exact_phase_guard_bounds_the_int64_square():
+    top = cyclic._EXACT_PHASE_MAX_MODULUS
+    int64_max = np.iinfo(np.int64).max
+    assert (2 * top - 1) ** 2 <= int64_max < (2 * top + 1) ** 2
+
+
+def test_exact_phase_guard_holds_under_optimized_mode():
+    # the guard lowered to a tiny range: P = 61 still transforms, 101 is refused
+    script = """
+import numpy as np
+from ap3lab import cyclic
+from ap3lab.errors import ResourceLimitError
+
+assert False, "this assert must be stripped"
+cyclic._EXACT_PHASE_MAX_MODULUS = 100
+cyclic.forward_transform(cyclic.CyclicFunction(61, np.ones(61)))
+try:
+    cyclic.forward_transform(cyclic.CyclicFunction(101, np.ones(101)))
+except ResourceLimitError as exc:
+    print("refused:", exc)
+"""
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.startswith("refused: P = 101 is past 100")
+
+
+def test_exact_phase_guard_refuses_before_allocating(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("an array was allocated past the guard")
+
+    monkeypatch.setattr(cyclic, "_EXACT_PHASE_MAX_MODULUS", 100)
+    f = CyclicFunction(101, np.ones(101))
+    monkeypatch.setattr(np, "zeros", unreachable)
+    monkeypatch.setattr(np, "flatnonzero", unreachable)
+    with pytest.raises(ResourceLimitError):
+        forward_transform(f)
 
 
 @pytest.mark.parametrize("p", MODULI)
