@@ -170,7 +170,8 @@ def _cmd_primes(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    function = load_function(args.infile, check_modulus=check_fft_budget)
+    function = load_function(args.infile)
+    check_fft_budget(function.modulus)
     save_spectrum(forward_transform(function), args.out)
     return 0
 

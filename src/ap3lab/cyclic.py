@@ -145,7 +145,7 @@ def _half_chirp_z(values: np.ndarray) -> np.ndarray:
     # w is even, so w(x0 + j) = w(-x0 - j), which kernel holds at L - 1 - j
     window[:length] = kernel[length - 1 :: -1]
     np.conjugate(kernel, out=kernel)
-    np.fft.fft(kernel, out=kernel)
+    np.fft.fft(kernel, out=kernel)  # out= needs numpy >= 2.0
 
     head = min(length, p - x0)  # the window wraps past P - 1 after head values
     window[:head] *= values[x0 : x0 + head]
@@ -310,8 +310,9 @@ def spectral_lp_norm(s: Spectrum, k: float) -> float:
     return float(np.sum(np.abs(s.coefficients) ** k) ** (1.0 / k))
 
 
-def threshold_spectrum(s: Spectrum, delta: float) -> np.ndarray:
-    """Frequencies t with |coeff[t]| >= delta, with 1 always adjoined.
+def threshold_spectrum(s: Spectrum, delta: float) -> tuple[np.ndarray, int]:
+    """(frequencies t with |coeff[t]| >= delta, with 1 always adjoined;
+    the size of the raw threshold set, before 1 is adjoined).
 
     The raw threshold set obeys the Markov count
     |{t : |coeff| >= delta}| <= sum |coeff|^4 / delta^4, checked here up to
@@ -326,7 +327,8 @@ def threshold_spectrum(s: Spectrum, delta: float) -> np.ndarray:
         raise InvariantError(
             "Markov bound on the large spectrum failed; transform is inconsistent"
         )
-    return np.union1d(raw, np.array([1], dtype=np.int64)).astype(np.int64)
+    freqs = np.union1d(raw, np.array([1], dtype=np.int64)).astype(np.int64)
+    return freqs, int(raw.size)
 
 
 # ----------------------------------------------------------------------
@@ -340,32 +342,24 @@ def save_function(f: CyclicFunction, path) -> None:
         fh.write(f.values.astype("<f8").tobytes())
 
 
-def _read_payload(path, magic: bytes, floats_per_point: int, check_modulus=None):
-    """Check a ZPFN or ZPSP header and payload length; return P, the float64s.
-
-    check_modulus, if given, is called with P from the header before the
-    payload is read, and may raise to refuse it.
-    """
+def _read_payload(path, magic: bytes, floats_per_point: int):
+    """Check a ZPFN or ZPSP header and payload length; return P, the float64s."""
     with open(path, "rb") as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
-            raise InvalidArgumentError(f"truncated header of {len(header)} bytes")
-        found, version, modulus = _HEADER.unpack(header)
-        if found != magic:
-            raise InvalidArgumentError(f"bad magic {found!r}, expected {magic.decode()}")
-        if version != _FORMAT_VERSION:
-            raise InvalidArgumentError(f"unsupported format version {version}")
-        if check_modulus is not None:
-            check_modulus(modulus)
-        payload = fh.read()
+        header, payload = fh.read(_HEADER.size), fh.read()
+    if len(header) < _HEADER.size:
+        raise InvalidArgumentError(f"truncated header of {len(header)} bytes")
+    found, version, modulus = _HEADER.unpack(header)
+    if found != magic:
+        raise InvalidArgumentError(f"bad magic {found!r}, expected {magic.decode()}")
+    if version != _FORMAT_VERSION:
+        raise InvalidArgumentError(f"unsupported format version {version}")
     if len(payload) != 8 * floats_per_point * modulus:
         raise InvalidArgumentError(f"payload has {len(payload)} bytes for P = {modulus}")
     return modulus, np.frombuffer(payload, dtype="<f8")
 
 
-def load_function(path, check_modulus=None) -> CyclicFunction:
-    """Read a ZPFN file; check_modulus(P) runs before its payload is read."""
-    modulus, data = _read_payload(path, _FUNCTION_MAGIC, 1, check_modulus)
+def load_function(path) -> CyclicFunction:
+    modulus, data = _read_payload(path, _FUNCTION_MAGIC, 1)
     return CyclicFunction(modulus, data.copy())
 
 

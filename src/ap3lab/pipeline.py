@@ -220,13 +220,6 @@ def check_fft_budget(p: int, budget: int = DEFAULT_FFT_BUDGET) -> None:
         raise ResourceLimitError(f"P = {p} exceeds the FFT budget {budget}")
 
 
-def raw_spectrum_size(a_hat: np.ndarray, r_set: np.ndarray, delta: float) -> int:
-    """|{t : |ahat(t)| >= delta}|, read off threshold_spectrum's set, which is
-    that set with 1 adjoined, so no second P-wide pass is made. numpy's abs,
-    not Python's, gives the very magnitude that threshold_spectrum compared."""
-    return int(r_set.size) - int(np.abs(a_hat[1:2])[0] < delta)
-
-
 def lift(config: PipelineConfig) -> tuple:
     """The W-trick lift shared by every entry point.
 
@@ -262,8 +255,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
 
     lam_a, lam_a_trivial, l4_pow4 = _counted_moments(a, ctx)
     spec_a = a.spectrum()
-    r_set = threshold_spectrum(spec_a, delta_f)
-    raw_size = raw_spectrum_size(spec_a.coefficients, r_set, delta_f)
+    r_set, raw_size = threshold_spectrum(spec_a, delta_f)
 
     bohr = build_bohr_set(ctx.p, r_set.tolist(), config.epsilon)
     h = smooth(a, bohr)
@@ -455,8 +447,7 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
     for _, delta_str, _, eps_str in points:
         delta_f = float(Fraction(delta_str))
         eps_f = float(Fraction(eps_str))
-        r_set = threshold_spectrum(spec_a, delta_f)
-        raw_size = raw_spectrum_size(a_hat, r_set, delta_f)
+        r_set, raw_size = threshold_spectrum(spec_a, delta_f)
         bohr = build_bohr_set(ctx.p, r_set.tolist(), eps_str)
         if bohr.size == 1:
             lam_h = lam_a  # B = {0}: h is a

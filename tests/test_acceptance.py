@@ -213,7 +213,7 @@ def test_criterion_07_smoothing_identities():
         from ap3lab.cyclic import threshold_spectrum
         from ap3lab.bohr import smooth
 
-        freqs = threshold_spectrum(r_set, float(delta))
+        freqs, _ = threshold_spectrum(r_set, float(delta))
         bohr = build_bohr_set(ctx.p, freqs.tolist(), eps)
         h = smooth(a, bohr)
         l1_ok = math.isclose(lp_norm(h, 1), lp_norm(a, 1), rel_tol=1e-10)

@@ -234,18 +234,20 @@ def test_malformed_input_exits_1_with_a_message(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
-def _oversized_function_header(tmp_path):
-    # a ZPFN header for P = 8388617 and no payload: the budget must be
-    # checked from the header, before the payload is read or transformed
+def _oversized_function(tmp_path):
+    # a well-formed all-zero ZPFN file for P = 8388617, its payload left
+    # sparse: the budget must be checked before the transform
     path = tmp_path / "big.zpfn"
-    path.write_bytes(b"ZPFN" + (1).to_bytes(4, "little") + (8388617).to_bytes(8, "little"))
+    with open(path, "wb") as fh:
+        fh.write(b"ZPFN" + (1).to_bytes(4, "little") + (8388617).to_bytes(8, "little"))
+        fh.truncate(16 + 8 * 8388617)
     return ["transform", "--in", str(path), "--out", str(tmp_path / "s.zpsp")]
 
 
 # P = 8388617, the least prime above the default 2^23 FFT budget; the set
 # file does not exist, so the budget must be checked before it is read
 OVERSIZED_INPUTS = {
-    "transform-in": _oversized_function_header,
+    "transform-in": _oversized_function,
     "bohr-p": lambda tmp_path: ["bohr", "--p", "8388617", "--freqs", "1", "--eps", "0.1"],
     "lambda-p": lambda tmp_path: [
         "lambda", "--p", "8388617", "--set", str(tmp_path / "missing.txt"),

@@ -332,16 +332,34 @@ def test_coefficients_bounded_by_l1_norm():
 
 def test_threshold_spectrum_adjoins_one():
     const = CyclicFunction.constant(101, 1.0)
-    assert threshold_spectrum(const.spectrum(), 0.5).tolist() == [0, 1]
+    assert threshold_spectrum(const.spectrum(), 0.5)[0].tolist() == [0, 1]
     mass = CyclicFunction.indicator(101, [0], scale=101.0)
-    assert threshold_spectrum(mass.spectrum(), 0.9).tolist() == list(range(101))
+    assert threshold_spectrum(mass.spectrum(), 0.9)[0].tolist() == list(range(101))
     # a flat spectrum meets the Markov count with equality; only rounding
     # of the fourth moment separates the two sides
     for p, delta in ((101, 0.1), (1009, 0.3), (2003, 0.3)):
         flat = Spectrum(p, np.full(p, delta) + 0j)
-        assert threshold_spectrum(flat, delta).tolist() == list(range(p))
+        assert threshold_spectrum(flat, delta)[0].tolist() == list(range(p))
     with pytest.raises(InvalidArgumentError):
         threshold_spectrum(const.spectrum(), 0.0)
+
+
+def test_threshold_spectrum_counts_the_raw_set_without_one():
+    rng = np.random.default_rng(17)
+    p = 1009
+    spectra = [CyclicFunction(p, rng.random(p)).spectrum().coefficients]
+    for first in (0.05, 0.1, 0.2):  # |coeff[1]| below, at and above delta = 0.1
+        coeffs = rng.random(p) * 0.2 + 0j
+        coeffs[1] = first
+        spectra.append(coeffs)
+    below = 0
+    for coeffs in spectra:
+        for delta in (0.01, 0.1, 0.15):
+            freqs, raw_size = threshold_spectrum(Spectrum(p, coeffs), delta)
+            assert raw_size == int(np.count_nonzero(np.abs(coeffs) >= delta))
+            assert raw_size == freqs.size - (abs(coeffs[1]) < delta)
+            below += abs(coeffs[1]) < delta
+    assert below >= 3
 
 
 def test_threshold_spectrum_markov_bound():

@@ -16,7 +16,6 @@ from ap3lab.pipeline import (
     delta_sweep,
     lift,
     norm_sweep,
-    raw_spectrum_size,
     run_pipeline,
     write_csv,
     write_report,
@@ -263,24 +262,6 @@ def test_self_convolution_square_norm_identity(sieved_1e5):
     lhs = lp_norm(convolve(a, a), 2) ** 2
     rhs = spectral_lp_norm(a.spectrum(), 4) ** 4
     assert math.isclose(lhs, rhs, rel_tol=1e-8)
-
-
-def test_raw_spectrum_size_counts_the_threshold_set_without_one():
-    rng = np.random.default_rng(17)
-    p = 1009
-    spectra = [cyclic.CyclicFunction(p, rng.random(p)).spectrum().coefficients]
-    for first in (0.05, 0.1, 0.2):  # |ahat(1)| below, at and above delta = 0.1
-        coeffs = rng.random(p) * 0.2 + 0j
-        coeffs[1] = first
-        spectra.append(coeffs)
-    below = 0
-    for coeffs in spectra:
-        for delta in (0.01, 0.1, 0.15):
-            r_set = cyclic.threshold_spectrum(cyclic.Spectrum(p, coeffs), delta)
-            want = int(np.count_nonzero(np.abs(coeffs) >= delta))
-            assert raw_spectrum_size(coeffs, r_set, delta) == want
-            below += abs(coeffs[1]) < delta
-    assert below >= 3
 
 
 def test_canonical_json_is_stable():
