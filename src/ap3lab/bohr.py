@@ -36,11 +36,15 @@ _KERNEL_SPECTRUM_TOL = 1e-9
 
 # smooth sums shifted copies of a, instead of convolving through the
 # transform, for Bohr sets with 1 < |B| <= this. On a 2-core x86_64 machine
-# the shifted sum and its cosine-table spectrum cost about 0.025 s per
-# member of B at P = 5000011, against 4.3-4.6 s for the transform of sigma
-# and the inverse, and 0.0014 s against 0.21-0.30 s at P = 500009. The
-# crossover is near |B| = 170 at both sizes; this stays below it.
+# the shifted sum and its blocked cosine-table spectrum cost 0.017-0.029 s
+# per member of B (spread at random) at P = 5000011, against 3.8 s for the
+# transform of sigma and the inverse, and 0.0011-0.0018 s against 0.29 s
+# at P = 500009. The crossover is near |B| = 230 and 260; this stays below.
 _SHIFTED_SUM_MAX_SIZE = 128
+
+# Frequencies per block of the cosine-table sigmahat: the block's phases,
+# gathered cosines and partial sums (96 KiB) stay in L2 cache.
+_COSINE_BLOCK = 4096
 
 
 def as_radius(eps) -> Fraction:
@@ -87,13 +91,18 @@ class BohrSet:
 
 
 def build_bohr_set(p: int, frequencies, eps) -> BohrSet:
-    """Exact member scan by survivor compaction.
+    """Exact member scan, seeded by the first frequency, then survivor
+    compaction.
 
-    Candidates start as all of Z/PZ; each frequency, in ascending order,
-    keeps only the candidates that pass the exact integer test
-    q*min(t, P-t) <= p*P. The scan stops once only 0 is left, since 0 lies
-    in every Bohr set. Each step touches only the survivors of the one
-    before, so the cost is about P / (1 - 2*eps) rather than P * |R|.
+    Frequency 0 passes every n. For the least nonzero frequency x the test
+    q*min(t, P-t) <= p*P with t = n*x mod P passes exactly when t lies in
+    [0, m] or [P - m, P), m = min(floor(p*P/q), P//2), so the candidates
+    are n = j * x^-1 mod P for those j (all of Z/PZ when 2m + 1 >= P),
+    formed without scanning Z/PZ. Each further frequency, in ascending
+    order, keeps only the candidates that pass the same exact integer test.
+    The scan stops once only 0 is left, since 0 lies in every Bohr set.
+    Each step touches only the survivors of the one before, so the cost is
+    about 2*eps*P / (1 - 2*eps) rather than P * |R|.
 
     Checks the pigeonhole lower bound |B| >= P * eps^|R| (an exact theorem
     at modulus P) by integer cross-multiplication, and raises
@@ -111,9 +120,19 @@ def build_bohr_set(p: int, frequencies, eps) -> BohrSet:
         raise InvalidArgumentError("frequency set must be nonempty")
 
     num, den = radius.numerator, radius.denominator
-    survivors = np.arange(p, dtype=np.int64)
     bound = num * p  # compare q*min(t, P-t) <= p*P exactly
-    for x in freqs:
+    nonzero = [x for x in freqs if x != 0]
+    reach = min(bound // den, p // 2)
+    if not nonzero or 2 * reach + 1 >= p:
+        survivors = np.arange(p, dtype=np.int64)
+    else:
+        # j * x^-1 < P^2 <= 2**62 stays inside int64
+        survivors = np.concatenate(
+            (np.arange(reach + 1, dtype=np.int64), np.arange(p - reach, p, dtype=np.int64))
+        )
+        survivors *= pow(nonzero[0], -1, p)
+        survivors %= p
+    for x in nonzero[1:]:
         t = (survivors * x) % p
         survivors = survivors[np.minimum(t, p - t) * den <= bound]
         if survivors.size == 1:  # only 0 is left
@@ -220,8 +239,9 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
     For |B| <= _SHIFTED_SUM_MAX_SIZE it is read off a cosine table: B = -B,
     so sigmahat(t) = (1/|B|) sum_{b in B} e(b*t/P) is real and equals
     (1 + 2 * sum_{b in B, 0 < b < P/2} cos(2*pi*b*t/P)) / |B|. Each cosine
-    is gathered from one P-entry table at the integer phase b*t mod P, for
-    t up to P/2 only, since sigmahat(P - t) = sigmahat(t). The set must
+    is gathered from a table over [0, P/2] at the integer phase b*t mod P
+    folded to min(phi, P - phi), for t up to P/2 only, since
+    sigmahat(P - t) = sigmahat(t), in cache-sized blocks of t. The set must
     contain 0 and be symmetric, or InvariantError is raised. Larger sets
     transform normalized_indicator(bohr) and return the complex result as
     it is; sigma itself lives only inside this call.
@@ -247,22 +267,40 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
 
 
 def _cosine_table_spectrum(bohr: BohrSet) -> np.ndarray:
-    """The real sigmahat of a small symmetric Bohr set (see kernel_spectrum)."""
+    """The real sigmahat of a small symmetric Bohr set (see kernel_spectrum).
+
+    cos(2*pi*phi/P) is tabulated only for phi in [0, P//2], and the phase
+    b*t mod P is read at min(phi, P - phi), the same argument. The t are
+    taken in blocks of _COSINE_BLOCK, so the phases, the gathered cosines
+    and the partial sums stay in cache; each t still receives its cosines
+    in ascending b, so the sum is the same in every bit. For t = s + j in
+    the block at s, b*t = r + o (mod P) with r = b*j mod P, tabulated once
+    per b, and o = b*s mod P; with u = |r + o - P|, min(phi, P - phi) is
+    min(u, P - u), so no phase is ever divided.
+    """
     p = bohr.modulus
     members = bohr.members()  # ascending in [0, P)
     if members[0] != 0 or not np.array_equal(members, np.sort((p - members) % p)):
         raise InvariantError("Bohr set must contain 0 and be symmetric about it")
-    k = np.arange(p, dtype=np.int64)
-    cosines = np.cos((2 * np.pi / p) * np.minimum(k, p - k))
-    t = k[: p // 2 + 1]
-    phase = np.empty(t.size, dtype=np.int64)
-    gathered = np.empty(t.size)
-    cosine_sum = np.zeros(t.size)
-    for b in members[(members > 0) & (2 * members < p)].tolist():
-        np.multiply(t, b, out=phase)
-        np.remainder(phase, p, out=phase)
-        np.take(cosines, phase, out=gathered, mode="clip")
-        cosine_sum += gathered
+    half_size = p // 2 + 1
+    cosines = np.cos((2 * np.pi / p) * np.arange(half_size, dtype=np.int64))
+    shifts = members[(members > 0) & (2 * members < p)]
+    block = min(_COSINE_BLOCK, half_size)
+    residues = np.multiply.outer(shifts, np.arange(block, dtype=np.int64)) % p
+    cosine_sum = np.zeros(half_size)
+    phase = np.empty(block, dtype=np.int64)
+    mirror = np.empty(block, dtype=np.int64)
+    gathered = np.empty(block)
+    for start in range(0, half_size, block):
+        n = min(block, half_size - start)
+        acc = cosine_sum[start : start + n]
+        for b, row in zip(shifts.tolist(), residues):
+            np.add(row[:n], b * start % p - p, out=phase[:n])
+            np.abs(phase[:n], out=phase[:n])
+            np.subtract(p, phase[:n], out=mirror[:n])
+            np.minimum(phase[:n], mirror[:n], out=phase[:n])
+            np.take(cosines, phase[:n], out=gathered[:n], mode="clip")
+            acc += gathered[:n]
     half = (1.0 + 2.0 * cosine_sum) / bohr.size
     return np.concatenate((half, half[:0:-1]))
 

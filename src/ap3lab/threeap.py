@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .cyclic import CyclicFunction, fixed_sum
+from .cyclic import CyclicFunction, _five_smooth_at_least, fixed_sum
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 
 # Above this modulus the O(P^2) double loop is refused and callers should
@@ -58,21 +58,28 @@ def additive_counts(members) -> AdditiveCounts:
     For A inside [0, P/3] no sum wraps mod P, so these give the operator
     and the spectral 4-norm of the indicator on Z/PZ as integers:
     P^2 * lambda(1_A, 1_A, 1_A) = pairs and P^3 * sum_t |1_A^(t)|^4 = energy.
-    r is a real FFT rounded to integers; the rounding is checked against
-    AUTOCONVOLUTION_ROUNDING_BOUND and against sum_s r(s) = |A|^2.
+    Duplicates are dropped by sort and mask. r is a real FFT at the least
+    5-smooth length >= 2 * max(A) + 1, so no sum wraps, rounded to
+    integers; the rounding is checked against AUTOCONVOLUTION_ROUNDING_BOUND
+    and against sum_s r(s) = |A|^2.
     """
-    arr = np.unique(np.asarray(members, dtype=np.int64))
+    arr = np.sort(np.asarray(members, dtype=np.int64))
+    first = np.ones(arr.size, dtype=bool)
+    np.not_equal(arr[1:], arr[:-1], out=first[1:])
+    arr = arr[first]
     if arr.size and arr[0] < 0:
         raise InvalidArgumentError(f"members must be nonnegative, got {int(arr[0])}")
     top = int(arr[-1]) if arr.size else 0
-    length = 1 << (2 * top).bit_length()  # > 2 * top, so no sum wraps
+    length = _five_smooth_at_least(2 * top + 1)
     indicator = np.zeros(length)
     indicator[arr] = 1.0
     spectrum = np.fft.rfft(indicator)
     spectrum *= spectrum
     r_float = np.fft.irfft(spectrum, n=length)[: 2 * top + 1]
     r_rounded = np.rint(r_float)
-    rounding_error = float(np.max(np.abs(r_float - r_rounded)))
+    r_float -= r_rounded
+    rounding_error = float(np.max(np.abs(r_float)))
+    del r_float
     r = r_rounded.astype(np.int64)
     size = int(arr.size)
     if rounding_error > AUTOCONVOLUTION_ROUNDING_BOUND or int(r.sum()) != size * size:
@@ -157,14 +164,32 @@ def lambda_fourier(
 
 def lambda_of_spectra(fs: np.ndarray, gs: np.ndarray, hs: np.ndarray) -> float:
     """The spectral core of lambda_fourier on coefficient arrays of one
-    length P: fixed_sum of the real part of fs(t) * gs(-2t) * hs(t).
+    prime length P: fixed_sum over t of x_t = Re(fs(t) * gs(-2t) * hs(t)).
+
+    The arrays must be spectra of real functions, i.e. conjugate-symmetric,
+    as every CyclicFunction spectrum and delta_sweep's ahat * sigmahat are.
+    Then the product at P - t is the exact conjugate of the one at t, so
+    x_(P-t) = x_t in every bit. For odd P only t <= (P - 1)/2 is
+    multiplied out, reading gs(-2t) = gs(P - 2t) through a strided view;
+    the real parts are mirrored into the upper half, and fixed_sum adds
+    all P of them in the same order as ever, so the result does not move.
 
     Takes any array that holds a spectrum, so a caller that needs only the
     operator (delta_sweep's hhat = ahat * sigmahat) never builds h.
     """
     p = fs.size
-    minus_2t = (-2 * np.arange(p, dtype=np.int64)) % p
-    return fixed_sum((fs * gs[minus_2t] * hs).real)
+    if p == 2:
+        return fixed_sum((fs * gs[[0, 0]] * hs).real)
+    m = (p - 1) // 2
+    products = np.empty(m + 1, dtype=np.complex128)
+    products[0] = fs[0] * gs[0]
+    np.multiply(fs[1 : m + 1], gs[p - 2 : 0 : -2], out=products[1:])
+    products *= hs[: m + 1]
+    terms = np.empty(p)
+    terms[: m + 1] = products.real
+    del products
+    terms[m + 1 :] = terms[m:0:-1]
+    return fixed_sum(terms)
 
 
 def count_3aps_integers(members) -> int:

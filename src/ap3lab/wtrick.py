@@ -124,9 +124,12 @@ def choose_residue(members, w: int) -> int:
 
     Realizes the averaging bound count >= (|A| - pi(W)) / phi(W)
     constructively (elements <= W are dropped, as the small primes would
-    pollute the lift).
+    pollute the lift). An ndarray is read as it is; a list or any other
+    iterable is collected first.
     """
-    members = np.asarray(list(members), dtype=np.int64)
+    if not isinstance(members, np.ndarray):
+        members = list(members)
+    members = np.asarray(members, dtype=np.int64)
     if members.size == 0:
         raise EmptySelectionError("input set is empty")
     big = members[members > w]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -180,6 +181,32 @@ def additive_energy_brute(members) -> int:
     arr = sorted(set(members))
     s = set(arr)
     return sum(1 for a in arr for b in arr for c in arr if a + b - c in s)
+
+
+def bohr_bits_brute(p: int, frequencies, eps) -> np.ndarray:
+    """Packed membership bits of B(R, eps) by testing every n in Z/PZ
+    against every frequency, with ||n*x/P|| <= eps as a Fraction."""
+    radius = Fraction(eps)
+    member = np.zeros(p, dtype=bool)
+    for n in range(p):
+        member[n] = all(
+            Fraction(min(n * x % p, p - n * x % p), p) <= radius for x in frequencies
+        )
+    return np.packbits(member)
+
+
+def cosine_table_spectrum_full(members: np.ndarray, p: int) -> np.ndarray:
+    """sigmahat of a symmetric set containing 0, from one P-entry cosine
+    table gathered at b*t mod P for all t <= P/2 at once, each b in
+    ascending order added into one accumulator."""
+    k = np.arange(p, dtype=np.int64)
+    cosines = np.cos((2 * np.pi / p) * np.minimum(k, p - k))
+    t = k[: p // 2 + 1]
+    cosine_sum = np.zeros(t.size)
+    for b in members[(members > 0) & (2 * members < p)].tolist():
+        cosine_sum += cosines[t * b % p]
+    half = (1.0 + 2.0 * cosine_sum) / members.size
+    return np.concatenate((half, half[:0:-1]))
 
 
 def stanley_digits(limit: int) -> list[int]:

@@ -21,7 +21,12 @@ from ap3lab.bohr import (
 from ap3lab.cyclic import CyclicFunction, Spectrum, convolve, lp_norm
 from ap3lab.errors import InvalidArgumentError, InvariantError
 from ap3lab.threeap import lambda_direct, lambda_fourier
-from conftest import direct_dft_stack, direct_forward
+from conftest import (
+    bohr_bits_brute,
+    cosine_table_spectrum_full,
+    direct_dft_stack,
+    direct_forward,
+)
 
 
 def test_single_frequency_interval():
@@ -428,4 +433,71 @@ print(",".join(raised))
     )
     assert out.stdout.strip() == (
         "smooth,shifted_sum,support,lift,markov,behrend,pair_count,bertrand"
+    )
+
+
+def _seed_cases():
+    """(P, frequencies, radius): frequency 0 alone, 0 with one nonzero
+    frequency, and sets whose least nonzero frequency is not 1, so the
+    scan seeds from a true inverse; radii 1/2, 1/P and one with a large
+    denominator."""
+    cases = []
+    for p in (2, 3, 5, 101, 1009):
+        freq_sets = [[0], [0, p - 1], [0, 2 % p, 3 % p, p // 3]]
+        if p > 5:
+            freq_sets.append([7, 2 * p + 40, p - 3])
+        radii = [Fraction(1, 2), Fraction(1, p), Fraction(123456789, 1000000007)]
+        cases += [(p, freqs, eps) for freqs in freq_sets for eps in radii]
+    return cases
+
+
+@pytest.mark.parametrize("p, freqs, eps", _seed_cases())
+def test_seeded_scan_bits_match_the_brute_force_oracle(p, freqs, eps):
+    bohr = build_bohr_set(p, freqs, eps)
+    want = bohr_bits_brute(p, freqs, eps)
+    assert np.array_equal(bohr.bits, want)
+    assert bohr.size == int(np.unpackbits(want)[:p].sum())
+
+
+def test_seed_cases_reach_the_inverse_and_the_full_group():
+    # the least nonzero frequency is not 1 and its interval is a proper
+    # part of Z/PZ, and elsewhere the interval covers all of it
+    seeded = full = 0
+    for p, freqs, eps in _seed_cases():
+        nonzero = sorted({x % p for x in freqs} - {0})
+        if not nonzero or nonzero[0] == 1:
+            continue
+        reach = min(Fraction(eps) * p // 1, p // 2)
+        if 2 * reach + 1 < p:
+            seeded += 1
+        else:
+            full += 1
+    assert seeded and full
+
+
+def _symmetric_bohr_set(p, shifts):
+    members = sorted({0} | {b % p for b in shifts} | {-b % p for b in shifts})
+    bits = np.packbits(np.isin(np.arange(p), members))
+    return BohrSet(p, (1,), Fraction(1, 4), bits, len(members))
+
+
+@pytest.mark.parametrize("p", [20011, 100003])
+@pytest.mark.parametrize(
+    "shifts",
+    [[1], [2, 3, 5, 7], [4096, 4097, 9999], [1000, 2000, 3000, 4000, 5000], list(range(1, 64))],
+)
+def test_blocked_cosine_spectrum_equals_the_full_table(p, shifts):
+    # P // 2 + 1 spans several 4096-frequency blocks and ends in a partial one
+    bohr = _symmetric_bohr_set(p, shifts)
+    assert 1 < bohr.size <= _SHIFTED_SUM_MAX_SIZE
+    assert (p // 2 + 1) % 4096 != 0
+    sigma_hat = kernel_spectrum(bohr)
+    assert np.array_equal(sigma_hat, cosine_table_spectrum_full(bohr.members(), p))
+
+
+def test_blocked_cosine_spectrum_of_a_scanned_bohr_set():
+    bohr = build_bohr_set(20011, [1, 5, 77], "0.05")
+    assert 1 < bohr.size <= _SHIFTED_SUM_MAX_SIZE
+    assert np.array_equal(
+        kernel_spectrum(bohr), cosine_table_spectrum_full(bohr.members(), 20011)
     )

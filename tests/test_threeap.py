@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from ap3lab.cyclic import CyclicFunction, fixed_sum
+from ap3lab.cyclic import SUM_BLOCK, CyclicFunction, fixed_sum
 from ap3lab.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from ap3lab.primes import next_prime_above
 from ap3lab.threeap import (
@@ -15,6 +15,7 @@ from ap3lab.threeap import (
     greedy_3ap_free,
     lambda_direct,
     lambda_fourier,
+    lambda_of_spectra,
     trivial_mass,
 )
 from conftest import (
@@ -255,3 +256,82 @@ def test_additive_counts_check_their_rounding(monkeypatch):
     monkeypatch.setattr(np.fft, "irfft", off_by_one)
     with pytest.raises(InvariantError):
         additive_counts([0, 1, 3, 7])
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_fourier_at_the_smallest_moduli(p):
+    rng = np.random.default_rng(p)
+    for _ in range(5):
+        f, g, h = random_triple(p, rng)
+        assert math.isclose(
+            lambda_fourier(f, g, h), lambda_direct(f, g, h).lambda_value, rel_tol=1e-12
+        )
+
+
+def _gathered_lambda(fs, gs, hs):
+    """fixed_sum of Re(fs(t) * gs(-2t) * hs(t)) over all t, with gs(-2t)
+    gathered through an index array and each product in the written
+    operand order."""
+    p = fs.size
+    gathered = gs[(-2 * np.arange(p, dtype=np.int64)) % p]
+    products = np.multiply(fs, gathered)
+    products *= hs
+    return fixed_sum(products.real)
+
+
+def test_fourier_past_one_sum_block():
+    p = 10007
+    assert p > SUM_BLOCK
+    f, g, h = random_triple(p, np.random.default_rng(10007))
+    lam = lambda_fourier(f, g, h)
+    assert math.isclose(lam, lambda_direct(f, g, h).lambda_value, rel_tol=1e-12)
+    gathered = _gathered_lambda(
+        f.spectrum().coefficients, g.spectrum().coefficients, h.spectrum().coefficients
+    )
+    assert abs(lam - gathered) <= 1e-13 * abs(gathered)
+
+
+def test_half_spectrum_products_sum_in_the_full_order():
+    # complex products are not bitwise commutative, and past 256 KiB numpy
+    # may reuse the temporary gs(-2t) in place and so swap the operands of
+    # fs * gs(-2t); the half-spectrum form multiplies in the written order.
+    # Point masses at 0, 1 and 5 hold no progression, so lambda is 0 and
+    # the computed value is rounding alone: every product counts, to the
+    # last bit.
+    p = 20011
+    f, g, h = (CyclicFunction.indicator(p, [x], scale=p) for x in (0, 1, 5))
+    fs, gs, hs = (fn.spectrum().coefficients for fn in (f, g, h))
+    lam = lambda_of_spectra(fs, gs, hs)
+    assert abs(lam) < 1e-9
+    assert lam == _gathered_lambda(fs, gs, hs)
+
+
+def test_additive_counts_of_shuffled_input_with_duplicates(monkeypatch):
+    lengths = []
+    exact_rfft = np.fft.rfft
+
+    def recording_rfft(values, *args, **kw):
+        lengths.append(values.size)
+        return exact_rfft(values, *args, **kw)
+
+    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    rng = np.random.default_rng(77)
+    for limit, size in [(40, 15), (331, 60), (1000, 120)]:
+        members = rng.choice(limit + 1, size=size, replace=False).tolist()
+        shuffled = members + members[: size // 3]
+        rng.shuffle(shuffled)
+        counts = additive_counts(np.array(shuffled))
+        assert counts.pairs == len(members) + 2 * count_3aps_brute(members)
+        assert counts.energy == additive_energy_brute(members)
+        # the least 2^a 3^b 5^c that holds every sum 0 .. 2 * max(A)
+        least = 2 * max(members) + 1
+        while not _is_five_smooth(least):
+            least += 1
+        assert lengths[-1] == least
+
+
+def _is_five_smooth(n):
+    for factor in (2, 3, 5):
+        while n % factor == 0:
+            n //= factor
+    return n == 1

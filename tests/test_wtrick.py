@@ -82,6 +82,16 @@ def test_choose_residue_pigeonhole_guarantee(table_1e6):
     assert count >= floor
 
 
+def test_choose_residue_reads_arrays_lists_and_iterables_alike(table_1e5):
+    primes = table_1e5.primes()
+    b = choose_residue(primes, 30)
+    assert choose_residue(primes.tolist(), 30) == b
+    assert choose_residue(iter(primes.tolist()), 30) == b
+    assert choose_residue(set(primes.tolist()), 30) == b
+    with pytest.raises(EmptySelectionError):
+        choose_residue(np.array([], dtype=np.int64), 30)
+
+
 def test_build_sieved_function_stats(sieved_1e5, table_1e5):
     ctx, params, sieved = sieved_1e5
     assert ctx.w == 2 and ctx.b == 1 and ctx.p == 150001
