@@ -23,6 +23,12 @@ guarantee.
 delta_sweep reads h only through lambda(h, h, h), so it never builds h: it
 evaluates the operator on ahat * sigmahat (bohr.kernel_spectrum), with no
 inverse transform and no clamp at any grid point.
+
+Around the one forward transform of a, each pass does only the work its
+output needs: the Bohr scan forms the survivors of its least nonzero
+frequency directly, sigmahat of a small B comes from a cosine table over
+[0, P/2] in cache-sized blocks, the exact counts convolve at a 5-smooth
+length, and lambda multiplies out only t <= P/2 of its spectra.
 """
 
 from __future__ import annotations

@@ -154,7 +154,8 @@ def lambda_fourier(
     forces s + 2u = 0, leaving r = u and s = -2u. Verified against
     lambda_direct in the test suite before any production use. The real
     parts of the products are reduced by fixed_sum, so the order of the
-    sum does not depend on the numpy build.
+    sum does not depend on the numpy build; only t <= P/2 is multiplied
+    out (see lambda_of_spectra).
     """
     _common_modulus(f, g, h)
     return lambda_of_spectra(
@@ -170,9 +171,11 @@ def lambda_of_spectra(fs: np.ndarray, gs: np.ndarray, hs: np.ndarray) -> float:
     as every CyclicFunction spectrum and delta_sweep's ahat * sigmahat are.
     Then the product at P - t is the exact conjugate of the one at t, so
     x_(P-t) = x_t in every bit. For odd P only t <= (P - 1)/2 is
-    multiplied out, reading gs(-2t) = gs(P - 2t) through a strided view;
-    the real parts are mirrored into the upper half, and fixed_sum adds
-    all P of them in the same order as ever, so the result does not move.
+    multiplied out, as (fs(t) * gs(-2t)) * hs(t) in that operand order at
+    every P (a complex product is not bitwise commutative), reading
+    gs(-2t) = gs(P - 2t) through a strided view. The real parts are
+    mirrored into the upper half, and fixed_sum adds all P of them in
+    ascending t.
 
     Takes any array that holds a spectrum, so a caller that needs only the
     operator (delta_sweep's hhat = ahat * sigmahat) never builds h.
