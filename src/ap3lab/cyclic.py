@@ -29,8 +29,18 @@ _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQ")
 # The Markov count holds exactly; this allows for rounding in the fourth moment.
 _MARKOV_REL_TOL = 1e-9
-# The forward transform squares n mod 2P in int64: (2P - 1)^2 must fit.
+# The forward transform squares chirp indices |n| <= 2P - 2 in int64:
+# (2P - 1)^2 must fit.
 _EXACT_PHASE_MAX_MODULUS = (math.isqrt(np.iinfo(np.int64).max) + 1) // 2
+# Row length of _row_column_fft: its column count is the divisor of the
+# transform length nearest this. Rows of 256 to 512 values measured
+# fastest, at S = 4194304 about 0.10-0.12 s a pass against 0.22 s for
+# numpy's in-place 1-D FFT (2-core x86_64); 512 also leaves the N = 1e7
+# report bit for bit as it was with the 1-D FFT.
+_FFT_ROW_LENGTH = 512
+# Rows of _row_column_fft twiddled and row-transformed at a time: 64 rows
+# of 512 complex values are 512 KiB, about an L2 cache.
+_TWIDDLE_ROWS = 64
 
 
 class CyclicFunction:
@@ -126,8 +136,11 @@ def _half_chirp_z(values: np.ndarray) -> np.ndarray:
     window [x0, x0 + L) of the nonzero values and t over [0, P//2], and
     the sum is a linear convolution of L chirped values with
     P//2 + L conjugate chirps. A cyclic convolution of any length
-    >= P//2 + L holds it without wrap-around; the least 5-smooth one is
-    used, since numpy's FFT handles its factors by direct radix passes.
+    >= P//2 + L holds it without wrap-around; the least 5-smooth one, S,
+    is used. Its three FFTs are row-column passes over an R x C grid
+    (_row_column_fft): both spectra come out in the same transposed
+    order, so their product needs no transpose, and no pass needs
+    scratch of length S.
     """
     p = values.size
     if p > _EXACT_PHASE_MAX_MODULUS:
@@ -138,6 +151,7 @@ def _half_chirp_z(values: np.ndarray) -> np.ndarray:
     half = p // 2 + 1
     x0, length = _support_window(values)
     size = _five_smooth_at_least(half + length - 1)
+    columns = _fft_columns(size)
 
     kernel = np.zeros(size, dtype=np.complex128)
     _chirp(1 - length - x0, half - x0, p, kernel[: half + length - 1])
@@ -145,15 +159,15 @@ def _half_chirp_z(values: np.ndarray) -> np.ndarray:
     # w is even, so w(x0 + j) = w(-x0 - j), which kernel holds at L - 1 - j
     window[:length] = kernel[length - 1 :: -1]
     np.conjugate(kernel, out=kernel)
-    np.fft.fft(kernel, out=kernel)  # out= needs numpy >= 2.0
+    _row_column_fft(kernel, columns)
 
     head = min(length, p - x0)  # the window wraps past P - 1 after head values
     window[:head] *= values[x0 : x0 + head]
     window[head:length] *= values[: length - head]
-    np.fft.fft(window, out=window)
+    _row_column_fft(window, columns)
     window *= kernel
     del kernel
-    np.fft.ifft(window, out=window)
+    _row_column_fft(window, columns, inverse=True)
 
     spectrum = np.empty(p, dtype=np.complex128)
     spectrum[:half] = window[length - 1 : length - 1 + half]
@@ -165,6 +179,66 @@ def _half_chirp_z(values: np.ndarray) -> np.ndarray:
     spectrum[:half] /= p
     np.conjugate(spectrum[p - half : 0 : -1], out=spectrum[half:])
     return spectrum
+
+
+def _fft_columns(size: int) -> int:
+    """The divisor of size nearest _FFT_ROW_LENGTH, the smaller on a tie.
+    1 is a divisor within _FFT_ROW_LENGTH - 1, so none past
+    2 * _FFT_ROW_LENGTH can be nearer."""
+    return min(
+        (d for d in range(1, 2 * _FFT_ROW_LENGTH) if size % d == 0),
+        key=lambda d: abs(d - _FFT_ROW_LENGTH),
+    )
+
+
+def _row_column_fft(data: np.ndarray, columns: int, inverse: bool = False) -> None:
+    """numpy's DFT of the contiguous length-S array data, in place and in a
+    transposed order, by Bailey's four-step method without its transpose.
+
+    data is viewed as the R x C grid g[r, c] = data[r*C + c]. The forward
+    pass takes an FFT down each column, multiplies g[k, c] by the twiddle
+    exp(-2*pi*i*k*c/S) and takes an FFT along each row, which leaves
+    X[k + R*j] at g[k, j]. Two spectra in that order multiply coefficient
+    by coefficient, so a cyclic convolution needs no transpose.
+    inverse=True takes such a spectrum back to values in natural order:
+    row iFFTs, conjugate twiddles, column iFFTs, with numpy's 1/S.
+
+    Each twiddle has the exact integer phase k*c < S and is the product of
+    a fine entry (k mod _TWIDDLE_ROWS) and a coarse one (the rest of k);
+    each block of _TWIDDLE_ROWS rows is twiddled and row-transformed while
+    it is in cache.
+    """
+    grid = data.reshape(-1, columns)
+    rows = grid.shape[0]
+    step = min(_TWIDDLE_ROWS, rows)
+    sign = 1.0 if inverse else -1.0
+    fine = _unit_roots(np.arange(step), columns, data.size, sign)
+    coarse = _unit_roots(np.arange(0, rows, step), columns, data.size, sign)
+    scratch = np.empty_like(fine)
+    if not inverse:
+        np.fft.fft(grid, axis=0, out=grid)  # out= needs numpy >= 2.0
+    for start, coarse_row in zip(range(0, rows, step), coarse):
+        block = grid[start : start + step]
+        twiddles = np.multiply(fine[: len(block)], coarse_row, out=scratch[: len(block)])
+        if inverse:
+            np.fft.ifft(block, axis=1, out=block)
+            block *= twiddles
+        else:
+            block *= twiddles
+            np.fft.fft(block, axis=1, out=block)
+    if inverse:
+        np.fft.ifft(grid, axis=0, out=grid)
+
+
+def _unit_roots(rows: np.ndarray, columns: int, size: int, sign: float) -> np.ndarray:
+    """exp(sign*2*pi*i*r*c/size) for r in rows and c < columns, as a
+    len(rows) x columns table; each phase r*c is an exact int64."""
+    angle = np.outer(rows.astype(np.int64), np.arange(columns, dtype=np.int64))
+    angle = angle * (sign * 2 * np.pi / size)
+    out = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=out.real)
+    np.sin(angle, out=out.imag)
+    return out
 
 
 def _support_window(values: np.ndarray) -> tuple[int, int]:
@@ -197,10 +271,11 @@ def _five_smooth_at_least(n: int) -> int:
 
 def _chirp(start: int, stop: int, p: int, out: np.ndarray) -> None:
     """Write w(n) = exp(i*pi*n^2/P) for n in [start, stop) into out. The
-    phase n^2 mod 2P is formed in int64 from n mod 2P, so it is exact, and
+    phase n^2 mod 2P is formed in int64 from n itself: _half_chirp_z
+    passes only |n| <= 2P - 2, so under _EXACT_PHASE_MAX_MODULUS n^2 fits
+    and needs no reduction first. The phase is exact, and
     w(n) = exp(i*pi*phase/P) is the only rounding."""
     phase = np.arange(start, stop, dtype=np.int64)
-    phase %= 2 * p
     phase *= phase
     phase %= 2 * p
     angle = phase * (np.pi / p)
@@ -290,17 +365,34 @@ def lp_norm(f: CyclicFunction, k: float) -> float:
 
     For integer k the power is taken by repeated multiplication, and the
     mean is a fixed_sum, so the result does not depend on the numpy build.
+    The powers are formed and summed one row of SUM_BLOCK values at a
+    time, in fixed_sum's order, so no length-P temporary is made.
     """
     if k < 1:
         raise InvalidArgumentError(f"norm exponent must be >= 1, got {k}")
-    magnitudes = np.abs(f.values)
-    if float(k).is_integer():
-        power = magnitudes.copy()
-        for _ in range(int(k) - 1):
-            power *= magnitudes
-    else:
-        power = magnitudes**k
-    return (fixed_sum(power) / f.modulus) ** (1.0 / k)
+    values = f.values
+    rows = values.size // SUM_BLOCK
+    partial = np.zeros(SUM_BLOCK)
+    magnitudes = np.empty(SUM_BLOCK)
+    power = np.empty(SUM_BLOCK)
+    for row in values[: rows * SUM_BLOCK].reshape(rows, SUM_BLOCK):
+        partial += _abs_power(row, k, magnitudes, power)
+    tail = values[rows * SUM_BLOCK :]
+    tail_power = _abs_power(tail, k, magnitudes[: tail.size], power[: tail.size])
+    return (math.fsum(partial.tolist() + tail_power.tolist()) / f.modulus) ** (1.0 / k)
+
+
+def _abs_power(values: np.ndarray, k: float, magnitudes: np.ndarray,
+               power: np.ndarray) -> np.ndarray:
+    """|values|^k into power, by repeated multiplication for integer k;
+    magnitudes is scratch of the same length."""
+    np.abs(values, out=magnitudes)
+    if not float(k).is_integer():
+        return np.power(magnitudes, k, out=power)
+    power[:] = magnitudes
+    for _ in range(int(k) - 1):
+        power *= magnitudes
+    return power
 
 
 def spectral_lp_norm(s: Spectrum, k: float) -> float:

@@ -38,6 +38,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -429,7 +430,8 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
     """Rows over the (delta, epsilon) grid in ascending lexicographic order.
 
     The sieved function and its spectrum are shared across grid points; the
-    threshold set and Bohr set are rebuilt per point. A row reads h only
+    threshold set is built once per distinct delta and the Bohr set once
+    per point. A row reads h only
     through lambda(h, h, h), so h is never built: its spectrum
     hhat = ahat * sigmahat (bohr.kernel_spectrum) goes straight to the
     operator, with no inverse transform and no clamp. For B = {0}, h is a
@@ -450,40 +452,41 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
     a_hat = spec_a.coefficients
 
     rows = []
-    for _, delta_str, _, eps_str in points:
-        delta_f = float(Fraction(delta_str))
-        eps_f = float(Fraction(eps_str))
+    # points are sorted by delta, and the threshold set depends on delta alone
+    for delta_f, group in groupby(points, key=lambda point: float(point[0])):
         r_set, raw_size = threshold_spectrum(spec_a, delta_f)
-        bohr = build_bohr_set(ctx.p, r_set.tolist(), eps_str)
-        if bohr.size == 1:
-            lam_h = lam_a  # B = {0}: h is a
-        else:
-            # sigma_hat stays bound, so numpy cannot reuse it in place as
-            # sigma_hat *= a_hat: a complex product is not bitwise symmetric
-            # in its operands, and that form moves lambda_hhh by an ulp
-            sigma_hat = kernel_spectrum(bohr)
-            h_hat = a_hat * sigma_hat
-            lam_h = lambda_of_spectra(h_hat, h_hat, h_hat)
-        gap = abs(lam_a - lam_h)
-        smoothing_bound = eps_f + delta_f ** 0.6
-        constraint = bd.epsilon_delta_constraint(delta_f, eps_f, config.n, config.c4)
-        record = {
-            "n": config.n,
-            "delta": delta_str,
-            "epsilon": eps_str,
-            "raw_spectrum_size": raw_size,
-            "r_size": int(r_set.size),
-            "bohr_size": bohr.size,
-            "bohr_measure": bohr.measure,
-            "lambda_aaa": lam_a,
-            "lambda_hhh": lam_h,
-            "delta_gap": gap,
-            "smoothing_bound": smoothing_bound,
-            "gap_over_bound": gap / smoothing_bound,
-            "eps_delta_ok": constraint.satisfied,
-            "zero_lambda": abs(lam_h) < 1e-15,
-        }
-        rows.append([_csv_cell(record.get(col)) for col in DELTA_SWEEP_CSV_COLUMNS])
+        for _, delta_str, _, eps_str in group:
+            eps_f = float(Fraction(eps_str))
+            bohr = build_bohr_set(ctx.p, r_set.tolist(), eps_str)
+            if bohr.size == 1:
+                lam_h = lam_a  # B = {0}: h is a
+            else:
+                # sigma_hat stays bound, so numpy cannot reuse it in place as
+                # sigma_hat *= a_hat: a complex product is not bitwise symmetric
+                # in its operands, and that form moves lambda_hhh by an ulp
+                sigma_hat = kernel_spectrum(bohr)
+                h_hat = a_hat * sigma_hat
+                lam_h = lambda_of_spectra(h_hat, h_hat, h_hat)
+            gap = abs(lam_a - lam_h)
+            smoothing_bound = eps_f + delta_f ** 0.6
+            constraint = bd.epsilon_delta_constraint(delta_f, eps_f, config.n, config.c4)
+            record = {
+                "n": config.n,
+                "delta": delta_str,
+                "epsilon": eps_str,
+                "raw_spectrum_size": raw_size,
+                "r_size": int(r_set.size),
+                "bohr_size": bohr.size,
+                "bohr_measure": bohr.measure,
+                "lambda_aaa": lam_a,
+                "lambda_hhh": lam_h,
+                "delta_gap": gap,
+                "smoothing_bound": smoothing_bound,
+                "gap_over_bound": gap / smoothing_bound,
+                "eps_delta_ok": constraint.satisfied,
+                "zero_lambda": abs(lam_h) < 1e-15,
+            }
+            rows.append([_csv_cell(record.get(col)) for col in DELTA_SWEEP_CSV_COLUMNS])
     return DELTA_SWEEP_CSV_COLUMNS, rows
 
 

@@ -15,7 +15,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ap3lab.cyclic import CyclicFunction, convolve, lp_norm
+from ap3lab.cyclic import CyclicFunction, convolve, fixed_sum, lp_norm
 from ap3lab.errors import InvalidArgumentError, ResourceLimitError
 from ap3lab.pipeline import PipelineConfig, run_pipeline
 from ap3lab.primes import is_prime, sieve_primes
@@ -139,6 +139,19 @@ def direct_forward(values: np.ndarray) -> np.ndarray:
     """Normalized forward transform oracle for one function."""
     p = values.shape[0]
     return direct_dft_stack(values, p, +1)[0] / p
+
+
+def lp_norm_unblocked(f: CyclicFunction, k: float) -> float:
+    """(mean |f|^k)^(1/k) from whole-length |f| and power arrays, the
+    power by repeated multiplication for integer k, summed by fixed_sum."""
+    magnitudes = np.abs(f.values)
+    if float(k).is_integer():
+        power = magnitudes.copy()
+        for _ in range(int(k) - 1):
+            power *= magnitudes
+    else:
+        power = magnitudes**k
+    return (fixed_sum(power) / f.modulus) ** (1.0 / k)
 
 
 def direct_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:

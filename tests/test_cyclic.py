@@ -23,7 +23,7 @@ from ap3lab.cyclic import (
     threshold_spectrum,
 )
 from ap3lab.errors import InvalidArgumentError, ResourceLimitError
-from conftest import direct_convolve, direct_forward
+from conftest import direct_convolve, direct_forward, lp_norm_unblocked
 
 MODULI = (2, 3, 5, 61, 101, 1009, 2003)
 
@@ -87,9 +87,11 @@ SUPPORT_SHAPES = {
 @pytest.mark.parametrize("shape", sorted(SUPPORT_SHAPES))
 @pytest.mark.parametrize("p", MODULI)
 def test_forward_matches_direct_sum_on_every_support_shape(p, shape):
+    # P = 2, 3 and 5 transform at S <= 4, a grid of a single row
     values = SUPPORT_SHAPES[shape](p, np.random.default_rng(p))
     got = forward_transform(CyclicFunction(p, values)).coefficients
     assert np.max(np.abs(got - direct_forward(values))) < 1e-12
+    assert np.max(np.abs(got - np.fft.ifft(values))) < 1e-13
 
 
 @pytest.mark.parametrize("shape", sorted(SUPPORT_SHAPES))
@@ -101,29 +103,87 @@ def test_upper_half_is_the_bitwise_conjugate_of_the_lower(shape):
     assert np.array_equal(coeffs[p - t], np.conj(coeffs[t]))
 
 
+@pytest.mark.parametrize("shape", ["wrapped", "first-third", "dense"])
+@pytest.mark.parametrize("p", [100003, 500009])
+def test_forward_matches_numpy_past_one_twiddle_block(p, shape):
+    # grids of 135 to 1875 rows: several blocks of _TWIDDLE_ROWS rows,
+    # each grid with a partial last one
+    values = SUPPORT_SHAPES[shape](p, np.random.default_rng(p))
+    got = forward_transform(CyclicFunction(p, values)).coefficients
+    assert np.max(np.abs(got - np.fft.ifft(values))) < 1e-13
+
+
 def test_transform_lengths_follow_the_support(monkeypatch):
     # a on [1, P/3], as the lift builds it: the convolution needs
     # P//2 + P/3 points, against P//2 + P untrimmed (759375 at this P)
     p = 500009
     values = SUPPORT_SHAPES["first-third"](p, np.random.default_rng(7))
-    lengths = []
+    calls = []  # (array size, length of the transformed axis)
 
     def recording(transform):
-        def wrapped(a, *args, **kwargs):
-            lengths.append(np.shape(a)[-1])
-            return transform(a, *args, **kwargs)
+        def wrapped(a, *args, axis=-1, **kwargs):
+            calls.append((np.size(a), np.shape(a)[axis]))
+            return transform(a, *args, axis=axis, **kwargs)
         return wrapped
 
     monkeypatch.setattr(np.fft, "fft", recording(np.fft.fft))
     monkeypatch.setattr(np.fft, "ifft", recording(np.fft.ifft))
     forward_transform(CyclicFunction(p, values))
-    assert lengths
-    for n in lengths:
-        assert n <= 419904 and n != p
-        for factor in (2, 3, 5):
-            while n % factor == 0:
-                n //= factor
-        assert n == 1
+    assert calls
+    size = max(n for n, _ in calls)
+    assert size <= 419904 and size != p
+    assert all(axis_length < size for _, axis_length in calls)
+    n = size
+    for factor in (2, 3, 5):
+        while n % factor == 0:
+            n //= factor
+    assert n == 1
+
+
+# 2^k, 3^k, 5^k and mixed, from a single row or column to grids of
+# several twiddle blocks with a partial last one
+ROW_COLUMN_SIZES = (2, 3, 5, 1024, 65536, 2187, 59049, 3125, 78125, 30, 150000, 419904)
+
+
+@pytest.mark.parametrize("size", ROW_COLUMN_SIZES)
+def test_fft_columns_is_the_nearest_divisor(size):
+    divisors = [d for d in range(1, size + 1) if size % d == 0]
+    want = min(divisors, key=lambda d: (abs(d - cyclic._FFT_ROW_LENGTH), d))
+    assert cyclic._fft_columns(size) == want
+
+
+def _row_column_grids(size):
+    return sorted({1, size, cyclic._fft_columns(size), size // cyclic._fft_columns(size)})
+
+
+@pytest.mark.parametrize("size", ROW_COLUMN_SIZES)
+def test_row_column_fft_is_numpys_in_transposed_order(size):
+    rng = np.random.default_rng(size)
+    x = rng.random(size) + 1j * rng.random(size) - (0.5 + 0.5j)
+    want = np.fft.fft(x)
+    for columns in _row_column_grids(size):
+        rows = size // columns
+        got = x.copy()
+        cyclic._row_column_fft(got, columns)
+        transposed = want.reshape(columns, rows).T.ravel()
+        assert np.max(np.abs(got - transposed)) < 1e-13 * np.max(np.abs(want))
+        cyclic._row_column_fft(got, columns, inverse=True)
+        assert np.max(np.abs(got - x)) < 1e-13
+
+
+@pytest.mark.parametrize("size", ROW_COLUMN_SIZES)
+def test_row_column_fft_convolves_like_numpy(size):
+    rng = np.random.default_rng(size + 1)
+    x = rng.random(size) + 1j * rng.random(size)
+    y = rng.random(size) - 1j * rng.random(size)
+    want = np.fft.ifft(np.fft.fft(x) * np.fft.fft(y))
+    for columns in _row_column_grids(size):
+        got, kernel = x.copy(), y.copy()
+        cyclic._row_column_fft(got, columns)
+        cyclic._row_column_fft(kernel, columns)
+        got *= kernel
+        cyclic._row_column_fft(got, columns, inverse=True)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
 def test_five_smooth_lengths():
@@ -296,6 +356,27 @@ def test_integer_exponent_norm_is_repeated_multiplication():
             powers = [acc * float(v) for acc, v in zip(powers, values)]
         assert lp_norm(f, k) == (fixed_sum(np.array(powers)) / 1009) ** (1.0 / k)
     assert f.mean() == fixed_sum(values) / 1009
+
+
+@pytest.mark.parametrize(
+    "size",
+    [1, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 3 * SUM_BLOCK - 1, 3 * SUM_BLOCK,
+     3 * SUM_BLOCK + 1],
+)
+def test_streamed_norm_is_bit_equal_to_the_whole_array_formula(size):
+    # a sum of many powers hides a last-bit change in one of them, but a
+    # single nonzero value shows a power formed otherwise than by repeated
+    # multiplication for about 1 in 10 values: 64 such functions follow
+    rng = np.random.default_rng(size)
+    functions = [rng.standard_normal(size) * 3.0]
+    for _ in range(64):
+        spike = np.zeros(size)
+        spike[rng.integers(size)] = rng.standard_normal() * 3.0
+        functions.append(spike)
+    for values in functions:
+        f = CyclicFunction(size, values, validate_modulus=False)
+        for k in (1, 2, 3, 4, 6, 2.5):
+            assert lp_norm(f, k) == lp_norm_unblocked(f, k)
 
 
 def test_l2_norm_equals_spectral_l2():

@@ -243,6 +243,24 @@ def test_delta_sweep_makes_no_inverse_transform(monkeypatch):
     assert sizes == SWEEP_REGIMES
 
 
+def test_delta_sweep_thresholds_once_per_distinct_delta(monkeypatch):
+    import ap3lab.pipeline as pipeline
+
+    deltas = []
+
+    def counting(spectrum, delta):
+        deltas.append(delta)
+        return cyclic.threshold_spectrum(spectrum, delta)
+
+    monkeypatch.setattr(pipeline, "threshold_spectrum", counting)
+    config = PipelineConfig(
+        n=10**4, delta_grid=("0.45", "0.3"), epsilon_grid=("0.2", "0.1", "0.3")
+    )
+    header, rows = delta_sweep(config)
+    assert deltas == [0.3, 0.45]
+    assert [row[header.index("delta")] for row in rows] == ["0.3"] * 3 + ["0.45"] * 3
+
+
 @pytest.mark.parametrize("delta", ["0.2", "0.3"])
 def test_delta_sweep_lambda_hhh_is_the_pipelines_bit_for_bit(delta):
     config = PipelineConfig(n=10**4, delta=delta, epsilon="0.1", k_values=(1,))
