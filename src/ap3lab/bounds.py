@@ -150,8 +150,8 @@ def density_bound_table(n: float) -> dict[str, float | None]:
     Rows whose iterated logarithms are undefined at this N are None. Values
     can exceed 1 at desk scale; this is a comparison table, not a claim.
     """
-    if n <= 1:
-        raise InvalidArgumentError(f"N must exceed 1, got {n}")
+    if not 1 < n < math.inf:
+        raise InvalidArgumentError(f"N must be a finite number above 1, got {n}")
     log2 = _iterated_log(n, 2)
     log3 = _iterated_log(n, 3)
     log4 = _iterated_log(n, 4)

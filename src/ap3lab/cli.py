@@ -16,6 +16,7 @@ from .bohr import build_bohr_set
 from .cyclic import CyclicFunction, forward_transform, load_function, save_spectrum
 from .errors import InvalidArgumentError, LabError
 from .pipeline import (
+    DEFAULT_FFT_BUDGET,
     PipelineConfig,
     canonical_json,
     check_fft_budget,
@@ -49,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ap3lab", description=__doc__)
-    parser.add_argument("--config", help="JSON config file merged into pipeline runs")
+    parser.add_argument("--config", help="JSON config file: pipeline fields and fft_budget")
     parser.add_argument("--force", action="store_true",
                         help="lift theory-range guards, tagging output exploratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -63,7 +64,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("wtrick", help="sieving construction report")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int)
     p.add_argument("--z", type=float)
     p.add_argument("--set", dest="set_file")
     p.add_argument("--out", required=True)
@@ -121,21 +122,33 @@ def _add_pipeline_args(p):
     p.add_argument("--k", help="comma-separated k values")
 
 
+def _read_config(args) -> dict:
+    if not args.config:
+        return {}
+    raw = json.loads(Path(args.config).read_text())
+    if not isinstance(raw, dict):
+        raise InvalidArgumentError(f"config file {args.config} must hold a JSON object")
+    return raw
+
+
+def _fft_budget(args):
+    """The config file's fft_budget, for the commands that take no N."""
+    return _read_config(args).get("fft_budget", DEFAULT_FFT_BUDGET)
+
+
 def _pipeline_config(args) -> PipelineConfig:
-    raw: dict = {}
-    if args.config:
-        raw.update(json.loads(Path(args.config).read_text()))
+    raw = _read_config(args)
     if args.n is not None:
         raw["n"] = args.n
     if args.z is not None:
         raw["z_override"] = args.z
     if args.set_file:
         raw["set_source"] = args.set_file
-    if args.delta:
+    if getattr(args, "delta", None):
         raw["delta"] = args.delta
-    if args.eps:
+    if getattr(args, "eps", None):
         raw["epsilon"] = args.eps
-    if args.k:
+    if getattr(args, "k", None):
         raw["k_values"] = [int(v) for v in args.k.split(",")]
     if getattr(args, "k_grid", None):
         raw["k_grid"] = [int(v) for v in args.k_grid.split(",")]
@@ -171,17 +184,16 @@ def _cmd_primes(args) -> int:
 
 def _cmd_transform(args) -> int:
     function = load_function(args.infile)
-    check_fft_budget(function.modulus)
+    check_fft_budget(function.modulus, _fft_budget(args))
     save_spectrum(forward_transform(function), args.out)
     return 0
 
 
 def _cmd_wtrick(args) -> int:
-    config = PipelineConfig(n=args.n, z_override=args.z,
-                            set_source=args.set_file or "all-primes")
+    config = _pipeline_config(args)
     members, ctx, params, sieved = lift(config)
     report = {
-        "n": args.n,
+        "n": config.n,
         "z": ctx.z,
         "w": ctx.w,
         "phi_w": ctx.phi_w,
@@ -203,7 +215,7 @@ def _cmd_wtrick(args) -> int:
 
 
 def _cmd_bohr(args) -> int:
-    check_fft_budget(args.p)
+    check_fft_budget(args.p, _fft_budget(args))
     freqs = [int(v) for v in args.freqs.split(",")]
     bohr = build_bohr_set(args.p, freqs, args.eps)
     report = {
@@ -220,7 +232,7 @@ def _cmd_bohr(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    check_fft_budget(args.p)
+    check_fft_budget(args.p, _fft_budget(args))
     members = load_member_file(args.set_file)
     f = CyclicFunction.indicator(args.p, members.tolist())
     use_direct = args.direct or args.both

@@ -1,4 +1,4 @@
-"""Prime generation and queries: segmented sieve, counting, primality, theta.
+"""Prime generation and queries: progression sieve, counting, primality, theta.
 
 All logarithms in this package are natural logarithms.
 """
@@ -11,17 +11,17 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 
-# Odd numbers sieved per segment; 2**18 odds keeps the working bool array
-# inside L2 cache while packbits output stays byte-aligned.
-SEGMENT_ODDS = 1 << 18
+# Values of n sieved per segment by `sieve_progression`, and odd numbers
+# unpacked per block by `PrimeTable.iter_blocks`. A multiple of 8, so each
+# packed segment stays byte-aligned.
+SEGMENT = 1 << 20
 
-# Hard ceiling on sieve_primes limit (bit array would reach 1 GiB here).
-DEFAULT_LIMIT_CEILING = 1 << 34
+# Hard ceiling on the sieve_primes limit (its bit table would reach 1 GiB here).
+LIMIT_CEILING = 1 << 34
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24 > 2**64.
+# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24 > 2**64;
+# also the trial divisors that settle every n they divide.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class PrimeTable:
@@ -63,9 +63,8 @@ class PrimeTable:
         if self.limit >= 2:
             yield np.array([2], dtype=np.int64)
         n_odds = (self.limit + 1) // 2
-        step = SEGMENT_ODDS
-        for lo in range(0, n_odds, step):
-            hi = min(lo + step, n_odds)
+        for lo in range(0, n_odds, SEGMENT):
+            hi = min(lo + SEGMENT, n_odds)
             flags = np.unpackbits(self.bits[lo >> 3 : (hi + 7) >> 3])
             flags = flags[: hi - lo]
             idx = np.flatnonzero(flags == 0)
@@ -74,62 +73,67 @@ class PrimeTable:
 
     def primes(self) -> np.ndarray:
         """All primes <= limit as one ascending array."""
-        blocks = list(self.iter_blocks())
-        if not blocks:
-            return np.array([], dtype=np.int64)
-        return np.concatenate(blocks)
+        return np.concatenate([np.zeros(0, dtype=np.int64), *self.iter_blocks()])
 
 
-def sieve_primes(limit: int, ceiling: int = DEFAULT_LIMIT_CEILING) -> PrimeTable:
-    """Sieve all primes up to `limit` (inclusive) with an odd-only segmented sieve.
+def sieve_primes(limit: int) -> PrimeTable:
+    """Sieve all primes up to `limit` (inclusive).
 
-    Memory is O(sqrt(limit) + segment): each segment of 2**18 odd numbers is
-    sieved as a bool array then packed to bits.
+    The odd numbers 1 + 2n, n < (limit + 1) // 2, are the progression W = 2,
+    b = 1 of `sieve_progression`, whose base primes up to isqrt(limit) are
+    sieved recursively. Each segment is packed to bits as it is sieved, so
+    memory is the bit table plus one segment.
     """
     if limit < 2:
         raise InvalidArgumentError(f"sieve limit must be >= 2, got {limit}")
-    if limit > ceiling:
-        raise ResourceLimitError(f"sieve limit {limit} exceeds ceiling {ceiling}")
-
-    base_limit = math.isqrt(limit)
-    base = _simple_odd_primes(base_limit)  # odd primes <= sqrt(limit)
-
-    n_odds = (limit + 1) // 2  # odds 1, 3, ..., up to limit
-    packed = np.zeros((n_odds + 7) // 8, dtype=np.uint8)
-    count = 1 if limit >= 2 else 0  # the prime 2
-
-    for lo in range(0, n_odds, SEGMENT_ODDS):
-        hi = min(lo + SEGMENT_ODDS, n_odds)
-        # odd values covered: 2*lo+1 .. 2*hi-1
-        seg = np.zeros(hi - lo, dtype=bool)
-        if lo == 0:
-            seg[0] = True  # 1 is not prime
-        low_val = 2 * lo + 1
-        for p in base:
-            start = max(p * p, ((low_val + p - 1) // p) * p)
-            if start % 2 == 0:
-                start += p
-            if start >= 2 * hi + 1:
-                continue
-            seg[(start - low_val) // 2 :: p] = True
-        count += int(np.count_nonzero(~seg))
-        pb = np.packbits(seg)
-        packed[lo >> 3 : (lo >> 3) + pb.size] |= pb
-
+    if limit > LIMIT_CEILING:
+        raise ResourceLimitError(f"sieve limit {limit} exceeds ceiling {LIMIT_CEILING}")
+    root = math.isqrt(limit)
+    base = sieve_primes(root).primes() if root >= 2 else ()
+    n_odds = (limit + 1) // 2
+    packed = np.empty((n_odds + 7) // 8, dtype=np.uint8)
+    count = 1  # the prime 2
+    for lo, alive in sieve_progression(2, (1,), 0, n_odds, base):
+        count += int(np.count_nonzero(alive))
+        packed[lo >> 3 : (lo + alive.size + 7) >> 3] = np.packbits(~alive)
     return PrimeTable(limit, packed, count)
 
 
-def _simple_odd_primes(limit: int) -> np.ndarray:
-    """Odd primes <= limit by a plain dense sieve (base primes only)."""
-    if limit < 3:
-        return np.array([], dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    primes = np.flatnonzero(flags).astype(np.int64)
-    return primes[primes % 2 == 1]
+def sieve_progression(w: int, offsets, start: int, stop: int, base):
+    """Sieve the progressions b + nW, for b in `offsets` (each coprime to W),
+    over n in [start, stop), and yield (lo, alive) one segment at a time.
+
+    alive[i] is False when some b + nW at n = lo + i is <= 1, or is a
+    multiple of a prime p in `base`, p not dividing W, other than p itself.
+    When `base` holds every prime up to the root of the largest value, the
+    survivors are the n at which every b + nW is prime. Each class
+    n = -b * W^{-1} (mod p) is struck from its first n with b + nW >= p^2:
+    a smaller multiple kp has a prime factor below p, which does not divide
+    W since gcd(b, W) = 1. The next n of each class is carried from segment
+    to segment in one int64 array.
+    """
+    dead_end = max((1 - b) // w for b in offsets) + 1  # some b + nW <= 1 below
+    nexts = []
+    steps = []
+    for p in map(int, base):
+        if w % p == 0:
+            continue
+        w_inv = pow(w, -1, p)
+        for b in offsets:
+            first = max(start, -((b - p * p) // w))  # least n with b + nW >= p^2
+            first += (-b * w_inv - first) % p
+            nexts.append(min(first, stop))
+            steps.append(p)
+    nexts = np.array(nexts, dtype=np.int64)
+    steps = np.array(steps, dtype=np.int64)
+    for lo in range(start, stop, SEGMENT):
+        hi = min(lo + SEGMENT, stop)
+        alive = np.ones(hi - lo, dtype=bool)
+        alive[: max(0, dead_end - lo)] = False
+        for first, p in zip(nexts.tolist(), steps.tolist()):
+            alive[first - lo :: p] = False
+        nexts += np.maximum(hi - nexts + steps - 1, 0) // steps * steps
+        yield lo, alive
 
 
 def prime_count(table: PrimeTable, x: int) -> int:
@@ -149,7 +153,7 @@ def is_prime(n: int) -> bool:
         raise InvalidArgumentError(f"is_prime domain is [0, 2**64), got {n}")
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1

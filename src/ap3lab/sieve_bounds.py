@@ -19,7 +19,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .primes import is_prime, sieve_primes
+from .primes import is_prime, sieve_primes, sieve_progression
 from .wtrick import WTrickContext
 
 DEFAULT_SERIES_CUTOFF = 10**6
@@ -119,13 +119,12 @@ def singular_series(
 def count_prime_tuples(spec: TupleSpec, limit: int) -> int:
     """|{n <= limit : b_1 + nW, ..., b_k + nW all prime}|, exactly.
 
-    A value <= 1 (zero and negative values included) is not prime. One bool
-    per n in [1, limit] is sieved over the tuple's own progression: for each
-    base prime p <= z with p not dividing W and each offset b, the class
-    n = -b * W^{-1} (mod p) is struck, except the one n with b + nW = p.
-    Here z = min(isqrt(top), limit) for the largest value top; when
-    z < isqrt(top), the survivors are confirmed with `is_prime`. The work
-    and memory grow with the limit, not with the size of the values.
+    A value <= 1 (zero and negative values included) is not prime. The
+    tuple's progressions are sieved by `sieve_progression` over n in
+    [1, limit] with the base primes up to z = min(isqrt(top), limit), top
+    the largest value. When z is the root the survivors are counted, else
+    confirmed with `is_prime`. Memory is one segment plus the pi(z) base
+    primes, whatever the limit.
     """
     if limit < 1:
         raise InvalidArgumentError(f"limit must be >= 1, got {limit}")
@@ -133,36 +132,17 @@ def count_prime_tuples(spec: TupleSpec, limit: int) -> int:
     top = max(spec.offsets) + limit * w
     if top >= 1 << 63:
         raise ResourceLimitError(f"tuple values reach {top}, past the 64-bit budget")
-
-    alive = np.ones(limit + 1, dtype=bool)
-    alive[0] = False
-    for b in spec.offsets:
-        last_dead = (1 - b) // w  # the largest n with b + nW <= 1
-        if last_dead >= 1:
-            alive[1 : last_dead + 1] = False
-
     root = math.isqrt(max(top, 0))
     z = min(root, limit)
-    if z >= 2:
-        for block in sieve_primes(z).iter_blocks():
-            for p in block.tolist():
-                if w % p == 0:
-                    continue
-                w_inv = pow(w, -1, p)
-                for b in spec.offsets:
-                    # From the first n with b + nW > p on, the class holds
-                    # only multiples of p above p; below it, b + nW = p is
-                    # prime and smaller values are <= 1, struck already.
-                    first = max(1, (p - b) // w + 1)
-                    alive[first + (-b * w_inv - first) % p :: p] = False
-
-    if z == root:
-        return int(np.count_nonzero(alive))
-    return sum(
-        1
-        for n in np.flatnonzero(alive).tolist()
-        if all(is_prime(b + n * w) for b in spec.offsets)
-    )
+    base = sieve_primes(z).primes() if z >= 2 else ()
+    count = 0
+    for lo, alive in sieve_progression(w, spec.offsets, 1, limit + 1, base):
+        if z == root:
+            count += int(np.count_nonzero(alive))
+            continue
+        for n in (lo + np.flatnonzero(alive)).tolist():
+            count += all(is_prime(b + n * w) for b in spec.offsets)
+    return count
 
 
 def klimov_upper_bound(
@@ -195,6 +175,8 @@ def klimov_upper_bound(
 def hypothesis_flags(spec: TupleSpec, limit: int) -> dict[str, bool]:
     """Side conditions of the tuple bound, checked and reported, never
     silently relied upon."""
+    if limit < 3:
+        raise InvalidArgumentError(f"limit must be >= 3, got {limit}")
     log_p = math.log(limit)
     b = max(spec.offsets)
     return {

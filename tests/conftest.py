@@ -37,6 +37,29 @@ def trial_is_prime(n: int) -> bool:
     return True
 
 
+def dense_prime_flags(limit: int) -> np.ndarray:
+    """flags[n] is True iff n is prime, for 0 <= n <= limit, by one dense
+    sieve of Eratosthenes over every integer."""
+    flags = np.ones(limit + 1, dtype=bool)
+    flags[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if flags[p]:
+            flags[p * p :: p] = False
+    return flags
+
+
+def dense_tuple_count(spec, limit: int) -> int:
+    """|{1 <= n <= limit : every b + nW prime}|, read off one dense sieve up
+    to the largest value at every n at once."""
+    n = np.arange(1, limit + 1, dtype=np.int64)
+    flags = dense_prime_flags(max(max(spec.offsets) + limit * spec.w, 1))
+    survive = np.ones(limit, dtype=bool)
+    for b in spec.offsets:
+        values = b + n * spec.w
+        survive &= (values > 1) & flags[np.maximum(values, 0)]
+    return int(np.count_nonzero(survive))
+
+
 def singular_series_by_root_counts(spec, cutoff: int) -> float:
     """The truncated singular series with rho(p) from `root_count_rho`
     (modular inversion of W) at every prime, accumulated in ascending p."""

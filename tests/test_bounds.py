@@ -150,6 +150,12 @@ def test_density_table_designed_points():
     assert small["triple_sixth_over_double"] is not None
 
 
+def test_density_table_rejects_non_finite_n():
+    for n in (1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidArgumentError, match="N must be a finite number"):
+            density_bound_table(n)
+
+
 def test_density_table_five_log_row_needs_astronomical_n():
     # a nonnegative five-log row needs N > e^(e^(e^e)), far past float range,
     # so every representable N must come back undefined rather than erroring

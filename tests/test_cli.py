@@ -193,6 +193,50 @@ def _set_file(text):
     return argv
 
 
+def _with_config(tmp_path, raw, argv):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    return ["--config", str(path), *argv(tmp_path)]
+
+
+def _small_function(tmp_path):
+    path = tmp_path / "f.zpfn"
+    save_function(CyclicFunction(101, np.linspace(0.0, 1.0, 101)), path)
+    return ["transform", "--in", str(path), "--out", str(tmp_path / "s.zpsp")]
+
+
+def _small_set(tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_text("0\n1\n3\n")
+    return ["lambda", "--p", "101", "--set", str(path)]
+
+
+# every command that builds P-point arrays, at P = 101 (wtrick: P = 151)
+BUDGETED = {
+    "transform": _small_function,
+    "wtrick": lambda tmp_path: ["wtrick", "--n", "100", "--out", str(tmp_path / "w.json")],
+    "bohr": lambda tmp_path: ["bohr", "--p", "101", "--freqs", "1", "--eps", "0.1"],
+    "lambda": _small_set,
+}
+
+
+@pytest.mark.parametrize("command", sorted(BUDGETED))
+def test_config_fft_budget_binds_every_command(tmp_path, capsys, command):
+    argv = BUDGETED[command]
+    assert run_cli(*_with_config(tmp_path, {"fft_budget": 50}, argv)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "exceeds the FFT budget 50" in err
+    assert run_cli(*_with_config(tmp_path, {"fft_budget": 200}, argv)) == 0
+
+
+def test_wtrick_reads_n_from_the_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 10000}))
+    out = tmp_path / "w.json"
+    assert run_cli("--config", str(config), "wtrick", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["p"] == 15013
+
+
 # case -> (argv builder, fragment of the one-line error message)
 MALFORMED_INPUTS = {
     "zpfn-truncated-header": (_damaged_function(lambda blob: blob[:10]), "truncated header"),
@@ -216,6 +260,18 @@ MALFORMED_INPUTS = {
     "k-values-null": (_config_file({"n": 10000, "k_values": [None]}), "k_values must be integers"),
     "set-composite": (_set_file("-5\n4\n5\n11\n17\n23\n"), "set member -5 is not a prime"),
     "set-above-n": (_set_file("5\n11\n17\n23\n101\n"), "set member 101 is not a prime"),
+    "config-not-object": (_config_file([["n", 10000]]), "must hold a JSON object"),
+    "fft-budget-string-bohr": (
+        lambda tmp_path: _with_config(tmp_path, {"fft_budget": "8"}, BUDGETED["bohr"]),
+        "fft_budget must be an integer",
+    ),
+    "tuples-limit-below-3": (
+        lambda tmp_path: ["tuples", "--w", "2", "--offsets", "1", "--limit", "1"],
+        "limit must be >= 3, got 1",
+    ),
+    "bounds-n-nan": (lambda tmp_path: ["bounds", "--n", "nan"], "N must be a finite number"),
+    "bounds-n-inf": (lambda tmp_path: ["bounds", "--n", "inf"], "N must be a finite number"),
+    "bounds-n-1e400": (lambda tmp_path: ["bounds", "--n", "1e400"], "N must be a finite number"),
     "threads-key": (_config_file({"n": 10000, "threads": 2}), "unknown config keys"),
     "threads-flag": (
         lambda tmp_path: ["--threads=2", "pipeline", "--n", "10000",

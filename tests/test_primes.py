@@ -11,8 +11,9 @@ from ap3lab.primes import (
     next_prime_above,
     prime_count,
     sieve_primes,
+    sieve_progression,
 )
-from conftest import trial_is_prime
+from conftest import dense_prime_flags, trial_is_prime
 
 
 def test_sieve_small_members():
@@ -31,19 +32,38 @@ def test_sieve_count_100():
 
 
 def test_sieve_matches_trial_division_elementwise():
-    table = sieve_primes(10**5)
-    # independent dense sieve as the bulk oracle
-    flags = np.ones(10**5 + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(10**5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    got = np.zeros(10**5 + 1, dtype=bool)
+    # past two segment boundaries: odd value 1 + 2n starts segment n / SEGMENT
+    limit = 4 * primes_module.SEGMENT + 12345
+    table = sieve_primes(limit)
+    flags = dense_prime_flags(limit)  # independent dense sieve as the bulk oracle
+    got = np.zeros(limit + 1, dtype=bool)
     got[table.primes()] = True
     assert np.array_equal(got, flags)
+    assert table.count == int(np.count_nonzero(flags))
     # spot-check the oracle itself against trial division
     for n in range(2, 500):
         assert flags[n] == trial_is_prime(n)
+
+
+def test_progression_sieve_segments_match_a_dense_sieve():
+    # a start that is not a multiple of the segment, two boundaries crossed,
+    # and values <= 1 of the first offset up to n = 2 * segment, past the
+    # first boundary
+    segment = primes_module.SEGMENT
+    w, offsets, start, stop = 6, (-12 * segment - 1, 1, 7), segment - 5, 3 * segment + 17
+    top = max(offsets) + (stop - 1) * w
+    flags = dense_prime_flags(top)
+    base = sieve_primes(math.isqrt(top)).primes()
+    got = []
+    for lo, alive in sieve_progression(w, offsets, start, stop, base):
+        assert lo == start + len(got) and alive.size <= segment
+        got.extend(alive.tolist())
+    n = np.arange(start, stop, dtype=np.int64)
+    want = np.ones(n.size, dtype=bool)
+    for b in offsets:
+        values = b + n * w
+        want &= (values > 1) & flags[np.maximum(values, 0)]
+    assert got == want.tolist()
 
 
 def test_sieve_rejects_bad_limits():

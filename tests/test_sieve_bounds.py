@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ap3lab.primes as primes_module
 import ap3lab.sieve_bounds as sieve_bounds_module
 from ap3lab.cyclic import CyclicFunction
 from ap3lab.errors import InvalidArgumentError, InvariantError, PreconditionError
@@ -21,6 +23,7 @@ from ap3lab.sieve_bounds import (
 )
 from ap3lab.wtrick import build_context
 from conftest import (
+    dense_tuple_count,
     moment_distinct_split,
     root_count_rho_scan,
     singular_series_by_root_counts,
@@ -167,6 +170,16 @@ def test_count_prime_tuples_against_per_element_recount(monkeypatch):
     ):
         assert counted(spec, limit) == _recount_tuples(spec, limit, is_prime), spec
 
+    # several segments, and values <= 1 up to n = segment + 2, past the
+    # first boundary at n = segment + 1
+    segment = primes_module.SEGMENT
+    for spec, limit in (
+        (TupleSpec(w=2, offsets=(-2 * segment - 3, 1)), 3 * segment),
+        (TupleSpec(w=1, offsets=(-segment - 1, 0)), 2 * segment + 7),
+        (TupleSpec(w=6, offsets=(1, 5)), 2 * segment + 3),
+    ):
+        assert counted(spec, limit) == dense_tuple_count(spec, limit), spec
+
     rng = np.random.default_rng(53)
     for _ in range(8):
         w = int(rng.choice([1, 2, 6, 30]))
@@ -179,6 +192,20 @@ def test_count_prime_tuples_against_per_element_recount(monkeypatch):
         spec = TupleSpec(w=w, offsets=tuple(offsets))
         limit = int(rng.integers(50, 2000))
         assert counted(spec, limit) == _recount_tuples(spec, limit, trial_is_prime)
+
+
+def test_count_prime_tuples_memory_is_one_segment():
+    # eight segments of n: a dense sieve over n would allocate 8 * SEGMENT
+    # bytes; the segmented one holds at most two segments at once, plus the
+    # few base primes up to isqrt(top) = 7094
+    segment = primes_module.SEGMENT
+    tracemalloc.start()
+    try:
+        count_prime_tuples(TupleSpec(w=6, offsets=(1, 5)), 8 * segment)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * segment, peak
 
 
 def test_klimov_bound_formula():
@@ -217,6 +244,8 @@ def test_hypothesis_flags_reported():
     flags = hypothesis_flags(TupleSpec(w=6, offsets=(1, 5)), 10**4)
     assert flags["log_b_within_2_log_p"] and flags["log_w_within_2_log_p"]
     assert not flags["k_within_sieve_range"]
+    with pytest.raises(InvalidArgumentError, match="limit must be >= 3"):
+        hypothesis_flags(TupleSpec(w=2, offsets=(1,)), 2)  # ln ln 2 < 0
 
 
 def test_pnt_shape_for_single_offset():
