@@ -16,7 +16,6 @@ from .bohr import build_bohr_set
 from .cyclic import CyclicFunction, forward_transform, load_function, save_spectrum
 from .errors import InvalidArgumentError, LabError
 from .pipeline import (
-    DEFAULT_FFT_BUDGET,
     PipelineConfig,
     canonical_json,
     check_fft_budget,
@@ -131,9 +130,10 @@ def _read_config(args) -> dict:
     return raw
 
 
-def _fft_budget(args):
-    """The config file's fft_budget, for the commands that take no N."""
-    return _read_config(args).get("fft_budget", DEFAULT_FFT_BUDGET)
+def _fft_budget(args) -> int:
+    """The config file's fft_budget, for the commands that take no N. The
+    whole file is checked as `pipeline` checks it; its n defaults to 2."""
+    return PipelineConfig.from_dict({"n": 2, **_read_config(args)}).fft_budget
 
 
 def _pipeline_config(args) -> PipelineConfig:

@@ -222,9 +222,7 @@ def load_member_file(path) -> np.ndarray:
 
 def check_fft_budget(p: int, budget: int = DEFAULT_FFT_BUDGET) -> None:
     """Refuse a modulus P past the budget on the length of P-point arrays,
-    before any of them is allocated, and a budget that is not an integer."""
-    if not _is_integer(budget):
-        raise InvalidArgumentError(f"fft_budget must be an integer, got {budget!r}")
+    before any of them is allocated."""
     if p > budget:
         raise ResourceLimitError(f"P = {p} exceeds the FFT budget {budget}")
 

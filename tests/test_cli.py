@@ -265,6 +265,10 @@ MALFORMED_INPUTS = {
         lambda tmp_path: _with_config(tmp_path, {"fft_budget": "8"}, BUDGETED["bohr"]),
         "fft_budget must be an integer",
     ),
+    "threads-key-lambda": (
+        lambda tmp_path: _with_config(tmp_path, {"threads": 2}, BUDGETED["lambda"]),
+        "unknown config keys",
+    ),
     "tuples-limit-below-3": (
         lambda tmp_path: ["tuples", "--w", "2", "--offsets", "1", "--limit", "1"],
         "limit must be >= 3, got 1",
