@@ -213,9 +213,7 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     if bohr.size <= _SHIFTED_SUM_MAX_SIZE:
         return _shifted_average(a, bohr)
     sigma_hat = kernel_spectrum(bohr)
-    product = Spectrum(
-        a.modulus, a.spectrum().coefficients * sigma_hat, validate_modulus=False
-    )
+    product = Spectrum(a.modulus, a.spectrum().half * sigma_hat, validate_modulus=False)
     del sigma_hat  # free it before the inverse transform
     h = from_spectrum(product)
     low = float(h.values.min())
@@ -234,16 +232,16 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
 
 
 def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
-    """sigmahat, the spectrum of sigma = (P/|B|) * 1_B, as an array.
+    """sigmahat, the spectrum of sigma = (P/|B|) * 1_B, as an array of its
+    coefficients t <= P//2 (the half a Spectrum holds).
 
     For |B| <= _SHIFTED_SUM_MAX_SIZE it is read off a cosine table: B = -B,
     so sigmahat(t) = (1/|B|) sum_{b in B} e(b*t/P) is real and equals
     (1 + 2 * sum_{b in B, 0 < b < P/2} cos(2*pi*b*t/P)) / |B|. Each cosine
     is gathered from a table over [0, P/2] at the integer phase b*t mod P
-    folded to min(phi, P - phi), for t up to P/2 only, since
-    sigmahat(P - t) = sigmahat(t), in cache-sized blocks of t. The set must
+    folded to min(phi, P - phi), in cache-sized blocks of t. The set must
     contain 0 and be symmetric, or InvariantError is raised. Larger sets
-    transform normalized_indicator(bohr) and return the complex result as
+    transform normalized_indicator(bohr) and return the complex half as
     it is; sigma itself lives only inside this call.
 
     sigma is a probability kernel symmetric about 0, so sigmahat(0) = 1,
@@ -252,7 +250,7 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
     B = {0}, where sigma is the convolution identity and sigmahat is 1.
     """
     if bohr.size > _SHIFTED_SUM_MAX_SIZE:
-        sigma_hat = normalized_indicator(bohr).spectrum().coefficients
+        sigma_hat = normalized_indicator(bohr).spectrum().half
     else:
         sigma_hat = _cosine_table_spectrum(bohr)
     tol = _KERNEL_SPECTRUM_TOL
@@ -267,7 +265,8 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
 
 
 def _cosine_table_spectrum(bohr: BohrSet) -> np.ndarray:
-    """The real sigmahat of a small symmetric Bohr set (see kernel_spectrum).
+    """The real sigmahat of a small symmetric Bohr set at t <= P//2 (see
+    kernel_spectrum).
 
     cos(2*pi*phi/P) is tabulated only for phi in [0, P//2], and the phase
     b*t mod P is read at min(phi, P - phi), the same argument. The t are
@@ -301,8 +300,7 @@ def _cosine_table_spectrum(bohr: BohrSet) -> np.ndarray:
             np.minimum(phase[:n], mirror[:n], out=phase[:n])
             np.take(cosines, phase[:n], out=gathered[:n], mode="clip")
             acc += gathered[:n]
-    half = (1.0 + 2.0 * cosine_sum) / bohr.size
-    return np.concatenate((half, half[:0:-1]))
+    return (1.0 + 2.0 * cosine_sum) / bohr.size
 
 
 def _shifted_average(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
@@ -321,7 +319,5 @@ def _shifted_average(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
         )
 
     h = CyclicFunction(p, values, validate_modulus=False)
-    h._spectrum = Spectrum(
-        p, a.spectrum().coefficients * sigma_hat, validate_modulus=False
-    )
+    h._spectrum = Spectrum(p, a.spectrum().half * sigma_hat, validate_modulus=False)
     return h

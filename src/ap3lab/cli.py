@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 invalid arguments, 2 precondition or constraint
-violation, 3 resource limit.
+violation, 3 resource limit (a refused size, or memory that could not be
+allocated).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 from . import bounds as bd
 from .bohr import build_bohr_set
 from .cyclic import CyclicFunction, forward_transform, load_function, save_spectrum
-from .errors import InvalidArgumentError, LabError
+from .errors import InvalidArgumentError, LabError, ResourceLimitError
 from .pipeline import (
     PipelineConfig,
     canonical_json,
@@ -329,6 +330,10 @@ def main(argv=None) -> int:
     except LabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return ResourceLimitError.exit_code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,6 +7,11 @@ Conventions, fixed once to avoid sign drift:
 
 so the transform is an average (coeff[0] is the mean) and convolution
 (f*g)(x) = (1/P) sum_y f(y) g(x-y) diagonalizes as coeff(f*g) = coeff(f)*coeff(g).
+
+Every function here is real, so coeff[P - t] = conj(coeff[t]) and a Spectrum
+stores only t <= P//2: P//2 + 1 coefficients. Consumers read that half, and
+a sum over all P coefficients is a fixed_sum over the mirrored sequence
+(mirrored_sum), formed row by row without building it.
 """
 
 from __future__ import annotations
@@ -87,25 +92,60 @@ class CyclicFunction:
         return fixed_sum(self.values) / self.modulus
 
     def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
+        """max |f(x)|, from the largest and least values with no length-P
+        temporary; abs turns a -0.0 maximum into 0.0, as np.abs would."""
+        return abs(max(float(self.values.max()), -float(self.values.min())))
 
 
 class Spectrum:
-    """Fourier coefficients of a function on Z/PZ; coefficient t at index t."""
+    """Fourier coefficients of a real function on Z/PZ.
 
-    __slots__ = ("modulus", "coefficients")
+    Only coefficients t <= P//2 are held, coefficient t at half[t]; the
+    others are coeff[P - t] = conj(coeff[t]). full() is the one expansion
+    to all P, and from_full the one way in from a length-P array.
+    """
 
-    def __init__(self, modulus: int, coefficients, validate_modulus: bool = True):
-        coefficients = np.ascontiguousarray(coefficients, dtype=np.complex128)
+    __slots__ = ("modulus", "half")
+
+    def __init__(self, modulus: int, half, validate_modulus: bool = True):
+        half = np.ascontiguousarray(half, dtype=np.complex128)
+        if half.shape != (modulus // 2 + 1,):
+            raise InvalidArgumentError(
+                f"expected {modulus // 2 + 1} coefficients for P = {modulus}, "
+                f"got shape {half.shape}"
+            )
+        if validate_modulus and not is_prime(modulus):
+            raise InvalidArgumentError(f"modulus {modulus} is not prime")
+        half.setflags(write=False)
+        self.modulus = modulus
+        self.half = half
+
+    @classmethod
+    def from_full(cls, modulus: int, coefficients,
+                  validate_modulus: bool = True) -> "Spectrum":
+        """The spectrum whose P coefficients are given, which must be those
+        of a real function: coeff[P - t] = conj(coeff[t]) up to 1e-6 of the
+        largest coefficient, or InvalidArgumentError is raised."""
+        coefficients = np.asarray(coefficients, dtype=np.complex128)
         if coefficients.shape != (modulus,):
             raise InvalidArgumentError(
                 f"expected {modulus} coefficients, got shape {coefficients.shape}"
             )
-        if validate_modulus and not is_prime(modulus):
-            raise InvalidArgumentError(f"modulus {modulus} is not prime")
-        coefficients.setflags(write=False)
-        self.modulus = modulus
-        self.coefficients = coefficients
+        mirrored = np.conj(np.roll(coefficients[::-1], 1))  # coeff[-t] at t
+        scale = float(np.max(np.abs(coefficients))) or 1.0
+        if float(np.max(np.abs(coefficients - mirrored))) > 1e-6 * scale:
+            raise InvalidArgumentError(
+                "spectrum is not conjugate-symmetric: it is not that of a real function"
+            )
+        return cls(modulus, coefficients[: modulus // 2 + 1], validate_modulus)
+
+    def full(self) -> np.ndarray:
+        """All P coefficients, a new array: coeff[P - t] = conj(half[t])."""
+        p, size = self.modulus, self.half.size
+        out = np.empty(p, dtype=np.complex128)
+        out[:size] = self.half
+        np.conjugate(self.half[p - size : 0 : -1], out=out[size:])
+        return out
 
 
 # ----------------------------------------------------------------------
@@ -115,8 +155,8 @@ class Spectrum:
 def forward_transform(f: CyclicFunction) -> Spectrum:
     """Normalized transform: coeff[t] = mean_x f(x) exp(+2*pi*i*x*t/P).
 
-    f is real, so only t <= P/2 is computed and coeff[P - t] is filled in
-    as exactly conj(coeff[t]). Those coefficients come from Bluestein's
+    f is real, so only t <= P/2 is computed and held (see Spectrum). Those
+    coefficients come from Bluestein's
     chirp-z method, restricted to the shortest cyclic window that holds
     the nonzero values of f, with each chirp phase n^2 mod 2P formed in
     exact integers (see _half_chirp_z). The lift's a lives in [1, P/3],
@@ -127,7 +167,7 @@ def forward_transform(f: CyclicFunction) -> Spectrum:
 
 
 def _half_chirp_z(values: np.ndarray) -> np.ndarray:
-    """(1/P) sum_x values[x] exp(2*pi*i*x*t/P) for every t in Z/PZ, where
+    """(1/P) sum_x values[x] exp(2*pi*i*x*t/P) for t in [0, P//2], where
     P = len(values) and the values are real.
 
     With x*t = (x^2 + t^2 - (t - x)^2)/2 and w(n) = exp(i*pi*n^2/P),
@@ -169,15 +209,13 @@ def _half_chirp_z(values: np.ndarray) -> np.ndarray:
     del kernel
     _row_column_fft(window, columns, inverse=True)
 
-    spectrum = np.empty(p, dtype=np.complex128)
-    spectrum[:half] = window[length - 1 : length - 1 + half]
+    spectrum = window[length - 1 : length - 1 + half].copy()
     del window
     chirp = np.empty(half, dtype=np.complex128)
     _chirp(0, half, p, chirp)
-    spectrum[:half] *= chirp
+    spectrum *= chirp
     del chirp
-    spectrum[:half] /= p
-    np.conjugate(spectrum[p - half : 0 : -1], out=spectrum[half:])
+    spectrum /= p
     return spectrum
 
 
@@ -287,17 +325,13 @@ def _chirp(start: int, stop: int, p: int, out: np.ndarray) -> None:
 def inverse_transform(s: Spectrum) -> CyclicFunction:
     """Recover f(x) = sum_t coeff[t] exp(-2*pi*i*x*t/P) as a real function.
 
-    The spectrum must come from a real function (conjugate-symmetric); a
-    large imaginary residual is rejected rather than silently dropped.
+    The half spectrum is expanded once and transformed in place; the real
+    part of the result is f (a Spectrum is that of a real function, see
+    Spectrum.from_full).
     """
-    complex_values = np.fft.fft(s.coefficients)
-    scale = float(np.max(np.abs(complex_values))) or 1.0
-    imag_residual = float(np.max(np.abs(complex_values.imag)))
-    if imag_residual > 1e-6 * scale:
-        raise InvalidArgumentError(
-            "spectrum is not conjugate-symmetric: inverse is not a real function"
-        )
-    return CyclicFunction(s.modulus, complex_values.real, validate_modulus=False)
+    values = s.full()
+    np.fft.fft(values, out=values)
+    return CyclicFunction(s.modulus, values.real, validate_modulus=False)
 
 
 def convolve(f: CyclicFunction, g: CyclicFunction) -> CyclicFunction:
@@ -311,9 +345,7 @@ def convolve(f: CyclicFunction, g: CyclicFunction) -> CyclicFunction:
             f"modulus mismatch: {f.modulus} vs {g.modulus}"
         )
     product = Spectrum(
-        f.modulus,
-        f.spectrum().coefficients * g.spectrum().coefficients,
-        validate_modulus=False,
+        f.modulus, f.spectrum().half * g.spectrum().half, validate_modulus=False
     )
     return from_spectrum(product)
 
@@ -351,13 +383,10 @@ def fixed_sum(values) -> float:
     operation, so no SIMD width or build can reorder it. math.fsum then
     adds the partial sums and the leftover tail with a single rounding.
     numpy's own sum and mean reduce in an order that depends on the build.
+    This is mirrored_sum with nothing to mirror.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
-    rows = values.size // SUM_BLOCK
-    partial = np.zeros(SUM_BLOCK)
-    for row in values[: rows * SUM_BLOCK].reshape(rows, SUM_BLOCK):
-        partial += row
-    return math.fsum(partial.tolist() + values[rows * SUM_BLOCK :].tolist())
+    return mirrored_sum(values, values.size)
 
 
 def lp_norm(f: CyclicFunction, k: float) -> float:
@@ -366,61 +395,114 @@ def lp_norm(f: CyclicFunction, k: float) -> float:
     For integer k the power is taken by repeated multiplication, and the
     mean is a fixed_sum, so the result does not depend on the numpy build.
     The powers are formed and summed one row of SUM_BLOCK values at a
-    time, in fixed_sum's order, so no length-P temporary is made.
+    time, in fixed_sum's order (mirrored_sum with nothing to mirror), so
+    no length-P temporary is made.
     """
     if k < 1:
         raise InvalidArgumentError(f"norm exponent must be >= 1, got {k}")
-    values = f.values
-    rows = values.size // SUM_BLOCK
+    return (mirrored_sum(f.values, f.modulus, _powers(k)) / f.modulus) ** (1.0 / k)
+
+
+def _powers(k: float):
+    """mirrored_sum's terms |values|^k, by repeated multiplication for
+    integer k."""
+    scratch = np.empty(SUM_BLOCK)
+
+    def terms(values: np.ndarray, power: np.ndarray) -> np.ndarray:
+        magnitudes = np.abs(values, out=scratch[: values.size])
+        if not float(k).is_integer():
+            return np.power(magnitudes, k, out=power)
+        power[:] = magnitudes
+        for _ in range(int(k) - 1):
+            power *= magnitudes
+        return power
+
+    return terms
+
+
+def mirrored_sum(half: np.ndarray, p: int, terms=None) -> float:
+    """fixed_sum of the length-P sequence y with y[i] = v[i] for i < h and
+    y[i] = v[P - i] for i >= h, where v = terms(half) and h = len(half):
+    the values at all P frequencies when half holds those at t <= P//2
+    and v[P - t] = v[t], as |coeff| and a spectral operator's terms do.
+    With h = P nothing is mirrored, and y is v itself.
+
+    y is never built. Each row of SUM_BLOCK values is read from half as up
+    to two contiguous views, the second added in reverse, into fixed_sum's
+    accumulator; the last, short row is fixed_sum's tail. So the sum is
+    fixed_sum(y) in every bit. terms(view, out) writes the terms of a
+    contiguous view of half into the float64 scratch out and returns it;
+    None takes half's float64 values as they are.
+    """
+    size = half.size
+    rows = p // SUM_BLOCK
     partial = np.zeros(SUM_BLOCK)
-    magnitudes = np.empty(SUM_BLOCK)
-    power = np.empty(SUM_BLOCK)
-    for row in values[: rows * SUM_BLOCK].reshape(rows, SUM_BLOCK):
-        partial += _abs_power(row, k, magnitudes, power)
-    tail = values[rows * SUM_BLOCK :]
-    tail_power = _abs_power(tail, k, magnitudes[: tail.size], power[: tail.size])
-    return (math.fsum(partial.tolist() + tail_power.tolist()) / f.modulus) ** (1.0 / k)
-
-
-def _abs_power(values: np.ndarray, k: float, magnitudes: np.ndarray,
-               power: np.ndarray) -> np.ndarray:
-    """|values|^k into power, by repeated multiplication for integer k;
-    magnitudes is scratch of the same length."""
-    np.abs(values, out=magnitudes)
-    if not float(k).is_integer():
-        return np.power(magnitudes, k, out=power)
-    power[:] = magnitudes
-    for _ in range(int(k) - 1):
-        power *= magnitudes
-    return power
+    tail = np.empty(p - rows * SUM_BLOCK)
+    scratch = np.empty(SUM_BLOCK)
+    ascending = min(size // SUM_BLOCK, rows)  # whole rows of y that are rows of half
+    for row in half[: ascending * SUM_BLOCK].reshape(ascending, SUM_BLOCK):
+        partial += row if terms is None else terms(row, scratch)
+    for start in range(ascending * SUM_BLOCK, p, SUM_BLOCK):
+        stop = min(start + SUM_BLOCK, p)
+        split = min(max(start, size), stop)  # y[i] = v[P - i] from here on
+        pieces = []
+        if start < split:
+            pieces.append((0, half[start:split], False))
+        if split < stop:  # v[P - split], ..., v[P - stop + 1], formed ascending
+            pieces.append((split - start, half[p - stop + 1 : p - split + 1], True))
+        for offset, view, descending in pieces:
+            if terms is not None:
+                view = terms(view, scratch[: view.size])
+            if descending:
+                view = view[::-1]
+            if stop - start == SUM_BLOCK:
+                partial[offset : offset + view.size] += view
+            else:
+                tail[offset : offset + view.size] = view
+    return math.fsum(partial.tolist() + tail.tolist())
 
 
 def spectral_lp_norm(s: Spectrum, k: float) -> float:
-    """Unnormalized little-ell^k norm (sum_t |coeff[t]|^k)^(1/k)."""
+    """Unnormalized little-ell^k norm (sum_t |coeff[t]|^k)^(1/k).
+
+    The powers are formed as in lp_norm and summed over all P frequencies
+    by mirrored_sum, so the result does not depend on the numpy build and
+    no length-P temporary is made.
+    """
     if k < 1:
         raise InvalidArgumentError(f"norm exponent must be >= 1, got {k}")
-    return float(np.sum(np.abs(s.coefficients) ** k) ** (1.0 / k))
+    return mirrored_sum(s.half, s.modulus, _powers(k)) ** (1.0 / k)
 
 
 def threshold_spectrum(s: Spectrum, delta: float) -> tuple[np.ndarray, int]:
     """(frequencies t with |coeff[t]| >= delta, with 1 always adjoined;
     the size of the raw threshold set, before 1 is adjoined).
 
-    The raw threshold set obeys the Markov count
+    |coeff[P - t]| = |coeff[t]|, so each t in [1, P - 1 - P//2] that passes
+    brings P - t along. The raw threshold set obeys the Markov count
     |{t : |coeff| >= delta}| <= sum |coeff|^4 / delta^4, checked here up to
     summation rounding.
     """
     if delta <= 0:
         raise InvalidArgumentError(f"delta must be positive, got {delta}")
-    magnitudes = np.abs(s.coefficients)
-    raw = np.flatnonzero(magnitudes >= delta)
-    fourth_moment = fixed_sum(magnitudes**4)
+    p = s.modulus
+    magnitudes = np.abs(s.half)
+    low = np.flatnonzero(magnitudes >= delta)
+    mirrored = low[(low >= 1) & (low <= p - magnitudes.size)]
+    raw = np.concatenate((low, p - mirrored[::-1]))
+    fourth_moment = _fourth_moment(magnitudes, p)
     if raw.size * delta**4 > fourth_moment * (1 + _MARKOV_REL_TOL):
         raise InvariantError(
             "Markov bound on the large spectrum failed; transform is inconsistent"
         )
     freqs = np.union1d(raw, np.array([1], dtype=np.int64)).astype(np.int64)
     return freqs, int(raw.size)
+
+
+def _fourth_moment(magnitudes: np.ndarray, p: int) -> float:
+    """sum_t |coeff[t]|^4 over all P frequencies from the magnitudes of
+    t <= P//2, each power taken as magnitude**4."""
+    return mirrored_sum(magnitudes, p, lambda view, out: np.power(view, 4, out=out))
 
 
 # ----------------------------------------------------------------------
@@ -456,15 +538,16 @@ def load_function(path) -> CyclicFunction:
 
 
 def save_spectrum(s: Spectrum, path) -> None:
-    """Write magic ZPSP, u32 version, u64 P, then interleaved re/im float64."""
-    interleaved = np.empty(2 * s.modulus, dtype="<f8")
-    interleaved[0::2] = s.coefficients.real
-    interleaved[1::2] = s.coefficients.imag
+    """Write magic ZPSP, u32 version, u64 P, then interleaved re/im float64
+    of all P coefficients (the half spectrum is expanded here)."""
+    interleaved = s.full().view(np.float64).astype("<f8", copy=False)
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(_SPECTRUM_MAGIC, _FORMAT_VERSION, s.modulus))
         fh.write(interleaved.tobytes())
 
 
 def load_spectrum(path) -> Spectrum:
+    """Read a ZPSP file; a payload that is not conjugate-symmetric is
+    rejected (see Spectrum.from_full)."""
     modulus, data = _read_payload(path, _SPECTRUM_MAGIC, 2)
-    return Spectrum(modulus, data[0::2] + 1j * data[1::2])
+    return Spectrum.from_full(modulus, data.astype(np.float64).view(np.complex128))

@@ -29,6 +29,11 @@ output needs: the Bohr scan forms the survivors of its least nonzero
 frequency directly, sigmahat of a small B comes from a cosine table over
 [0, P/2] in cache-sized blocks, the exact counts convolve at a 5-smooth
 length, and lambda multiplies out only t <= P/2 of its spectra.
+
+Every spectrum (ahat, sigmahat, hhat) is that of a real function and holds
+only its P//2 + 1 coefficients t <= P/2 (cyclic.Spectrum); the threshold,
+the products and lambda read that half, and a sum over all P frequencies
+mirrors it in fixed_sum's order without building the upper half.
 """
 
 from __future__ import annotations
@@ -449,7 +454,7 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
     a = sieved.function
     lam_a, _, _ = _counted_moments(a, ctx)
     spec_a = a.spectrum()
-    a_hat = spec_a.coefficients
+    a_hat = spec_a.half
 
     rows = []
     # points are sorted by delta, and the threshold set depends on delta alone
@@ -466,7 +471,7 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
                 # in its operands, and that form moves lambda_hhh by an ulp
                 sigma_hat = kernel_spectrum(bohr)
                 h_hat = a_hat * sigma_hat
-                lam_h = lambda_of_spectra(h_hat, h_hat, h_hat)
+                lam_h = lambda_of_spectra(ctx.p, h_hat, h_hat, h_hat)
             gap = abs(lam_a - lam_h)
             smoothing_bound = eps_f + delta_f ** 0.6
             constraint = bd.epsilon_delta_constraint(delta_f, eps_f, config.n, config.c4)

@@ -18,7 +18,7 @@ from itertools import product
 
 import numpy as np
 
-from .cyclic import CyclicFunction, _five_smooth_at_least, fixed_sum
+from .cyclic import SUM_BLOCK, CyclicFunction, _five_smooth_at_least, fixed_sum, mirrored_sum
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 
 # Above this modulus the O(P^2) double loop is refused and callers should
@@ -157,42 +157,51 @@ def lambda_fourier(
     sum does not depend on the numpy build; only t <= P/2 is multiplied
     out (see lambda_of_spectra).
     """
-    _common_modulus(f, g, h)
-    return lambda_of_spectra(
-        f.spectrum().coefficients, g.spectrum().coefficients, h.spectrum().coefficients
-    )
+    p = _common_modulus(f, g, h)
+    return lambda_of_spectra(p, f.spectrum().half, g.spectrum().half, h.spectrum().half)
 
 
-def lambda_of_spectra(fs: np.ndarray, gs: np.ndarray, hs: np.ndarray) -> float:
-    """The spectral core of lambda_fourier on coefficient arrays of one
-    prime length P: fixed_sum over t of x_t = Re(fs(t) * gs(-2t) * hs(t)).
+def lambda_of_spectra(p: int, fs: np.ndarray, gs: np.ndarray, hs: np.ndarray) -> float:
+    """The spectral core of lambda_fourier on half spectra at the prime P:
+    fixed_sum over all t in Z/PZ of x_t = Re(fs(t) * gs(-2t) * hs(t)).
 
-    The arrays must be spectra of real functions, i.e. conjugate-symmetric,
-    as every CyclicFunction spectrum and delta_sweep's ahat * sigmahat are.
-    Then the product at P - t is the exact conjugate of the one at t, so
-    x_(P-t) = x_t in every bit. For odd P only t <= (P - 1)/2 is
-    multiplied out, as (fs(t) * gs(-2t)) * hs(t) in that operand order at
-    every P (a complex product is not bitwise commutative), reading
-    gs(-2t) = gs(P - 2t) through a strided view. The real parts are
-    mirrored into the upper half, and fixed_sum adds all P of them in
-    ascending t.
+    Each array holds coefficients t <= P//2 of a real function's spectrum,
+    as Spectrum.half does (so P is passed: P//2 + 1 is the same for P = 2
+    and P = 3); coefficient P - t is conj of coefficient t, and so
+    x_(P-t) = x_t in every bit. For odd P, x_t is formed only for
+    t <= m = (P - 1)/2, in blocks of SUM_BLOCK, as
+    (fs(t) * gs(-2t)) * hs(t) in that operand order (a complex product is
+    not bitwise commutative). gs(-2t) is read through one of two strided
+    views: gs(0) itself at t = 0, conj(gs[2t]) for 0 < 2t <= m, and
+    gs[P - 2t] otherwise. mirrored_sum then adds x_0 ... x_m, x_m ... x_1
+    in fixed_sum's order without building that sequence, so besides the
+    m + 1 terms only block-sized scratch is made.
 
-    Takes any array that holds a spectrum, so a caller that needs only the
-    operator (delta_sweep's hhat = ahat * sigmahat) never builds h.
+    Takes any array that holds a half spectrum, so a caller that needs only
+    the operator (delta_sweep's hhat = ahat * sigmahat) never builds h.
     """
-    p = fs.size
     if p == 2:
         return fixed_sum((fs * gs[[0, 0]] * hs).real)
     m = (p - 1) // 2
-    products = np.empty(m + 1, dtype=np.complex128)
-    products[0] = fs[0] * gs[0]
-    np.multiply(fs[1 : m + 1], gs[p - 2 : 0 : -2], out=products[1:])
-    products *= hs[: m + 1]
-    terms = np.empty(p)
-    terms[: m + 1] = products.real
-    del products
-    terms[m + 1 :] = terms[m:0:-1]
-    return fixed_sum(terms)
+    terms = np.empty(m + 1)
+    products = np.empty(min(SUM_BLOCK, m + 1), dtype=np.complex128)
+    for start in range(0, m + 1, SUM_BLOCK):
+        stop = min(start + SUM_BLOCK, m + 1)
+        block = products[: stop - start]
+        split = min(max(start, m // 2 + 1), stop)  # 2t <= m below it
+        low = max(start, 1)
+        if low < split:
+            mirrored = block[low - start : split - start]
+            np.conjugate(gs[2 * low : 2 * split : 2], out=mirrored)
+            np.multiply(fs[low:split], mirrored, out=mirrored)
+        if split < stop:
+            np.multiply(fs[split:stop], gs[p - 2 * split :: -2][: stop - split],
+                        out=block[split - start :])
+        if start == 0:
+            block[0] = fs[0] * gs[0]
+        block *= hs[start:stop]
+        terms[start:stop] = block.real
+    return mirrored_sum(terms, p)
 
 
 def count_3aps_integers(members) -> int:

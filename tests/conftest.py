@@ -177,6 +177,42 @@ def lp_norm_unblocked(f: CyclicFunction, k: float) -> float:
     return (fixed_sum(power) / f.modulus) ** (1.0 / k)
 
 
+def gathered_full(half: np.ndarray, p: int) -> np.ndarray:
+    """All P coefficients of a half spectrum, coefficient P - t gathered
+    through an index array as conj(half[t])."""
+    t = np.arange(p, dtype=np.int64)
+    mirror = t >= half.size
+    full = half[np.where(mirror, p - t, t)]
+    full[mirror] = np.conj(full[mirror])
+    return full
+
+
+def lambda_of_full_spectra(fs: np.ndarray, gs: np.ndarray, hs: np.ndarray) -> float:
+    """The progression operator on length-P, conjugate-symmetric spectra:
+    x_t = Re((fs(t) * gs(-2t)) * hs(t)) multiplied out for t <= (P - 1)/2
+    (fs(0) * gs(0) as a scalar product), the real parts mirrored into a
+    length-P array and reduced by one fixed_sum."""
+    p = fs.size
+    if p == 2:
+        return fixed_sum((fs * gs[[0, 0]] * hs).real)
+    m = (p - 1) // 2
+    products = np.empty(m + 1, dtype=np.complex128)
+    products[0] = fs[0] * gs[0]
+    np.multiply(fs[1 : m + 1], gs[p - 2 : 0 : -2], out=products[1:])
+    products *= hs[: m + 1]
+    terms = np.empty(p)
+    terms[: m + 1] = products.real
+    terms[m + 1 :] = terms[m:0:-1]
+    return fixed_sum(terms)
+
+
+def threshold_of_full_spectrum(coefficients: np.ndarray, delta: float):
+    """(raw threshold set, fourth moment) of a length-P spectrum: the t
+    with |coeff[t]| >= delta, and fixed_sum of |coeff|**4 over all P."""
+    magnitudes = np.abs(coefficients)
+    return np.flatnonzero(magnitudes >= delta), fixed_sum(magnitudes**4)
+
+
 def direct_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """(f*g)(x) = (1/P) sum_y f(y) g(x-y) by the definition."""
     p = f.shape[0]
@@ -232,17 +268,16 @@ def bohr_bits_brute(p: int, frequencies, eps) -> np.ndarray:
 
 
 def cosine_table_spectrum_full(members: np.ndarray, p: int) -> np.ndarray:
-    """sigmahat of a symmetric set containing 0, from one P-entry cosine
-    table gathered at b*t mod P for all t <= P/2 at once, each b in
-    ascending order added into one accumulator."""
+    """sigmahat at t <= P/2 of a symmetric set containing 0, from one
+    P-entry cosine table gathered at b*t mod P for all those t at once,
+    each b in ascending order added into one accumulator."""
     k = np.arange(p, dtype=np.int64)
     cosines = np.cos((2 * np.pi / p) * np.minimum(k, p - k))
     t = k[: p // 2 + 1]
     cosine_sum = np.zeros(t.size)
     for b in members[(members > 0) & (2 * members < p)].tolist():
         cosine_sum += cosines[t * b % p]
-    half = (1.0 + 2.0 * cosine_sum) / members.size
-    return np.concatenate((half, half[:0:-1]))
+    return (1.0 + 2.0 * cosine_sum) / members.size
 
 
 def stanley_digits(limit: int) -> list[int]:

@@ -62,7 +62,7 @@ def test_criterion_01_fourier_correctness():
         oracle = direct_dft_stack(stack, p, +1) / p
         for i in range(20):
             f = CyclicFunction(p, stack[i])
-            fwd_err = float(np.max(np.abs(f.spectrum().coefficients - oracle[i])))
+            fwd_err = float(np.max(np.abs(f.spectrum().full() - oracle[i])))
             back = inverse_transform(f.spectrum())
             rt_err = float(np.max(np.abs(back.values - f.values))) / f.sup_norm()
             worst_fwd = max(worst_fwd, fwd_err)
@@ -84,13 +84,13 @@ def test_criterion_02_plancherel_and_convolution_theorem():
             g = CyclicFunction(p, rng.random(p))
             space = float(np.mean(f.values * g.values))
             freq = complex(np.sum(
-                f.spectrum().coefficients * np.conj(g.spectrum().coefficients)
+                f.spectrum().full() * np.conj(g.spectrum().full())
             ))
             worst_pl = max(
                 worst_pl, abs(space - freq) / (lp_norm(f, 2) * lp_norm(g, 2))
             )
-            product = f.spectrum().coefficients * g.spectrum().coefficients
-            lhs = forward_transform(convolve(f, g)).coefficients
+            product = f.spectrum().full() * g.spectrum().full()
+            lhs = forward_transform(convolve(f, g)).full()
             worst_ct = max(worst_ct, float(np.max(np.abs(lhs - product))))
     verdict(
         2,
@@ -160,7 +160,7 @@ def test_criterion_05_wtrick_mass_and_support():
 def test_criterion_06_spectrum_and_bohr_combinatorics(sieved_1e5):
     ctx, _, sieved = sieved_1e5
     spectrum = sieved.function.spectrum()
-    magnitudes = np.abs(spectrum.coefficients)
+    magnitudes = np.abs(spectrum.full())
     fourth = float(np.sum(magnitudes**4))
     markov_ok = all(
         int(np.count_nonzero(magnitudes >= delta)) <= fourth / delta**4

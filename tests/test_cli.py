@@ -28,7 +28,7 @@ def test_transform_subcommand(tmp_path):
     save_function(f, infile)
     assert run_cli("transform", "--in", str(infile), "--out", str(outfile)) == 0
     spectrum = load_spectrum(outfile)
-    assert np.max(np.abs(spectrum.coefficients - direct_forward(f.values))) < 1e-10
+    assert np.max(np.abs(spectrum.full() - direct_forward(f.values))) < 1e-10
 
 
 def test_wtrick_subcommand(tmp_path):
@@ -161,6 +161,21 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     # P = 8388617 at the default z is past the 2^23 FFT budget
     assert run_cli("wtrick", "--n", "16777216", "--out", str(tmp_path / "w.json")) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 7.11 PiB for an array",
+     "error: out of memory: Unable to allocate 7.11 PiB for an array\n"),
+    ("", "error: out of memory\n"),
+])
+def test_memory_error_exits_3_with_one_line(monkeypatch, capsys, message, line):
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("ap3lab.cli.sieve_primes", exhausted)
+    assert run_cli("primes", "--limit", "30") == 3
+    captured = capsys.readouterr()
+    assert captured.err == line and captured.out == ""
 
 
 def test_missing_n_is_invalid(capsys):

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,13 +18,20 @@ from ap3lab.cyclic import (
     load_function,
     load_spectrum,
     lp_norm,
+    mirrored_sum,
     save_function,
     save_spectrum,
     spectral_lp_norm,
     threshold_spectrum,
 )
 from ap3lab.errors import InvalidArgumentError, ResourceLimitError
-from conftest import direct_convolve, direct_forward, lp_norm_unblocked
+from conftest import (
+    direct_convolve,
+    direct_forward,
+    gathered_full,
+    lp_norm_unblocked,
+    threshold_of_full_spectrum,
+)
 
 MODULI = (2, 3, 5, 61, 101, 1009, 2003)
 
@@ -34,7 +42,7 @@ def random_function(p, rng, shift=0.0):
 
 def test_constant_transforms_to_point_mass():
     f = CyclicFunction.constant(101, 3.5)
-    coeffs = f.spectrum().coefficients
+    coeffs = f.spectrum().full()
     assert abs(coeffs[0] - 3.5) < 1e-12
     assert np.max(np.abs(coeffs[1:])) < 1e-12
 
@@ -42,7 +50,7 @@ def test_constant_transforms_to_point_mass():
 def test_point_mass_transforms_to_constant():
     p = 101
     f = CyclicFunction.indicator(p, [0], scale=float(p))
-    coeffs = f.spectrum().coefficients
+    coeffs = f.spectrum().full()
     assert np.max(np.abs(coeffs - 1.0)) < 1e-12
 
 
@@ -52,7 +60,7 @@ def test_sign_convention_is_plus_in_the_forward_exponent():
     p = 101
     x = np.arange(p)
     f = CyclicFunction(p, np.cos(2 * np.pi * x / p) + np.sin(2 * np.pi * x / p))
-    coeffs = f.spectrum().coefficients
+    coeffs = f.spectrum().full()
     assert abs(coeffs[1] - (0.5 + 0.5j)) < 1e-12
     assert abs(coeffs[p - 1] - (0.5 - 0.5j)) < 1e-12
 
@@ -61,7 +69,7 @@ def test_sign_convention_is_plus_in_the_forward_exponent():
 def test_forward_matches_direct_sum(p):
     rng = np.random.default_rng(p)
     f = random_function(p, rng)
-    got = f.spectrum().coefficients
+    got = f.spectrum().full()
     want = direct_forward(f.values)
     assert np.max(np.abs(got - want)) < 1e-9 * lp_norm(f, 2) * math.sqrt(p)
 
@@ -89,7 +97,7 @@ SUPPORT_SHAPES = {
 def test_forward_matches_direct_sum_on_every_support_shape(p, shape):
     # P = 2, 3 and 5 transform at S <= 4, a grid of a single row
     values = SUPPORT_SHAPES[shape](p, np.random.default_rng(p))
-    got = forward_transform(CyclicFunction(p, values)).coefficients
+    got = forward_transform(CyclicFunction(p, values)).full()
     assert np.max(np.abs(got - direct_forward(values))) < 1e-12
     assert np.max(np.abs(got - np.fft.ifft(values))) < 1e-13
 
@@ -98,7 +106,7 @@ def test_forward_matches_direct_sum_on_every_support_shape(p, shape):
 def test_upper_half_is_the_bitwise_conjugate_of_the_lower(shape):
     p = 2003
     values = SUPPORT_SHAPES[shape](p, np.random.default_rng(5))
-    coeffs = forward_transform(CyclicFunction(p, values)).coefficients
+    coeffs = forward_transform(CyclicFunction(p, values)).full()
     t = np.arange(1, p)
     assert np.array_equal(coeffs[p - t], np.conj(coeffs[t]))
 
@@ -109,7 +117,7 @@ def test_forward_matches_numpy_past_one_twiddle_block(p, shape):
     # grids of 135 to 1875 rows: several blocks of _TWIDDLE_ROWS rows,
     # each grid with a partial last one
     values = SUPPORT_SHAPES[shape](p, np.random.default_rng(p))
-    got = forward_transform(CyclicFunction(p, values)).coefficients
+    got = forward_transform(CyclicFunction(p, values)).full()
     assert np.max(np.abs(got - np.fft.ifft(values))) < 1e-13
 
 
@@ -233,6 +241,77 @@ def test_exact_phase_guard_refuses_before_allocating(monkeypatch):
         forward_transform(f)
 
 
+@pytest.mark.parametrize("p", MODULI + (100003,))
+def test_spectrum_holds_only_the_lower_half(p):
+    f = random_function(p, np.random.default_rng(p))
+    s = forward_transform(f)
+    assert s.half.nbytes == 16 * (p // 2 + 1)
+    full = s.full()
+    assert np.array_equal(full, gathered_full(s.half, p))
+    assert np.array_equal(Spectrum.from_full(p, full).half, s.half)
+    if p > 2:  # at P = 2 the half is both coefficients
+        with pytest.raises(InvalidArgumentError):
+            Spectrum(p, full)  # a length-P array is not a half spectrum
+
+
+@pytest.mark.parametrize(
+    "size",
+    [2, 3, 5, SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 2 * SUM_BLOCK - 1,
+     2 * SUM_BLOCK + 1, 8191, 3 * SUM_BLOCK + 17],
+)
+def test_mirrored_sum_is_the_fixed_sum_of_the_mirrored_sequence(size):
+    half = np.random.default_rng(size).standard_normal(size // 2 + 1) * 1e3
+    sequence = gathered_full(half + 0j, size).real
+    assert mirrored_sum(half, size) == fixed_sum(sequence)
+    cubes = mirrored_sum(half, size, lambda view, out: np.multiply(view, view * view, out=out))
+    assert cubes == fixed_sum(sequence * (sequence * sequence))
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 1009, 8191, 40009])
+def test_threshold_spectrum_matches_the_full_length_oracle(p):
+    rng = np.random.default_rng(p)
+    for f in (random_function(p, rng), CyclicFunction.indicator(p, range(0, p, 3))):
+        s = f.spectrum()
+        raw, fourth_moment = threshold_of_full_spectrum(s.full(), 0.0)
+        assert cyclic._fourth_moment(np.abs(s.half), p) == fourth_moment
+        for delta in (1e-3, 0.01, 0.05, 0.3):
+            raw, _ = threshold_of_full_spectrum(s.full(), delta)
+            freqs, raw_size = threshold_spectrum(s, delta)
+            assert raw_size == raw.size
+            assert np.array_equal(freqs, np.union1d(raw, [1]))
+
+
+def test_spectral_norm_is_a_fixed_order_sum_with_no_length_p_temporary():
+    p = 100003
+    s = random_function(p, np.random.default_rng(4)).spectrum()
+    magnitudes = np.abs(s.full())
+    for k in (1, 2, 4, 2.5):
+        if float(k).is_integer():
+            power = magnitudes.copy()
+            for _ in range(int(k) - 1):
+                power *= magnitudes
+        else:
+            power = magnitudes**k
+        assert spectral_lp_norm(s, k) == fixed_sum(power) ** (1.0 / k)
+    tracemalloc.start()
+    try:
+        spectral_lp_norm(s, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1.0, -3.0, 2.0], [-1.0, -0.5, -2.0], [0.0, -0.0, 0.0], [-0.0, -0.0, -0.0],
+     [0.0, 0.0, 0.0], [2.5, -2.5, 0.0]],
+)
+def test_sup_norm_is_the_largest_magnitude_in_every_bit(values):
+    f = CyclicFunction(3, values)
+    assert repr(f.sup_norm()) == repr(float(np.max(np.abs(f.values))))
+
+
 @pytest.mark.parametrize("p", MODULI)
 def test_round_trip_identity(p):
     rng = np.random.default_rng(p + 1)
@@ -243,11 +322,11 @@ def test_round_trip_identity(p):
 
 def test_inverse_of_single_coefficient_spectrum():
     p = 101
-    s = Spectrum(p, np.eye(p, dtype=complex)[0] * 2.5)
+    s = Spectrum.from_full(p, np.eye(p, dtype=complex)[0] * 2.5)
     f = inverse_transform(s)
     assert np.max(np.abs(f.values - 2.5)) < 1e-12
     # all-ones spectrum is the dual point mass
-    g = inverse_transform(Spectrum(p, np.ones(p, dtype=complex)))
+    g = inverse_transform(Spectrum.from_full(p, np.ones(p, dtype=complex)))
     expected = np.zeros(p)
     expected[0] = p
     assert np.max(np.abs(g.values - expected)) < 1e-9
@@ -258,7 +337,7 @@ def test_inverse_rejects_asymmetric_spectrum():
     coeffs = np.zeros(p, dtype=complex)
     coeffs[1] = 1.0  # no conjugate partner at -1
     with pytest.raises(InvalidArgumentError):
-        inverse_transform(Spectrum(p, coeffs))
+        inverse_transform(Spectrum.from_full(p, coeffs))
 
 
 def test_convolution_identity_element():
@@ -296,7 +375,7 @@ def test_plancherel_inner_product(p):
     f, g = random_function(p, rng), random_function(p, rng)
     space = float(np.mean(f.values * g.values))
     freq = complex(
-        np.sum(f.spectrum().coefficients * np.conj(g.spectrum().coefficients))
+        np.sum(f.spectrum().full() * np.conj(g.spectrum().full()))
     )
     assert abs(space - freq) < 1e-10 * lp_norm(f, 2) * lp_norm(g, 2)
 
@@ -306,8 +385,8 @@ def test_convolution_theorem(p):
     rng = np.random.default_rng(p + 4)
     f, g = random_function(p, rng), random_function(p, rng)
     # convolve carries fhat * ghat as its memo, so transform the values afresh
-    lhs = forward_transform(convolve(f, g)).coefficients
-    rhs = f.spectrum().coefficients * g.spectrum().coefficients
+    lhs = forward_transform(convolve(f, g)).full()
+    rhs = f.spectrum().full() * g.spectrum().full()
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -408,7 +487,7 @@ def test_coefficients_bounded_by_l1_norm():
     rng = np.random.default_rng(12)
     f = CyclicFunction(1009, rng.standard_normal(1009))
     bound = lp_norm(f, 1) + 1e-12
-    assert np.max(np.abs(f.spectrum().coefficients)) <= bound
+    assert np.max(np.abs(f.spectrum().full())) <= bound
 
 
 def test_threshold_spectrum_adjoins_one():
@@ -419,7 +498,7 @@ def test_threshold_spectrum_adjoins_one():
     # a flat spectrum meets the Markov count with equality; only rounding
     # of the fourth moment separates the two sides
     for p, delta in ((101, 0.1), (1009, 0.3), (2003, 0.3)):
-        flat = Spectrum(p, np.full(p, delta) + 0j)
+        flat = Spectrum.from_full(p, np.full(p, delta) + 0j)
         assert threshold_spectrum(flat, delta)[0].tolist() == list(range(p))
     with pytest.raises(InvalidArgumentError):
         threshold_spectrum(const.spectrum(), 0.0)
@@ -428,15 +507,17 @@ def test_threshold_spectrum_adjoins_one():
 def test_threshold_spectrum_counts_the_raw_set_without_one():
     rng = np.random.default_rng(17)
     p = 1009
-    spectra = [CyclicFunction(p, rng.random(p)).spectrum().coefficients]
+    spectra = [CyclicFunction(p, rng.random(p)).spectrum().full()]
     for first in (0.05, 0.1, 0.2):  # |coeff[1]| below, at and above delta = 0.1
         coeffs = rng.random(p) * 0.2 + 0j
         coeffs[1] = first
+        # a spectrum of a real function: coeff[P - t] = conj(coeff[t])
+        coeffs[p // 2 + 1 :] = np.conj(coeffs[p // 2 : 0 : -1])
         spectra.append(coeffs)
     below = 0
     for coeffs in spectra:
         for delta in (0.01, 0.1, 0.15):
-            freqs, raw_size = threshold_spectrum(Spectrum(p, coeffs), delta)
+            freqs, raw_size = threshold_spectrum(Spectrum.from_full(p, coeffs), delta)
             assert raw_size == int(np.count_nonzero(np.abs(coeffs) >= delta))
             assert raw_size == freqs.size - (abs(coeffs[1]) < delta)
             below += abs(coeffs[1]) < delta
@@ -448,7 +529,7 @@ def test_threshold_spectrum_markov_bound():
     f = CyclicFunction(1009, rng.random(1009))
     s = f.spectrum()
     for delta in (0.02, 0.05, 0.1):
-        raw = int(np.count_nonzero(np.abs(s.coefficients) >= delta))
+        raw = int(np.count_nonzero(np.abs(s.full()) >= delta))
         assert raw <= spectral_lp_norm(s, 4) ** 4 / delta**4
 
 
@@ -489,7 +570,35 @@ def test_serialization_round_trip(tmp_path):
     assert raw[:4] == b"ZPSP"
     assert len(raw) == 16 + 16 * 101
     back_s = load_spectrum(spath)
-    assert np.array_equal(back_s.coefficients, s.coefficients)
+    assert np.array_equal(back_s.full(), s.full())
+
+
+def test_saved_spectrum_holds_all_p_coefficients(tmp_path):
+    # the file format holds coefficient P - t as conj(coefficient t), byte
+    # for byte as a length-P spectrum was written before spectra were halved
+    for p in (2, 3, 101, 8191):
+        s = random_function(p, np.random.default_rng(p)).spectrum()
+        path = tmp_path / f"s{p}.zpsp"
+        save_spectrum(s, path)
+        full = gathered_full(s.half, p)
+        interleaved = np.empty(2 * p, dtype="<f8")
+        interleaved[0::2], interleaved[1::2] = full.real, full.imag
+        header = b"ZPSP" + (1).to_bytes(4, "little") + p.to_bytes(8, "little")
+        assert path.read_bytes() == header + interleaved.tobytes()
+        assert np.array_equal(load_spectrum(path).half, s.half)
+
+
+def test_load_rejects_an_asymmetric_spectrum(tmp_path):
+    p = 101
+    s = random_function(p, np.random.default_rng(6)).spectrum()
+    path = tmp_path / "s.zpsp"
+    save_spectrum(s, path)
+    blob = bytearray(path.read_bytes())
+    # coefficient 1 loses its conjugate partner at P - 1
+    blob[16 + 16 * 1 + 8 : 16 + 16 * 2] = np.array([5.0], dtype="<f8").tobytes()
+    path.write_bytes(bytes(blob))
+    with pytest.raises(InvalidArgumentError, match="conjugate-symmetric"):
+        load_spectrum(path)
 
 
 MALFORMED_FILES = {

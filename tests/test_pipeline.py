@@ -127,7 +127,7 @@ def test_golden_bytes_do_not_depend_on_transform_rounding(monkeypatch):
         calls.append(f.modulus)
         s = exact(f)
         return cyclic.Spectrum(
-            s.modulus, s.coefficients * (1 + 2.0**-52), validate_modulus=False
+            s.modulus, s.half * (1 + 2.0**-52), validate_modulus=False
         )
 
     monkeypatch.setattr(cyclic, "forward_transform", one_ulp_off)

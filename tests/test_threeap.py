@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from conftest import (
     additive_energy_brute,
     count_3aps_brute,
     lambda_enumerate,
+    lambda_of_full_spectra,
     stanley_digits,
 )
 
@@ -82,9 +84,9 @@ def test_fourier_reduces_the_real_products_in_a_fixed_order():
     f, g, h = random_triple(p, np.random.default_rng(5))
     t = np.arange(p)
     products = (
-        f.spectrum().coefficients
-        * g.spectrum().coefficients[(-2 * t) % p]
-        * h.spectrum().coefficients
+        f.spectrum().full()
+        * g.spectrum().full()[(-2 * t) % p]
+        * h.spectrum().full()
     )
     assert lambda_fourier(f, g, h) == fixed_sum(products.real)
 
@@ -286,7 +288,7 @@ def test_fourier_past_one_sum_block():
     lam = lambda_fourier(f, g, h)
     assert math.isclose(lam, lambda_direct(f, g, h).lambda_value, rel_tol=1e-12)
     gathered = _gathered_lambda(
-        f.spectrum().coefficients, g.spectrum().coefficients, h.spectrum().coefficients
+        f.spectrum().full(), g.spectrum().full(), h.spectrum().full()
     )
     assert abs(lam - gathered) <= 1e-13 * abs(gathered)
 
@@ -300,10 +302,49 @@ def test_half_spectrum_products_sum_in_the_full_order():
     # last bit.
     p = 20011
     f, g, h = (CyclicFunction.indicator(p, [x], scale=p) for x in (0, 1, 5))
-    fs, gs, hs = (fn.spectrum().coefficients for fn in (f, g, h))
-    lam = lambda_of_spectra(fs, gs, hs)
+    lam = lambda_of_spectra(p, *(fn.spectrum().half for fn in (f, g, h)))
     assert abs(lam) < 1e-9
-    assert lam == _gathered_lambda(fs, gs, hs)
+    assert lam == _gathered_lambda(*(fn.spectrum().full() for fn in (f, g, h)))
+
+
+# both strided views of gs(-2t) and the m // 2 boundary between them at
+# every P past 3; m + 1 = (P + 1) / 2 is 4090, 4096 and 4105 terms about
+# one SUM_BLOCK at 8179, 8191 and 8209
+STREAMED_LAMBDA_MODULI = (2, 3, 5, 7, 11, 101, 8179, 8191, 8209, 40009)
+
+
+@pytest.mark.parametrize("p", STREAMED_LAMBDA_MODULI)
+def test_streamed_lambda_is_bit_equal_to_the_full_length_form(p):
+    rng = np.random.default_rng(p)
+    triples = [
+        random_triple(p, rng),
+        # point masses: lambda is rounding alone, so every product counts
+        tuple(CyclicFunction.indicator(p, [x], scale=p) for x in (0, 1, 5)),
+    ]
+    for f, g, h in triples:
+        got = lambda_of_spectra(p, *(fn.spectrum().half for fn in (f, g, h)))
+        want = lambda_of_full_spectra(*(fn.spectrum().full() for fn in (f, g, h)))
+        assert got == want
+    # delta_sweep's form: a complex half times a real, symmetric kernel
+    a_spectrum = random_triple(p, rng)[0].spectrum()
+    kernel = rng.random(p // 2 + 1)
+    product = a_spectrum.half * kernel
+    full_product = a_spectrum.full() * np.concatenate((kernel, kernel[p - kernel.size : 0 : -1]))
+    got = lambda_of_spectra(p, product, product, product)
+    assert got == lambda_of_full_spectra(full_product, full_product, full_product)
+
+
+def test_streamed_lambda_makes_no_half_length_complex_temporary():
+    # only its m + 1 float64 terms (8 * (P//2 + 1) bytes) and block scratch
+    p = 100003
+    halves = [fn.spectrum().half for fn in random_triple(p, np.random.default_rng(3))]
+    tracemalloc.start()
+    try:
+        lambda_of_spectra(p, *halves)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (p // 2 + 1) + (1 << 20)
 
 
 def test_additive_counts_of_shuffled_input_with_duplicates(monkeypatch):
