@@ -121,8 +121,7 @@ class Spectrum:
         self.half = half
 
     @classmethod
-    def from_full(cls, modulus: int, coefficients,
-                  validate_modulus: bool = True) -> "Spectrum":
+    def from_full(cls, modulus: int, coefficients) -> "Spectrum":
         """The spectrum whose P coefficients are given, which must be those
         of a real function: coeff[P - t] = conj(coeff[t]) up to 1e-6 of the
         largest coefficient, or InvalidArgumentError is raised."""
@@ -137,7 +136,7 @@ class Spectrum:
             raise InvalidArgumentError(
                 "spectrum is not conjugate-symmetric: it is not that of a real function"
             )
-        return cls(modulus, coefficients[: modulus // 2 + 1], validate_modulus)
+        return cls(modulus, coefficients[: modulus // 2 + 1])
 
     def full(self) -> np.ndarray:
         """All P coefficients, a new array: coeff[P - t] = conj(half[t])."""

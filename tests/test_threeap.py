@@ -329,7 +329,8 @@ def test_streamed_lambda_is_bit_equal_to_the_full_length_form(p):
     a_spectrum = random_triple(p, rng)[0].spectrum()
     kernel = rng.random(p // 2 + 1)
     product = a_spectrum.half * kernel
-    full_product = a_spectrum.full() * np.concatenate((kernel, kernel[p - kernel.size : 0 : -1]))
+    full_kernel = np.concatenate((kernel, kernel[p - kernel.size : 0 : -1]))
+    full_product = a_spectrum.full() * full_kernel
     got = lambda_of_spectra(p, product, product, product)
     assert got == lambda_of_full_spectra(full_product, full_product, full_product)
 
