@@ -65,34 +65,34 @@ def as_radius(eps) -> Fraction:
 
 
 class BohrSet:
-    """B(R, eps) with bit-packed membership. Immutable."""
+    """B(R, eps), held as its members: one read-only, ascending int64
+    array of residues in [0, P). size and measure derive from it, and
+    members() returns it as it is. Immutable."""
 
-    __slots__ = ("modulus", "frequencies", "radius", "bits", "size")
+    __slots__ = ("modulus", "frequencies", "radius", "_members")
 
-    def __init__(self, modulus, frequencies, radius, bits, size):
+    def __init__(self, modulus, frequencies, radius, members):
         self.modulus = modulus
         self.frequencies = frequencies
         self.radius = radius
-        self.bits = bits
-        self.size = size
-        bits.setflags(write=False)
+        self._members = np.asarray(members, dtype=np.int64)
+        self._members.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        return int(self._members.size)
 
     @property
     def measure(self) -> float:
         return self.size / self.modulus
 
-    def contains(self, n: int) -> bool:
-        i = n % self.modulus
-        return bool((self.bits[i >> 3] >> (7 - (i & 7))) & 1)
-
     def members(self) -> np.ndarray:
-        flags = np.unpackbits(self.bits)[: self.modulus]
-        return np.flatnonzero(flags).astype(np.int64)
+        return self._members
 
 
 def build_bohr_set(p: int, frequencies, eps) -> BohrSet:
     """Exact member scan, seeded by the first frequency, then survivor
-    compaction.
+    compaction; the sorted survivors are the set's members.
 
     Frequency 0 passes every n. For the least nonzero frequency x the test
     q*min(t, P-t) <= p*P with t = n*x mod P passes exactly when t lies in
@@ -146,16 +146,8 @@ def build_bohr_set(p: int, frequencies, eps) -> BohrSet:
             f"pigeonhole lower bound |B| >= P*eps^|R| failed (|B| = {size}, "
             f"P = {p}, eps = {radius}, |R| = {d}); membership scan is broken"
         )
-
-    member = np.zeros(p, dtype=bool)
-    member[survivors] = True
-    return BohrSet(
-        modulus=p,
-        frequencies=tuple(freqs),
-        radius=radius,
-        bits=np.packbits(member),
-        size=size,
-    )
+    survivors.sort()  # in place: survivors is this scan's own array
+    return BohrSet(p, tuple(freqs), radius, survivors)
 
 
 def normalized_indicator(bohr: BohrSet) -> CyclicFunction:
@@ -177,7 +169,7 @@ def normalized_indicator(bohr: BohrSet) -> CyclicFunction:
             )
     values = np.zeros(p)
     values[members] = p / bohr.size
-    return CyclicFunction(p, values, validate_modulus=False)
+    return CyclicFunction(p, values)
 
 
 def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
@@ -213,7 +205,7 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     if bohr.size <= _SHIFTED_SUM_MAX_SIZE:
         return _shifted_average(a, bohr)
     sigma_hat = kernel_spectrum(bohr)
-    product = Spectrum(a.modulus, a.spectrum().half * sigma_hat, validate_modulus=False)
+    product = Spectrum(a.modulus, a.spectrum().half * sigma_hat)
     del sigma_hat  # free it before the inverse transform
     h = from_spectrum(product)
     low = float(h.values.min())
@@ -227,7 +219,7 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
         roundoff = _ROUNDOFF_DIP_ULPS * np.finfo(np.float64).eps * math.log2(h.modulus)
         if -low <= roundoff * scale:
             return clamp_at_zero(h)
-        return CyclicFunction(h.modulus, np.maximum(h.values, 0.0), validate_modulus=False)
+        return CyclicFunction(h.modulus, np.maximum(h.values, 0.0))
     return h
 
 
@@ -318,6 +310,6 @@ def _shifted_average(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
             f"shifted average of nonnegative inputs went to {low!r}"
         )
 
-    h = CyclicFunction(p, values, validate_modulus=False)
-    h._spectrum = Spectrum(p, a.spectrum().half * sigma_hat, validate_modulus=False)
+    h = CyclicFunction(p, values)
+    h._spectrum = Spectrum(p, a.spectrum().half * sigma_hat)
     return h

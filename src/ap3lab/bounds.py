@@ -54,7 +54,7 @@ def level_set_extract(
             f"mean {l1:.6g} is below the requested mass alpha = {alpha:.6g}"
         )
     threshold = alpha / 2.0
-    level_set = np.flatnonzero(values >= threshold).astype(np.int64)
+    level_set = np.flatnonzero(values >= threshold).astype(np.int64, copy=False)
     c_norm = lp_norm(f, p)
     q = p / (p - 1.0)
     mu = level_set.size / f.modulus

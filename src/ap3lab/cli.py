@@ -52,7 +52,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ap3lab", description=__doc__)
     parser.add_argument("--config", help="JSON config file: pipeline fields and fft_budget")
     parser.add_argument("--force", action="store_true",
-                        help="lift theory-range guards, tagging output exploratory")
+                        help="echo force: true in the report's config (changes no value)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("primes", help="write primes up to a limit, one per line")
@@ -157,7 +157,8 @@ def _pipeline_config(args) -> PipelineConfig:
         raw["delta_grid"] = [v for v in args.delta_grid.split(",")]
     if getattr(args, "eps_grid", None):
         raw["epsilon_grid"] = [v for v in args.eps_grid.split(",")]
-    raw["force"] = args.force
+    if args.force:
+        raw["force"] = True
     if "n" not in raw:
         raise InvalidArgumentError("--n (or a config file with n) is required")
     return PipelineConfig.from_dict(raw)

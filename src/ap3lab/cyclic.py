@@ -57,7 +57,7 @@ class CyclicFunction:
 
     __slots__ = ("modulus", "values", "_spectrum")
 
-    def __init__(self, modulus: int, values, validate_modulus: bool = True):
+    def __init__(self, modulus: int, values):
         values = np.ascontiguousarray(values, dtype=np.float64)
         if values.shape != (modulus,):
             raise InvalidArgumentError(
@@ -65,7 +65,7 @@ class CyclicFunction:
             )
         if not np.all(np.isfinite(values)):
             raise InvalidArgumentError("function values must be finite")
-        if validate_modulus and not is_prime(modulus):
+        if not is_prime(modulus):
             raise InvalidArgumentError(f"modulus {modulus} is not prime")
         values.setflags(write=False)
         self.modulus = modulus
@@ -107,14 +107,14 @@ class Spectrum:
 
     __slots__ = ("modulus", "half")
 
-    def __init__(self, modulus: int, half, validate_modulus: bool = True):
+    def __init__(self, modulus: int, half):
         half = np.ascontiguousarray(half, dtype=np.complex128)
         if half.shape != (modulus // 2 + 1,):
             raise InvalidArgumentError(
                 f"expected {modulus // 2 + 1} coefficients for P = {modulus}, "
                 f"got shape {half.shape}"
             )
-        if validate_modulus and not is_prime(modulus):
+        if not is_prime(modulus):
             raise InvalidArgumentError(f"modulus {modulus} is not prime")
         half.setflags(write=False)
         self.modulus = modulus
@@ -162,7 +162,7 @@ def forward_transform(f: CyclicFunction) -> Spectrum:
     so its convolution is about 5P/6 long instead of the 2P a generic
     prime-length FFT pads to.
     """
-    return Spectrum(f.modulus, _half_chirp_z(f.values), validate_modulus=False)
+    return Spectrum(f.modulus, _half_chirp_z(f.values))
 
 
 def _half_chirp_z(values: np.ndarray) -> np.ndarray:
@@ -330,7 +330,7 @@ def inverse_transform(s: Spectrum) -> CyclicFunction:
     """
     values = s.full()
     np.fft.fft(values, out=values)
-    return CyclicFunction(s.modulus, values.real, validate_modulus=False)
+    return CyclicFunction(s.modulus, values.real)
 
 
 def convolve(f: CyclicFunction, g: CyclicFunction) -> CyclicFunction:
@@ -343,9 +343,7 @@ def convolve(f: CyclicFunction, g: CyclicFunction) -> CyclicFunction:
         raise InvalidArgumentError(
             f"modulus mismatch: {f.modulus} vs {g.modulus}"
         )
-    product = Spectrum(
-        f.modulus, f.spectrum().half * g.spectrum().half, validate_modulus=False
-    )
+    product = Spectrum(f.modulus, f.spectrum().half * g.spectrum().half)
     return from_spectrum(product)
 
 
@@ -365,7 +363,7 @@ def clamp_at_zero(f: CyclicFunction) -> CyclicFunction:
     |chat(t)| <= max |c| for every t, so the kept spectrum is off by no
     more than the largest clamped value. The caller bounds that value.
     """
-    out = CyclicFunction(f.modulus, np.maximum(f.values, 0.0), validate_modulus=False)
+    out = CyclicFunction(f.modulus, np.maximum(f.values, 0.0))
     out._spectrum = f._spectrum
     return out
 

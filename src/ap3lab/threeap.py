@@ -105,23 +105,18 @@ def trivial_mass(f: CyclicFunction, g: CyclicFunction, h: CyclicFunction) -> flo
     return fixed_sum(f.values * g.values * h.values) / (p * p)
 
 
-def lambda_direct(
-    f: CyclicFunction,
-    g: CyclicFunction,
-    h: CyclicFunction,
-    ceiling: int = DIRECT_LAMBDA_CEILING,
-) -> APReport:
+def lambda_direct(f: CyclicFunction, g: CyclicFunction, h: CyclicFunction) -> APReport:
     """Exact double sum (1/P^2) sum_{x,d} f(x) g(x+d) h(x+2d).
 
-    O(P^2); refuses past the ceiling (raise it only for one-off oracle
-    runs). The terms f(x) g(x+d) h(x+2d) are added elementwise into one
-    P-wide accumulator in ascending d, and the accumulator is reduced by
-    one fixed_sum, so the result does not depend on the numpy build.
+    O(P^2); refuses P past DIRECT_LAMBDA_CEILING. The terms
+    f(x) g(x+d) h(x+2d) are added elementwise into one P-wide accumulator
+    in ascending d, and the accumulator is reduced by one fixed_sum, so the
+    result does not depend on the numpy build.
     """
     p = _common_modulus(f, g, h)
-    if p > ceiling:
+    if p > DIRECT_LAMBDA_CEILING:
         raise ResourceLimitError(
-            f"P = {p} exceeds the direct-evaluation ceiling {ceiling};"
+            f"P = {p} exceeds the direct-evaluation ceiling {DIRECT_LAMBDA_CEILING};"
             " use lambda_fourier"
         )
     fv = f.values

@@ -192,7 +192,7 @@ def build_sieved_function(
 
     values = np.zeros(ctx.p)
     values[a0] = ctx.scale
-    function = CyclicFunction(ctx.p, values, validate_modulus=False)
+    function = CyclicFunction(ctx.p, values)
 
     alpha = members.size / prime_count(prime_table, ctx.n)
     l1_norm = ctx.scale * a0.size / ctx.p

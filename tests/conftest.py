@@ -164,17 +164,17 @@ def direct_forward(values: np.ndarray) -> np.ndarray:
     return direct_dft_stack(values, p, +1)[0] / p
 
 
-def lp_norm_unblocked(f: CyclicFunction, k: float) -> float:
+def lp_norm_unblocked(values: np.ndarray, k: float) -> float:
     """(mean |f|^k)^(1/k) from whole-length |f| and power arrays, the
     power by repeated multiplication for integer k, summed by fixed_sum."""
-    magnitudes = np.abs(f.values)
+    magnitudes = np.abs(values)
     if float(k).is_integer():
         power = magnitudes.copy()
         for _ in range(int(k) - 1):
             power *= magnitudes
     else:
         power = magnitudes**k
-    return (fixed_sum(power) / f.modulus) ** (1.0 / k)
+    return (fixed_sum(power) / values.size) ** (1.0 / k)
 
 
 def gathered_full(half: np.ndarray, p: int) -> np.ndarray:
@@ -255,16 +255,16 @@ def additive_energy_brute(members) -> int:
     return sum(1 for a in arr for b in arr for c in arr if a + b - c in s)
 
 
-def bohr_bits_brute(p: int, frequencies, eps) -> np.ndarray:
-    """Packed membership bits of B(R, eps) by testing every n in Z/PZ
+def bohr_members_brute(p: int, frequencies, eps) -> np.ndarray:
+    """The ascending members of B(R, eps) by testing every n in Z/PZ
     against every frequency, with ||n*x/P|| <= eps as a Fraction."""
     radius = Fraction(eps)
-    member = np.zeros(p, dtype=bool)
-    for n in range(p):
-        member[n] = all(
-            Fraction(min(n * x % p, p - n * x % p), p) <= radius for x in frequencies
-        )
-    return np.packbits(member)
+    members = [
+        n
+        for n in range(p)
+        if all(Fraction(min(n * x % p, p - n * x % p), p) <= radius for x in frequencies)
+    ]
+    return np.array(members, dtype=np.int64)
 
 
 def cosine_table_spectrum_full(members: np.ndarray, p: int) -> np.ndarray:

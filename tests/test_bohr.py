@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from ap3lab.cyclic import CyclicFunction, Spectrum, convolve, lp_norm
 from ap3lab.errors import InvalidArgumentError, InvariantError
 from ap3lab.threeap import lambda_direct, lambda_fourier
 from conftest import (
-    bohr_bits_brute,
+    bohr_members_brute,
     cosine_table_spectrum_full,
     direct_dft_stack,
     direct_forward,
@@ -47,7 +48,7 @@ def test_zero_frequency_imposes_nothing():
 def test_contains_zero_and_symmetric():
     bohr = build_bohr_set(1009, [3, 25, 119], "0.07")
     members = bohr.members()
-    assert bohr.contains(0)
+    assert members[0] == 0
     assert set(members.tolist()) == {(1009 - n) % 1009 for n in members.tolist()}
 
 
@@ -273,15 +274,6 @@ def test_kernel_spectrum_rejects_a_broken_transform(monkeypatch, case):
         kernel_spectrum(bohr)
 
 
-def test_kernel_spectrum_rejects_a_wrong_mass_on_the_cosine_table():
-    # three members but a recorded size of 4: sigmahat(0) = 3/4
-    p = 101
-    bits = np.packbits(np.isin(np.arange(p), [0, 1, 100]))
-    miscounted = BohrSet(p, (1,), Fraction(1, 50), bits, 4)
-    with pytest.raises(InvariantError, match="at 0"):
-        kernel_spectrum(miscounted)
-
-
 def test_shifted_sum_is_an_exact_average_of_values():
     # h(x) = (1/|B|) sum_b a(x - b): exactly zero away from the support of
     # a, with no clamp, and equal to the plain average of the shifts
@@ -312,8 +304,7 @@ def test_shifted_sum_needs_a_symmetric_set_with_zero():
     p = 101
     a = CyclicFunction.constant(p, 1.0)
     for members in ([0, 1, 2], [1, 100]):
-        bits = np.packbits(np.isin(np.arange(p), members))
-        lopsided = BohrSet(p, (1,), Fraction(1, 10), bits, len(members))
+        lopsided = BohrSet(p, (1,), Fraction(1, 10), members)
         with pytest.raises(InvariantError, match="symmetric"):
             smooth(a, lopsided)
 
@@ -387,8 +378,7 @@ try:
     smooth(CyclicFunction(101, dipped), build_bohr_set(101, [1], "0.05"))
 except InvariantError:
     raised.append("shifted_sum")
-bits = np.packbits(np.isin(np.arange(101), [0, 50, 51]))
-wide = BohrSet(101, (1,), Fraction(1, 10), bits, 3)
+wide = BohrSet(101, (1,), Fraction(1, 10), [0, 50, 51])
 try:
     normalized_indicator(wide)
 except InvariantError:
@@ -454,9 +444,29 @@ def _seed_cases():
 @pytest.mark.parametrize("p, freqs, eps", _seed_cases())
 def test_seeded_scan_bits_match_the_brute_force_oracle(p, freqs, eps):
     bohr = build_bohr_set(p, freqs, eps)
-    want = bohr_bits_brute(p, freqs, eps)
-    assert np.array_equal(bohr.bits, want)
-    assert bohr.size == int(np.unpackbits(want)[:p].sum())
+    want = bohr_members_brute(p, freqs, eps)
+    assert np.array_equal(bohr.members(), want)
+    assert bohr.size == want.size
+
+
+def test_members_are_held_ascending_and_read_only():
+    # the seeded scan leaves its survivors out of order; the set holds them
+    # sorted, and members() hands out that one array with nothing allocated
+    p = 100003
+    bohr = build_bohr_set(p, [7, 2058, 1006], "0.1")
+    members = bohr.members()
+    assert members.dtype == np.int64
+    assert not members.flags.writeable
+    assert np.all(np.diff(members) > 0) and 0 <= members[0] and members[-1] < p
+    assert bohr.size == members.size and bohr.measure == members.size / p
+    tracemalloc.start()
+    try:
+        again = bohr.members()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again is members
+    assert peak < 1024
 
 
 def test_seed_cases_reach_the_inverse_and_the_full_group():
@@ -477,8 +487,7 @@ def test_seed_cases_reach_the_inverse_and_the_full_group():
 
 def _symmetric_bohr_set(p, shifts):
     members = sorted({0} | {b % p for b in shifts} | {-b % p for b in shifts})
-    bits = np.packbits(np.isin(np.arange(p), members))
-    return BohrSet(p, (1,), Fraction(1, 4), bits, len(members))
+    return BohrSet(p, (1,), Fraction(1, 4), members)
 
 
 @pytest.mark.parametrize("p", [20011, 100003])

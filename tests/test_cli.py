@@ -116,6 +116,26 @@ def test_pipeline_with_config_file(tmp_path):
     assert report["config"]["delta"] == "0.4"
 
 
+def test_force_is_only_echoed_in_the_config(tmp_path):
+    # --force changes no computed value: the two reports differ only in
+    # config.force, and their CSVs are the same bytes; a config file's
+    # force is kept when the flag is not given
+    args = ["pipeline", "--n", "100000", "--delta", "0.05", "--eps", "0.1", "--k", "1,2,3"]
+    plain, forced = tmp_path / "plain.json", tmp_path / "forced.json"
+    assert run_cli(*args, "--out", str(plain)) == 0
+    assert run_cli("--force", *args, "--out", str(forced)) == 0
+    want, got = json.loads(plain.read_text()), json.loads(forced.read_text())
+    assert want["config"]["force"] is False and got["config"]["force"] is True
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"force": True}))
+    from_file = tmp_path / "from_file.json"
+    assert run_cli("--config", str(config), *args, "--out", str(from_file)) == 0
+    assert from_file.read_bytes() == forced.read_bytes()
+    got["config"]["force"] = False
+    assert got == want
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "forced.csv").read_bytes()
+
+
 def test_sweep_subcommands(tmp_path):
     out = tmp_path / "norm.csv"
     assert run_cli(

@@ -126,9 +126,7 @@ def test_golden_bytes_do_not_depend_on_transform_rounding(monkeypatch):
     def one_ulp_off(f):
         calls.append(f.modulus)
         s = exact(f)
-        return cyclic.Spectrum(
-            s.modulus, s.half * (1 + 2.0**-52), validate_modulus=False
-        )
+        return cyclic.Spectrum(s.modulus, s.half * (1 + 2.0**-52))
 
     monkeypatch.setattr(cyclic, "forward_transform", one_ulp_off)
     report = run_pipeline(

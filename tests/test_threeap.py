@@ -10,6 +10,7 @@ from ap3lab.errors import InvalidArgumentError, InvariantError, ResourceLimitErr
 from ap3lab.primes import next_prime_above
 from ap3lab.threeap import (
     AUTOCONVOLUTION_ROUNDING_BOUND,
+    DIRECT_LAMBDA_CEILING,
     additive_counts,
     behrend_set,
     count_3aps_integers,
@@ -131,9 +132,7 @@ def test_translation_invariance():
 
 
 def test_direct_ceiling():
-    f = CyclicFunction.constant(20021, 1.0)  # 20021 = prime > 20011? no: not prime
-    # use an actual prime above the ceiling
-    p = next_prime_above(20011)
+    p = next_prime_above(DIRECT_LAMBDA_CEILING)
     f = CyclicFunction.constant(p, 1.0)
     with pytest.raises(ResourceLimitError):
         lambda_direct(f, f, f)
