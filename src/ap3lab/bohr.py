@@ -40,11 +40,20 @@ _KERNEL_SPECTRUM_TOL = 1e-9
 # per member of B (spread at random) at P = 5000011, against 3.8 s for the
 # transform of sigma and the inverse, and 0.0011-0.0018 s against 0.29 s
 # at P = 500009. The crossover is near |B| = 230 and 260; this stays below.
+# Those figures are for sets that are not progressions: a progression pays
+# for neither the table nor the transform of sigma (see kernel_spectrum),
+# only for the shifted adds or the inverse transform.
 _SHIFTED_SUM_MAX_SIZE = 128
 
 # Frequencies per block of the cosine-table sigmahat: the block's phases,
 # gathered cosines and partial sums (96 KiB) stay in L2 cache.
 _COSINE_BLOCK = 4096
+
+# Frequencies per block of the closed-form sigmahat of a progression: its
+# eight int64 and float64 rows (1 MiB) stay in L2 cache. At P = 5000011 on a
+# 2-core x86_64 machine, blocks of 16384 took 0.11 s against 0.13 s for
+# blocks of 4096; the two sines per frequency are most of it.
+_SINE_BLOCK = 16384
 
 
 def as_radius(eps) -> Fraction:
@@ -183,18 +192,22 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     * 1 < |B| <= _SHIFTED_SUM_MAX_SIZE: h(x) = (1/|B|) sum_{b in B} a(x - b)
       by |B| shifted adds in ascending b, a fixed-order sum of a's values
       that is exactly >= 0 when a is. Nothing is clamped: any value below
-      zero raises InvariantError. The carried sigmahat is real and read
-      off a cosine table (see kernel_spectrum). No transform is made
-      beyond the one of a.
+      zero raises InvariantError. The carried sigmahat is real: the
+      closed form of a progression or the cosine table of any other set
+      (see kernel_spectrum). It is multiplied into ahat and freed before
+      the shifted sum is allocated. No transform is made beyond the one
+      of a.
     * larger B: h is the inverse transform of ahat * kernel_spectrum(B),
       clamped at zero, since any dip below zero is transform roundoff. A
+      progression's sigmahat is the closed form, so only the inverse is
+      transformed; any other set's sigma is transformed forward as well. A
       dip deeper than 1e-9 * (1 + sup h) raises InvariantError. The clamp
       moves every coefficient of the carried spectrum by at most the
       deepest clamped value, so it is kept only while that value is within
       _ROUNDOFF_DIP_ULPS ulps of (1 + sup h) times log2 P, the scale of
       FFT rounding. A deeper (but still accepted) dip drops the carried
       spectrum, and the next use of h's spectrum transforms the clamped
-      values afresh. sigma is freed before the inverse transform.
+      values afresh. sigmahat is freed before the inverse transform.
     """
     if a.modulus != bohr.modulus:
         raise InvalidArgumentError(
@@ -225,23 +238,36 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
 
 def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
     """sigmahat, the spectrum of sigma = (P/|B|) * 1_B, as an array of its
-    coefficients t <= P//2 (the half a Spectrum holds).
+    coefficients t <= P//2 (the half a Spectrum holds). One of three paths
+    forms it:
 
-    For |B| <= _SHIFTED_SUM_MAX_SIZE it is read off a cosine table: B = -B,
-    so sigmahat(t) = (1/|B|) sum_{b in B} e(b*t/P) is real and equals
-    (1 + 2 * sum_{b in B, 0 < b < P/2} cos(2*pi*b*t/P)) / |B|. Each cosine
-    is gathered from a table over [0, P/2] at the integer phase b*t mod P
-    folded to min(phi, P - phi), in cache-sized blocks of t. The set must
-    contain 0 and be symmetric, or InvariantError is raised. Larger sets
-    transform normalized_indicator(bohr) and return the complex half as
-    it is; sigma itself lives only inside this call.
+    * B is a symmetric arithmetic progression {j*d : |j| <= m} with
+      2*m*d < P (_progression_step, an O(|B|) check of the sorted
+      members): sigmahat is the real Dirichlet kernel
+      sin(pi*n*d*t/P) / (n*sin(pi*d*t/P)), n = |B|, in closed form (see
+      _progression_spectrum). Most Bohr sets the pipeline builds are of
+      this form, and with 1 in R (threshold_spectrum always adjoins it)
+      and eps < 1/2 any such progression meets 2*m*d < P.
+    * other sets with |B| <= _SHIFTED_SUM_MAX_SIZE: B = -B, so sigmahat(t)
+      = (1/|B|) sum_{b in B} e(b*t/P) is real and equals
+      (1 + 2 * sum_{b in B, 0 < b < P/2} cos(2*pi*b*t/P)) / |B|. Each
+      cosine is gathered from a table over [0, P/2] at the integer phase
+      b*t mod P folded to min(phi, P - phi), in cache-sized blocks of t.
+      The set must contain 0 and be symmetric, or InvariantError is
+      raised.
+    * larger sets: normalized_indicator(bohr) is transformed and the
+      complex half returned as it is; sigma itself lives only inside this
+      call.
 
     sigma is a probability kernel symmetric about 0, so sigmahat(0) = 1,
-    sigmahat is real and |sigmahat| <= 1; each is checked to
+    sigmahat is real and |sigmahat| <= 1; each is checked on every path to
     _KERNEL_SPECTRUM_TOL and a failure raises InvariantError. Callers skip
     B = {0}, where sigma is the convolution identity and sigmahat is 1.
     """
-    if bohr.size > _SHIFTED_SUM_MAX_SIZE:
+    step = _progression_step(bohr)
+    if step is not None:
+        sigma_hat = _progression_spectrum(bohr.modulus, bohr.size, step)
+    elif bohr.size > _SHIFTED_SUM_MAX_SIZE:
         sigma_hat = normalized_indicator(bohr).spectrum().half
     else:
         sigma_hat = _cosine_table_spectrum(bohr)
@@ -254,6 +280,92 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
     if peak > 1.0 + tol:
         raise InvariantError(f"kernel spectrum reaches {peak!r}, above 1")
     return sigma_hat
+
+
+def _progression_step(bohr: BohrSet) -> int | None:
+    """d when the sorted members are exactly [0, d, ..., m*d] followed by
+    [P - m*d, ..., P - d] with m >= 1 and 2*m*d < P, so that B is the
+    symmetric progression {j*d : |j| <= m}; otherwise None. O(|B|)."""
+    p, members = bohr.modulus, bohr.members()
+    size = members.size
+    if size < 3 or size % 2 == 0 or members[0] != 0:
+        return None
+    step, m = int(members[1]), size // 2
+    if 2 * m * step >= p:
+        return None
+    multiples = np.arange(0, (m + 1) * step, step, dtype=np.int64)
+    if not np.array_equal(members[: m + 1], multiples):
+        return None
+    # members[m + 1 + i] = P - (m - i)*d for i < m
+    if not np.array_equal(members[m + 1 :], p - multiples[m:0:-1]):
+        return None
+    return step
+
+
+def _progression_spectrum(p: int, size: int, step: int) -> np.ndarray:
+    """sigmahat at t <= P//2 for B = {j*d : |j| <= m}, n = 2m + 1 = size,
+    d = step: the Dirichlet kernel
+
+        sigmahat(t) = (1/n) sum_{|j| <= m} e(j*d*t/P)
+                    = sin(pi*phi_n/P) / (n * sin(pi*phi_d/P)),
+
+    where phi_d = d*t and phi_n = n*d*t are exact int64 phases taken
+    mod 2P (the period of sin(pi*x/P)), and sigmahat(0) = 1. For t > 0
+    the denominator never vanishes, since P is prime and d, t < P.
+
+    The t are taken in blocks of _SINE_BLOCK. For t = s + j in the
+    block at s, each phase is c*t = r + o (mod 2P) with r = c*j mod 2P,
+    tabulated once, and o = c*s mod 2P, so v = r + o - 2P in [-2P, 2P)
+    and no length-P/2 integer temporary is made. Each sine is folded
+    (_folded_sine) to an argument in [0, pi/2] before sin is taken, so a
+    small sine keeps its relative accuracy, and its sign is carried
+    separately.
+    """
+    half_size = p // 2 + 1
+    out = np.empty(half_size)
+    out[0] = 1.0
+    if half_size == 1:
+        return out
+    period = 2 * p
+    block = min(_SINE_BLOCK, half_size - 1)
+    steps = (step, size * step % period)  # phi_d, phi_n per unit of t
+    residues = [np.arange(block, dtype=np.int64) * c % period for c in steps]
+    phase = np.empty(block, dtype=np.int64)
+    scratch = np.empty(block, dtype=np.int64)
+    signs = [np.empty(block, dtype=np.int64) for _ in steps]
+    sines = [np.empty(block) for _ in steps]
+    for start in range(1, half_size, block):
+        n = min(block, half_size - start)
+        for c, row, sign, sine in zip(steps, residues, signs, sines):
+            np.add(row[:n], c * start % period - period, out=phase[:n])
+            _folded_sine(phase[:n], p, sine[:n], sign[:n], scratch[:n])
+        denominator, numerator = sines
+        ratio = out[start : start + n]
+        denominator[:n] *= size
+        np.divide(numerator[:n], denominator[:n], out=ratio)
+        # the signs agree exactly when their sign words do
+        np.bitwise_xor(signs[0][:n], signs[1][:n], out=scratch[:n])
+        np.copysign(ratio, scratch[:n], out=ratio)
+    return out
+
+
+def _folded_sine(phase, p, sine, sign, scratch) -> None:
+    """|sin(pi*v/P)| into sine and a sign word into sign for int64 v in
+    [-2P, 2P] held in phase (which is overwritten): sin(pi*v/P) > 0
+    exactly when sign < 0, wherever it is not 0.
+
+    With y = |v| - P in [-P, P], sin(pi*v/P) = -sign(v) * sign(y) *
+    sin(pi*|y|/P), so the sign word is v XOR y, and sin(pi*|y|/P) =
+    sin(pi*f/P) with f = min(|y|, P - |y|) in [0, P//2].
+    """
+    np.abs(phase, out=scratch)
+    scratch -= p
+    np.bitwise_xor(phase, scratch, out=sign)
+    np.abs(scratch, out=scratch)
+    np.subtract(p, scratch, out=phase)
+    np.minimum(scratch, phase, out=scratch)
+    np.multiply(scratch, np.pi / p, out=sine)
+    np.sin(sine, out=sine)
 
 
 def _cosine_table_spectrum(bohr: BohrSet) -> np.ndarray:
@@ -299,6 +411,8 @@ def _shifted_average(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     """h(x) = (1/|B|) sum_{b in B} a(x - b), carrying ahat * sigmahat."""
     p = a.modulus
     sigma_hat = kernel_spectrum(bohr)  # checks that B contains 0 and is symmetric
+    carried = Spectrum(p, a.spectrum().half * sigma_hat)
+    del sigma_hat  # free it before the shifted sum is allocated
     values = np.zeros(p)
     for b in bohr.members().tolist():
         values[b:] += a.values[: p - b]
@@ -311,5 +425,5 @@ def _shifted_average(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
         )
 
     h = CyclicFunction(p, values)
-    h._spectrum = Spectrum(p, a.spectrum().half * sigma_hat)
+    h._spectrum = carried
     return h

@@ -43,6 +43,9 @@ _EXACT_PHASE_MAX_MODULUS = (math.isqrt(np.iinfo(np.int64).max) + 1) // 2
 # numpy's in-place 1-D FFT (2-core x86_64); 512 also leaves the N = 1e7
 # report bit for bit as it was with the 1-D FFT.
 _FFT_ROW_LENGTH = 512
+# Chirp values per block of _chirp: its phases and gathered factors
+# (512 KiB) stay in L2 cache.
+_CHIRP_BLOCK = 16384
 # Rows of _row_column_fft twiddled and row-transformed at a time: 64 rows
 # of 512 complex values are 512 KiB, about an L2 cache.
 _TWIDDLE_ROWS = 64
@@ -308,17 +311,33 @@ def _five_smooth_at_least(n: int) -> int:
 
 def _chirp(start: int, stop: int, p: int, out: np.ndarray) -> None:
     """Write w(n) = exp(i*pi*n^2/P) for n in [start, stop) into out. The
-    phase n^2 mod 2P is formed in int64 from n itself: _half_chirp_z
+    phase phi = n^2 mod 2P is formed in int64 from n itself: _half_chirp_z
     passes only |n| <= 2P - 2, so under _EXACT_PHASE_MAX_MODULUS n^2 fits
-    and needs no reduction first. The phase is exact, and
-    w(n) = exp(i*pi*phase/P) is the only rounding."""
-    phase = np.arange(start, stop, dtype=np.int64)
-    phase *= phase
-    phase %= 2 * p
-    angle = phase * (np.pi / p)
-    del phase
-    np.cos(angle, out=out.real)
-    np.sin(angle, out=out.imag)
+    and needs no reduction first. The phase is exact, and w(n) is read
+    off two tables of exp(i*pi*r/P) with K = 2^k >= sqrt(2P) entries each,
+    as fine[phi mod K] * coarse[phi // K] (see _unit_roots), so no cosine
+    or sine is taken per point. The n are taken in blocks of
+    _CHIRP_BLOCK, so no integer or real temporary as long as out is made.
+    """
+    shift = ((2 * p - 1).bit_length() + 1) // 2  # K = 2^shift, K^2 >= 2P
+    fine = _unit_roots(np.array([1]), 1 << shift, 2 * p, 1.0)[0]
+    coarse = _unit_roots(np.array([1 << shift]), -(-2 * p >> shift), 2 * p, 1.0)[0]
+    block = min(_CHIRP_BLOCK, stop - start)
+    offsets = np.arange(block, dtype=np.int64)
+    phase = np.empty(block, dtype=np.int64)
+    high = np.empty(block, dtype=np.int64)
+    factor = np.empty(block, dtype=np.complex128)
+    for first in range(start, stop, block):
+        n = min(block, stop - first)
+        np.add(offsets[:n], first, out=phase[:n])
+        phase[:n] *= phase[:n]
+        phase[:n] %= 2 * p
+        np.right_shift(phase[:n], shift, out=high[:n])
+        phase[:n] &= (1 << shift) - 1
+        chunk = out[first - start : first - start + n]
+        np.take(fine, phase[:n], out=chunk, mode="clip")
+        np.take(coarse, high[:n], out=factor[:n], mode="clip")
+        chunk *= factor[:n]
 
 
 def inverse_transform(s: Spectrum) -> CyclicFunction:

@@ -10,9 +10,13 @@ import numpy as np
 import pytest
 
 import ap3lab
+from ap3lab import bohr as bohr_module
 from ap3lab.bohr import (
     _SHIFTED_SUM_MAX_SIZE,
+    _SINE_BLOCK,
     BohrSet,
+    _cosine_table_spectrum,
+    _progression_step,
     as_radius,
     build_bohr_set,
     kernel_spectrum,
@@ -203,8 +207,9 @@ def test_carried_spectra_match_the_direct_transform():
     )
 
 
-# (P, frequencies, radius): Bohr sets of 21, 41, 7 and 121 members, within
-# the shifted-sum cutoff, and of 133 and 201 members, above it
+# (P, frequencies, radius): Bohr sets of 11, 41, 7 and 121 members, within
+# the shifted-sum cutoff, and of 133, 201 and 345 members, above it. All
+# but the 7 and the 345 are progressions {j*d : |j| <= m}.
 SMOOTHING_CASES = [
     (1009, [1, 2], "0.01"),
     (1009, [1], "0.02"),
@@ -212,7 +217,18 @@ SMOOTHING_CASES = [
     (1009, [1], "0.06"),
     (2003, [1, 3], "0.1"),
     (1009, [1], "0.1"),
+    (2003, [1, 7], "0.2"),
 ]
+
+
+def _is_progression(members, p):
+    """Whether the set is {j*d mod P : |j| <= m} for d = its least nonzero
+    member and 2*m*d < P, by comparing Python sets."""
+    if len(members) < 3:
+        return False
+    d, m = int(sorted(members)[1]), len(members) // 2
+    want = {j * d % p for j in range(-m, m + 1)}
+    return 2 * m * d < p and set(members.tolist()) == want
 
 
 @pytest.mark.parametrize("p, freqs, eps", SMOOTHING_CASES)
@@ -231,9 +247,18 @@ def test_smooth_agrees_with_the_convolution_on_both_paths(p, freqs, eps):
 
 
 def test_smoothing_cases_reach_both_paths():
-    sizes = [build_bohr_set(p, f, e).size for p, f, e in SMOOTHING_CASES]
+    sets = [build_bohr_set(p, f, e) for p, f, e in SMOOTHING_CASES]
+    sizes = [bohr.size for bohr in sets]
     assert any(1 < size <= _SHIFTED_SUM_MAX_SIZE for size in sizes)
     assert any(size > _SHIFTED_SUM_MAX_SIZE for size in sizes)
+    # each side of the cutoff has a progression and a set that is not one
+    for small in (True, False):
+        kinds = {
+            _is_progression(bohr.members(), bohr.modulus)
+            for bohr in sets
+            if (1 < bohr.size <= _SHIFTED_SUM_MAX_SIZE) == small
+        }
+        assert kinds == {True, False}
 
 
 @pytest.mark.parametrize("p, freqs, eps", SMOOTHING_CASES)
@@ -242,8 +267,12 @@ def test_kernel_spectrum_matches_the_direct_transform(p, freqs, eps):
     sigma_hat = kernel_spectrum(bohr)
     want = direct_dft_stack(normalized_indicator(bohr).values, p)[0] / p
     assert np.max(np.abs(sigma_hat - want[: p // 2 + 1])) < 1e-12
-    # the cosine table gives a real array, the transform a complex one
-    assert np.iscomplexobj(sigma_hat) == (bohr.size > _SHIFTED_SUM_MAX_SIZE)
+    # the closed form and the cosine table give a real array, the
+    # transform (a large set that is not a progression) a complex one
+    transformed = bohr.size > _SHIFTED_SUM_MAX_SIZE and not _is_progression(
+        bohr.members(), p
+    )
+    assert np.iscomplexobj(sigma_hat) == transformed
 
 
 def _crafted_kernel_spectrum(first, rest):
@@ -265,8 +294,10 @@ BROKEN_KERNEL_SPECTRA = {
 @pytest.mark.parametrize("case", sorted(BROKEN_KERNEL_SPECTRA))
 def test_kernel_spectrum_rejects_a_broken_transform(monkeypatch, case):
     first, rest, fragment = BROKEN_KERNEL_SPECTRA[case]
-    bohr = build_bohr_set(1009, [1], "0.2")
-    assert bohr.size > _SHIFTED_SUM_MAX_SIZE  # the transform path
+    bohr = build_bohr_set(2003, [1, 7], "0.2")
+    # the transform path: past the cutoff and not a progression
+    assert bohr.size > _SHIFTED_SUM_MAX_SIZE
+    assert not _is_progression(bohr.members(), 2003)
     monkeypatch.setattr(
         "ap3lab.cyclic.forward_transform", _crafted_kernel_spectrum(first, rest)
     )
@@ -497,16 +528,144 @@ def _symmetric_bohr_set(p, shifts):
 )
 def test_blocked_cosine_spectrum_equals_the_full_table(p, shifts):
     # P // 2 + 1 spans several 4096-frequency blocks and ends in a partial one
+    # (the table itself: kernel_spectrum takes the closed form for the
+    # shifts that make a progression)
     bohr = _symmetric_bohr_set(p, shifts)
     assert 1 < bohr.size <= _SHIFTED_SUM_MAX_SIZE
     assert (p // 2 + 1) % 4096 != 0
-    sigma_hat = kernel_spectrum(bohr)
+    sigma_hat = _cosine_table_spectrum(bohr)
     assert np.array_equal(sigma_hat, cosine_table_spectrum_full(bohr.members(), p))
 
 
 def test_blocked_cosine_spectrum_of_a_scanned_bohr_set():
+    # a progression, so kernel_spectrum takes the closed form; the table
+    # is called directly
     bohr = build_bohr_set(20011, [1, 5, 77], "0.05")
     assert 1 < bohr.size <= _SHIFTED_SUM_MAX_SIZE
     assert np.array_equal(
-        kernel_spectrum(bohr), cosine_table_spectrum_full(bohr.members(), 20011)
+        _cosine_table_spectrum(bohr), cosine_table_spectrum_full(bohr.members(), 20011)
     )
+
+
+def _progression(p, step, m):
+    """The Bohr set {j*step mod P : |j| <= m}, held as its sorted members."""
+    members = sorted({j * step % p for j in range(-m, m + 1)})
+    return BohrSet(p, (1,), Fraction(1, 4), members)
+
+
+def _dirichlet_oracle(members, p):
+    """sigmahat at t <= P//2 as the sum over the members of
+    exp(2*pi*i*(b*t mod P)/P), each phase an exact integer."""
+    t = np.arange(p // 2 + 1, dtype=np.int64)
+    total = np.zeros(t.size, dtype=complex)
+    for b in members.tolist():
+        total += np.exp(2j * np.pi * (b * t % p) / p)
+    return total / members.size
+
+
+@pytest.mark.parametrize(
+    "p, step, m",
+    [(5, 1, 1), (101, 1, 7), (1009, 7, 5), (1009, 3, 168), (1009, 1, 504), (20011, 1000, 10)],
+)
+def test_progression_check_accepts_symmetric_progressions(p, step, m):
+    # d = 1, d > 1, m*d just below P/2 (2*168*3 = 1008 < 1009) and the
+    # whole group (d = 1, m = (P - 1)/2)
+    assert 2 * m * step < p
+    assert _progression_step(_progression(p, step, m)) == step
+
+
+def test_progression_check_accepts_scanned_bohr_sets():
+    for p, freqs, eps in [(1009, [1], "0.1"), (20011, [1, 5, 77], "0.05"), (101, [1], "0.5")]:
+        bohr = build_bohr_set(p, freqs, eps)
+        assert _progression_step(bohr) == int(bohr.members()[1])
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        [0, 1, 2, 98, 99, 100],  # 3 missing from {0, +-1, +-2, +-3}
+        [0, 1, 2, 4, 97, 99, 100],  # the pair +-3 missing: symmetric, odd size
+        [0, 1, 2, 3, 100],  # asymmetric
+        [0],  # |B| = 1
+    ],
+)
+def test_progression_check_rejects_other_sets(members):
+    assert _progression_step(BohrSet(101, (1,), Fraction(1, 4), members)) is None
+
+
+def test_progression_check_rejects_a_progression_past_half_the_modulus():
+    # {j*2 : |j| <= 26} mod 101 has 2*m*d = 104 >= 101: its sorted members
+    # interleave, and the check refuses it on the bound alone
+    bohr = _progression(101, 2, 26)
+    assert bohr.size == 53 and int(bohr.members()[1]) == 2
+    assert _progression_step(bohr) is None
+    # m*d = P//2 exactly: 2*m*d = P - 1 < P is still accepted
+    assert _progression_step(_progression(101, 1, 50)) == 1
+
+
+def _closed_form_cases():
+    """(P, d, m): d = 1 and d > 1, small m, m*d just below P/2 and, up to
+    P = 2003 (where direct_dft_stack is cheap), the whole group."""
+    cases = set()
+    for p in (5, 7, 101, 1009, 2003, 20011, 100003):
+        shapes = [(1, 1), (1, 2), (2, 1), (3, 5), (p // 7, 3), (p // 41, 20)]
+        if p <= 2003:
+            shapes += [(1, (p - 1) // 2), (3, (p - 1) // 6)]
+        cases |= {(p, d, m) for d, m in shapes if d >= 1 and m >= 1 and 2 * m * d < p}
+    return sorted(cases)
+
+
+@pytest.mark.parametrize("p, step, m", _closed_form_cases())
+def test_closed_form_matches_the_direct_transform(p, step, m):
+    bohr = _progression(p, step, m)
+    sigma_hat = kernel_spectrum(bohr)
+    assert sigma_hat.dtype == np.float64  # the closed form, not the transform
+    if p <= 2003:
+        want = direct_dft_stack(normalized_indicator(bohr).values, p)[0] / p
+        want = want[: p // 2 + 1]
+    else:
+        want = _dirichlet_oracle(bohr.members(), p)
+    assert np.max(np.abs(sigma_hat - want)) < 1e-13
+
+
+def test_closed_form_cases_end_in_a_partial_block():
+    # P = 100003 spans three whole blocks of t and a partial fourth
+    assert (100003 // 2) % _SINE_BLOCK != 0 and 100003 // 2 > 3 * _SINE_BLOCK
+    assert any(p == 100003 for p, _, _ in _closed_form_cases())
+
+
+def test_closed_form_of_the_whole_group_is_exactly_zero_off_zero():
+    # B = Z/PZ: sin(pi*P*t/P) folds to the phase 0, so sigmahat(t) = 0
+    sigma_hat = kernel_spectrum(build_bohr_set(1009, [1], "0.5"))
+    assert sigma_hat[0] == 1.0
+    assert not np.any(sigma_hat[1:])
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_KERNEL_SPECTRA))
+def test_kernel_spectrum_rejects_a_broken_closed_form(monkeypatch, case):
+    first, rest, fragment = BROKEN_KERNEL_SPECTRA[case]
+    bohr = build_bohr_set(1009, [1], "0.1")
+    assert _progression_step(bohr) == 1  # the closed-form path
+
+    def broken(p, size, step):
+        half = np.full(p // 2 + 1, rest)
+        half[0] = first
+        return half
+
+    monkeypatch.setattr(bohr_module, "_progression_spectrum", broken)
+    with pytest.raises(InvariantError, match=fragment):
+        kernel_spectrum(bohr)
+
+
+@pytest.mark.parametrize("p, step, m", [(2003, 7, 10), (2003, 3, 100)])
+def test_smooth_with_a_progression_matches_the_convolution(p, step, m):
+    # 21 members take the shifted sum, 201 the inverse transform; both
+    # carry the closed-form sigmahat
+    bohr = _progression(p, step, m)
+    assert (bohr.size <= _SHIFTED_SUM_MAX_SIZE) == (m == 10)
+    rng = np.random.default_rng(step)
+    a = CyclicFunction(p, rng.random(p) * (rng.random(p) < 0.3))
+    h = smooth(a, bohr)
+    reference = convolve(a, normalized_indicator(bohr))
+    assert np.max(np.abs(h.values - reference.values)) < 1e-12
+    assert np.max(np.abs(h.spectrum().full() - direct_forward(h.values))) < 1e-12 * a.mean()

@@ -242,6 +242,21 @@ def test_exact_phase_guard_refuses_before_allocating(monkeypatch):
         forward_transform(f)
 
 
+@pytest.mark.parametrize(
+    "p, start, stop",
+    [(2, -2, 3), (5, -8, 9), (101, -200, 201), (100003, -200004, 50002),
+     (100003, 7, 7 + 3 * cyclic._CHIRP_BLOCK + 5)],
+)
+def test_chirp_tables_match_cos_and_sin(p, start, stop):
+    # fine * coarse table entries against exp(i*pi*phi/P) at the exact phase
+    # phi = n^2 mod 2P, over several blocks and a partial one
+    out = np.empty(stop - start, dtype=complex)
+    cyclic._chirp(start, stop, p, out)
+    n = np.arange(start, stop, dtype=np.int64)
+    angle = (n * n % (2 * p)) * (np.pi / p)
+    assert np.max(np.abs(out - (np.cos(angle) + 1j * np.sin(angle)))) < 2e-15
+
+
 @pytest.mark.parametrize("p", MODULI + (100003,))
 def test_spectrum_holds_only_the_lower_half(p):
     f = random_function(p, np.random.default_rng(p))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ap3lab.cyclic import SUM_BLOCK, CyclicFunction, fixed_sum
+from ap3lab.cyclic import SUM_BLOCK, CyclicFunction, _five_smooth_at_least, fixed_sum
 from ap3lab.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from ap3lab.primes import next_prime_above
 from ap3lab.threeap import (
@@ -239,6 +239,30 @@ def test_additive_counts_of_small_sets():
     assert (ap.pairs, ap.energy) == (5, 19)
     with pytest.raises(InvalidArgumentError):
         additive_counts([-1, 2])
+
+
+def test_additive_counts_hold_no_integer_copy_of_the_autoconvolution():
+    # the indicator, its half spectrum and the autoconvolution written over
+    # the indicator are about 2 * 8S bytes; rounded, int64 and squared
+    # copies of r would add 8S each
+    rng = np.random.default_rng(7)
+    members = np.flatnonzero(rng.random(200_001) < 0.1)
+    size = _five_smooth_at_least(2 * int(members[-1]) + 1)
+    tracemalloc.start()
+    try:
+        counts = additive_counts(members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * size
+    # the whole-array formula gives the same counts and rounding error
+    indicator = np.zeros(size)
+    indicator[members] = 1.0
+    r_float = np.fft.irfft(np.fft.rfft(indicator) ** 2, n=size)[: 2 * int(members[-1]) + 1]
+    r = np.rint(r_float).astype(np.int64)
+    assert counts.pairs == int(r[2 * members].sum())
+    assert counts.energy == int((r * r).sum())
+    assert counts.rounding_error == float(np.max(np.abs(r_float - np.rint(r_float))))
 
 
 def test_additive_counts_check_their_rounding(monkeypatch):
