@@ -324,8 +324,6 @@ def _progression_spectrum(p: int, size: int, step: int) -> np.ndarray:
     half_size = p // 2 + 1
     out = np.empty(half_size)
     out[0] = 1.0
-    if half_size == 1:
-        return out
     period = 2 * p
     block = min(_SINE_BLOCK, half_size - 1)
     steps = (step, size * step % period)  # phi_d, phi_n per unit of t

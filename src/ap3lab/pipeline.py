@@ -13,8 +13,9 @@ function of integers and IEEE operations in a fixed order. With a small
 Bohr set (bohr.smooth's shifted sum, |B| = 15 at N = 1e7), h is a
 fixed-order sum of a's values, and so are its norms and level sets;
 lambda_hhh is evaluated on the carried spectrum ahat * sigmahat and
-carries the rounding of ahat's transform. Three things still carry the
-transform's rounding: that lambda_hhh, every value derived from h when B
+carries the rounding of ahat's transform and of sigmahat's sines or
+cosines. Three things still carry the transform's rounding: that
+lambda_hhh, every value derived from h when B
 is past the shifted-sum cutoff (h is then an inverse transform), and
 threshold membership for a coefficient within rounding of delta.
 math.log and pow come from the platform's libm and are outside this
@@ -26,9 +27,12 @@ inverse transform and no clamp at any grid point.
 
 Around the one forward transform of a, each pass does only the work its
 output needs: the Bohr scan forms the survivors of its least nonzero
-frequency directly, sigmahat of a small B comes from a cosine table over
-[0, P/2] in cache-sized blocks, the exact counts convolve at a 5-smooth
-length, and lambda multiplies out only t <= P/2 of its spectra.
+frequency directly; sigmahat of a B that is a progression {j*d : |j| <= m}
+(nearly every B the grid builds, |B| = 15 with d = 5005 at N = 1e7) is
+the Dirichlet kernel in closed form, and of any other B it comes from a
+cosine table over [0, P/2] in cache-sized blocks (|B| <= 128) or from one
+transform of sigma; the exact counts convolve at a 5-smooth length and are
+counted in blocks; and lambda multiplies out only t <= P/2 of its spectra.
 
 Every spectrum (ahat, sigmahat, hhat) is that of a real function and holds
 only its P//2 + 1 coefficients t <= P/2 (cyclic.Spectrum); the threshold,
