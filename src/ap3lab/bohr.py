@@ -30,24 +30,18 @@ _MAX_DENOMINATOR = 1 << 30
 # sums shifts instead, and delta_sweep never builds h, only its spectrum.
 _ROUNDOFF_DIP_ULPS = 16
 
-# kernel_spectrum checks sigmahat(0) = 1, Im sigmahat = 0 and
-# |sigmahat| <= 1 to this absolute tolerance.
+# kernel_spectrum checks sigmahat(0) = 1 and |sigmahat| <= 1 to this
+# absolute tolerance.
 _KERNEL_SPECTRUM_TOL = 1e-9
 
 # smooth sums shifted copies of a, instead of convolving through the
-# transform, for Bohr sets with 1 < |B| <= this. On a 2-core x86_64 machine
-# the shifted sum and its blocked cosine-table spectrum cost 0.017-0.029 s
-# per member of B (spread at random) at P = 5000011, against 3.8 s for the
-# transform of sigma and the inverse, and 0.0011-0.0018 s against 0.29 s
-# at P = 500009. The crossover is near |B| = 230 and 260; this stays below.
-# Those figures are for sets that are not progressions: a progression pays
-# for neither the table nor the transform of sigma (see kernel_spectrum),
-# only for the shifted adds or the inverse transform.
+# transform, for Bohr sets with 1 < |B| <= this. Both paths form the same
+# sigmahat (kernel_spectrum), so this trades |B| shifted adds against one
+# inverse transform. On a 2-core x86_64 machine a shifted add of a random
+# a took 7.5 ms at P = 5000011 against 2.29 s for the inverse, and 0.48 ms
+# against 0.18 s at P = 500009: the crossover is near |B| = 300 and 400,
+# and this stays below it.
 _SHIFTED_SUM_MAX_SIZE = 128
-
-# Frequencies per block of the cosine-table sigmahat: the block's phases,
-# gathered cosines and partial sums (96 KiB) stay in L2 cache.
-_COSINE_BLOCK = 4096
 
 # Frequencies per block of the closed-form sigmahat of a progression: its
 # eight int64 and float64 rows (1 MiB) stay in L2 cache. At P = 5000011 on a
@@ -168,39 +162,43 @@ def normalized_indicator(bohr: BohrSet) -> CyclicFunction:
     """
     if bohr.size < 1:
         raise InvalidArgumentError("empty Bohr set has no normalized indicator")
+    _check_quarter_support(bohr)
     p = bohr.modulus
-    members = bohr.members()
+    values = np.zeros(p)
+    values[bohr.members()] = p / bohr.size
+    return CyclicFunction(p, values)
+
+
+def _check_quarter_support(bohr: BohrSet) -> None:
+    """With 1 in R and eps < 1/4 every member provably lies in
+    [-P/4, P/4]; under those hypotheses raise InvariantError if one does
+    not."""
     if 1 in bohr.frequencies and bohr.radius < Fraction(1, 4):
+        p, members = bohr.modulus, bohr.members()
         folded = np.minimum(members, p - members)
         if int(folded.max()) * 4 >= p:
             raise InvariantError(
                 "support must lie in [-P/4, P/4] when 1 in R and eps < 1/4"
             )
-    values = np.zeros(p)
-    values[members] = p / bohr.size
-    return CyclicFunction(p, values)
 
 
 def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     """h = a * sigma for a >= 0. Mass is preserved (||h||_1 = ||a||_1).
 
     h carries the product spectrum ahat * sigmahat, so evaluating an
-    operator on h transforms nothing again. How h is built depends on the
-    size of B:
+    operator on h transforms nothing again. sigmahat is kernel_spectrum(B),
+    real on every path: a closed form for a progression, one forward
+    transform of half of B for any other set. How h is built depends on
+    the size of B alone:
 
     * |B| = 1: B = {0}, sigma is the convolution identity and h is a.
     * 1 < |B| <= _SHIFTED_SUM_MAX_SIZE: h(x) = (1/|B|) sum_{b in B} a(x - b)
       by |B| shifted adds in ascending b, a fixed-order sum of a's values
       that is exactly >= 0 when a is. Nothing is clamped: any value below
-      zero raises InvariantError. The carried sigmahat is real: the
-      closed form of a progression or the cosine table of any other set
-      (see kernel_spectrum). It is multiplied into ahat and freed before
-      the shifted sum is allocated. No transform is made beyond the one
-      of a.
+      zero raises InvariantError. sigmahat is multiplied into ahat and
+      freed before the shifted sum is allocated.
     * larger B: h is the inverse transform of ahat * kernel_spectrum(B),
       clamped at zero, since any dip below zero is transform roundoff. A
-      progression's sigmahat is the closed form, so only the inverse is
-      transformed; any other set's sigma is transformed forward as well. A
       dip deeper than 1e-9 * (1 + sup h) raises InvariantError. The clamp
       moves every coefficient of the carried spectrum by at most the
       deepest clamped value, so it is kept only while that value is within
@@ -237,49 +235,63 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
 
 
 def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
-    """sigmahat, the spectrum of sigma = (P/|B|) * 1_B, as an array of its
-    coefficients t <= P//2 (the half a Spectrum holds). One of three paths
-    forms it:
+    """sigmahat, the spectrum of sigma = (P/|B|) * 1_B, as a float64 array
+    of its coefficients t <= P//2 (the half a Spectrum holds). sigma is
+    symmetric about 0, so sigmahat is real. One of two paths forms it:
 
     * B is a symmetric arithmetic progression {j*d : |j| <= m} with
       2*m*d < P (_progression_step, an O(|B|) check of the sorted
-      members): sigmahat is the real Dirichlet kernel
+      members): sigmahat is the Dirichlet kernel
       sin(pi*n*d*t/P) / (n*sin(pi*d*t/P)), n = |B|, in closed form (see
       _progression_spectrum). Most Bohr sets the pipeline builds are of
       this form, and with 1 in R (threshold_spectrum always adjoins it)
       and eps < 1/2 any such progression meets 2*m*d < P.
-    * other sets with |B| <= _SHIFTED_SUM_MAX_SIZE: B = -B, so sigmahat(t)
-      = (1/|B|) sum_{b in B} e(b*t/P) is real and equals
-      (1 + 2 * sum_{b in B, 0 < b < P/2} cos(2*pi*b*t/P)) / |B|. Each
-      cosine is gathered from a table over [0, P/2] at the integer phase
-      b*t mod P folded to min(phi, P - phi), in cache-sized blocks of t.
-      The set must contain 0 and be symmetric, or InvariantError is
-      raised.
-    * larger sets: normalized_indicator(bohr) is transformed and the
-      complex half returned as it is; sigma itself lives only inside this
-      call.
+    * any other set: B = -B, so sigmahat(t) = (1/|B|) sum_{b in B}
+      e(b*t/P) = (1 + 2 * Re sum_{b in B+} e(b*t/P)) / |B| with
+      B+ = B & (0, P/2), and one forward transform of the indicator of
+      B+ alone gives that sum (see _half_set_spectrum).
 
-    sigma is a probability kernel symmetric about 0, so sigmahat(0) = 1,
-    sigmahat is real and |sigmahat| <= 1; each is checked on every path to
-    _KERNEL_SPECTRUM_TOL and a failure raises InvariantError. Callers skip
-    B = {0}, where sigma is the convolution identity and sigmahat is 1.
+    sigma is a probability kernel, so sigmahat(0) = 1 and |sigmahat| <= 1;
+    both are checked on every path to _KERNEL_SPECTRUM_TOL and a failure
+    raises InvariantError. Callers skip B = {0}, where sigma is the
+    convolution identity and sigmahat is 1.
     """
     step = _progression_step(bohr)
     if step is not None:
         sigma_hat = _progression_spectrum(bohr.modulus, bohr.size, step)
-    elif bohr.size > _SHIFTED_SUM_MAX_SIZE:
-        sigma_hat = normalized_indicator(bohr).spectrum().half
     else:
-        sigma_hat = _cosine_table_spectrum(bohr)
+        sigma_hat = _half_set_spectrum(bohr)
     tol = _KERNEL_SPECTRUM_TOL
     if abs(sigma_hat[0] - 1.0) > tol:
         raise InvariantError(f"kernel spectrum at 0 is {sigma_hat[0]!r}, not 1")
-    if np.iscomplexobj(sigma_hat) and float(np.max(np.abs(sigma_hat.imag))) > tol:
-        raise InvariantError("kernel spectrum is not real: the Bohr set is not symmetric")
     peak = float(np.max(np.abs(sigma_hat)))
     if peak > 1.0 + tol:
         raise InvariantError(f"kernel spectrum reaches {peak!r}, above 1")
     return sigma_hat
+
+
+def _half_set_spectrum(bohr: BohrSet) -> np.ndarray:
+    """The real sigmahat at t <= P//2 of a Bohr set that contains 0 and is
+    symmetric about it, from the forward transform of
+    (2P/|B|) * 1_{B+}, B+ = B & (0, P/2): its real part plus 1/|B|.
+
+    The sorted members are checked exactly, in O(|B|) integer work:
+    members[0] = 0 and members[1:] = P - members[:0:-1], or InvariantError
+    is raised; so is a member outside [-P/4, P/4] when 1 in R and
+    eps < 1/4 (as for normalized_indicator). B+ is then the first half of
+    members[1:], and its window is at most P/2 long where all of B's may
+    be P.
+    """
+    p, members, size = bohr.modulus, bohr.members(), bohr.size
+    mirrored = np.array_equal(members[1:], p - members[:0:-1])
+    if size == 0 or members[0] != 0 or not mirrored:
+        raise InvariantError("Bohr set must contain 0 and be symmetric about it")
+    _check_quarter_support(bohr)
+    values = np.zeros(p)
+    values[members[1 : 1 + size // 2]] = 2 * p / size
+    half = CyclicFunction(p, values).spectrum().half
+    del values
+    return half.real + 1.0 / size
 
 
 def _progression_step(bohr: BohrSet) -> int | None:
@@ -364,45 +376,6 @@ def _folded_sine(phase, p, sine, sign, scratch) -> None:
     np.minimum(scratch, phase, out=scratch)
     np.multiply(scratch, np.pi / p, out=sine)
     np.sin(sine, out=sine)
-
-
-def _cosine_table_spectrum(bohr: BohrSet) -> np.ndarray:
-    """The real sigmahat of a small symmetric Bohr set at t <= P//2 (see
-    kernel_spectrum).
-
-    cos(2*pi*phi/P) is tabulated only for phi in [0, P//2], and the phase
-    b*t mod P is read at min(phi, P - phi), the same argument. The t are
-    taken in blocks of _COSINE_BLOCK, so the phases, the gathered cosines
-    and the partial sums stay in cache; each t still receives its cosines
-    in ascending b, so the sum is the same in every bit. For t = s + j in
-    the block at s, b*t = r + o (mod P) with r = b*j mod P, tabulated once
-    per b, and o = b*s mod P; with u = |r + o - P|, min(phi, P - phi) is
-    min(u, P - u), so no phase is ever divided.
-    """
-    p = bohr.modulus
-    members = bohr.members()  # ascending in [0, P)
-    if members[0] != 0 or not np.array_equal(members, np.sort((p - members) % p)):
-        raise InvariantError("Bohr set must contain 0 and be symmetric about it")
-    half_size = p // 2 + 1
-    cosines = np.cos((2 * np.pi / p) * np.arange(half_size, dtype=np.int64))
-    shifts = members[(members > 0) & (2 * members < p)]
-    block = min(_COSINE_BLOCK, half_size)
-    residues = np.multiply.outer(shifts, np.arange(block, dtype=np.int64)) % p
-    cosine_sum = np.zeros(half_size)
-    phase = np.empty(block, dtype=np.int64)
-    mirror = np.empty(block, dtype=np.int64)
-    gathered = np.empty(block)
-    for start in range(0, half_size, block):
-        n = min(block, half_size - start)
-        acc = cosine_sum[start : start + n]
-        for b, row in zip(shifts.tolist(), residues):
-            np.add(row[:n], b * start % p - p, out=phase[:n])
-            np.abs(phase[:n], out=phase[:n])
-            np.subtract(p, phase[:n], out=mirror[:n])
-            np.minimum(phase[:n], mirror[:n], out=phase[:n])
-            np.take(cosines, phase[:n], out=gathered[:n], mode="clip")
-            acc += gathered[:n]
-    return (1.0 + 2.0 * cosine_sum) / bohr.size
 
 
 def _shifted_average(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:

@@ -13,11 +13,11 @@ function of integers and IEEE operations in a fixed order. With a small
 Bohr set (bohr.smooth's shifted sum, |B| = 15 at N = 1e7), h is a
 fixed-order sum of a's values, and so are its norms and level sets;
 lambda_hhh is evaluated on the carried spectrum ahat * sigmahat and
-carries the rounding of ahat's transform and of sigmahat's sines or
-cosines. Three things still carry the transform's rounding: that
-lambda_hhh, every value derived from h when B
-is past the shifted-sum cutoff (h is then an inverse transform), and
-threshold membership for a coefficient within rounding of delta.
+carries the rounding of ahat's transform and of sigmahat (the closed
+form's sines, or the transform of half of B). Three things still carry
+the transform's rounding: that lambda_hhh, every value derived from h
+when B is past the shifted-sum cutoff (h is then an inverse transform),
+and threshold membership for a coefficient within rounding of delta.
 math.log and pow come from the platform's libm and are outside this
 guarantee.
 
@@ -29,10 +29,11 @@ Around the one forward transform of a, each pass does only the work its
 output needs: the Bohr scan forms the survivors of its least nonzero
 frequency directly; sigmahat of a B that is a progression {j*d : |j| <= m}
 (nearly every B the grid builds, |B| = 15 with d = 5005 at N = 1e7) is
-the Dirichlet kernel in closed form, and of any other B it comes from a
-cosine table over [0, P/2] in cache-sized blocks (|B| <= 128) or from one
-transform of sigma; the exact counts convolve at a 5-smooth length and are
-counted in blocks; and lambda multiplies out only t <= P/2 of its spectra.
+the Dirichlet kernel in closed form, and of any other B the real part of
+one transform of the indicator of B & (0, P/2), whose window is at most
+half as long as sigma's, so sigmahat is a float64 half either way; the
+exact counts convolve at a 5-smooth length and are counted in blocks;
+and lambda multiplies out only t <= P/2 of its spectra.
 
 Every spectrum (ahat, sigmahat, hhat) is that of a real function and holds
 only its P//2 + 1 coefficients t <= P/2 (cyclic.Spectrum); the threshold,
@@ -470,11 +471,7 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
             if bohr.size == 1:
                 lam_h = lam_a  # B = {0}: h is a
             else:
-                # sigma_hat stays bound, so numpy cannot reuse it in place as
-                # sigma_hat *= a_hat: a complex product is not bitwise symmetric
-                # in its operands, and that form moves lambda_hhh by an ulp
-                sigma_hat = kernel_spectrum(bohr)
-                h_hat = a_hat * sigma_hat
+                h_hat = a_hat * kernel_spectrum(bohr)
                 lam_h = lambda_of_spectra(ctx.p, h_hat, h_hat, h_hat)
             gap = abs(lam_a - lam_h)
             smoothing_bound = eps_f + delta_f ** 0.6

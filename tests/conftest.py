@@ -267,19 +267,6 @@ def bohr_members_brute(p: int, frequencies, eps) -> np.ndarray:
     return np.array(members, dtype=np.int64)
 
 
-def cosine_table_spectrum_full(members: np.ndarray, p: int) -> np.ndarray:
-    """sigmahat at t <= P/2 of a symmetric set containing 0, from one
-    P-entry cosine table gathered at b*t mod P for all those t at once,
-    each b in ascending order added into one accumulator."""
-    k = np.arange(p, dtype=np.int64)
-    cosines = np.cos((2 * np.pi / p) * np.minimum(k, p - k))
-    t = k[: p // 2 + 1]
-    cosine_sum = np.zeros(t.size)
-    for b in members[(members > 0) & (2 * members < p)].tolist():
-        cosine_sum += cosines[t * b % p]
-    return (1.0 + 2.0 * cosine_sum) / members.size
-
-
 def stanley_digits(limit: int) -> list[int]:
     """Integers in [0, limit] whose base-3 digits are all 0 or 1."""
     out = []

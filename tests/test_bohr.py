@@ -11,11 +11,11 @@ import pytest
 
 import ap3lab
 from ap3lab import bohr as bohr_module
+from ap3lab import cyclic
 from ap3lab.bohr import (
     _SHIFTED_SUM_MAX_SIZE,
     _SINE_BLOCK,
     BohrSet,
-    _cosine_table_spectrum,
     _progression_step,
     as_radius,
     build_bohr_set,
@@ -28,7 +28,6 @@ from ap3lab.errors import InvalidArgumentError, InvariantError
 from ap3lab.threeap import lambda_direct, lambda_fourier
 from conftest import (
     bohr_members_brute,
-    cosine_table_spectrum_full,
     direct_dft_stack,
     direct_forward,
 )
@@ -267,12 +266,7 @@ def test_kernel_spectrum_matches_the_direct_transform(p, freqs, eps):
     sigma_hat = kernel_spectrum(bohr)
     want = direct_dft_stack(normalized_indicator(bohr).values, p)[0] / p
     assert np.max(np.abs(sigma_hat - want[: p // 2 + 1])) < 1e-12
-    # the closed form and the cosine table give a real array, the
-    # transform (a large set that is not a progression) a complex one
-    transformed = bohr.size > _SHIFTED_SUM_MAX_SIZE and not _is_progression(
-        bohr.members(), p
-    )
-    assert np.iscomplexobj(sigma_hat) == transformed
+    assert sigma_hat.dtype == np.float64  # on both paths
 
 
 def _crafted_kernel_spectrum(first, rest):
@@ -283,10 +277,9 @@ def _crafted_kernel_spectrum(first, rest):
     return transform
 
 
-# case -> (value at 0, value elsewhere, fragment of the message)
+# case -> (sigmahat at 0, sigmahat elsewhere, fragment of the message)
 BROKEN_KERNEL_SPECTRA = {
     "mass": (0.5, 0.25, "at 0"),
-    "imaginary": (1.0, 0.25 + 1e-6j, "not real"),
     "above-one": (1.0, 1.5, "above 1"),
 }
 
@@ -295,14 +288,59 @@ BROKEN_KERNEL_SPECTRA = {
 def test_kernel_spectrum_rejects_a_broken_transform(monkeypatch, case):
     first, rest, fragment = BROKEN_KERNEL_SPECTRA[case]
     bohr = build_bohr_set(2003, [1, 7], "0.2")
-    # the transform path: past the cutoff and not a progression
-    assert bohr.size > _SHIFTED_SUM_MAX_SIZE
-    assert not _is_progression(bohr.members(), 2003)
+    assert not _is_progression(bohr.members(), 2003)  # the transform path
+    # sigmahat is the real part of the transform plus 1/|B|
+    offset = 1.0 / bohr.size
     monkeypatch.setattr(
-        "ap3lab.cyclic.forward_transform", _crafted_kernel_spectrum(first, rest)
+        "ap3lab.cyclic.forward_transform",
+        _crafted_kernel_spectrum(first - offset, rest - offset),
     )
     with pytest.raises(InvariantError, match=fragment):
         kernel_spectrum(bohr)
+
+
+def test_kernel_spectrum_transforms_only_the_positive_half_of_the_set(monkeypatch):
+    bohr = build_bohr_set(2003, [1, 7], "0.2")
+    assert not _is_progression(bohr.members(), 2003)
+    members = bohr.members()
+    supports = []
+    transform = cyclic.forward_transform
+
+    def recording(f):
+        supports.append(np.flatnonzero(f.values))
+        return transform(f)
+
+    monkeypatch.setattr(cyclic, "forward_transform", recording)
+    kernel_spectrum(bohr)
+    assert len(supports) == 1
+    assert np.array_equal(supports[0], members[(members > 0) & (2 * members < 2003)])
+
+
+# members of Z/101Z that are not a progression: 0 missing, a member below
+# P/2 without its mirror, and a member above P/2 without its mirror
+ASYMMETRIC_SETS = {
+    "no-zero": [1, 3, 98, 100],
+    "unmirrored": [0, 1, 3, 4, 98, 100],
+    "extra-mirror": [0, 1, 3, 97, 98, 100],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ASYMMETRIC_SETS))
+def test_kernel_spectrum_rejects_a_set_not_symmetric_about_zero(case):
+    members = sorted(ASYMMETRIC_SETS[case])
+    bohr = BohrSet(101, (1,), Fraction(1, 4), members)
+    assert _progression_step(bohr) is None
+    with pytest.raises(InvariantError, match="symmetric"):
+        kernel_spectrum(bohr)
+
+
+def test_kernel_spectrum_checks_the_quarter_support():
+    # symmetric with 0 and not a progression, but 40 > 101/4 lies outside
+    # the support that 1 in R and eps < 1/4 allow
+    members = sorted({0, 1, 3, 40, 61, 98, 100})
+    with pytest.raises(InvariantError, match="support"):
+        kernel_spectrum(BohrSet(101, (1,), Fraction(1, 10), members))
+    kernel_spectrum(BohrSet(101, (1,), Fraction(1, 4), members))  # no hypothesis
 
 
 def test_shifted_sum_is_an_exact_average_of_values():
@@ -331,13 +369,25 @@ def test_shifted_sum_rejects_a_negative_value_without_clamping():
         smooth(CyclicFunction(p, values), bohr)
 
 
+def _odd_shifts(p, count):
+    """The symmetric set {+-1, +-3, ..., +-(2*count - 1)}, without 0."""
+    shifts = np.arange(1, 2 * count, 2, dtype=np.int64)
+    return np.concatenate((shifts, p - shifts[::-1]))
+
+
 def test_shifted_sum_needs_a_symmetric_set_with_zero():
-    p = 101
-    a = CyclicFunction.constant(p, 1.0)
-    for members in ([0, 1, 2], [1, 100]):
+    # 6 members take the shifted sum and 160 the inverse transform; both
+    # reach kernel_spectrum's member check, since neither is a progression
+    assert _odd_shifts(2003, 80).size > _SHIFTED_SUM_MAX_SIZE
+    for p, members in (
+        (101, [0, 1, 2]),
+        (101, [1, 100]),
+        (2003, _odd_shifts(2003, 3)),
+        (2003, _odd_shifts(2003, 80)),
+    ):
         lopsided = BohrSet(p, (1,), Fraction(1, 10), members)
         with pytest.raises(InvariantError, match="symmetric"):
-            smooth(a, lopsided)
+            smooth(CyclicFunction.constant(p, 1.0), lopsided)
 
 
 def _dipping_inverse(s):
@@ -414,6 +464,14 @@ try:
     normalized_indicator(wide)
 except InvariantError:
     raised.append("support")
+shifts = np.arange(1, 160, 2)
+zeroless = BohrSet(2003, (1,), Fraction(1, 10), np.concatenate((shifts, 2003 - shifts[::-1])))
+if zeroless.size <= bohr_module._SHIFTED_SUM_MAX_SIZE:
+    raise SystemExit("the set must be past the shifted-sum cutoff")
+try:
+    bohr_module.kernel_spectrum(zeroless)
+except InvariantError:
+    raised.append("symmetric")
 
 import ap3lab.primes as primes_module
 from ap3lab.wtrick import WTrickContext, build_sieved_function
@@ -453,7 +511,7 @@ print(",".join(raised))
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == (
-        "smooth,shifted_sum,support,lift,markov,behrend,pair_count,bertrand"
+        "smooth,shifted_sum,support,symmetric,lift,markov,behrend,pair_count,bertrand"
     )
 
 
@@ -526,25 +584,13 @@ def _symmetric_bohr_set(p, shifts):
     "shifts",
     [[1], [2, 3, 5, 7], [4096, 4097, 9999], [1000, 2000, 3000, 4000, 5000], list(range(1, 64))],
 )
-def test_blocked_cosine_spectrum_equals_the_full_table(p, shifts):
-    # P // 2 + 1 spans several 4096-frequency blocks and ends in a partial one
-    # (the table itself: kernel_spectrum takes the closed form for the
-    # shifts that make a progression)
+def test_kernel_spectrum_of_a_symmetric_set_matches_the_exact_phase_sum(p, shifts):
+    # [1], the multiples of 1000 and 1..63 give progressions (the closed
+    # form), the other two take the transform of 1_{B+}
     bohr = _symmetric_bohr_set(p, shifts)
-    assert 1 < bohr.size <= _SHIFTED_SUM_MAX_SIZE
-    assert (p // 2 + 1) % 4096 != 0
-    sigma_hat = _cosine_table_spectrum(bohr)
-    assert np.array_equal(sigma_hat, cosine_table_spectrum_full(bohr.members(), p))
-
-
-def test_blocked_cosine_spectrum_of_a_scanned_bohr_set():
-    # a progression, so kernel_spectrum takes the closed form; the table
-    # is called directly
-    bohr = build_bohr_set(20011, [1, 5, 77], "0.05")
-    assert 1 < bohr.size <= _SHIFTED_SUM_MAX_SIZE
-    assert np.array_equal(
-        _cosine_table_spectrum(bohr), cosine_table_spectrum_full(bohr.members(), 20011)
-    )
+    sigma_hat = kernel_spectrum(bohr)
+    assert sigma_hat.dtype == np.float64
+    assert np.max(np.abs(sigma_hat - _dirichlet_oracle(bohr.members(), p))) < 1e-13
 
 
 def _progression(p, step, m):

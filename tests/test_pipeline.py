@@ -225,9 +225,17 @@ def test_delta_sweep_shares_lambda_aaa():
     assert len({row[lam_idx] for row in rows}) == 1
 
 
-# At N = 1e4 (P = 15013) and epsilon = 0.1 these deltas give Bohr sets of 1,
-# 51 and 501 members: B = {0}, the cosine table and the transform path.
-SWEEP_REGIMES = {"0.05": 1, "0.2": 51, "0.3": 501}
+# (delta, epsilon) -> |B| at N = 1e4 (P = 15013). At epsilon = 0.1 the
+# sets of 51 and 501 members are progressions (d = 15 and d = 3) and take
+# the closed form; at epsilon = 0.4 the sets of 37 and 481 members are not
+# and take the transform of 1_{B+}. delta = 0.05 gives B = {0}.
+SWEEP_REGIMES = {
+    ("0.05", "0.1"): 1,
+    ("0.2", "0.1"): 51,
+    ("0.3", "0.1"): 501,
+    ("0.1", "0.4"): 37,
+    ("0.2", "0.4"): 481,
+}
 
 
 def test_delta_sweep_makes_no_inverse_transform(monkeypatch):
@@ -235,10 +243,15 @@ def test_delta_sweep_makes_no_inverse_transform(monkeypatch):
         raise AssertionError("delta_sweep inverse-transformed a spectrum")
 
     monkeypatch.setattr("ap3lab.cyclic.inverse_transform", refuse)
-    config = PipelineConfig(n=10**4, epsilon="0.1", delta_grid=tuple(SWEEP_REGIMES))
+    config = PipelineConfig(
+        n=10**4,
+        delta_grid=("0.05", "0.1", "0.2", "0.3"),
+        epsilon_grid=("0.1", "0.4"),
+    )
     header, rows = delta_sweep(config)
-    sizes = {row[header.index("delta")]: row[header.index("bohr_size")] for row in rows}
-    assert sizes == SWEEP_REGIMES
+    delta, eps, size = (header.index(col) for col in ("delta", "epsilon", "bohr_size"))
+    sizes = {(row[delta], row[eps]): row[size] for row in rows}
+    assert SWEEP_REGIMES.items() <= sizes.items()
 
 
 def test_delta_sweep_thresholds_once_per_distinct_delta(monkeypatch):
@@ -259,13 +272,22 @@ def test_delta_sweep_thresholds_once_per_distinct_delta(monkeypatch):
     assert [row[header.index("delta")] for row in rows] == ["0.3"] * 3 + ["0.45"] * 3
 
 
-@pytest.mark.parametrize("delta", ["0.2", "0.3"])
-def test_delta_sweep_lambda_hhh_is_the_pipelines_bit_for_bit(delta):
-    config = PipelineConfig(n=10**4, delta=delta, epsilon="0.1", k_values=(1,))
+@pytest.mark.parametrize(
+    "delta, epsilon",
+    [
+        pytest.param("0.2", "0.1", id="0.2"),
+        pytest.param("0.3", "0.1", id="0.3"),
+        pytest.param("0.1", "0.4", id="0.1-eps0.4"),
+        pytest.param("0.2", "0.4", id="0.2-eps0.4"),
+    ],
+)
+def test_delta_sweep_lambda_hhh_is_the_pipelines_bit_for_bit(delta, epsilon):
+    config = PipelineConfig(n=10**4, delta=delta, epsilon=epsilon, k_values=(1,))
     header, rows = delta_sweep(config)
     report = run_pipeline(config)
-    assert report.data["bohr"]["bohr_size"] == SWEEP_REGIMES[delta]
-    assert rows[0][header.index("bohr_size")] == SWEEP_REGIMES[delta]
+    size = SWEEP_REGIMES[delta, epsilon]
+    assert report.data["bohr"]["bohr_size"] == size
+    assert rows[0][header.index("bohr_size")] == size
     assert rows[0][header.index("lambda_hhh")] == repr(report.data["lambda"]["lambda_hhh"])
 
 
