@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclic import CyclicFunction, Spectrum, clamp_at_zero, from_spectrum
+from .cyclic import CyclicFunction, Spectrum, _in_two, clamp_at_zero, from_spectrum
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import is_prime
 
@@ -331,7 +331,8 @@ def _progression_spectrum(p: int, size: int, step: int) -> np.ndarray:
     and no length-P/2 integer temporary is made. Each sine is folded
     (_folded_sine) to an argument in [0, pi/2] before sin is taken, so a
     small sine keeps its relative accuracy, and its sign is carried
-    separately.
+    separately. The blocks are split into two runs on two threads
+    (cyclic._in_two).
     """
     half_size = p // 2 + 1
     out = np.empty(half_size)
@@ -340,22 +341,26 @@ def _progression_spectrum(p: int, size: int, step: int) -> np.ndarray:
     block = min(_SINE_BLOCK, half_size - 1)
     steps = (step, size * step % period)  # phi_d, phi_n per unit of t
     residues = [np.arange(block, dtype=np.int64) * c % period for c in steps]
-    phase = np.empty(block, dtype=np.int64)
-    scratch = np.empty(block, dtype=np.int64)
-    signs = [np.empty(block, dtype=np.int64) for _ in steps]
-    sines = [np.empty(block) for _ in steps]
-    for start in range(1, half_size, block):
-        n = min(block, half_size - start)
-        for c, row, sign, sine in zip(steps, residues, signs, sines):
-            np.add(row[:n], c * start % period - period, out=phase[:n])
-            _folded_sine(phase[:n], p, sine[:n], sign[:n], scratch[:n])
-        denominator, numerator = sines
-        ratio = out[start : start + n]
-        denominator[:n] *= size
-        np.divide(numerator[:n], denominator[:n], out=ratio)
-        # the signs agree exactly when their sign words do
-        np.bitwise_xor(signs[0][:n], signs[1][:n], out=scratch[:n])
-        np.copysign(ratio, scratch[:n], out=ratio)
+
+    def fill(lo: int, hi: int) -> None:  # t in [1 + lo, 1 + hi)
+        phase = np.empty(block, dtype=np.int64)
+        scratch = np.empty(block, dtype=np.int64)
+        signs = [np.empty(block, dtype=np.int64) for _ in steps]
+        sines = [np.empty(block) for _ in steps]
+        for start in range(1 + lo, 1 + hi, block):
+            n = min(block, 1 + hi - start)
+            for c, row, sign, sine in zip(steps, residues, signs, sines):
+                np.add(row[:n], c * start % period - period, out=phase[:n])
+                _folded_sine(phase[:n], p, sine[:n], sign[:n], scratch[:n])
+            denominator, numerator = sines
+            ratio = out[start : start + n]
+            denominator[:n] *= size
+            np.divide(numerator[:n], denominator[:n], out=ratio)
+            # the signs agree exactly when their sign words do
+            np.bitwise_xor(signs[0][:n], signs[1][:n], out=scratch[:n])
+            np.copysign(ratio, scratch[:n], out=ratio)
+
+    _in_two(fill, half_size - 1, block, half_size)
     return out
 
 
@@ -379,15 +384,26 @@ def _folded_sine(phase, p, sine, sign, scratch) -> None:
 
 
 def _shifted_average(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
-    """h(x) = (1/|B|) sum_{b in B} a(x - b), carrying ahat * sigmahat."""
+    """h(x) = (1/|B|) sum_{b in B} a(x - b), carrying ahat * sigmahat.
+
+    The x are split into two ranges on two threads (cyclic._in_two); each
+    h(x) adds the same values in the same ascending order of b either way.
+    """
     p = a.modulus
     sigma_hat = kernel_spectrum(bohr)  # checks that B contains 0 and is symmetric
     carried = Spectrum(p, a.spectrum().half * sigma_hat)
     del sigma_hat  # free it before the shifted sum is allocated
     values = np.zeros(p)
-    for b in bohr.members().tolist():
-        values[b:] += a.values[: p - b]
-        values[:b] += a.values[p - b :]
+    shifts = bohr.members().tolist()
+
+    def add_shifts(lo: int, hi: int) -> None:
+        """values[x] += a(x - b) for x in [lo, hi), b in ascending order."""
+        for b in shifts:
+            cut = min(max(b, lo), hi)  # x < cut reads a at x - b + P
+            values[lo:cut] += a.values[lo - b + p : cut - b + p]
+            values[cut:hi] += a.values[cut - b : hi - b]
+
+    _in_two(add_shifts, p, 1, p)
     values /= bohr.size
     low = float(values.min())
     if low < 0:

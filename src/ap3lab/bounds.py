@@ -41,8 +41,47 @@ def level_set_extract(
     threshold and applying the norm inequality to the upper part, so the
     returned margin is nonnegative for every valid input.
     """
+    _check_exponent(p)
+    level_set = np.flatnonzero(_level_mask(f, alpha)).astype(np.int64, copy=False)
+    return level_set, holder_report(f, alpha, p, lp_norm(f, p), level_set.size)
+
+
+def level_set_size(f: CyclicFunction, alpha: float) -> int:
+    """|{n : f(n) >= alpha/2}|, with level_set_extract's checks on f and
+    alpha. The set does not depend on the exponent, so one count serves
+    holder_report at every p."""
+    return int(np.count_nonzero(_level_mask(f, alpha)))
+
+
+def holder_report(
+    f: CyclicFunction, alpha: float, p: float, c_norm: float, size: int
+) -> LevelSetReport:
+    """level_set_extract's report for a level set of the given size, with
+    c_norm = ||f||_p."""
+    _check_exponent(p)
+    q = p / (p - 1.0)
+    mu = size / f.modulus
+    holder_bound = (alpha / (2.0 * c_norm)) ** q if c_norm > 0 else 0.0
+    return LevelSetReport(
+        alpha=alpha,
+        p_exponent=p,
+        q_exponent=q,
+        c_norm=c_norm,
+        threshold=alpha / 2.0,
+        size=int(size),
+        mu=mu,
+        holder_bound=holder_bound,
+        margin=mu - holder_bound,
+    )
+
+
+def _check_exponent(p: float) -> None:
     if p <= 1:
         raise InvalidArgumentError(f"need p > 1, got {p}")
+
+
+def _level_mask(f: CyclicFunction, alpha: float) -> np.ndarray:
+    """f >= alpha/2 as a bool mask, for f >= 0 with mean at least alpha."""
     if alpha <= 0:
         raise InvalidArgumentError(f"mass level alpha must be positive, got {alpha}")
     values = f.values
@@ -53,24 +92,7 @@ def level_set_extract(
         raise PreconditionError(
             f"mean {l1:.6g} is below the requested mass alpha = {alpha:.6g}"
         )
-    threshold = alpha / 2.0
-    level_set = np.flatnonzero(values >= threshold).astype(np.int64, copy=False)
-    c_norm = lp_norm(f, p)
-    q = p / (p - 1.0)
-    mu = level_set.size / f.modulus
-    holder_bound = (alpha / (2.0 * c_norm)) ** q if c_norm > 0 else 0.0
-    report = LevelSetReport(
-        alpha=alpha,
-        p_exponent=p,
-        q_exponent=q,
-        c_norm=c_norm,
-        threshold=threshold,
-        size=int(level_set.size),
-        mu=mu,
-        holder_bound=holder_bound,
-        margin=mu - holder_bound,
-    )
-    return level_set, report
+    return values >= alpha / 2.0
 
 
 @dataclass

@@ -39,6 +39,15 @@ Every spectrum (ahat, sigmahat, hhat) is that of a real function and holds
 only its P//2 + 1 coefficients t <= P/2 (cyclic.Spectrum); the threshold,
 the products and lambda read that half, and a sum over all P frequencies
 mirrors it in fixed_sum's order without building the upper half.
+
+Three stages split their work between two threads once their arrays
+reach 2^20 values (cyclic._THREAD_FLOOR, so at N = 1e7 but not at
+N <= 1e6): the chirps and the row-column FFT passes of each forward
+transform (ahat, and sigmahat of a set that is not a progression), the
+closed-form sigmahat of a progression, and smooth's shifted sum. Each
+value is formed by the same numpy calls in the same order on either
+thread, so no report bit depends on the split. The level set
+{h >= h_l1/2} does not depend on k, so it is counted once per run.
 """
 
 from __future__ import annotations
@@ -55,8 +64,7 @@ import numpy as np
 
 from . import bounds as bd
 from .bohr import build_bohr_set, kernel_spectrum, smooth
-# lp_norm stays importable here because perfbench/spans.py wraps pipeline.lp_norm.
-from .cyclic import lp_norm, spectral_lp_norm, threshold_spectrum  # noqa: F401
+from .cyclic import lp_norm, spectral_lp_norm, threshold_spectrum
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import sieve_primes
 from .sieve_bounds import convolution_norm_bound, moment_index_in_range
@@ -218,8 +226,12 @@ class ExperimentReport:
         return PIPELINE_CSV_COLUMNS, rows
 
 
+_INT64 = np.iinfo(np.int64)
+
+
 def load_member_file(path) -> np.ndarray:
-    """One integer per line, blank lines ignored."""
+    """One integer per line, blank lines ignored. A member outside int64
+    raises InvalidArgumentError."""
     values = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
@@ -227,7 +239,13 @@ def load_member_file(path) -> np.ndarray:
             values.append(int(line))
     if not values:
         raise InvalidArgumentError(f"set file {path} is empty")
-    return np.asarray(sorted(set(values)), dtype=np.int64)
+    members = sorted(set(values))
+    for member in (members[0], members[-1]):
+        if not _INT64.min <= member <= _INT64.max:
+            raise InvalidArgumentError(
+                f"set member {member} in {path} does not fit in a 64-bit integer"
+            )
+    return np.asarray(members, dtype=np.int64)
 
 
 def check_fft_budget(p: int, budget: int = DEFAULT_FFT_BUDGET) -> None:
@@ -290,14 +308,16 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
     constraint = bd.epsilon_delta_constraint(delta_f, epsilon_f, config.n, config.c4)
 
     k_values = tuple(config.k_values) or (bd.choose_k(config.n),)
+    # {h >= h_l1/2} does not depend on k: one scan serves every row
+    level_size = bd.level_set_size(h, h_l1)
     norm_table = []
     exploratory = False
     for k in k_values:
         in_range = moment_index_in_range(k, ctx.z)
         exploratory = exploratory or not in_range
         norm_bound = convolution_norm_bound(k, config.n, ctx.z, bohr.size, force=True)
-        _, level = bd.level_set_extract(h, h_l1, 2 * k)
-        h2k = level.c_norm  # lp_norm(h, 2k), computed once inside the extraction
+        h2k = lp_norm(h, 2 * k)
+        level = bd.holder_report(h, h_l1, 2 * k, h2k, level_size)
         floor_rhs = _progression_floor(sieved.alpha, k, config.c1)
         sanders_val = (
             bd.sanders_lower_bound(level.mu, config.c_sanders)

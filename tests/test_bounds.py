@@ -9,7 +9,9 @@ from ap3lab.bounds import (
     choose_k_from_log,
     density_bound_table,
     epsilon_delta_constraint,
+    holder_report,
     level_set_extract,
+    level_set_size,
     smoothed_progression_floor,
     q_exponent,
     sanders_lower_bound,
@@ -56,6 +58,20 @@ def test_level_set_random_functions_margin_never_negative():
         assert report.margin >= 0.0
 
 
+def test_one_level_count_serves_every_exponent():
+    # the split used by run_pipeline: one count, then one report per p
+    rng = np.random.default_rng(62)
+    f = CyclicFunction(1009, rng.random(1009) ** 3)
+    alpha = f.mean()
+    size = level_set_size(f, alpha)
+    for exponent in (2.0, 4.0, 6.0, 3.5):
+        level, report = level_set_extract(f, alpha, exponent)
+        assert size == level.size
+        assert holder_report(f, alpha, exponent, report.c_norm, size) == report
+    with pytest.raises(InvalidArgumentError):
+        holder_report(f, alpha, 1.0, 1.0, size)
+
+
 def test_level_set_preconditions():
     f = CyclicFunction.constant(101, 0.1)
     with pytest.raises(PreconditionError):
@@ -67,6 +83,10 @@ def test_level_set_preconditions():
     g = CyclicFunction(101, np.full(101, -1.0))
     with pytest.raises(PreconditionError):
         level_set_extract(g, 0.05, 2.0)
+    with pytest.raises(PreconditionError):
+        level_set_size(f, 0.2)
+    with pytest.raises(PreconditionError):
+        level_set_size(g, 0.05)
 
 
 def test_epsilon_delta_designed_point():

@@ -220,11 +220,11 @@ def _config_file(raw):
     return argv
 
 
-def _set_file(text):
+def _set_file(text, command="wtrick"):
     def argv(tmp_path):
         path = tmp_path / "set.txt"
         path.write_text(text)
-        return ["wtrick", "--n", "100", "--set", str(path), "--out", str(tmp_path / "w.json")]
+        return [command, "--n", "100", "--set", str(path), "--out", str(tmp_path / "out.json")]
     return argv
 
 
@@ -295,6 +295,14 @@ MALFORMED_INPUTS = {
     "k-values-null": (_config_file({"n": 10000, "k_values": [None]}), "k_values must be integers"),
     "set-composite": (_set_file("-5\n4\n5\n11\n17\n23\n"), "set member -5 is not a prime"),
     "set-above-n": (_set_file("5\n11\n17\n23\n101\n"), "set member 101 is not a prime"),
+    "set-member-past-int64": (
+        _set_file("5\n11\n99999999999999999999999\n"),
+        "set member 99999999999999999999999 in",
+    ),
+    "set-member-past-int64-pipeline": (
+        _set_file("-99999999999999999999999\n5\n11\n", "pipeline"),
+        "set member -99999999999999999999999 in",
+    ),
     "config-not-object": (_config_file([["n", 10000]]), "must hold a JSON object"),
     "fft-budget-string-bohr": (
         lambda tmp_path: _with_config(tmp_path, {"fft_budget": "8"}, BUDGETED["bohr"]),

@@ -1,7 +1,9 @@
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -224,8 +226,11 @@ try:
 except ResourceLimitError as exc:
     print("refused:", exc)
 """
+    src = Path(cyclic.__file__).resolve().parent.parent
     result = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, check=True
+        [sys.executable, "-O", "-c", script],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
     )
     assert result.stdout.startswith("refused: P = 101 is past 100")
 

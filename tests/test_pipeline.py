@@ -291,6 +291,22 @@ def test_delta_sweep_lambda_hhh_is_the_pipelines_bit_for_bit(delta, epsilon):
     assert rows[0][header.index("lambda_hhh")] == repr(report.data["lambda"]["lambda_hhh"])
 
 
+def test_pipeline_scans_the_level_set_once_for_every_k(monkeypatch):
+    import ap3lab.bounds as bounds
+
+    scans = []
+    real = bounds._level_mask
+
+    def counting(f, alpha):
+        scans.append(alpha)
+        return real(f, alpha)
+
+    monkeypatch.setattr(bounds, "_level_mask", counting)
+    report = run_pipeline(PipelineConfig(n=10**4, delta="0.2", epsilon="0.1", k_values=(1, 2, 3)))
+    assert scans == [report.data["lambda"]["h_l1"]]
+    assert len({row["level_size"] for row in report.data["norm_table"]}) == 1
+
+
 def test_self_convolution_square_norm_identity(sieved_1e5):
     # ||a*a||_2^2 equals the fourth power of the spectral 4-norm of a
     from ap3lab.cyclic import convolve, lp_norm, spectral_lp_norm
