@@ -226,9 +226,6 @@ class ExperimentReport:
         return PIPELINE_CSV_COLUMNS, rows
 
 
-_INT64 = np.iinfo(np.int64)
-
-
 def load_member_file(path) -> np.ndarray:
     """One integer per line, blank lines ignored. A member outside int64
     raises InvalidArgumentError."""
@@ -240,8 +237,8 @@ def load_member_file(path) -> np.ndarray:
     if not values:
         raise InvalidArgumentError(f"set file {path} is empty")
     members = sorted(set(values))
-    for member in (members[0], members[-1]):
-        if not _INT64.min <= member <= _INT64.max:
+    for member in (members[0], members[-1]):  # the least and the largest
+        if not -(1 << 63) <= member < 1 << 63:
             raise InvalidArgumentError(
                 f"set member {member} in {path} does not fit in a 64-bit integer"
             )
