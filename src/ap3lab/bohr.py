@@ -331,7 +331,7 @@ def _progression_spectrum(p: int, size: int, step: int) -> np.ndarray:
     and no length-P/2 integer temporary is made. Each sine is folded
     (_folded_sine) to an argument in [0, pi/2] before sin is taken, so a
     small sine keeps its relative accuracy, and its sign is carried
-    separately. The blocks are split into two runs on two threads
+    separately. The blocks are shared out in chunks between two threads
     (cyclic._in_two).
     """
     half_size = p // 2 + 1
@@ -386,8 +386,9 @@ def _folded_sine(phase, p, sine, sign, scratch) -> None:
 def _shifted_average(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     """h(x) = (1/|B|) sum_{b in B} a(x - b), carrying ahat * sigmahat.
 
-    The x are split into two ranges on two threads (cyclic._in_two); each
-    h(x) adds the same values in the same ascending order of b either way.
+    The x are shared out in ranges between two threads (cyclic._in_two);
+    each h(x) adds the same values in the same ascending order of b
+    whichever thread forms it.
     """
     p = a.modulus
     sigma_hat = kernel_spectrum(bohr)  # checks that B contains 0 and is symmetric

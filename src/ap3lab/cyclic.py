@@ -59,6 +59,13 @@ _TWIDDLE_ROWS = 64
 # and 0.95-0.98x above. 2^20 sits at that crossover: every stage at
 # P <= 1000003 stays on one thread, the N = 1e7 stages (P = 5000011) split.
 _THREAD_FLOOR = 1 << 20
+# Chunks per _in_two call. Each thread claims the next chunk when it ends
+# one, so a thread the host slows down does less of the work instead of
+# holding up the other, which waits for it at most one chunk. With two
+# fixed halves, N = 1e7 pipeline runs on this shared machine came in two
+# modes, near 0.8x and up to 1.3x the one-thread time, as if the host
+# sometimes took the second core for the length of a half.
+_THREAD_CHUNKS = 16
 
 
 class CyclicFunction:
@@ -232,39 +239,51 @@ def _half_chirp_z(values: np.ndarray) -> np.ndarray:
 
 
 def _in_two(work, stop: int, step: int, values: int) -> None:
-    """Run work(lo, hi) over [0, stop) as two halves split at a multiple
-    of step: the upper half on a new thread, the lower half on the caller.
-    numpy releases the GIL inside its FFTs, gathers and elementwise
-    operations, so the halves run on two cores. Each value is formed by
-    the same numpy calls whichever half holds it, so the result is the
-    same in every bit as one serial work(0, stop).
+    """Run work(lo, hi) over [0, stop) on the caller and one new thread.
+    [0, stop) is cut into about _THREAD_CHUNKS chunks whose bounds are
+    multiples of step, and each thread claims the next chunk whenever it
+    ends one. numpy releases the GIL inside its FFTs, gathers and
+    elementwise operations, so the chunks run on two cores. Each value is
+    formed by the same numpy calls whichever chunk and thread hold it, so
+    the result is the same in every bit as one work(0, stop).
 
     An array of fewer than _THREAD_FLOOR values, or a range of one step,
     stays on the caller: no thread is started. The thread is always joined
-    before this returns, and an exception it raised is raised again here
-    as the same object; if the thread cannot be started, the caller does
-    all the work.
+    before this returns. An exception in either thread leaves no further
+    chunk to start, and one raised by the new thread is raised again here
+    as the same object. If the thread cannot be started, the caller does
+    every chunk.
     """
-    split = -(-stop // (2 * step)) * step  # ceil(stop / 2), rounded up to a step
-    if values < _THREAD_FLOOR or split >= stop:
+    if values < _THREAD_FLOOR or stop <= step:
         work(0, stop)
         return
+    size = -(-stop // (_THREAD_CHUNKS * step)) * step
+    starts = iter(range(0, stop, size))  # next() on it is atomic under the GIL
     failure = []
 
-    def upper() -> None:
+    def claim() -> None:
         try:
-            work(split, stop)
+            for lo in starts:
+                work(lo, min(lo + size, stop))
+        except BaseException:
+            for _ in starts:  # leave the other thread no chunk to start
+                pass
+            raise
+
+    def worker() -> None:
+        try:
+            claim()
         except BaseException as exc:  # raised again on the caller
             failure.append(exc)
 
-    thread = threading.Thread(target=upper, name="ap3lab-upper-half")
+    thread = threading.Thread(target=worker, name="ap3lab-worker")
     try:
         thread.start()
-    except RuntimeError:  # no thread to be had: nothing has run yet
-        work(0, stop)
+    except RuntimeError:  # no thread to be had: the caller does every chunk
+        claim()
         return
     try:
-        work(0, split)
+        claim()
     finally:
         thread.join()
     if failure:
@@ -296,9 +315,8 @@ def _row_column_fft(data: np.ndarray, columns: int, inverse: bool = False) -> No
     Each twiddle has the exact integer phase k*c < S and is the product of
     a fine entry (k mod _TWIDDLE_ROWS) and a coarse one (the rest of k);
     each block of _TWIDDLE_ROWS rows is twiddled and row-transformed while
-    it is in cache. The column pass is split into two halves of columns
-    and the row blocks into two runs of blocks, each pair on two threads
-    (_in_two).
+    it is in cache. The columns, and then the row blocks, are shared out
+    in chunks between two threads (_in_two).
     """
     grid = data.reshape(-1, columns)
     rows = grid.shape[0]
@@ -381,7 +399,7 @@ def _chirp(start: int, stop: int, p: int, out: np.ndarray) -> None:
     as fine[phi mod K] * coarse[phi // K] (see _unit_roots), so no cosine
     or sine is taken per point. The n are taken in blocks of
     _CHIRP_BLOCK, so no integer or real temporary as long as out is made,
-    and the blocks are split into two runs on two threads (_in_two).
+    and the blocks are shared out in chunks between two threads (_in_two).
     """
     shift = ((2 * p - 1).bit_length() + 1) // 2  # K = 2^shift, K^2 >= 2P
     fine = _unit_roots(np.array([1]), 1 << shift, 2 * p, 1.0)[0]

@@ -1,16 +1,16 @@
 """cyclic._in_two: the transform, the chirps, the shifted sum and the
-closed-form kernel spectrum split their work between two threads above
-cyclic._THREAD_FLOOR values. Every bit must be the same as on one thread,
-every thread must be joined, and an error in either half must reach the
-caller as it was raised."""
+closed-form kernel spectrum share their work out in chunks between two
+threads above cyclic._THREAD_FLOOR values. Every bit must be the same as
+on one thread, every thread must be joined, and an error in either thread
+must reach the caller as it was raised."""
 
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ap3lab import bohr as bohr_module
 from ap3lab import cyclic
 from ap3lab.bohr import BohrSet, _progression_spectrum, _shifted_average, kernel_spectrum
 from ap3lab.cli import main
@@ -22,13 +22,6 @@ P_ABOVE = 2097169
 S_ABOVE = 1049760
 
 
-def _halves_on_caller(work, stop, step, values):
-    """_in_two's split, with both halves run on the caller in turn."""
-    split = min(-(-stop // (2 * step)) * step, stop)
-    work(0, split)
-    work(split, stop)
-
-
 class _CountedThread(threading.Thread):
     started = 0
 
@@ -37,28 +30,31 @@ class _CountedThread(threading.Thread):
         super().start()
 
 
+def _no_thread(self):
+    raise RuntimeError("can't start new thread")
+
+
 def _three_ways(monkeypatch, compute):
-    """compute() with two threads, with both halves on the caller, and in
-    one piece (the floor raised past every size); the thread count of the
-    first run is checked to be positive."""
+    """compute() with two threads; with every chunk on the caller, in
+    order, as when no thread can be started; and in one piece (the floor
+    raised past every size). The first run is checked to start a thread."""
     with monkeypatch.context() as patch:
         patch.setattr(threading, "Thread", _CountedThread)
         _CountedThread.started = 0
         threaded = compute()
         assert _CountedThread.started > 0
     with monkeypatch.context() as patch:
-        patch.setattr(cyclic, "_in_two", _halves_on_caller)
-        patch.setattr(bohr_module, "_in_two", _halves_on_caller)
-        halves = compute()
+        patch.setattr(threading.Thread, "start", _no_thread)
+        chunks = compute()
     with monkeypatch.context() as patch:
         patch.setattr(cyclic, "_THREAD_FLOOR", 1 << 62)
         whole = compute()
-    return threaded, halves, whole
+    return threaded, chunks, whole
 
 
 def _assert_same_bits(results):
-    threaded, halves, whole = results
-    assert np.array_equal(threaded, halves) and np.array_equal(threaded, whole)
+    threaded, chunks, whole = results
+    assert np.array_equal(threaded, chunks) and np.array_equal(threaded, whole)
 
 
 @pytest.mark.parametrize("inverse", [False, True])
@@ -139,50 +135,52 @@ def test_no_thread_is_started_below_the_floor(monkeypatch):
     kernel_spectrum(BohrSet(p, (1,), Fraction(1, 2), np.sort(js * 1001 % p)))
 
 
-def test_a_thread_that_cannot_start_leaves_the_work_to_the_caller(monkeypatch):
-    def no_thread(self):
-        raise RuntimeError("can't start new thread")
-
-    expected = _progression_spectrum(P_ABOVE, 15, 5005)
-    monkeypatch.setattr(threading.Thread, "start", no_thread)
-    assert np.array_equal(_progression_spectrum(P_ABOVE, 15, 5005), expected)
-
-
 class _Failure(Exception):
     pass
 
 
-@pytest.mark.parametrize("failing", ["lower", "upper"])
-def test_an_error_in_either_half_reaches_the_caller_unchanged(failing):
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_an_error_in_either_thread_reaches_the_caller_unchanged(failing):
     before = threading.active_count()
-    raised = []
-    done = []
+    both_hold_a_chunk = threading.Barrier(2, timeout=30)
+    began, raised, done = set(), [], []
 
     def work(lo, hi):
-        if (lo > 0) == (failing == "upper"):
+        thread = threading.current_thread()
+        if thread not in began:
+            began.add(thread)
+            both_hold_a_chunk.wait()
+        if (thread is threading.main_thread()) == (failing == "caller"):
             raised.append(_Failure(failing))
-            raise raised[0]
-        done.append((lo, hi))
+            raise raised[-1]
+        time.sleep(0.01)  # the failed thread empties the queue meanwhile
+        done.append(lo)
 
     with pytest.raises(_Failure) as caught:
         cyclic._in_two(work, 1 << 21, 1, 1 << 21)
-    assert caught.value is raised[0]
-    assert done == ([(0, 1 << 20)] if failing == "upper" else [(1 << 20, 1 << 21)])
+    assert caught.value is raised[0] and len(raised) == 1
+    # the other thread started no chunk after the failure but the one it held
+    assert len(done) <= 2 < cyclic._THREAD_CHUNKS
     assert threading.active_count() == before
 
 
-def test_memory_error_in_the_worker_half_of_a_pipeline_exits_3(tmp_path, capsys, monkeypatch):
+def test_memory_error_in_the_worker_thread_of_a_pipeline_exits_3(tmp_path, capsys, monkeypatch):
     real = cyclic._in_two
+    before = threading.active_count()
 
     def failing_worker(work, stop, step, values):
+        began = threading.Event()
+
         def work_or_fail(lo, hi):
             if threading.current_thread() is not threading.main_thread():
+                began.set()
                 raise MemoryError("Unable to allocate 38.1 MiB for an array")
+            if threading.active_count() > before:  # a worker runs beside this call
+                began.wait(timeout=30)
             work(lo, hi)
 
         real(work_or_fail, stop, step, values)
 
-    before = threading.active_count()
     monkeypatch.setattr(cyclic, "_THREAD_FLOOR", 0)  # N = 1e4 then reaches the threads
     monkeypatch.setattr(cyclic, "_in_two", failing_worker)
     code = main(["pipeline", "--n", "10000", "--out", str(tmp_path / "r.json")])
