@@ -5,43 +5,37 @@ Membership n in B(R, eps) means every frequency x in R satisfies
 t = n*x mod P that reads min(t, P-t)/P <= eps, and with eps held as an
 exact rational p/q it becomes the integer comparison q*min(t, P-t) <= p*P.
 No float ever touches the membership decision.
+
+Smoothing is counting too: for a = c * 1_S, the smoothed h = a * sigma is
+(c/|B|) * g with the integer g(x) = #{b in B : x - b in S}, so smooth
+forms g exactly and makes no inverse transform and no clamp.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
-from .cyclic import CyclicFunction, Spectrum, _in_two, clamp_at_zero, from_spectrum
+from .cyclic import CyclicFunction, Spectrum, _five_smooth_at_least, _in_two
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import is_prime
+from .threeap import _COUNT_BLOCK, _round_counts
 
 # q*min(t, P-t) must stay inside int64: with P <= 2**23 this allows
 # denominators up to about 2**39; decimal strings give at most 10**9.
 _MAX_DENOMINATOR = 1 << 30
 
-# smooth keeps the carried spectrum of h through its clamp at zero only when
-# the deepest clamped value is at most this many ulps of (1 + sup h) times
-# log2 P. FFT rounding grows like log P; in the N = 1e6 delta sweep every
-# dip was at most 0.011 of this bound. Only `smooth` on a Bohr set past
-# _SHIFTED_SUM_MAX_SIZE reaches the clamp: the N = 1e7 pipeline (|B| = 15)
-# sums shifts instead, and delta_sweep never builds h, only its spectrum.
-_ROUNDOFF_DIP_ULPS = 16
-
 # kernel_spectrum checks sigmahat(0) = 1 and |sigmahat| <= 1 to this
 # absolute tolerance.
 _KERNEL_SPECTRUM_TOL = 1e-9
 
-# smooth sums shifted copies of a, instead of convolving through the
-# transform, for Bohr sets with 1 < |B| <= this. Both paths form the same
-# sigmahat (kernel_spectrum), so this trades |B| shifted adds against one
-# inverse transform. On a 2-core x86_64 machine a shifted add of a random
-# a took 7.5 ms at P = 5000011 against 2.29 s for the inverse, and 0.48 ms
-# against 0.18 s at P = 500009: the crossover is near |B| = 300 and 400,
-# and this stays below it.
-_SHIFTED_SUM_MAX_SIZE = 128
+# smooth counts by shifted adds for 1 < |B| <= this, the largest count a
+# uint8 holds, and by one FFT convolution past it. On the N = 1e7 lift
+# (P = 5000011, 2-core x86_64) the adds took 0.15 s at |B| = 255 and, in
+# uint16, 0.79-1.05 s at 511; the convolution took 0.23-0.27 s for a window
+# of at most 511 residues and 1.03-1.13 s for one spread over Z/PZ.
+_SHIFT_COUNT_MAX_SIZE = 255
 
 # Frequencies per block of the closed-form sigmahat of a progression: its
 # eight int64 and float64 rows (1 MiB) stay in L2 cache. At P = 5000011 on a
@@ -183,55 +177,98 @@ def _check_quarter_support(bohr: BohrSet) -> None:
 
 
 def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
-    """h = a * sigma for a >= 0. Mass is preserved (||h||_1 = ||a||_1).
-
-    h carries the product spectrum ahat * sigmahat, so evaluating an
-    operator on h transforms nothing again. sigmahat is kernel_spectrum(B),
-    real on every path: a closed form for a progression, one forward
-    transform of half of B for any other set. How h is built depends on
-    the size of B alone:
+    """h = a * sigma for a = c * 1_S, c > 0 (the lift's form): every
+    nonzero value of a must equal the first, and be positive, or
+    InvalidArgumentError is raised. h = g * (c/|B|) with the integer count
+    g(x) = #{b in B : x - b in S}, so h is exactly 0 off S + B and nothing
+    is clamped; a zero a gives h = 0. h carries the product spectrum
+    ahat * sigmahat (kernel_spectrum, which checks that B contains 0 and is
+    symmetric), so an operator on h transforms nothing again.
 
     * |B| = 1: B = {0}, sigma is the convolution identity and h is a.
-    * 1 < |B| <= _SHIFTED_SUM_MAX_SIZE: h(x) = (1/|B|) sum_{b in B} a(x - b)
-      by |B| shifted adds in ascending b, a fixed-order sum of a's values
-      that is exactly >= 0 when a is. Nothing is clamped: any value below
-      zero raises InvariantError. sigmahat is multiplied into ahat and
-      freed before the shifted sum is allocated.
-    * larger B: h is the inverse transform of ahat * kernel_spectrum(B),
-      clamped at zero, since any dip below zero is transform roundoff. A
-      dip deeper than 1e-9 * (1 + sup h) raises InvariantError. The clamp
-      moves every coefficient of the carried spectrum by at most the
-      deepest clamped value, so it is kept only while that value is within
-      _ROUNDOFF_DIP_ULPS ulps of (1 + sup h) times log2 P, the scale of
-      FFT rounding. A deeper (but still accepted) dip drops the carried
-      spectrum, and the next use of h's spectrum transforms the clamped
-      values afresh. sigmahat is freed before the inverse transform.
+    * 1 < |B| <= _SHIFT_COUNT_MAX_SIZE: |B| shifted adds (_shifted_count).
+    * larger B: one FFT convolution, rounded and checked (_convolved_count).
+
+    Both counts give the same integers, so the path changes no bit of h.
+    Neither makes an inverse transform or starts a thread; only
+    kernel_spectrum, and ahat if a is not yet transformed, may use two.
     """
     if a.modulus != bohr.modulus:
         raise InvalidArgumentError(
             f"modulus mismatch: function {a.modulus} vs Bohr set {bohr.modulus}"
         )
+    support = np.flatnonzero(a.values)
+    scale = float(a.values[support[0]]) if support.size else 1.0
+    if not (scale > 0 and np.all(a.values[support] == scale)):
+        raise InvalidArgumentError(
+            "smooth takes a = c * 1_S with c > 0: every nonzero value must "
+            "equal the first, and be positive"
+        )
     if bohr.size == 1:
         return a  # B = {0}: sigma is the exact convolution identity
-    if bohr.size <= _SHIFTED_SUM_MAX_SIZE:
-        return _shifted_average(a, bohr)
     sigma_hat = kernel_spectrum(bohr)
-    product = Spectrum(a.modulus, a.spectrum().half * sigma_hat)
-    del sigma_hat  # free it before the inverse transform
-    h = from_spectrum(product)
-    low = float(h.values.min())
-    if low < 0:
-        scale = 1.0 + h.sup_norm()
-        if -low > 1e-9 * scale:
-            raise InvariantError(
-                f"convolution of nonnegative inputs went to {low!r}, "
-                "beyond transform roundoff"
-            )
-        roundoff = _ROUNDOFF_DIP_ULPS * np.finfo(np.float64).eps * math.log2(h.modulus)
-        if -low <= roundoff * scale:
-            return clamp_at_zero(h)
-        return CyclicFunction(h.modulus, np.maximum(h.values, 0.0))
+    carried = Spectrum(a.modulus, a.spectrum().half * sigma_hat)
+    del sigma_hat  # free it before the count is allocated
+    # h's values come before the count's small arrays, which would cut up
+    # the memory the transforms freed (N = 1e7 peak 212 MB, not 192), and
+    # after the convolution's large ones (259 MB, not 224, at |B| = 17143)
+    if bohr.size <= _SHIFT_COUNT_MAX_SIZE:
+        values = np.empty(a.modulus)
+        counts = _shifted_count(support, bohr)
+    else:
+        values, counts = None, _convolved_count(support, bohr)
+    h = CyclicFunction(a.modulus, np.multiply(counts, scale / bohr.size, out=values))
+    h._spectrum = carried
     return h
+
+
+def _shifted_count(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
+    """g(x) = #{b in B : x - b in S} by |B| shifted adds of the indicator
+    of S, two contiguous slices each, into the least unsigned integer type
+    that holds |B| (uint8 up to 255)."""
+    p = bohr.modulus
+    indicator = np.zeros(p, dtype=np.uint8)
+    indicator[support] = 1
+    counts = np.zeros(p, dtype=np.min_scalar_type(bohr.size))
+    for b in bohr.members().tolist():
+        counts[b:] += indicator[: p - b]
+        counts[:b] += indicator[p - b :]
+    return counts
+
+
+def _convolved_count(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
+    """g(x) = #{b in B : x - b in S} as int32: one real FFT convolution
+    of 1_S with the window of B's members folded into (-P/2, P/2], at the
+    least 5-smooth length that holds it, rounded and checked block by block
+    (threeap._round_counts, with sum g = |S| * |B|) and folded mod P."""
+    p, members = bohr.modulus, bohr.members()
+    folded = members - p * (members > p // 2)
+    low = int(folded.min())
+    width = int(folded.max()) - low + 1
+    top = int(support[-1]) if support.size else 0
+    span = top + width  # the linear convolution's length
+    length = _five_smooth_at_least(span)
+    buffer = np.zeros(length)
+    buffer[support] = 1.0
+    spectrum = np.fft.rfft(buffer)
+    buffer[: top + 1] = 0.0
+    buffer[folded - low] = 1.0
+    spectrum *= np.fft.rfft(buffer)
+    conv = np.fft.irfft(spectrum, n=length, out=buffer)[:span]
+    del spectrum
+    counts = np.zeros(p, dtype=np.int32)  # g(x) <= |B| <= P < 2**31
+
+    def fold(start: int, block: np.ndarray) -> None:
+        """Add conv[start + i], the count at x = start + i + low, to g."""
+        x = (start + low) % p
+        while block.size:
+            n = min(block.size, p - x)
+            counts[x : x + n] += block[:n]
+            block, x = block[n:], 0
+
+    what = f"convolution of a {support.size}-element set with a Bohr set"
+    _round_counts(conv, int(support.size) * bohr.size, _COUNT_BLOCK, fold, what)
+    return counts
 
 
 def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
@@ -381,37 +418,3 @@ def _folded_sine(phase, p, sine, sign, scratch) -> None:
     np.minimum(scratch, phase, out=scratch)
     np.multiply(scratch, np.pi / p, out=sine)
     np.sin(sine, out=sine)
-
-
-def _shifted_average(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
-    """h(x) = (1/|B|) sum_{b in B} a(x - b), carrying ahat * sigmahat.
-
-    The x are shared out in ranges between two threads (cyclic._in_two);
-    each h(x) adds the same values in the same ascending order of b
-    whichever thread forms it.
-    """
-    p = a.modulus
-    sigma_hat = kernel_spectrum(bohr)  # checks that B contains 0 and is symmetric
-    carried = Spectrum(p, a.spectrum().half * sigma_hat)
-    del sigma_hat  # free it before the shifted sum is allocated
-    values = np.zeros(p)
-    shifts = bohr.members().tolist()
-
-    def add_shifts(lo: int, hi: int) -> None:
-        """values[x] += a(x - b) for x in [lo, hi), b in ascending order."""
-        for b in shifts:
-            cut = min(max(b, lo), hi)  # x < cut reads a at x - b + P
-            values[lo:cut] += a.values[lo - b + p : cut - b + p]
-            values[cut:hi] += a.values[cut - b : hi - b]
-
-    _in_two(add_shifts, p, 1, p)
-    values /= bohr.size
-    low = float(values.min())
-    if low < 0:
-        raise InvariantError(
-            f"shifted average of nonnegative inputs went to {low!r}"
-        )
-
-    h = CyclicFunction(p, values)
-    h._spectrum = carried
-    return h

@@ -449,27 +449,8 @@ def convolve(f: CyclicFunction, g: CyclicFunction) -> CyclicFunction:
             f"modulus mismatch: {f.modulus} vs {g.modulus}"
         )
     product = Spectrum(f.modulus, f.spectrum().half * g.spectrum().half)
-    return from_spectrum(product)
-
-
-def from_spectrum(s: Spectrum) -> CyclicFunction:
-    """The real function with spectrum s, by one inverse transform. It
-    carries s as its memoized spectrum, so it is never transformed forward
-    again."""
-    out = inverse_transform(s)
-    out._spectrum = s
-    return out
-
-
-def clamp_at_zero(f: CyclicFunction) -> CyclicFunction:
-    """max(f, 0), keeping the memoized spectrum of f.
-
-    Only for clamps that remove rounding noise: if c = max(f, 0) - f, then
-    |chat(t)| <= max |c| for every t, so the kept spectrum is off by no
-    more than the largest clamped value. The caller bounds that value.
-    """
-    out = CyclicFunction(f.modulus, np.maximum(f.values, 0.0))
-    out._spectrum = f._spectrum
+    out = inverse_transform(product)
+    out._spectrum = product
     return out
 
 

@@ -8,22 +8,18 @@ Values computed from integers or by fixed-order reductions are identical
 on every numpy build: lambda(a, a, a), its d = 0 part and sum |ahat|^4
 come from exact integer counts of A0 (threeap.additive_counts), and every
 mean and L^k norm is a cyclic.fixed_sum with integer powers by repeated
-multiplication. With B = {0}, h is a, and every report value is a fixed
-function of integers and IEEE operations in a fixed order. With a small
-Bohr set (bohr.smooth's shifted sum, |B| = 15 at N = 1e7), h is a
-fixed-order sum of a's values, and so are its norms and level sets;
-lambda_hhh is evaluated on the carried spectrum ahat * sigmahat and
-carries the rounding of ahat's transform and of sigmahat (the closed
-form's sines, or the transform of half of B). Three things still carry
-the transform's rounding: that lambda_hhh, every value derived from h
-when B is past the shifted-sum cutoff (h is then an inverse transform),
-and threshold membership for a coefficient within rounding of delta.
-math.log and pow come from the platform's libm and are outside this
-guarantee.
+multiplication. h is (scale/|B|) times bohr.smooth's exact integer count
+(with B = {0}, h is a), so every value derived from h, its norms and
+level sets included, is a fixed function of integers and the scale, by
+IEEE operations in a fixed order. Two things still
+carry the transform's rounding: lambda_hhh, evaluated on the carried
+spectrum ahat * sigmahat (the rounding of ahat's transform and of
+sigmahat's sines or transform), and threshold membership for a
+coefficient within rounding of delta. math.log and pow come from the
+platform's libm and are outside this guarantee.
 
 delta_sweep reads h only through lambda(h, h, h), so it never builds h: it
-evaluates the operator on ahat * sigmahat (bohr.kernel_spectrum), with no
-inverse transform and no clamp at any grid point.
+evaluates the operator on ahat * sigmahat (bohr.kernel_spectrum).
 
 Around the one forward transform of a, each pass does only the work its
 output needs: the Bohr scan forms the survivors of its least nonzero
@@ -40,13 +36,13 @@ only its P//2 + 1 coefficients t <= P/2 (cyclic.Spectrum); the threshold,
 the products and lambda read that half, and a sum over all P frequencies
 mirrors it in fixed_sum's order without building the upper half.
 
-Three stages split their work between two threads once their arrays
+Two stages split their work between two threads once their arrays
 reach 2^20 values (cyclic._THREAD_FLOOR, so at N = 1e7 but not at
 N <= 1e6): the chirps and the row-column FFT passes of each forward
-transform (ahat, and sigmahat of a set that is not a progression), the
-closed-form sigmahat of a progression, and smooth's shifted sum. Each
-value is formed by the same numpy calls in the same order on either
-thread, so no report bit depends on the split. The level set
+transform (ahat, and sigmahat of a set that is not a progression), and
+the closed-form sigmahat of a progression. Each value is formed by the
+same numpy calls in the same order on either thread, so no report bit
+depends on the split. The level set
 {h >= h_l1/2} does not depend on k, so it is counted once per run.
 """
 
@@ -461,9 +457,9 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
     per point. A row reads h only
     through lambda(h, h, h), so h is never built: its spectrum
     hhat = ahat * sigmahat (bohr.kernel_spectrum) goes straight to the
-    operator, with no inverse transform and no clamp. For B = {0}, h is a
-    and lambda_hhh is the exact count lambda_aaa. lambda_hhh equals
-    run_pipeline's bit for bit whenever smooth keeps its carried spectrum.
+    operator. For B = {0}, h is a and lambda_hhh is the exact count
+    lambda_aaa. lambda_hhh equals run_pipeline's bit for bit, since smooth
+    always carries that spectrum.
     """
     deltas = config.delta_grid or (config.delta,)
     epsilons = config.epsilon_grid or (config.epsilon,)

@@ -25,9 +25,10 @@ from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 # take the spectral route.
 DIRECT_LAMBDA_CEILING = 20011
 
-# The float64 autoconvolution of a 0/1 vector errs by about
-# 1e-16 * log2(length) * |A|, below 1e-8 for any set the pipeline builds;
-# a value farther than this from an integer means the transform failed.
+# A float64 FFT convolution of two 0/1 vectors with supports X and Y errs
+# by about 1e-16 * log2(length) * sqrt(|X| * |Y|), below 1e-8 for any sets
+# the pipeline convolves (A0 with itself, and A0 with a Bohr set); a value
+# farther than this from an integer means the transform failed.
 AUTOCONVOLUTION_ROUNDING_BOUND = 1e-3
 
 # Values of the autoconvolution rounded, checked and counted at a time, so
@@ -87,30 +88,42 @@ def additive_counts(members) -> AdditiveCounts:
     r = np.fft.irfft(spectrum, n=length, out=indicator)[: 2 * top + 1]
     del spectrum
     size = int(arr.size)
+    energies = []  # sum of r^2 per block
     # r(s) <= |A|, so r^2 fits int64 and each block's sum stays below 2**63
     block = min(_COUNT_BLOCK, max(1, (2**63 - 1) // max(1, size * size)))
-    rounding_error = 0.0
-    total = energy = 0
-    for start in range(0, r.size, block):
-        chunk = r[start : start + block]
-        rounded = np.rint(chunk)
-        rounding_error = max(rounding_error, float(np.max(np.abs(chunk - rounded))))
-        chunk[:] = rounded  # r is rounded in place
-        counts = rounded.astype(np.int64)
-        total += int(counts.sum())
-        counts *= counts
-        energy += int(counts.sum())
-    if rounding_error > AUTOCONVOLUTION_ROUNDING_BOUND or total != size * size:
-        raise InvariantError(
-            f"autoconvolution of a {size}-element set: rounding error "
-            f"{rounding_error:.3g} (bound {AUTOCONVOLUTION_ROUNDING_BOUND}), "
-            f"total {total} (want {size * size})"
-        )
+    rounding_error = _round_counts(
+        r, size * size, block,
+        lambda start, counts: energies.append(int(np.square(counts, out=counts).sum())),
+        f"autoconvolution of a {size}-element set",
+    )
     pairs = sum(
         int(r[2 * arr[i : i + block]].astype(np.int64).sum())
         for i in range(0, arr.size, block)
     )
-    return AdditiveCounts(pairs=pairs, energy=energy, rounding_error=rounding_error)
+    return AdditiveCounts(pairs=pairs, energy=sum(energies), rounding_error=rounding_error)
+
+
+def _round_counts(r: np.ndarray, total: int, block: int, consume, what: str) -> float:
+    """Round the float convolution r in place, block values at a time, and
+    pass each block to consume(start, counts) as int64. Its values must lie
+    within AUTOCONVOLUTION_ROUNDING_BOUND of integers that sum to total, or
+    InvariantError (naming what) is raised. Returns the rounding error."""
+    rounding_error = 0.0
+    counted = 0
+    for start in range(0, r.size, block):
+        chunk = r[start : start + block]
+        rounded = np.rint(chunk)
+        rounding_error = max(rounding_error, float(np.max(np.abs(chunk - rounded))))
+        chunk[:] = rounded
+        counts = rounded.astype(np.int64)
+        counted += int(counts.sum())
+        consume(start, counts)
+    if rounding_error > AUTOCONVOLUTION_ROUNDING_BOUND or counted != total:
+        raise InvariantError(
+            f"{what}: rounding error {rounding_error:.3g} "
+            f"(bound {AUTOCONVOLUTION_ROUNDING_BOUND}), total {counted} (want {total})"
+        )
+    return rounding_error
 
 
 def trivial_mass(f: CyclicFunction, g: CyclicFunction, h: CyclicFunction) -> float:

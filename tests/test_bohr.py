@@ -13,7 +13,7 @@ import ap3lab
 from ap3lab import bohr as bohr_module
 from ap3lab import cyclic
 from ap3lab.bohr import (
-    _SHIFTED_SUM_MAX_SIZE,
+    _SHIFT_COUNT_MAX_SIZE,
     _SINE_BLOCK,
     BohrSet,
     _progression_step,
@@ -161,21 +161,32 @@ def test_indicator_support_inside_quarter_when_one_in_r():
     assert np.all(np.minimum(support, p - support) * 4 < p)
 
 
+def _lifted(p, seed, density=0.3, scale=2.5):
+    """a = scale * 1_S for a random S of about density * P residues, the
+    form smooth takes."""
+    rng = np.random.default_rng(seed)
+    return CyclicFunction(p, scale * (rng.random(p) < density))
+
+
+def _count_oracle(a, bohr):
+    """g(x) = #{b in B : x - b in S} for a = c * 1_S, by np.roll."""
+    indicator = (a.values != 0).astype(np.int64)
+    return sum(np.roll(indicator, b) for b in bohr.members().tolist())
+
+
 def test_smooth_identity_and_total_cases():
-    rng = np.random.default_rng(5)
     p = 1009
-    a = CyclicFunction(p, rng.random(p))
+    a = _lifted(p, 5)
     point = build_bohr_set(p, [1], Fraction(1, 10**6))
-    assert np.max(np.abs(smooth(a, point).values - a.values)) < 1e-10
+    assert smooth(a, point) is a
     everything = build_bohr_set(p, [0], "0.5")
     h = smooth(a, everything)
     assert np.max(np.abs(h.values - float(np.mean(a.values)))) < 1e-10
 
 
 def test_smooth_preserves_mass_and_bounds_sup():
-    rng = np.random.default_rng(6)
     p = 2003
-    a = CyclicFunction(p, rng.random(p) * rng.integers(0, 2, size=p))
+    a = _lifted(p, 6, density=0.5, scale=math.pi)
     bohr = build_bohr_set(p, [1, 13], "0.15")
     h = smooth(a, bohr)
     assert math.isclose(lp_norm(h, 1), lp_norm(a, 1), rel_tol=1e-10)
@@ -187,12 +198,11 @@ def test_smooth_preserves_mass_and_bounds_sup():
 
 def test_carried_spectra_match_the_direct_transform():
     # a sparse 0/1 input leaves h exactly zero on many residues, where the
-    # computed convolution dips below zero by rounding and the clamp fires
-    rng = np.random.default_rng(2003)
+    # convolution through the transform dips below zero by rounding; the
+    # count has nothing to clamp
     p = 2003
-    a = CyclicFunction(p, (rng.random(p) < 0.01).astype(float))
+    a = _lifted(p, 2003, density=0.01, scale=1.0)
     bohr = build_bohr_set(p, [1], "0.05")
-    assert bohr.size > _SHIFTED_SUM_MAX_SIZE  # the transform path
     sigma = normalized_indicator(bohr)
     raw = convolve(a, sigma)
     h = smooth(a, bohr)
@@ -206,9 +216,9 @@ def test_carried_spectra_match_the_direct_transform():
     )
 
 
-# (P, frequencies, radius): Bohr sets of 11, 41, 7 and 121 members, within
-# the shifted-sum cutoff, and of 133, 201 and 345 members, above it. All
-# but the 7 and the 345 are progressions {j*d : |j| <= m}.
+# (P, frequencies, radius): Bohr sets of 11, 41, 7, 121, 133 and 201
+# members, within the shifted-count cutoff, and of 345 and 281 members,
+# above it. All but the 7 and the 345 are progressions {j*d : |j| <= m}.
 SMOOTHING_CASES = [
     (1009, [1, 2], "0.01"),
     (1009, [1], "0.02"),
@@ -217,6 +227,7 @@ SMOOTHING_CASES = [
     (2003, [1, 3], "0.1"),
     (1009, [1], "0.1"),
     (2003, [1, 7], "0.2"),
+    (2003, [1], "0.07"),
 ]
 
 
@@ -232,30 +243,41 @@ def _is_progression(members, p):
 
 @pytest.mark.parametrize("p, freqs, eps", SMOOTHING_CASES)
 def test_smooth_agrees_with_the_convolution_on_both_paths(p, freqs, eps):
-    rng = np.random.default_rng(p)
-    a = CyclicFunction(p, rng.random(p) * (rng.random(p) < 0.3))
+    a = _lifted(p, p)
     bohr = build_bohr_set(p, freqs, eps)
     h = smooth(a, bohr)
+    assert math.isclose(lp_norm(h, 1), lp_norm(a, 1), rel_tol=1e-12)
+    assert h.sup_norm() <= a.sup_norm() * (1 + 1e-12)
+    # exactly zero off S + B, and positive on it
+    assert np.array_equal(h.values > 0, _count_oracle(a, bohr) > 0)
     reference = convolve(a, normalized_indicator(bohr))
     assert np.max(np.abs(h.values - reference.values)) < 1e-12
-    fresh = np.fft.ifft(h.values)
-    assert np.max(np.abs(h.spectrum().full() - fresh)) < 1e-12 * a.mean()
+    assert np.max(np.abs(h.spectrum().full() - direct_forward(h.values))) < 1e-12 * a.mean()
     assert math.isclose(
         lambda_fourier(h, h, h), lambda_direct(h, h, h).lambda_value, rel_tol=1e-12
     )
 
 
+@pytest.mark.parametrize("p, freqs, eps", SMOOTHING_CASES)
+def test_both_counts_give_the_same_bits(monkeypatch, p, freqs, eps):
+    # the cutoff at 1 sends every set to the convolution, at P to the
+    # shifted adds; both must give h = g * (c/|B|) in every bit
+    a = _lifted(p, p + 1, density=0.6, scale=math.e)
+    bohr = build_bohr_set(p, freqs, eps)
+    want = _count_oracle(a, bohr) * (math.e / bohr.size)
+    for cutoff in (1, p):
+        monkeypatch.setattr(bohr_module, "_SHIFT_COUNT_MAX_SIZE", cutoff)
+        assert np.array_equal(smooth(a, bohr).values, want)
+
+
 def test_smoothing_cases_reach_both_paths():
     sets = [build_bohr_set(p, f, e) for p, f, e in SMOOTHING_CASES]
-    sizes = [bohr.size for bohr in sets]
-    assert any(1 < size <= _SHIFTED_SUM_MAX_SIZE for size in sizes)
-    assert any(size > _SHIFTED_SUM_MAX_SIZE for size in sizes)
     # each side of the cutoff has a progression and a set that is not one
     for small in (True, False):
         kinds = {
             _is_progression(bohr.members(), bohr.modulus)
             for bohr in sets
-            if (1 < bohr.size <= _SHIFTED_SUM_MAX_SIZE) == small
+            if (1 < bohr.size <= _SHIFT_COUNT_MAX_SIZE) == small
         }
         assert kinds == {True, False}
 
@@ -344,29 +366,36 @@ def test_kernel_spectrum_checks_the_quarter_support():
 
 
 def test_shifted_sum_is_an_exact_average_of_values():
-    # h(x) = (1/|B|) sum_b a(x - b): exactly zero away from the support of
-    # a, with no clamp, and equal to the plain average of the shifts
-    rng = np.random.default_rng(1009)
+    # h = g * (c/|B|): exactly zero away from S + B, with no clamp, and
+    # the plain average of the shifts of the 0/1 indicator when c = 1
     p = 1009
-    a = CyclicFunction(p, (rng.random(p) < 0.01).astype(float))
+    a = _lifted(p, 1009, density=0.01, scale=1.0)
     bohr = build_bohr_set(p, [1, 2], "0.01")
-    assert 1 < bohr.size <= _SHIFTED_SUM_MAX_SIZE
+    assert 1 < bohr.size <= _SHIFT_COUNT_MAX_SIZE
     h = smooth(a, bohr)
     assert float(h.values.min()) == 0.0
-    total = np.zeros(p)
-    for b in bohr.members().tolist():
-        total += np.roll(a.values, b)
-    assert np.array_equal(h.values, total / bohr.size)
+    assert np.array_equal(h.values, _count_oracle(a, bohr) * (1.0 / bohr.size))
+    zero = smooth(CyclicFunction(p, np.zeros(p)), bohr)
+    assert not np.any(zero.values) and not np.any(zero.spectrum().half)
 
 
-def test_shifted_sum_rejects_a_negative_value_without_clamping():
+# values that are not c * 1_S with c > 0: a negative c, a random function,
+# and two nonzero values
+NOT_LIFTED = {
+    "negative": lambda p: np.where(np.arange(p) == 5, -1e-15, 0.0),
+    "random": lambda p: np.random.default_rng(p).random(p),
+    "two-values": lambda p: np.where(np.arange(p) < 3, 1.0, 0.0) + (np.arange(p) == 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_LIFTED))
+@pytest.mark.parametrize("eps", [Fraction(1, 10**6), "0.01", "0.5"])
+def test_smooth_rejects_a_that_is_not_c_times_an_indicator(case, eps):
+    # B = {0}, a set within the shifted-count cutoff, and all of Z/PZ
     p = 1009
-    values = np.zeros(p)
-    values[5] = -1e-15
-    bohr = build_bohr_set(p, [1, 2], "0.01")
-    assert 1 < bohr.size <= _SHIFTED_SUM_MAX_SIZE
-    with pytest.raises(InvariantError, match="went to"):
-        smooth(CyclicFunction(p, values), bohr)
+    bohr = build_bohr_set(p, [1, 2], eps)
+    with pytest.raises(InvalidArgumentError, match="c \\* 1_S"):
+        smooth(CyclicFunction(p, NOT_LIFTED[case](p)), bohr)
 
 
 def _odd_shifts(p, count):
@@ -376,54 +405,18 @@ def _odd_shifts(p, count):
 
 
 def test_shifted_sum_needs_a_symmetric_set_with_zero():
-    # 6 members take the shifted sum and 160 the inverse transform; both
+    # 6 members take the shifted count and 300 the convolution; both
     # reach kernel_spectrum's member check, since neither is a progression
-    assert _odd_shifts(2003, 80).size > _SHIFTED_SUM_MAX_SIZE
+    assert _odd_shifts(2003, 150).size > _SHIFT_COUNT_MAX_SIZE
     for p, members in (
         (101, [0, 1, 2]),
         (101, [1, 100]),
         (2003, _odd_shifts(2003, 3)),
-        (2003, _odd_shifts(2003, 80)),
+        (2003, _odd_shifts(2003, 150)),
     ):
         lopsided = BohrSet(p, (1,), Fraction(1, 10), members)
         with pytest.raises(InvariantError, match="symmetric"):
             smooth(CyclicFunction.constant(p, 1.0), lopsided)
-
-
-def _dipping_inverse(s):
-    values = np.ones(s.modulus)
-    values[1] = -1e-3
-    return CyclicFunction(s.modulus, values)
-
-
-def test_smooth_raises_on_a_dip_beyond_roundoff(monkeypatch):
-    p = 1009
-    a = CyclicFunction.constant(p, 1.0)
-    bohr = build_bohr_set(p, [1], "0.2")
-    assert bohr.size > _SHIFTED_SUM_MAX_SIZE  # the transform path
-    monkeypatch.setattr("ap3lab.cyclic.inverse_transform", _dipping_inverse)
-    with pytest.raises(InvariantError):
-        smooth(a, bohr)
-
-
-def test_smooth_drops_the_carried_spectrum_after_a_dip_above_rounding(monkeypatch):
-    # a dip the clamp accepts but that is far above FFT rounding: the clamped
-    # h must not keep the (deliberately wrong) carried product spectrum
-    p = 1009
-    a = CyclicFunction.constant(p, 1.0)
-    bohr = build_bohr_set(p, [1], "0.2")
-    assert bohr.size > _SHIFTED_SUM_MAX_SIZE  # the transform path
-
-    def shallow_dip(s):
-        values = np.ones(p)
-        values[1] = -1e-11
-        return CyclicFunction(p, values)
-
-    monkeypatch.setattr("ap3lab.bohr.kernel_spectrum", lambda bohr: np.zeros(p // 2 + 1))
-    monkeypatch.setattr("ap3lab.cyclic.inverse_transform", shallow_dip)
-    h = smooth(a, bohr)
-    assert float(h.values.min()) == 0.0
-    assert np.max(np.abs(h.spectrum().full() - direct_forward(h.values))) < 1e-12
 
 
 def test_invariants_survive_optimized_mode():
@@ -433,32 +426,30 @@ import ap3lab.bohr as bohr_module
 from fractions import Fraction
 from ap3lab.bohr import BohrSet, build_bohr_set, normalized_indicator, smooth
 from ap3lab.cyclic import CyclicFunction
-from ap3lab.errors import InvariantError
+from ap3lab.errors import InvalidArgumentError, InvariantError
 
 assert False, "this assert must be stripped"
 
-def dipping(s):
-    values = np.ones(s.modulus)
-    values[1] = -1e-3
-    return CyclicFunction(s.modulus, values)
-
 import ap3lab.cyclic as cyclic_module
 
-cyclic_module.inverse_transform = dipping
 raised = []
 wide_bohr = build_bohr_set(1009, [1], "0.2")
-if wide_bohr.size <= bohr_module._SHIFTED_SUM_MAX_SIZE:
-    raise SystemExit("the Bohr set must take the transform path")
+if wide_bohr.size <= bohr_module._SHIFT_COUNT_MAX_SIZE:
+    raise SystemExit("the Bohr set must take the convolution")
+exact_irfft = np.fft.irfft
+np.fft.irfft = lambda *args, **kw: exact_irfft(*args, **kw) + 0.4
 try:
     smooth(CyclicFunction.constant(1009, 1.0), wide_bohr)
-except InvariantError:
-    raised.append("smooth")
+except InvariantError as exc:
+    if "rounding error" in str(exc):
+        raised.append("smooth")
+np.fft.irfft = exact_irfft
 dipped = np.zeros(101)
 dipped[5] = -1e-15
 try:
     smooth(CyclicFunction(101, dipped), build_bohr_set(101, [1], "0.05"))
-except InvariantError:
-    raised.append("shifted_sum")
+except InvalidArgumentError:
+    raised.append("lifted")
 wide = BohrSet(101, (1,), Fraction(1, 10), [0, 50, 51])
 try:
     normalized_indicator(wide)
@@ -466,8 +457,6 @@ except InvariantError:
     raised.append("support")
 shifts = np.arange(1, 160, 2)
 zeroless = BohrSet(2003, (1,), Fraction(1, 10), np.concatenate((shifts, 2003 - shifts[::-1])))
-if zeroless.size <= bohr_module._SHIFTED_SUM_MAX_SIZE:
-    raise SystemExit("the set must be past the shifted-sum cutoff")
 try:
     bohr_module.kernel_spectrum(zeroless)
 except InvariantError:
@@ -511,7 +500,7 @@ print(",".join(raised))
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == (
-        "smooth,shifted_sum,support,symmetric,lift,markov,behrend,pair_count,bertrand"
+        "smooth,lifted,support,symmetric,lift,markov,behrend,pair_count,bertrand"
     )
 
 
@@ -703,14 +692,13 @@ def test_kernel_spectrum_rejects_a_broken_closed_form(monkeypatch, case):
         kernel_spectrum(bohr)
 
 
-@pytest.mark.parametrize("p, step, m", [(2003, 7, 10), (2003, 3, 100)])
+@pytest.mark.parametrize("p, step, m", [(2003, 7, 10), (2003, 3, 100), (2003, 3, 150)])
 def test_smooth_with_a_progression_matches_the_convolution(p, step, m):
-    # 21 members take the shifted sum, 201 the inverse transform; both
+    # 21 and 201 members take the shifted count, 301 the convolution; all
     # carry the closed-form sigmahat
     bohr = _progression(p, step, m)
-    assert (bohr.size <= _SHIFTED_SUM_MAX_SIZE) == (m == 10)
-    rng = np.random.default_rng(step)
-    a = CyclicFunction(p, rng.random(p) * (rng.random(p) < 0.3))
+    assert (bohr.size <= _SHIFT_COUNT_MAX_SIZE) == (m < 150)
+    a = _lifted(p, step)
     h = smooth(a, bohr)
     reference = convolve(a, normalized_indicator(bohr))
     assert np.max(np.abs(h.values - reference.values)) < 1e-12

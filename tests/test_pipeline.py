@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -228,7 +229,9 @@ def test_delta_sweep_shares_lambda_aaa():
 # (delta, epsilon) -> |B| at N = 1e4 (P = 15013). At epsilon = 0.1 the
 # sets of 51 and 501 members are progressions (d = 15 and d = 3) and take
 # the closed form; at epsilon = 0.4 the sets of 37 and 481 members are not
-# and take the transform of 1_{B+}. delta = 0.05 gives B = {0}.
+# and take the transform of 1_{B+}. delta = 0.05 gives B = {0}. smooth
+# counts the sets of 51 and 37 by shifted adds, and of 501 and 481 by
+# one convolution.
 SWEEP_REGIMES = {
     ("0.05", "0.1"): 1,
     ("0.2", "0.1"): 51,
@@ -240,7 +243,7 @@ SWEEP_REGIMES = {
 
 def test_delta_sweep_makes_no_inverse_transform(monkeypatch):
     def refuse(s):
-        raise AssertionError("delta_sweep inverse-transformed a spectrum")
+        raise AssertionError("a spectrum was inverse-transformed")
 
     monkeypatch.setattr("ap3lab.cyclic.inverse_transform", refuse)
     config = PipelineConfig(
@@ -252,6 +255,11 @@ def test_delta_sweep_makes_no_inverse_transform(monkeypatch):
     delta, eps, size = (header.index(col) for col in ("delta", "epsilon", "bohr_size"))
     sizes = {(row[delta], row[eps]): row[size] for row in rows}
     assert SWEEP_REGIMES.items() <= sizes.items()
+    # nor does run_pipeline's smooth, with either count and either sigmahat
+    for (delta, epsilon), size in SWEEP_REGIMES.items():
+        if size > 1:
+            report = run_pipeline(replace(config, delta=delta, epsilon=epsilon, k_values=(1,)))
+            assert report.data["bohr"]["bohr_size"] == size
 
 
 def test_delta_sweep_thresholds_once_per_distinct_delta(monkeypatch):

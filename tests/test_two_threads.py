@@ -1,6 +1,6 @@
-"""cyclic._in_two: the transform, the chirps, the shifted sum and the
-closed-form kernel spectrum share their work out in chunks between two
-threads above cyclic._THREAD_FLOOR values. Every bit must be the same as
+"""cyclic._in_two: the transform, the chirps and the closed-form kernel
+spectrum share their work out in chunks between two threads above
+cyclic._THREAD_FLOOR values. Every bit must be the same as
 on one thread, every thread must be joined, and an error in either thread
 must reach the caller as it was raised."""
 
@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from ap3lab import cyclic
-from ap3lab.bohr import BohrSet, _progression_spectrum, _shifted_average, kernel_spectrum
+from ap3lab import bohr as bohr_module
+from ap3lab.bohr import BohrSet, _progression_spectrum, kernel_spectrum, smooth
 from ap3lab.cli import main
 from ap3lab.cyclic import CyclicFunction, forward_transform
 
@@ -32,6 +33,10 @@ class _CountedThread(threading.Thread):
 
 def _no_thread(self):
     raise RuntimeError("can't start new thread")
+
+
+def _refused(self):
+    raise AssertionError("a thread was started")
 
 
 def _three_ways(monkeypatch, compute):
@@ -87,38 +92,23 @@ def test_progression_spectrum_is_the_same_on_two_threads(monkeypatch):
     _assert_same_bits(_three_ways(monkeypatch, lambda: _progression_spectrum(P_ABOVE, 15, 5005)))
 
 
-def test_shifted_average_is_the_same_on_two_threads(monkeypatch):
+@pytest.mark.parametrize("cutoff", [1, 255])
+def test_smooth_starts_no_thread_above_the_floor(monkeypatch, cutoff):
+    # both counts, at a P past the floor; ahat and sigmahat, which may use
+    # two threads, are formed before threads are refused
     rng = np.random.default_rng(17)
     values = np.zeros(P_ABOVE)
     values[rng.integers(1, P_ABOVE // 3, size=P_ABOVE // 20)] = 2.5
     a = CyclicFunction(P_ABOVE, values)
-    # a stand-in for ahat, which _shifted_average only multiplies by sigmahat
-    a._spectrum = cyclic.Spectrum(P_ABOVE, np.ones(P_ABOVE // 2 + 1))
-    step, m = 99991, 7
-    js = np.arange(-m, m + 1, dtype=np.int64)
-    bohr = BohrSet(P_ABOVE, (1,), Fraction(1, 2), np.sort(js * step % P_ABOVE))
-
-    def compute():
-        h = _shifted_average(a, bohr)
-        return np.concatenate((h.values, h.spectrum().half.view(np.float64)))
-
-    _assert_same_bits(_three_ways(monkeypatch, compute))
-
-
-def test_shifted_average_adds_each_shift_as_one_thread_did(monkeypatch):
-    # with the floor at 0 a tiny P splits too, so shifts on both sides of
-    # the split, and b = 0, meet the range arithmetic of each half
-    monkeypatch.setattr(cyclic, "_THREAD_FLOOR", 0)
-    p = 101
-    a = CyclicFunction(p, np.random.default_rng(18).random(p))
-    members = np.array([0, 1, 2, 49, 50, 51, 52, 99, 100], dtype=np.int64)
-    bohr = BohrSet(p, (1,), Fraction(1, 2), members)
-    expected = np.zeros(p)
-    for b in members.tolist():
-        expected[b:] += a.values[: p - b]
-        expected[:b] += a.values[p - b :]
-    expected /= members.size
-    assert np.array_equal(_shifted_average(a, bohr).values, expected)
+    a._spectrum = cyclic.Spectrum(P_ABOVE, np.ones(P_ABOVE // 2 + 1))  # a stand-in
+    js = np.arange(-7, 8, dtype=np.int64)
+    bohr = BohrSet(P_ABOVE, (1,), Fraction(1, 2), np.sort(js * 99991 % P_ABOVE))
+    sigma_hat = kernel_spectrum(bohr)
+    monkeypatch.setattr(bohr_module, "kernel_spectrum", lambda b: sigma_hat)
+    monkeypatch.setattr(bohr_module, "_SHIFT_COUNT_MAX_SIZE", cutoff)
+    monkeypatch.setattr(threading.Thread, "start", _refused)
+    counts = sum(np.roll(values != 0, b).astype(np.int64) for b in bohr.members().tolist())
+    assert np.array_equal(smooth(a, bohr).values, counts * (2.5 / bohr.size))
 
 
 def test_no_thread_is_started_below_the_floor(monkeypatch):
