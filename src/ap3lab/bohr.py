@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclic import CyclicFunction, Spectrum, _five_smooth_at_least, _in_two
+from .cyclic import CyclicFunction, Spectrum, _five_smooth_at_least, _in_two, _real_convolution
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import is_prime
 from .threeap import _COUNT_BLOCK, _round_counts
@@ -32,9 +32,13 @@ _KERNEL_SPECTRUM_TOL = 1e-9
 
 # smooth counts by shifted adds for 1 < |B| <= this, the largest count a
 # uint8 holds, and by one FFT convolution past it. On the N = 1e7 lift
-# (P = 5000011, 2-core x86_64) the adds took 0.15 s at |B| = 255 and, in
-# uint16, 0.79-1.05 s at 511; the convolution took 0.23-0.27 s for a window
-# of at most 511 residues and 1.03-1.13 s for one spread over Z/PZ.
+# (P = 5000011, |S| = 332382, 2-core x86_64, medians of 3 in-process calls)
+# the adds took 0.06 s at |B| = 101, 0.13-0.14 s at 255 and, in uint16,
+# 0.55-0.59 s at 511. The convolution's cost is set by B's window, not
+# |B|: 0.10-0.12 s for a window of at most 511 residues and 0.35-0.44 s for
+# one spread over Z/PZ, at each of the three sizes. At 255 the adds lose
+# 0.03 s to a narrow window and win 0.3 s against a spread one, so the
+# cutoff stays at the uint8 bound.
 _SHIFT_COUNT_MAX_SIZE = 255
 
 # Frequencies per block of the closed-form sigmahat of a progression: its
@@ -190,8 +194,9 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     * larger B: one FFT convolution, rounded and checked (_convolved_count).
 
     Both counts give the same integers, so the path changes no bit of h.
-    Neither makes an inverse transform or starts a thread; only
-    kernel_spectrum, and ahat if a is not yet transformed, may use two.
+    Neither makes an inverse transform of a Spectrum. The shifted adds
+    start no thread; the convolution, kernel_spectrum and ahat (if a is not
+    yet transformed) may use two once their arrays reach 2^20 values.
     """
     if a.modulus != bohr.modulus:
         raise InvalidArgumentError(
@@ -237,9 +242,11 @@ def _shifted_count(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
 
 
 def _convolved_count(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
-    """g(x) = #{b in B : x - b in S} as int32: one real FFT convolution
-    of 1_S with the window of B's members folded into (-P/2, P/2], at the
-    least 5-smooth length that holds it, rounded and checked block by block
+    """g(x) = #{b in B : x - b in S} as int32: the cyclic convolution of
+    1_S with the window of B's members folded into (-P/2, P/2], at the
+    least even 5-smooth length that holds their linear convolution, formed
+    over 1_S's buffer (cyclic._real_convolution, which overwrites the
+    window's too), rounded and checked block by block
     (threeap._round_counts, with sum g = |S| * |B|) and folded mod P."""
     p, members = bohr.modulus, bohr.members()
     folded = members - p * (members > p // 2)
@@ -247,15 +254,13 @@ def _convolved_count(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
     width = int(folded.max()) - low + 1
     top = int(support[-1]) if support.size else 0
     span = top + width  # the linear convolution's length
-    length = _five_smooth_at_least(span)
-    buffer = np.zeros(length)
-    buffer[support] = 1.0
-    spectrum = np.fft.rfft(buffer)
-    buffer[: top + 1] = 0.0
-    buffer[folded - low] = 1.0
-    spectrum *= np.fft.rfft(buffer)
-    conv = np.fft.irfft(spectrum, n=length, out=buffer)[:span]
-    del spectrum
+    length = 2 * _five_smooth_at_least((span + 1) // 2)
+    indicator = np.zeros(length)
+    indicator[support] = 1.0
+    window = np.zeros(length)
+    window[folded - low] = 1.0
+    conv = _real_convolution(indicator, window)[:span]
+    del window
     counts = np.zeros(p, dtype=np.int32)  # g(x) <= |B| <= P < 2**31
 
     def fold(start: int, block: np.ndarray) -> None:

@@ -351,6 +351,91 @@ def _row_column_fft(data: np.ndarray, columns: int, inverse: bool = False) -> No
         _in_two(column_pass, columns, 1, data.size)
 
 
+def _real_convolution(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
+    """The cyclic convolution r(s) = sum_n x[n] y[s - n] of real float64
+    arrays of even length S, written over x, which is returned; y=None
+    convolves x with itself. y, if given, is overwritten too.
+
+    x's buffer is viewed as the S/2 complex values z[n] = x[2n] + i*x[2n+1]
+    and transformed in place (_row_column_fft); with E = (Z(k) +
+    conj Z(-k))/2 and O = (Z(k) - conj Z(-k))/(2i), the DFTs of x's even
+    and odd samples, X(k) = E + w^k O for w = exp(-2*pi*i/S). The even and
+    odd samples of r then have the DFT
+    Z'(k) = E_x E_y + w^2k O_x O_y + i(E_x O_y + O_x E_y), which is
+    Z(k) Y(k) - (1 + w^2k) D_x D_y / 4 with D = Z(k) - conj Z(-k), and
+    Z'(-k) is Y(-k) Z(-k) less the conjugate of that correction. One
+    inverse pass leaves r in x's float64 view, in natural order.
+
+    Frequency k + R*j sits at g[k, j] of the R x C grid, and its negative
+    at g[0, (C - j) mod C] in row 0 and at g[R - k, C - 1 - j] below. So
+    rows k and R - k are combined together, in blocks of _TWIDDLE_ROWS
+    pairs shared out between two threads (_in_two); row 0, and row R/2
+    for even R, are their own mirrors. w^2k is the product of a row and a
+    column root of unity with exact integer phases (_unit_roots).
+    """
+    z = x.view(np.complex128)
+    w = z if y is None else y.view(np.complex128)
+    size = z.size
+    columns = _fft_columns(size)
+    _row_column_fft(z, columns)
+    if y is not None:
+        _row_column_fft(w, columns)
+    grid, other = z.reshape(-1, columns), w.reshape(-1, columns)
+    rows = grid.shape[0]
+    row_roots = _unit_roots(np.array([1]), rows, size, -1.0)[0]
+    column_roots = _unit_roots(np.array([rows]), columns, size, -1.0)[0]
+
+    def combine(top, bottom, top_y, bottom_y, roots, scratch, scratch_y) -> None:
+        """Z'(k) over top and Z'(-k) over bottom, bottom[i, j] holding the
+        mirror of top[i, j]; roots is w^2k (scratch until it is formed)."""
+        np.multiply(roots, column_roots, out=scratch)
+        scratch += 1.0
+        scratch *= 0.25
+        np.conjugate(bottom, out=scratch_y)
+        np.subtract(top, scratch_y, out=scratch_y)
+        scratch *= scratch_y
+        if y is not None:
+            np.conjugate(bottom_y, out=scratch_y)
+            np.subtract(top_y, scratch_y, out=scratch_y)
+        scratch *= scratch_y  # the correction for Z'(k)
+        top *= top_y
+        top -= scratch
+        bottom *= bottom_y
+        np.conjugate(scratch, out=scratch)
+        bottom -= scratch
+
+    for row in [0] if rows % 2 else [0, rows // 2]:
+        # the row's mirror is gathered (a copy) before the row is written,
+        # so every column gets its own Z'
+        mirror = np.arange(columns)[::-1] + (row == 0)
+        mirror %= columns
+        top, top_y = grid[row : row + 1], other[row : row + 1]
+        combine(top, top[:, mirror], top_y, top_y[:, mirror], row_roots[row],
+                np.empty_like(top), np.empty_like(top))
+
+    pairs = (rows - 1) // 2  # rows 1 .. pairs pair with rows - 1 .. rows - pairs
+
+    def pair_pass(lo: int, hi: int) -> None:
+        scratch = np.empty((min(_TWIDDLE_ROWS, pairs), columns), dtype=np.complex128)
+        scratch_y = np.empty_like(scratch)
+        for start in range(lo, hi, _TWIDDLE_ROWS):
+            stop = min(start + _TWIDDLE_ROWS, hi)
+            n = stop - start
+            combine(
+                grid[1 + start : 1 + stop],
+                grid[rows - stop : rows - start][::-1, ::-1],
+                other[1 + start : 1 + stop],
+                other[rows - stop : rows - start][::-1, ::-1],
+                row_roots[1 + start : 1 + stop, None],
+                scratch[:n],
+                scratch_y[:n],
+            )
+
+    _in_two(pair_pass, pairs, _TWIDDLE_ROWS, size)
+    _row_column_fft(z, columns, inverse=True)
+    return x
+
+
 def _unit_roots(rows: np.ndarray, columns: int, size: int, sign: float) -> np.ndarray:
     """exp(sign*2*pi*i*r*c/size) for r in rows and c < columns, as a
     len(rows) x columns table; each phase r*c is an exact int64."""

@@ -18,7 +18,14 @@ from itertools import product
 
 import numpy as np
 
-from .cyclic import SUM_BLOCK, CyclicFunction, _five_smooth_at_least, fixed_sum, mirrored_sum
+from .cyclic import (
+    SUM_BLOCK,
+    CyclicFunction,
+    _five_smooth_at_least,
+    _real_convolution,
+    fixed_sum,
+    mirrored_sum,
+)
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 
 # Above this modulus the O(P^2) double loop is refused and callers should
@@ -63,10 +70,13 @@ def additive_counts(members) -> AdditiveCounts:
     For A inside [0, P/3] no sum wraps mod P, so these give the operator
     and the spectral 4-norm of the indicator on Z/PZ as integers:
     P^2 * lambda(1_A, 1_A, 1_A) = pairs and P^3 * sum_t |1_A^(t)|^4 = energy.
-    Duplicates are dropped by sort and mask. r is a real FFT at the least
-    5-smooth length >= 2 * max(A) + 1, so no sum wraps, rounded to
-    integers in place; the rounding is checked against
-    AUTOCONVOLUTION_ROUNDING_BOUND and against sum_s r(s) = |A|^2. The
+    Duplicates are dropped by sort and mask. r is the cyclic
+    autoconvolution of the indicator of A at the least even 5-smooth
+    length S >= 2 * max(A) + 1, so no sum wraps. It is formed over the
+    indicator's own buffer by cyclic._real_convolution (an FFT of S/2
+    complex values and its inverse, on two threads from 2^20 of them), so
+    the stage holds one length-S float64 array, and rounded to integers in
+    place; the rounding is checked against AUTOCONVOLUTION_ROUNDING_BOUND and against sum_s r(s) = |A|^2. The
     rounding, the check and the counts take r in blocks of _COUNT_BLOCK,
     and only a block at a time is converted to int64.
     """
@@ -77,16 +87,9 @@ def additive_counts(members) -> AdditiveCounts:
     if arr.size and arr[0] < 0:
         raise InvalidArgumentError(f"members must be nonnegative, got {int(arr[0])}")
     top = int(arr[-1]) if arr.size else 0
-    length = _five_smooth_at_least(2 * top + 1)
-    indicator = np.zeros(length)
+    indicator = np.zeros(2 * _five_smooth_at_least(top + 1))  # S/2 >= top + 1/2
     indicator[arr] = 1.0
-    spectrum = np.fft.rfft(indicator)
-    spectrum *= spectrum
-    # r is written over the indicator: a fresh length-S array here, once
-    # the indicator was freed, raised the N = 1e7 pipeline's peak RSS by
-    # about 20 MB, as the allocator kept the freed memory resident
-    r = np.fft.irfft(spectrum, n=length, out=indicator)[: 2 * top + 1]
-    del spectrum
+    r = _real_convolution(indicator)[: 2 * top + 1]
     size = int(arr.size)
     energies = []  # sum of r^2 per block
     # r(s) <= |A|, so r^2 fits int64 and each block's sum stays below 2**63

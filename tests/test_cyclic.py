@@ -197,6 +197,42 @@ def test_row_column_fft_convolves_like_numpy(size):
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
+# half-lengths S/2 of _real_convolution: with their nearest-divisor grids
+# R x C these have R = 1, 2, 3, 4 and 200 (pair blocks with a partial last
+# one); _row_column_grids adds one column, one row and the transpose
+HALF_LENGTHS = (1, 2, 3, 30, 600, 1000, 1536, 2048, 2187, 102400)
+
+
+@pytest.mark.parametrize("half", HALF_LENGTHS)
+@pytest.mark.parametrize("cross", [False, True])
+def test_real_convolution_matches_numpys_real_fft(monkeypatch, half, cross):
+    rng = np.random.default_rng(half + cross)
+    x = rng.standard_normal(2 * half)
+    y = rng.standard_normal(2 * half) if cross else x
+    want = np.fft.irfft(np.fft.rfft(x) * np.fft.rfft(y), n=2 * half)
+    for columns in _row_column_grids(half):
+        monkeypatch.setattr(cyclic, "_fft_columns", lambda size: columns)
+        buffer = x.copy()
+        got = cyclic._real_convolution(buffer, y.copy() if cross else None)
+        assert got is buffer
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("half", [1, 3, 1536, 2048])
+def test_real_convolution_of_the_empty_set_and_of_single_members(half):
+    empty = cyclic._real_convolution(np.zeros(2 * half))
+    assert not np.any(empty)
+    size = 2 * half
+    for m, n in [(0, 0), (size - 1, 0), (1, size - 1), (half, half // 2 + 1)]:
+        single, other = np.zeros(size), np.zeros(size)
+        single[m], other[n] = 1.0, 1.0
+        want = np.zeros(size)
+        want[2 * m % size] = 1.0
+        assert np.max(np.abs(cyclic._real_convolution(single.copy()) - want)) < 1e-14
+        want = np.roll(want, n - m)  # the sum m + n
+        assert np.max(np.abs(cyclic._real_convolution(single, other) - want)) < 1e-14
+
+
 def test_five_smooth_lengths():
     assert [cyclic._five_smooth_at_least(n) for n in (1, 2, 7, 11, 17, 31, 97)] == [
         1, 2, 8, 12, 18, 32, 100,

@@ -5,7 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ap3lab.cyclic import SUM_BLOCK, CyclicFunction, _five_smooth_at_least, fixed_sum
+from ap3lab import threeap
+from ap3lab.cyclic import (
+    SUM_BLOCK,
+    CyclicFunction,
+    _five_smooth_at_least,
+    _real_convolution,
+    fixed_sum,
+)
 from ap3lab.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from ap3lab.primes import next_prime_above
 from ap3lab.threeap import (
@@ -242,43 +249,48 @@ def test_additive_counts_of_small_sets():
 
 
 def test_additive_counts_hold_no_integer_copy_of_the_autoconvolution():
-    # the indicator, its half spectrum and the autoconvolution written over
-    # the indicator are about 2 * 8S bytes; rounded, int64 and squared
-    # copies of r would add 8S each
+    # the autoconvolution is written over the indicator, 8S bytes; a half
+    # spectrum beside it, or rounded, int64 and squared copies of r, would
+    # add 8S each
     rng = np.random.default_rng(7)
     members = np.flatnonzero(rng.random(200_001) < 0.1)
-    size = _five_smooth_at_least(2 * int(members[-1]) + 1)
+    size = 2 * _five_smooth_at_least(int(members[-1]) + 1)
     tracemalloc.start()
     try:
         counts = additive_counts(members)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 8 * size
-    # the whole-array formula gives the same counts and rounding error
+    assert peak < 2 * 8 * size
+    # numpy's real FFT gives the same counts, and the whole-array rounding
+    # of the same convolution the same rounding error
     indicator = np.zeros(size)
     indicator[members] = 1.0
-    r_float = np.fft.irfft(np.fft.rfft(indicator) ** 2, n=size)[: 2 * int(members[-1]) + 1]
-    r = np.rint(r_float).astype(np.int64)
+    reference = np.fft.irfft(np.fft.rfft(indicator) ** 2, n=size)[: 2 * int(members[-1]) + 1]
+    r = np.rint(reference).astype(np.int64)
     assert counts.pairs == int(r[2 * members].sum())
     assert counts.energy == int((r * r).sum())
+    r_float = _real_convolution(indicator)[: 2 * int(members[-1]) + 1]
+    assert np.array_equal(np.rint(r_float), r)
     assert counts.rounding_error == float(np.max(np.abs(r_float - np.rint(r_float))))
 
 
 def test_additive_counts_check_their_rounding(monkeypatch):
-    exact_irfft = np.fft.irfft
-    monkeypatch.setattr(
-        np.fft, "irfft", lambda *args, **kw: exact_irfft(*args, **kw) + 0.01
-    )
+    def shifted(*args):
+        out = _real_convolution(*args)
+        out += 0.01
+        return out
+
+    monkeypatch.setattr(threeap, "_real_convolution", shifted)
     with pytest.raises(InvariantError):
         additive_counts([0, 1, 3, 7])
 
-    def off_by_one(*args, **kw):
-        out = exact_irfft(*args, **kw)
+    def off_by_one(*args):
+        out = _real_convolution(*args)
         out[0] += 1.0
         return out
 
-    monkeypatch.setattr(np.fft, "irfft", off_by_one)
+    monkeypatch.setattr(threeap, "_real_convolution", off_by_one)
     with pytest.raises(InvariantError):
         additive_counts([0, 1, 3, 7])
 
@@ -373,13 +385,12 @@ def test_streamed_lambda_makes_no_half_length_complex_temporary():
 
 def test_additive_counts_of_shuffled_input_with_duplicates(monkeypatch):
     lengths = []
-    exact_rfft = np.fft.rfft
 
-    def recording_rfft(values, *args, **kw):
+    def recording_convolution(values, *args):
         lengths.append(values.size)
-        return exact_rfft(values, *args, **kw)
+        return _real_convolution(values, *args)
 
-    monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+    monkeypatch.setattr(threeap, "_real_convolution", recording_convolution)
     rng = np.random.default_rng(77)
     for limit, size in [(40, 15), (331, 60), (1000, 120)]:
         members = rng.choice(limit + 1, size=size, replace=False).tolist()
@@ -388,9 +399,9 @@ def test_additive_counts_of_shuffled_input_with_duplicates(monkeypatch):
         counts = additive_counts(np.array(shuffled))
         assert counts.pairs == len(members) + 2 * count_3aps_brute(members)
         assert counts.energy == additive_energy_brute(members)
-        # the least 2^a 3^b 5^c that holds every sum 0 .. 2 * max(A)
+        # the least even 2^a 3^b 5^c that holds every sum 0 .. 2 * max(A)
         least = 2 * max(members) + 1
-        while not _is_five_smooth(least):
+        while least % 2 or not _is_five_smooth(least):
             least += 1
         assert lengths[-1] == least
 

@@ -1,6 +1,6 @@
-"""cyclic._in_two: the transform, the chirps and the closed-form kernel
-spectrum share their work out in chunks between two threads above
-cyclic._THREAD_FLOOR values. Every bit must be the same as
+"""cyclic._in_two: the transform, the chirps, the real convolution of the
+exact counts and the closed-form kernel spectrum share their work out in
+chunks between two threads above cyclic._THREAD_FLOOR values. Every bit must be the same as
 on one thread, every thread must be joined, and an error in either thread
 must reach the caller as it was raised."""
 
@@ -16,6 +16,7 @@ from ap3lab import bohr as bohr_module
 from ap3lab.bohr import BohrSet, _progression_spectrum, kernel_spectrum, smooth
 from ap3lab.cli import main
 from ap3lab.cyclic import CyclicFunction, forward_transform
+from ap3lab.threeap import additive_counts
 
 # primes with P and P//2 + 1 past the 2^20 floor
 P_ABOVE = 2097169
@@ -92,10 +93,24 @@ def test_progression_spectrum_is_the_same_on_two_threads(monkeypatch):
     _assert_same_bits(_three_ways(monkeypatch, lambda: _progression_spectrum(P_ABOVE, 15, 5005)))
 
 
-@pytest.mark.parametrize("cutoff", [1, 255])
-def test_smooth_starts_no_thread_above_the_floor(monkeypatch, cutoff):
-    # both counts, at a P past the floor; ahat and sigmahat, which may use
-    # two threads, are formed before threads are refused
+@pytest.mark.parametrize("cross", [False, True])
+def test_real_convolution_is_the_same_on_two_threads(monkeypatch, cross):
+    rng = np.random.default_rng(18)
+    x = rng.standard_normal(2 * S_ABOVE)
+    y = rng.standard_normal(2 * S_ABOVE)
+    rows = S_ABOVE // cyclic._fft_columns(S_ABOVE)
+    assert ((rows - 1) // 2) % cyclic._TWIDDLE_ROWS != 0  # a short last block of pairs
+
+    def compute():
+        return cyclic._real_convolution(x.copy(), y.copy() if cross else None)
+
+    _assert_same_bits(_three_ways(monkeypatch, compute))
+
+
+def _spread_smoothing(monkeypatch):
+    """(a, B, g) at a P past the floor: a = 2.5 on random points of
+    [1, P/3], a stand-in spectrum, a 15-member B spread over Z/PZ with its
+    kernel spectrum formed now, and the count g that smooth must form."""
     rng = np.random.default_rng(17)
     values = np.zeros(P_ABOVE)
     values[rng.integers(1, P_ABOVE // 3, size=P_ABOVE // 20)] = 2.5
@@ -105,10 +120,27 @@ def test_smooth_starts_no_thread_above_the_floor(monkeypatch, cutoff):
     bohr = BohrSet(P_ABOVE, (1,), Fraction(1, 2), np.sort(js * 99991 % P_ABOVE))
     sigma_hat = kernel_spectrum(bohr)
     monkeypatch.setattr(bohr_module, "kernel_spectrum", lambda b: sigma_hat)
-    monkeypatch.setattr(bohr_module, "_SHIFT_COUNT_MAX_SIZE", cutoff)
-    monkeypatch.setattr(threading.Thread, "start", _refused)
     counts = sum(np.roll(values != 0, b).astype(np.int64) for b in bohr.members().tolist())
+    return a, bohr, counts
+
+
+def test_shifted_count_starts_no_thread_above_the_floor(monkeypatch):
+    # ahat and sigmahat, which may use two threads, are formed before
+    # threads are refused
+    a, bohr, counts = _spread_smoothing(monkeypatch)
+    assert bohr.size <= bohr_module._SHIFT_COUNT_MAX_SIZE
+    monkeypatch.setattr(threading.Thread, "start", _refused)
     assert np.array_equal(smooth(a, bohr).values, counts * (2.5 / bohr.size))
+
+
+def test_convolved_count_is_the_same_on_two_threads(monkeypatch):
+    # B's window spreads over Z/PZ, so the convolution has past 2^20
+    # complex values and shares its passes out
+    a, bohr, counts = _spread_smoothing(monkeypatch)
+    monkeypatch.setattr(bohr_module, "_SHIFT_COUNT_MAX_SIZE", 1)
+    results = _three_ways(monkeypatch, lambda: smooth(a, bohr).values)
+    _assert_same_bits(results)
+    assert np.array_equal(results[0], counts * (2.5 / bohr.size))
 
 
 def test_no_thread_is_started_below_the_floor(monkeypatch):
@@ -123,6 +155,7 @@ def test_no_thread_is_started_below_the_floor(monkeypatch):
     forward_transform(CyclicFunction(p, values))
     js = np.arange(-7, 8, dtype=np.int64)
     kernel_spectrum(BohrSet(p, (1,), Fraction(1, 2), np.sort(js * 1001 % p)))
+    additive_counts(np.flatnonzero(values))
 
 
 class _Failure(Exception):
