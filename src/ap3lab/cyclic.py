@@ -385,10 +385,10 @@ def _real_convolution(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     row_roots = _unit_roots(np.array([1]), rows, size, -1.0)[0]
     column_roots = _unit_roots(np.array([rows]), columns, size, -1.0)[0]
 
-    def combine(top, bottom, top_y, bottom_y, roots, scratch, scratch_y) -> None:
-        """Z'(k) over top and Z'(-k) over bottom, bottom[i, j] holding the
-        mirror of top[i, j]; roots is w^2k (scratch until it is formed)."""
-        np.multiply(roots, column_roots, out=scratch)
+    def combine(top, bottom, top_y, bottom_y, row_root, scratch, scratch_y) -> None:
+        """Z'(k) over top and Z'(-k) over bottom, where bottom[i, j] holds
+        the mirror of top[i, j] and w^2k = row_root[i] * column_roots[j]."""
+        np.multiply(row_root, column_roots, out=scratch)
         scratch += 1.0
         scratch *= 0.25
         np.conjugate(bottom, out=scratch_y)
@@ -407,8 +407,7 @@ def _real_convolution(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     for row in [0] if rows % 2 else [0, rows // 2]:
         # the row's mirror is gathered (a copy) before the row is written,
         # so every column gets its own Z'
-        mirror = np.arange(columns)[::-1] + (row == 0)
-        mirror %= columns
+        mirror = -np.arange(columns) % columns if row == 0 else np.arange(columns)[::-1]
         top, top_y = grid[row : row + 1], other[row : row + 1]
         combine(top, top[:, mirror], top_y, top_y[:, mirror], row_roots[row],
                 np.empty_like(top), np.empty_like(top))

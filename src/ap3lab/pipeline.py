@@ -28,19 +28,23 @@ frequency directly; sigmahat of a B that is a progression {j*d : |j| <= m}
 the Dirichlet kernel in closed form, and of any other B the real part of
 one transform of the indicator of B & (0, P/2), whose window is at most
 half as long as sigma's, so sigmahat is a float64 half either way; the
-exact counts convolve at a 5-smooth length and are counted in blocks;
-and lambda multiplies out only t <= P/2 of its spectra.
+exact counts convolve A0's indicator with itself over its own buffer at
+the least even 5-smooth length S, by one complex FFT of length S/2 and
+its inverse, and are counted in blocks; and lambda multiplies out only
+t <= P/2 of its spectra.
 
 Every spectrum (ahat, sigmahat, hhat) is that of a real function and holds
 only its P//2 + 1 coefficients t <= P/2 (cyclic.Spectrum); the threshold,
 the products and lambda read that half, and a sum over all P frequencies
 mirrors it in fixed_sum's order without building the upper half.
 
-Two stages split their work between two threads once their arrays
+Three stages split their work between two threads once their arrays
 reach 2^20 values (cyclic._THREAD_FLOOR, so at N = 1e7 but not at
 N <= 1e6): the chirps and the row-column FFT passes of each forward
-transform (ahat, and sigmahat of a set that is not a progression), and
-the closed-form sigmahat of a progression. Each value is formed by the
+transform (ahat, and sigmahat of a set that is not a progression), the
+FFT passes and combining pass of the integer convolutions (the exact
+counts, and smooth's count of a Bohr set past 255 members), and the
+closed-form sigmahat of a progression. Each value is formed by the
 same numpy calls in the same order on either thread, so no report bit
 depends on the split. The level set
 {h >= h_l1/2} does not depend on k, so it is counted once per run.

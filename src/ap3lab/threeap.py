@@ -76,9 +76,10 @@ def additive_counts(members) -> AdditiveCounts:
     indicator's own buffer by cyclic._real_convolution (an FFT of S/2
     complex values and its inverse, on two threads from 2^20 of them), so
     the stage holds one length-S float64 array, and rounded to integers in
-    place; the rounding is checked against AUTOCONVOLUTION_ROUNDING_BOUND and against sum_s r(s) = |A|^2. The
-    rounding, the check and the counts take r in blocks of _COUNT_BLOCK,
-    and only a block at a time is converted to int64.
+    place; the rounding is checked against AUTOCONVOLUTION_ROUNDING_BOUND
+    and against sum_s r(s) = |A|^2. The rounding, the check and the counts
+    take r in blocks of _COUNT_BLOCK, and only a block at a time is
+    converted to int64.
     """
     arr = np.sort(np.asarray(members, dtype=np.int64))
     first = np.ones(arr.size, dtype=bool)
