@@ -374,13 +374,13 @@ def _real_convolution(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     column root of unity with exact integer phases (_unit_roots).
     """
     z = x.view(np.complex128)
-    w = z if y is None else y.view(np.complex128)
+    z_y = z if y is None else y.view(np.complex128)
     size = z.size
     columns = _fft_columns(size)
     _row_column_fft(z, columns)
     if y is not None:
-        _row_column_fft(w, columns)
-    grid, other = z.reshape(-1, columns), w.reshape(-1, columns)
+        _row_column_fft(z_y, columns)
+    grid, grid_y = z.reshape(-1, columns), z_y.reshape(-1, columns)
     rows = grid.shape[0]
     row_roots = _unit_roots(np.array([1]), rows, size, -1.0)[0]
     column_roots = _unit_roots(np.array([rows]), columns, size, -1.0)[0]
@@ -408,7 +408,7 @@ def _real_convolution(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
         # the row's mirror is gathered (a copy) before the row is written,
         # so every column gets its own Z'
         mirror = -np.arange(columns) % columns if row == 0 else np.arange(columns)[::-1]
-        top, top_y = grid[row : row + 1], other[row : row + 1]
+        top, top_y = grid[row : row + 1], grid_y[row : row + 1]
         combine(top, top[:, mirror], top_y, top_y[:, mirror], row_roots[row],
                 np.empty_like(top), np.empty_like(top))
 
@@ -423,8 +423,8 @@ def _real_convolution(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
             combine(
                 grid[1 + start : 1 + stop],
                 grid[rows - stop : rows - start][::-1, ::-1],
-                other[1 + start : 1 + stop],
-                other[rows - stop : rows - start][::-1, ::-1],
+                grid_y[1 + start : 1 + stop],
+                grid_y[rows - stop : rows - start][::-1, ::-1],
                 row_roots[1 + start : 1 + stop, None],
                 scratch[:n],
                 scratch_y[:n],
