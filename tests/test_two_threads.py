@@ -1,8 +1,8 @@
 """cyclic._in_two: the transform, the chirps, the real convolution of the
 exact counts and the closed-form kernel spectrum share their work out in
-chunks between two threads above cyclic._THREAD_FLOOR values. Every bit must be the same as
-on one thread, every thread must be joined, and an error in either thread
-must reach the caller as it was raised."""
+chunks between two threads above cyclic._THREAD_FLOOR values. Every bit
+must be the same as on one thread, every thread must be joined, and an
+error in either thread must reach the caller as it was raised."""
 
 import threading
 import time
