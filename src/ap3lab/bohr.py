@@ -17,10 +17,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclic import CyclicFunction, Spectrum, _five_smooth_at_least, _in_two, _real_convolution
+from .cyclic import CyclicFunction, Spectrum, _in_two, _sum_counts
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import is_prime
-from .threeap import _COUNT_BLOCK, _round_counts
 
 # q*min(t, P-t) must stay inside int64: with P <= 2**23 this allows
 # denominators up to about 2**39; decimal strings give at most 10**9.
@@ -242,37 +241,21 @@ def _shifted_count(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
 
 
 def _convolved_count(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
-    """g(x) = #{b in B : x - b in S} as int32: the cyclic convolution of
-    1_S with the window of B's members folded into (-P/2, P/2], at the
-    least even 5-smooth length that holds their linear convolution, formed
-    over 1_S's buffer (cyclic._real_convolution, which overwrites the
-    window's too), rounded and checked block by block
-    (threeap._round_counts, with sum g = |S| * |B|) and folded mod P."""
+    """g(x) = #{b in B : x - b in S} as int32: the exact sum counts of S
+    and of B's members folded into (-P/2, P/2] and shifted to start at 0
+    (cyclic._sum_counts, which forms, rounds and checks them), added into
+    g mod P."""
     p, members = bohr.modulus, bohr.members()
     folded = members - p * (members > p // 2)
     low = int(folded.min())
-    width = int(folded.max()) - low + 1
-    top = int(support[-1]) if support.size else 0
-    span = top + width  # the linear convolution's length
-    length = 2 * _five_smooth_at_least((span + 1) // 2)
-    indicator = np.zeros(length)
-    indicator[support] = 1.0
-    window = np.zeros(length)
-    window[folded - low] = 1.0
-    conv = _real_convolution(indicator, window)[:span]
-    del window
+    r, _ = _sum_counts(support, folded - low)  # r[s] is the count at x = s + low
     counts = np.zeros(p, dtype=np.int32)  # g(x) <= |B| <= P < 2**31
-
-    def fold(start: int, block: np.ndarray) -> None:
-        """Add conv[start + i], the count at x = start + i + low, to g."""
-        x = (start + low) % p
-        while block.size:
-            n = min(block.size, p - x)
-            counts[x : x + n] += block[:n]
-            block, x = block[n:], 0
-
-    what = f"convolution of a {support.size}-element set with a Bohr set"
-    _round_counts(conv, int(support.size) * bohr.size, _COUNT_BLOCK, fold, what)
+    x = low % p
+    while r.size:
+        n = min(r.size, p - x)
+        # r holds integers <= |B|, so the unsafe cast is exact
+        np.add(counts[x : x + n], r[:n], out=counts[x : x + n], casting="unsafe")
+        r, x = r[n:], 0
     return counts
 
 

@@ -189,7 +189,8 @@ def density_bound_table(n: float) -> dict[str, float | None]:
         table["five_log_ratio_sqrt"] = math.sqrt(log5 / log4)
     if log3 is not None and log2 is not None and log2 > 0:
         table["triple_over_double_cuberoot"] = log3 / log2 ** (1.0 / 3.0)
-        table["triple_52_over_double_sqrt"] = log3**2.5 / math.sqrt(log2)
+        if log3 >= 0:  # below N = e^e, log3 < 0 has no real 2.5th power
+            table["triple_52_over_double_sqrt"] = log3**2.5 / math.sqrt(log2)
         table["triple_sixth_over_double"] = log3**6 / log2
     return table
 

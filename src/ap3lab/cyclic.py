@@ -66,6 +66,14 @@ _THREAD_FLOOR = 1 << 20
 # modes, near 0.8x and up to 1.3x the one-thread time, as if the host
 # sometimes took the second core for the length of a half.
 _THREAD_CHUNKS = 16
+# A float64 FFT convolution of two 0/1 vectors with supports X and Y errs
+# by about 1e-16 * log2(length) * sqrt(|X| * |Y|), below 1e-8 for any sets
+# the pipeline convolves (A0 with itself, and A0 with a Bohr set); a value
+# farther than this from an integer means the transform failed.
+AUTOCONVOLUTION_ROUNDING_BOUND = 1e-3
+# Values of a sum count (_sum_counts) rounded and checked at a time, so
+# only one block of it is ever held as int64 (512 KiB).
+_COUNT_BLOCK = 1 << 16
 
 
 class CyclicFunction:
@@ -435,6 +443,43 @@ def _real_convolution(x: np.ndarray, y: np.ndarray | None = None) -> np.ndarray:
     return x
 
 
+def _sum_counts(x: np.ndarray, y: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """(r, rounding error) with r[s] = #{(u, v) in X x Y : u + v = s} for
+    s <= max X + max Y, as float64 values that are exact integers. X and Y
+    are int64 arrays of distinct nonnegative integers; y=None counts X + X.
+
+    The indicators are convolved (_real_convolution) at the least even
+    5-smooth length S > max X + max Y, so no sum wraps, and r is a view of
+    X's indicator; X + X takes one length-S array. r is rounded in place,
+    _COUNT_BLOCK values at a time, and InvariantError is raised unless
+    every value lay within AUTOCONVOLUTION_ROUNDING_BOUND of its integer
+    and the integers sum to |X| * |Y|.
+    """
+    sets = [x] if y is None else [x, y]
+    top = int(x.max(initial=0)) + int(sets[-1].max(initial=0))
+    length = 2 * _five_smooth_at_least(top // 2 + 1)
+    indicators = [np.zeros(length) for _ in sets]
+    for indicator, members in zip(indicators, sets):
+        indicator[members] = 1.0
+    r = _real_convolution(*indicators)[: top + 1]
+    del indicators  # frees Y's indicator; r is a view of X's
+    rounding_error, counted = 0.0, 0
+    for start in range(0, r.size, _COUNT_BLOCK):
+        chunk = r[start : start + _COUNT_BLOCK]
+        rounded = np.rint(chunk)
+        rounding_error = max(rounding_error, float(np.max(np.abs(chunk - rounded))))
+        chunk[:] = rounded
+        counted += int(rounded.astype(np.int64).sum())
+    total = x.size * sets[-1].size
+    if rounding_error > AUTOCONVOLUTION_ROUNDING_BOUND or counted != total:
+        raise InvariantError(
+            f"sum counts of {x.size} x {sets[-1].size} elements: rounding error "
+            f"{rounding_error:.3g} (bound {AUTOCONVOLUTION_ROUNDING_BOUND}), "
+            f"total {counted} (want {total})"
+        )
+    return r, rounding_error
+
+
 def _unit_roots(rows: np.ndarray, columns: int, size: int, sign: float) -> np.ndarray:
     """exp(sign*2*pi*i*r*c/size) for r in rows and c < columns, as a
     len(rows) x columns table; each phase r*c is an exact int64."""
@@ -657,19 +702,13 @@ def threshold_spectrum(s: Spectrum, delta: float) -> tuple[np.ndarray, int]:
     low = np.flatnonzero(magnitudes >= delta)
     mirrored = low[(low >= 1) & (low <= p - magnitudes.size)]
     raw = np.concatenate((low, p - mirrored[::-1]))
-    fourth_moment = _fourth_moment(magnitudes, p)
+    fourth_moment = mirrored_sum(magnitudes, p, _powers(4))
     if raw.size * delta**4 > fourth_moment * (1 + _MARKOV_REL_TOL):
         raise InvariantError(
             "Markov bound on the large spectrum failed; transform is inconsistent"
         )
     freqs = np.union1d(raw, np.array([1], dtype=np.int64)).astype(np.int64)
     return freqs, int(raw.size)
-
-
-def _fourth_moment(magnitudes: np.ndarray, p: int) -> float:
-    """sum_t |coeff[t]|^4 over all P frequencies from the magnitudes of
-    t <= P//2, each power taken as magnitude**4."""
-    return mirrored_sum(magnitudes, p, lambda view, out: np.power(view, 4, out=out))
 
 
 # ----------------------------------------------------------------------

@@ -27,11 +27,12 @@ frequency directly; sigmahat of a B that is a progression {j*d : |j| <= m}
 (nearly every B the grid builds, |B| = 15 with d = 5005 at N = 1e7) is
 the Dirichlet kernel in closed form, and of any other B the real part of
 one transform of the indicator of B & (0, P/2), whose window is at most
-half as long as sigma's, so sigmahat is a float64 half either way; the
-exact counts convolve A0's indicator with itself over its own buffer at
-the least even 5-smooth length S, by one complex FFT of length S/2 and
-its inverse, and are counted in blocks; and lambda multiplies out only
-t <= P/2 of its spectra.
+half as long as sigma's, so sigmahat is a float64 half either way; every
+exact sum count (A0 + A0, and smooth's S + B) is formed, rounded and
+checked by one helper, cyclic._sum_counts, which convolves over the
+first indicator's own buffer at the least even 5-smooth length S by one
+complex FFT of length S/2 and its inverse; and lambda multiplies out
+only t <= P/2 of its spectra.
 
 Every spectrum (ahat, sigmahat, hhat) is that of a real function and holds
 only its P//2 + 1 coefficients t <= P/2 (cyclic.Spectrum); the threshold,
@@ -149,10 +150,13 @@ class PipelineConfig:
             raise InvalidArgumentError(
                 f"z_override must be a real number or null, got {self.z_override!r}"
             )
-        for name in ("delta", "epsilon"):
-            value = Fraction(getattr(self, name))
-            if not 0 < value < Fraction(1, 2):
-                raise InvalidArgumentError(f"{name} must lie in (0, 1/2), got {value}")
+        for name, values in (
+            ("delta", [self.delta]), ("epsilon", [self.epsilon]),
+            ("delta_grid", self.delta_grid), ("epsilon_grid", self.epsilon_grid),
+        ):
+            for value in map(Fraction, values):
+                if not 0 < value < Fraction(1, 2):
+                    raise InvalidArgumentError(f"{name} must lie in (0, 1/2), got {value}")
         for name in ("c4", "c_sanders", "c1", "eta"):
             value = getattr(self, name)
             if not _is_real(value) or not 0 < value < math.inf:
@@ -312,7 +316,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
     for k in k_values:
         in_range = moment_index_in_range(k, ctx.z)
         exploratory = exploratory or not in_range
-        norm_bound = convolution_norm_bound(k, config.n, ctx.z, bohr.size, force=True)
+        norm_bound = convolution_norm_bound(k, config.n, ctx.z, bohr.size)
         h2k = lp_norm(h, 2 * k)
         level = bd.holder_report(h, h_l1, 2 * k, h2k, level_size)
         floor_rhs = _progression_floor(sieved.alpha, k, config.c1)

@@ -221,18 +221,12 @@ def brun_titchmarsh_bound(ctx: WTrickContext) -> BrunTitchmarshBound:
     )
 
 
-def convolution_norm_bound(
-    k: int,
-    n: float,
-    z: float,
-    sigma_size: int,
-    force: bool = False,
-) -> float:
+def convolution_norm_bound(k: int, n: float, z: float, sigma_size: int) -> float:
     """k + (ln N / ln z)^(1 - 1/(2k)) * |Sigma|^(-1/(2k)), with constant 1.
 
-    The theory wants 1 <= k <= (ln z)^(1/3) / 2, which is vanishingly small
-    at desk scale; force=True lifts the guard (callers must tag such runs
-    exploratory).
+    The theory wants 1 <= k <= (ln z)^(1/3) / 2 (moment_index_in_range),
+    which is vanishingly small at desk scale; the bound is evaluated for
+    any k >= 1, and callers tag runs outside that range exploratory.
     """
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
@@ -240,11 +234,6 @@ def convolution_norm_bound(
         raise InvalidArgumentError(f"|Sigma| must be >= 1, got {sigma_size}")
     if z <= 1:
         raise InvalidArgumentError(f"z must exceed 1, got {z}")
-    if not force and not k <= 0.5 * math.log(z) ** (1.0 / 3.0):
-        raise PreconditionError(
-            f"k = {k} outside the theory range [1, {0.5 * math.log(z) ** (1/3):.4f}];"
-            " pass force=True to evaluate anyway"
-        )
     ratio = math.log(n) / math.log(z)
     exponent = 1.0 - 1.0 / (2 * k)
     return k + ratio**exponent * sigma_size ** (-1.0 / (2 * k))

@@ -8,6 +8,9 @@ Two counting conventions live side by side; keep them straight:
     orientations (d and P-d);
   * count_3aps_integers counts each nontrivial progression ONCE (d > 0),
     and the |A| trivial progressions are reported separately.
+
+additive_counts takes its exact sum counts from cyclic._sum_counts, which
+forms, rounds and checks them; this module only reads the integers.
 """
 
 from __future__ import annotations
@@ -18,29 +21,12 @@ from itertools import product
 
 import numpy as np
 
-from .cyclic import (
-    SUM_BLOCK,
-    CyclicFunction,
-    _five_smooth_at_least,
-    _real_convolution,
-    fixed_sum,
-    mirrored_sum,
-)
+from .cyclic import _COUNT_BLOCK, SUM_BLOCK, CyclicFunction, _sum_counts, fixed_sum, mirrored_sum
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 
 # Above this modulus the O(P^2) double loop is refused and callers should
 # take the spectral route.
 DIRECT_LAMBDA_CEILING = 20011
-
-# A float64 FFT convolution of two 0/1 vectors with supports X and Y errs
-# by about 1e-16 * log2(length) * sqrt(|X| * |Y|), below 1e-8 for any sets
-# the pipeline convolves (A0 with itself, and A0 with a Bohr set); a value
-# farther than this from an integer means the transform failed.
-AUTOCONVOLUTION_ROUNDING_BOUND = 1e-3
-
-# Values of the autoconvolution rounded, checked and counted at a time, so
-# only one block of it is ever held as int64 (512 KiB).
-_COUNT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -70,16 +56,11 @@ def additive_counts(members) -> AdditiveCounts:
     For A inside [0, P/3] no sum wraps mod P, so these give the operator
     and the spectral 4-norm of the indicator on Z/PZ as integers:
     P^2 * lambda(1_A, 1_A, 1_A) = pairs and P^3 * sum_t |1_A^(t)|^4 = energy.
-    Duplicates are dropped by sort and mask. r is the cyclic
-    autoconvolution of the indicator of A at the least even 5-smooth
-    length S >= 2 * max(A) + 1, so no sum wraps. It is formed over the
-    indicator's own buffer by cyclic._real_convolution (an FFT of S/2
-    complex values and its inverse, on two threads from 2^20 of them), so
-    the stage holds one length-S float64 array, and rounded to integers in
-    place; the rounding is checked against AUTOCONVOLUTION_ROUNDING_BOUND
-    and against sum_s r(s) = |A|^2. The rounding, the check and the counts
-    take r in blocks of _COUNT_BLOCK, and only a block at a time is
-    converted to int64.
+    Duplicates are dropped by sort and mask. r is the autoconvolution
+    of A (cyclic._sum_counts), formed over one length-S float64 array,
+    rounded in place and checked there. The energy is taken from r in
+    blocks of _COUNT_BLOCK values converted to int64, and the pairs from
+    r at 2A, so only a block at a time is held as int64.
     """
     arr = np.sort(np.asarray(members, dtype=np.int64))
     first = np.ones(arr.size, dtype=bool)
@@ -87,47 +68,19 @@ def additive_counts(members) -> AdditiveCounts:
     arr = arr[first]
     if arr.size and arr[0] < 0:
         raise InvalidArgumentError(f"members must be nonnegative, got {int(arr[0])}")
-    top = int(arr[-1]) if arr.size else 0
-    indicator = np.zeros(2 * _five_smooth_at_least(top + 1))  # S/2 >= top + 1/2
-    indicator[arr] = 1.0
-    r = _real_convolution(indicator)[: 2 * top + 1]
+    r, rounding_error = _sum_counts(arr)
     size = int(arr.size)
-    energies = []  # sum of r^2 per block
     # r(s) <= |A|, so r^2 fits int64 and each block's sum stays below 2**63
     block = min(_COUNT_BLOCK, max(1, (2**63 - 1) // max(1, size * size)))
-    rounding_error = _round_counts(
-        r, size * size, block,
-        lambda start, counts: energies.append(int(np.square(counts, out=counts).sum())),
-        f"autoconvolution of a {size}-element set",
-    )
+    energy = 0
+    for start in range(0, r.size, block):
+        counts = r[start : start + block].astype(np.int64)
+        energy += int(np.square(counts, out=counts).sum())
     pairs = sum(
         int(r[2 * arr[i : i + block]].astype(np.int64).sum())
         for i in range(0, arr.size, block)
     )
-    return AdditiveCounts(pairs=pairs, energy=sum(energies), rounding_error=rounding_error)
-
-
-def _round_counts(r: np.ndarray, total: int, block: int, consume, what: str) -> float:
-    """Round the float convolution r in place, block values at a time, and
-    pass each block to consume(start, counts) as int64. Its values must lie
-    within AUTOCONVOLUTION_ROUNDING_BOUND of integers that sum to total, or
-    InvariantError (naming what) is raised. Returns the rounding error."""
-    rounding_error = 0.0
-    counted = 0
-    for start in range(0, r.size, block):
-        chunk = r[start : start + block]
-        rounded = np.rint(chunk)
-        rounding_error = max(rounding_error, float(np.max(np.abs(chunk - rounded))))
-        chunk[:] = rounded
-        counts = rounded.astype(np.int64)
-        counted += int(counts.sum())
-        consume(start, counts)
-    if rounding_error > AUTOCONVOLUTION_ROUNDING_BOUND or counted != total:
-        raise InvariantError(
-            f"{what}: rounding error {rounding_error:.3g} "
-            f"(bound {AUTOCONVOLUTION_ROUNDING_BOUND}), total {counted} (want {total})"
-        )
-    return rounding_error
+    return AdditiveCounts(pairs=pairs, energy=energy, rounding_error=rounding_error)
 
 
 def trivial_mass(f: CyclicFunction, g: CyclicFunction, h: CyclicFunction) -> float:

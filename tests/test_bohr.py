@@ -436,20 +436,20 @@ raised = []
 wide_bohr = build_bohr_set(1009, [1], "0.2")
 if wide_bohr.size <= bohr_module._SHIFT_COUNT_MAX_SIZE:
     raise SystemExit("the Bohr set must take the convolution")
-exact_convolution = bohr_module._real_convolution
+exact_convolution = cyclic_module._real_convolution
 
 def shifted_convolution(*args):
     out = exact_convolution(*args)
     out += 0.4
     return out
 
-bohr_module._real_convolution = shifted_convolution
+cyclic_module._real_convolution = shifted_convolution
 try:
     smooth(CyclicFunction.constant(1009, 1.0), wide_bohr)
 except InvariantError as exc:
     if "rounding error" in str(exc):
         raised.append("smooth")
-bohr_module._real_convolution = exact_convolution
+cyclic_module._real_convolution = exact_convolution
 dipped = np.zeros(101)
 dipped[5] = -1e-15
 try:

@@ -170,6 +170,14 @@ def test_density_table_designed_points():
     assert small["triple_sixth_over_double"] is not None
 
 
+@pytest.mark.parametrize("n", [3, 10, 15, 16])
+def test_density_table_near_e_to_the_e_is_real_or_none(n):
+    # ln ln ln N < 0 below e^e ~ 15.15, where its 2.5th power is not real
+    table = density_bound_table(n)
+    assert all(value is None or type(value) is float for value in table.values())
+    assert (table["triple_52_over_double_sqrt"] is None) == (n < math.exp(math.e))
+
+
 def test_density_table_rejects_non_finite_n():
     for n in (1.0, math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidArgumentError, match="N must be a finite number"):

@@ -160,6 +160,14 @@ def test_bounds_subcommand(capsys):
     assert report["table"]["triple_sixth_over_double"] == pytest.approx(0.7114, abs=1e-4)
 
 
+@pytest.mark.parametrize("n", ["3", "10", "15"])
+def test_bounds_below_e_to_the_e_reports_null(capsys, n):
+    assert run_cli("bounds", "--n", n) == 0
+    out = capsys.readouterr().out
+    assert "null" in out
+    assert json.loads(out)["table"]["triple_52_over_double_sqrt"] is None
+
+
 def test_exit_code_invalid_argument(capsys):
     assert run_cli("primes", "--limit", "1") == 1
     assert run_cli("pipeline", "--n", "50", "--out", "/tmp/x.json") == 1
@@ -320,6 +328,24 @@ MALFORMED_INPUTS = {
     "bounds-n-inf": (lambda tmp_path: ["bounds", "--n", "inf"], "N must be a finite number"),
     "bounds-n-1e400": (lambda tmp_path: ["bounds", "--n", "1e400"], "N must be a finite number"),
     "threads-key": (_config_file({"n": 10000, "threads": 2}), "unknown config keys"),
+    "delta-grid-flag": (
+        lambda tmp_path: ["delta-sweep", "--n", "1000", "--delta-grid", "0.1,0.6",
+                          "--eps-grid", "0.1", "--out", str(tmp_path / "d.csv")],
+        "delta_grid must lie in (0, 1/2), got 3/5",
+    ),
+    "eps-grid-flag": (
+        lambda tmp_path: ["delta-sweep", "--n", "1000", "--delta-grid", "0.1",
+                          "--eps-grid", "0.5", "--out", str(tmp_path / "d.csv")],
+        "epsilon_grid must lie in (0, 1/2), got 1/2",
+    ),
+    "delta-grid-config": (
+        _config_file({"n": 1000, "delta_grid": ["0.6"]}),
+        "delta_grid must lie in (0, 1/2), got 3/5",
+    ),
+    "eps-grid-config": (
+        _config_file({"n": 1000, "epsilon_grid": ["0"]}),
+        "epsilon_grid must lie in (0, 1/2), got 0",
+    ),
     "threads-flag": (
         lambda tmp_path: ["--threads=2", "pipeline", "--n", "10000",
                           "--out", str(tmp_path / "r.json")],

@@ -233,6 +233,35 @@ def test_real_convolution_of_the_empty_set_and_of_single_members(half):
         assert np.max(np.abs(cyclic._real_convolution(single, other) - want)) < 1e-14
 
 
+def _sum_count_cases():
+    """(X, Y or None): random auto and cross cases, the empty set,
+    singletons, sets that contain 0, and one whose sums span several
+    blocks of _COUNT_BLOCK values."""
+    rng = np.random.default_rng(17)
+    cases = [([], None), ([], [0, 3]), ([4, 9], []), ([0], None), ([7], None),
+             ([0], [0]), ([5], [0]), ([0, 1, 2], None), ([0, 2], [0, 5, 6])]
+    for size, limit in [(5, 20), (40, 300), (200, 1000)]:
+        x = rng.choice(limit, size=size, replace=False)
+        y = rng.choice(limit // 2, size=size // 2 + 1, replace=False)
+        cases += [(x, None), (x, y), (y, x)]
+    cases.append(([0, 70_000, 131_000], rng.choice(1000, size=30, replace=False)))
+    return cases
+
+
+@pytest.mark.parametrize("index", range(len(_sum_count_cases())))
+def test_sum_counts_match_a_brute_force_count(index):
+    x, y = _sum_count_cases()[index]
+    x = np.asarray(x, dtype=np.int64)
+    others = x if y is None else np.asarray(y, dtype=np.int64)
+    want = np.zeros(int(x.max(initial=0)) + int(others.max(initial=0)) + 1)
+    for u in x.tolist():
+        for v in others.tolist():
+            want[u + v] += 1
+    r, rounding_error = cyclic._sum_counts(x, None if y is None else others)
+    assert r.dtype == np.float64 and np.array_equal(r, want)
+    assert 0 <= rounding_error <= cyclic.AUTOCONVOLUTION_ROUNDING_BOUND
+
+
 def test_five_smooth_lengths():
     assert [cyclic._five_smooth_at_least(n) for n in (1, 2, 7, 11, 17, 31, 97)] == [
         1, 2, 8, 12, 18, 32, 100,
@@ -330,7 +359,8 @@ def test_threshold_spectrum_matches_the_full_length_oracle(p):
     for f in (random_function(p, rng), CyclicFunction.indicator(p, range(0, p, 3))):
         s = f.spectrum()
         raw, fourth_moment = threshold_of_full_spectrum(s.full(), 0.0)
-        assert cyclic._fourth_moment(np.abs(s.half), p) == fourth_moment
+        fourth = mirrored_sum(np.abs(s.half), p, cyclic._powers(4))
+        assert fourth == pytest.approx(fourth_moment, rel=1e-12)
         for delta in (1e-3, 0.01, 0.05, 0.3):
             raw, _ = threshold_of_full_spectrum(s.full(), delta)
             freqs, raw_size = threshold_spectrum(s, delta)

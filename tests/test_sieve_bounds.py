@@ -291,12 +291,12 @@ def test_brun_titchmarsh_rejects_degenerate_modulus():
 
 def test_convolution_norm_bound_designed_points():
     # ln N / ln z = 10 with |Sigma| = 100 at k = 1
-    value = convolution_norm_bound(1, math.exp(10), math.e, 100, force=True)
+    value = convolution_norm_bound(1, math.exp(10), math.e, 100)
     assert math.isclose(value, 1 + math.sqrt(10) / 10, rel_tol=1e-12)
     # |Sigma| -> infinity leaves only k
-    assert convolution_norm_bound(2, math.exp(10), math.e, 10**300, force=True) == 2.0
+    assert convolution_norm_bound(2, math.exp(10), math.e, 10**300) == 2.0
     # |Sigma| = 1 is the degenerate point: k + (ln N / ln z)^(1 - 1/(2k))
-    value = convolution_norm_bound(1, math.exp(10), math.e, 1, force=True)
+    value = convolution_norm_bound(1, math.exp(10), math.e, 1)
     assert math.isclose(value, 1 + 10**0.5, rel_tol=1e-12)
 
 
@@ -309,8 +309,12 @@ def test_convolution_norm_bound_range_guard():
         1 + 2**0.5 * 50**-0.5,
         rel_tol=1e-12,
     )
-    with pytest.raises(PreconditionError):
-        convolution_norm_bound(2, math.exp(16.2), z, 50)
+    # outside the theory range the bound is still evaluated
+    assert math.isclose(
+        convolution_norm_bound(2, math.exp(16.2), z, 50),
+        2 + 2**0.75 * 50**-0.25,
+        rel_tol=1e-12,
+    )
     with pytest.raises(InvalidArgumentError):
         convolution_norm_bound(0, math.exp(10), math.e, 10)
 
@@ -319,11 +323,11 @@ def test_convolution_norm_bound_monotonicity():
     z = math.e
     n = math.exp(10)
     sizes = [1, 10, 100, 1000, 10**6]
-    values = [convolution_norm_bound(1, n, z, s, force=True) for s in sizes]
+    values = [convolution_norm_bound(1, n, z, s) for s in sizes]
     assert all(a > b for a, b in zip(values, values[1:]))
     big_sigma = 10**9
     ks = [1, 2, 3, 4, 5, 6]
-    values_k = [convolution_norm_bound(k, n, z, big_sigma, force=True) for k in ks]
+    values_k = [convolution_norm_bound(k, n, z, big_sigma) for k in ks]
     assert all(a < b for a, b in zip(values_k, values_k[1:]))
 
 

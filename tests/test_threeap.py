@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ap3lab import threeap
+from ap3lab import cyclic
 from ap3lab.cyclic import (
+    AUTOCONVOLUTION_ROUNDING_BOUND,
     SUM_BLOCK,
     CyclicFunction,
     _five_smooth_at_least,
@@ -16,7 +17,6 @@ from ap3lab.cyclic import (
 from ap3lab.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from ap3lab.primes import next_prime_above
 from ap3lab.threeap import (
-    AUTOCONVOLUTION_ROUNDING_BOUND,
     DIRECT_LAMBDA_CEILING,
     additive_counts,
     behrend_set,
@@ -281,7 +281,7 @@ def test_additive_counts_check_their_rounding(monkeypatch):
         out += 0.01
         return out
 
-    monkeypatch.setattr(threeap, "_real_convolution", shifted)
+    monkeypatch.setattr(cyclic, "_real_convolution", shifted)
     with pytest.raises(InvariantError):
         additive_counts([0, 1, 3, 7])
 
@@ -290,7 +290,7 @@ def test_additive_counts_check_their_rounding(monkeypatch):
         out[0] += 1.0
         return out
 
-    monkeypatch.setattr(threeap, "_real_convolution", off_by_one)
+    monkeypatch.setattr(cyclic, "_real_convolution", off_by_one)
     with pytest.raises(InvariantError):
         additive_counts([0, 1, 3, 7])
 
@@ -390,7 +390,7 @@ def test_additive_counts_of_shuffled_input_with_duplicates(monkeypatch):
         lengths.append(values.size)
         return _real_convolution(values, *args)
 
-    monkeypatch.setattr(threeap, "_real_convolution", recording_convolution)
+    monkeypatch.setattr(cyclic, "_real_convolution", recording_convolution)
     rng = np.random.default_rng(77)
     for limit, size in [(40, 15), (331, 60), (1000, 120)]:
         members = rng.choice(limit + 1, size=size, replace=False).tolist()
