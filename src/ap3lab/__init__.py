@@ -38,7 +38,6 @@ from .errors import (
 from .pipeline import ExperimentReport, PipelineConfig, delta_sweep, norm_sweep, run_pipeline
 from .primes import (
     PrimeTable,
-    chebyshev_theta,
     is_prime,
     next_prime_above,
     prime_count,
@@ -47,7 +46,6 @@ from .primes import (
 from .sieve_bounds import (
     SingularSeries,
     TupleSpec,
-    brun_titchmarsh_bound,
     count_prime_tuples,
     klimov_upper_bound,
     convolution_norm_bound,

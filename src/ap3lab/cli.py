@@ -30,6 +30,7 @@ from .pipeline import (
 )
 from .primes import sieve_primes
 from .sieve_bounds import (
+    DEFAULT_SERIES_CUTOFF,
     TupleSpec,
     count_prime_tuples,
     hypothesis_flags,
@@ -88,16 +89,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--w", type=int, required=True)
     p.add_argument("--offsets", required=True, help="comma-separated offsets")
     p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--series-cutoff", type=int, default=10**6)
+    p.add_argument("--series-cutoff", type=int, default=DEFAULT_SERIES_CUTOFF)
     p.add_argument("--out")
 
     p = sub.add_parser("pipeline", help="full experiment; JSON plus CSV")
     _add_pipeline_args(p)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("norm-sweep", help="norm table rows over a k grid")
+    p = sub.add_parser("norm-sweep", help="norm table rows over --k (default 1,2,3)")
     _add_pipeline_args(p)
-    p.add_argument("--k-grid")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("delta-sweep", help="rows over a (delta, epsilon) grid")
@@ -151,8 +151,6 @@ def _pipeline_config(args) -> PipelineConfig:
         raw["epsilon"] = args.eps
     if getattr(args, "k", None):
         raw["k_values"] = [int(v) for v in args.k.split(",")]
-    if getattr(args, "k_grid", None):
-        raw["k_grid"] = [int(v) for v in args.k_grid.split(",")]
     if getattr(args, "delta_grid", None):
         raw["delta_grid"] = [v for v in args.delta_grid.split(",")]
     if getattr(args, "eps_grid", None):

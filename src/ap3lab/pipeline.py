@@ -70,7 +70,7 @@ from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import sieve_primes
 from .sieve_bounds import convolution_norm_bound, moment_index_in_range
 from .threeap import additive_counts, lambda_fourier, lambda_of_spectra
-from .wtrick import build_context, build_sieved_function
+from .wtrick import build_context, build_sieved_function, compute_parameters
 
 REPORT_SCHEMA = "ap3lab-report/1"
 DEFAULT_FFT_BUDGET = 1 << 23
@@ -113,6 +113,14 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _reject_repeats(name: str, values) -> None:
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise InvalidArgumentError(f"{name} repeats the value {value}")
+        seen.add(value)
+
+
 @dataclass
 class PipelineConfig:
     """One grid point of the experiment, plus sweep grids and the explicit
@@ -128,7 +136,6 @@ class PipelineConfig:
     c_sanders: float = 1.0
     c1: float = 1.0
     eta: float = 1.0
-    k_grid: tuple[int, ...] = ()
     delta_grid: tuple[str, ...] = ()
     epsilon_grid: tuple[str, ...] = ()
     force: bool = False
@@ -154,18 +161,22 @@ class PipelineConfig:
             ("delta", [self.delta]), ("epsilon", [self.epsilon]),
             ("delta_grid", self.delta_grid), ("epsilon_grid", self.epsilon_grid),
         ):
-            for value in map(Fraction, values):
+            fractions = [Fraction(value) for value in values]
+            for value in fractions:
                 if not 0 < value < Fraction(1, 2):
                     raise InvalidArgumentError(f"{name} must lie in (0, 1/2), got {value}")
+            _reject_repeats(name, fractions)
         for name in ("c4", "c_sanders", "c1", "eta"):
             value = getattr(self, name)
             if not _is_real(value) or not 0 < value < math.inf:
                 raise InvalidArgumentError(
                     f"constant {name} must be a positive real number, got {value!r}"
                 )
-        for name in ("k_values", "k_grid"):
-            if not all(_is_integer(k) and k >= 1 for k in getattr(self, name)):
-                raise InvalidArgumentError(f"{name} must be integers >= 1")
+        if not all(_is_integer(k) and k >= 1 for k in self.k_values):
+            raise InvalidArgumentError("k_values must be integers >= 1")
+        _reject_repeats("k_values", self.k_values)
+        # one canonical order: the level_set section reads the least k's row
+        self.k_values = tuple(sorted(self.k_values))
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
@@ -177,7 +188,7 @@ class PipelineConfig:
         for name in ("delta", "epsilon"):
             if name in coerced:
                 coerced[name] = str(coerced[name])
-        for name in ("k_values", "k_grid", "delta_grid", "epsilon_grid"):
+        for name in ("k_values", "delta_grid", "epsilon_grid"):
             if name in coerced:
                 if not isinstance(coerced[name], (list, tuple)):
                     raise InvalidArgumentError(f"{name} must be a list")
@@ -259,11 +270,14 @@ def check_fft_budget(p: int, budget: int = DEFAULT_FFT_BUDGET) -> None:
 def lift(config: PipelineConfig) -> tuple:
     """The W-trick lift shared by every entry point.
 
-    Sieves to N, reads the members (all primes up to N, or a set file,
-    each member of which must be a prime up to N), picks W, b and P,
-    refuses P past the FFT budget, and lifts the chosen class to the
-    sieved function. Returns (members, ctx, params, sieved).
+    Picks W and P from (N, z) and refuses P past the FFT budget before
+    anything is sieved. Then sieves to N, reads the members (all primes up
+    to N, or a set file, each member of which must be a prime up to N),
+    picks b, and lifts the chosen class to the sieved function. Returns
+    (members, ctx, params, sieved).
     """
+    p = compute_parameters(config.n, config.z_override).p
+    check_fft_budget(p, config.fft_budget)
     table = sieve_primes(config.n)
     if config.set_source == "all-primes":
         members = table.primes()
@@ -275,7 +289,6 @@ def lift(config: PipelineConfig) -> tuple:
                 f"set member {int(outside[0])} is not a prime in [2, N = {config.n}]"
             )
     ctx, params = build_context(members, config.n, config.z_override)
-    check_fft_budget(ctx.p, config.fft_budget)
     sieved = build_sieved_function(members, ctx, prime_table=table)
     return members, ctx, params, sieved
 
@@ -441,20 +454,12 @@ def _progression_floor(alpha: float, k: int, c1: float) -> float:
 
 
 def norm_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
-    """One pipeline run, one CSV row per k in the k grid."""
-    grid = tuple(config.k_grid) or tuple(config.k_values) or (1, 2, 3)
-    run_config = replace(config, k_values=tuple(sorted(grid)))
-    report = run_pipeline(run_config)
-    rows = []
-    for entry in report.data["norm_table"]:
-        record = {
-            "n": config.n,
-            "delta": config.delta,
-            "epsilon": config.epsilon,
-            **entry,
-        }
-        rows.append([_csv_cell(record.get(col)) for col in NORM_SWEEP_CSV_COLUMNS])
-    return NORM_SWEEP_CSV_COLUMNS, rows
+    """One pipeline run on k_values (default 1, 2, 3): its CSV rows,
+    restricted to NORM_SWEEP_CSV_COLUMNS."""
+    report = run_pipeline(replace(config, k_values=config.k_values or (1, 2, 3)))
+    header, rows = report.csv_rows()
+    kept = [header.index(col) for col in NORM_SWEEP_CSV_COLUMNS]
+    return NORM_SWEEP_CSV_COLUMNS, [[row[i] for i in kept] for row in rows]
 
 
 def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:

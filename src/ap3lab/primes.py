@@ -1,4 +1,4 @@
-"""Prime generation and queries: progression sieve, counting, primality, theta.
+"""Prime generation and queries: progression sieve, counting, primality.
 
 All logarithms in this package are natural logarithms.
 """
@@ -36,9 +36,6 @@ class PrimeTable:
         self.bits = bits
         self.count = count
         bits.setflags(write=False)
-
-    def __contains__(self, n: int) -> bool:
-        return self.is_prime(n)
 
     def is_prime(self, n: int) -> bool:
         if n < 2 or n > self.limit:
@@ -193,17 +190,3 @@ def next_prime_above(x: int) -> int:
         )
     return n
 
-
-def chebyshev_theta(table: PrimeTable, z: float) -> float:
-    """Sum of ln p over primes p <= z, accumulated in ascending order."""
-    if z < 0 or z > table.limit:
-        raise InvalidArgumentError(f"z={z} outside [0, {table.limit}]")
-    total = 0.0
-    bound = math.floor(z)
-    for block in table.iter_blocks():
-        if block[0] > bound:
-            break
-        block = block[block <= bound]
-        if block.size:
-            total += float(np.sum(np.log(block.astype(np.float64))))
-    return total

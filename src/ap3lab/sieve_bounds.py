@@ -15,12 +15,10 @@ import numpy as np
 
 from .errors import (
     InvalidArgumentError,
-    InvariantError,
     PreconditionError,
     ResourceLimitError,
 )
 from .primes import is_prime, sieve_primes, sieve_progression
-from .wtrick import WTrickContext
 
 DEFAULT_SERIES_CUTOFF = 10**6
 
@@ -184,41 +182,6 @@ def hypothesis_flags(spec: TupleSpec, limit: int) -> dict[str, bool]:
         "log_w_within_2_log_p": math.log(spec.w) <= 2 * log_p,
         "k_within_sieve_range": spec.k <= log_p / (12 * math.log(log_p)),
     }
-
-
-@dataclass
-class BrunTitchmarshBound:
-    raw_form: float  # 2PW / (phi(W) ln(P/W))
-    simplified_form: float  # 12 P ln z / ln N
-    side_conditions_hold: bool
-    comparison_checked: bool
-
-
-def brun_titchmarsh_bound(ctx: WTrickContext) -> BrunTitchmarshBound:
-    """Both forms of the progression-count bound.
-
-    The simplification raw <= 12 P ln z / ln N needs P/W >= N^(1/3) and
-    W/phi(W) <= 2 ln z; the comparison is checked only when both hold.
-    """
-    if ctx.p <= ctx.w:
-        raise InvalidArgumentError(f"need P > W, got P = {ctx.p}, W = {ctx.w}")
-    raw = 2.0 * ctx.p * ctx.w / (ctx.phi_w * math.log(ctx.p / ctx.w))
-    simplified = 12.0 * ctx.p * math.log(ctx.z) / math.log(ctx.n)
-    conditions = (
-        ctx.p / ctx.w >= ctx.n ** (1.0 / 3.0)
-        and ctx.w / ctx.phi_w <= 2 * math.log(ctx.z)
-    )
-    if conditions and raw > simplified:
-        raise InvariantError(
-            f"raw form {raw} exceeds the simplified form {simplified}"
-            " although its side conditions hold"
-        )
-    return BrunTitchmarshBound(
-        raw_form=raw,
-        simplified_form=simplified,
-        side_conditions_hold=conditions,
-        comparison_checked=conditions,
-    )
 
 
 def convolution_norm_bound(k: int, n: float, z: float, sigma_size: int) -> float:

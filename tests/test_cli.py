@@ -1,10 +1,14 @@
+import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ap3lab.cli import main
+from ap3lab.cli import _COMMANDS, _build_parser, main
 from ap3lab.cyclic import CyclicFunction, load_spectrum, save_function
+from ap3lab.pipeline import NORM_SWEEP_CSV_COLUMNS
 from conftest import direct_forward
 
 
@@ -140,7 +144,7 @@ def test_sweep_subcommands(tmp_path):
     out = tmp_path / "norm.csv"
     assert run_cli(
         "norm-sweep", "--n", "10000", "--delta", "0.4",
-        "--k-grid", "1,2", "--out", str(out),
+        "--k", "1,2", "--out", str(out),
     ) == 0
     lines = out.read_text().splitlines()
     assert len(lines) == 3  # header + two rows
@@ -151,6 +155,33 @@ def test_sweep_subcommands(tmp_path):
         "--eps-grid", "0.1", "--out", str(out2),
     ) == 0
     assert len(out2.read_text().splitlines()) == 3
+
+
+def _csv_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def test_norm_sweep_is_pipeline_rows_restricted_to_its_columns(tmp_path):
+    args = ["--n", "10000", "--delta", "0.4"]
+    assert run_cli("pipeline", *args, "--k", "1,2,3", "--out", str(tmp_path / "p.json")) == 0
+    header, *rows = _csv_rows(tmp_path / "p.csv")
+    kept = [header.index(col) for col in NORM_SWEEP_CSV_COLUMNS]
+    want = [NORM_SWEEP_CSV_COLUMNS] + [[row[i] for i in kept] for row in rows]
+    for k_flag in (["--k", "1,2,3"], []):  # no --k means k = 1, 2, 3
+        out = tmp_path / "norms.csv"
+        assert run_cli("norm-sweep", *args, *k_flag, "--out", str(out)) == 0
+        assert _csv_rows(out) == want
+
+
+def test_report_does_not_depend_on_the_order_of_k(tmp_path):
+    # the level_set section reads the first norm row, so k must be sorted
+    for name, ks in (("given", "3,1"), ("sorted", "1,3")):
+        assert run_cli("pipeline", "--n", "1000", "--k", ks,
+                       "--out", str(tmp_path / f"{name}.json")) == 0
+    for suffix in (".json", ".csv"):
+        assert ((tmp_path / f"given{suffix}").read_bytes()
+                == (tmp_path / f"sorted{suffix}").read_bytes())
 
 
 def test_bounds_subcommand(capsys):
@@ -189,6 +220,21 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     # P = 8388617 at the default z is past the 2^23 FFT budget
     assert run_cli("wtrick", "--n", "16777216", "--out", str(tmp_path / "w.json")) == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["wtrick", "--n", "1000000000"], 3),  # P past the FFT budget
+    (["pipeline", "--n", "1000000000"], 3),
+    (["wtrick", "--n", "1000", "--z", "100"], 1),  # z past ln N
+], ids=["wtrick-past-budget", "pipeline-past-budget", "z-past-ln-n"])
+def test_lift_refuses_before_sieving(tmp_path, capsys, monkeypatch, argv, code):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sieved to N before the size checks")
+
+    monkeypatch.setattr("ap3lab.pipeline.sieve_primes", unreachable)
+    assert run_cli(*argv, "--out", str(tmp_path / "out.json")) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("message, line", [
@@ -351,6 +397,30 @@ MALFORMED_INPUTS = {
                           "--out", str(tmp_path / "r.json")],
         "unrecognized arguments: --threads",
     ),
+    "k-repeated": (
+        lambda tmp_path: ["pipeline", "--n", "1000", "--k", "2,1,2",
+                          "--out", str(tmp_path / "r.json")],
+        "k_values repeats the value 2",
+    ),
+    "k-repeated-config": (
+        _config_file({"n": 1000, "k_values": [3, 3]}),
+        "k_values repeats the value 3",
+    ),
+    "delta-grid-repeated": (
+        lambda tmp_path: ["delta-sweep", "--n", "1000", "--delta-grid", "0.1,0.10",
+                          "--out", str(tmp_path / "d.csv")],
+        "delta_grid repeats the value 1/10",
+    ),
+    "eps-grid-repeated": (
+        _config_file({"n": 1000, "epsilon_grid": ["0.2", "1/5"]}),
+        "epsilon_grid repeats the value 1/5",
+    ),
+    "k-grid-key": (_config_file({"n": 1000, "k_grid": [1, 2]}), "unknown config keys"),
+    "k-grid-flag": (
+        lambda tmp_path: ["norm-sweep", "--n", "1000", "--k-grid", "1,2",
+                          "--out", str(tmp_path / "n.csv")],
+        "unrecognized arguments: --k-grid",
+    ),
 }
 
 
@@ -396,3 +466,14 @@ def test_oversized_input_exits_3_with_a_message(tmp_path, capsys, monkeypatch, c
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exceeds the FFT budget 8388608" in err
     assert "Traceback" not in err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line)[1:] for line in block.splitlines()
+             if line.startswith("ap3lab ")]
+    assert sorted(argv[0] for argv in argvs) == sorted(_COMMANDS)  # one per command
+    parser = _build_parser()
+    for argv in argvs:
+        parser.parse_args(argv)

@@ -40,7 +40,7 @@ def test_config_validation():
     ("c4", "1"), ("c_sanders", True), ("c1", None), ("eta", float("nan")),
     ("z_override", "3"), ("z_override", False), ("fft_budget", 2.0**23),
     ("fft_budget", True), ("force", "yes"), ("set_source", 5),
-    ("k_values", (1, True)), ("k_grid", (2.0,)),
+    ("k_values", (1, True)),
 ])
 def test_config_rejects_a_field_of_the_wrong_type(field, value):
     with pytest.raises(InvalidArgumentError, match=field):
@@ -189,12 +189,12 @@ def test_exploratory_flag_at_desk_scale(pipeline_1e5):
 
 
 def test_norm_sweep_rows(table_1e5):
-    config = PipelineConfig(n=10**4, delta="0.4", k_grid=(3, 1, 2))
+    config = PipelineConfig(n=10**4, delta="0.4", k_values=(3, 1, 2))
     header, rows = norm_sweep(config)
     assert header == NORM_SWEEP_CSV_COLUMNS
     assert len(rows) == 3
     k_column = [row[header.index("k")] for row in rows]
-    assert k_column == [1, 2, 3]  # ascending regardless of grid order
+    assert k_column == [1, 2, 3]  # ascending regardless of the given order
     ratio_idx = header.index("norm_ratio")
     assert all(float(row[ratio_idx]) > 0 for row in rows)
 

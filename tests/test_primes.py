@@ -6,7 +6,6 @@ import pytest
 import ap3lab.primes as primes_module
 from ap3lab.errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from ap3lab.primes import (
-    chebyshev_theta,
     is_prime,
     next_prime_above,
     prime_count,
@@ -140,35 +139,10 @@ def test_next_prime_above_leaves_no_gap():
         next_prime_above(0)
 
 
-def test_chebyshev_theta_examples():
-    table = sieve_primes(100)
-    assert chebyshev_theta(table, 1) == 0.0
-    expected = math.log(2) + math.log(3) + math.log(5) + math.log(7)
-    assert math.isclose(chebyshev_theta(table, 10), expected, rel_tol=1e-12)
-    assert math.isclose(
-        chebyshev_theta(table, 3.45), math.log(6), rel_tol=1e-12
-    )
-
-
-def test_chebyshev_theta_tracks_z():
-    table = sieve_primes(10**6)
-    for z in (100, 10**4, 10**6):
-        ratio = chebyshev_theta(table, z) / z
-        assert 0.8 <= ratio <= 1.2, (z, ratio)
-
-
 def test_prime_table_is_immutable():
     table = sieve_primes(100)
     with pytest.raises(ValueError):
         table.bits[0] = 255
-
-
-def test_theta_out_of_range():
-    table = sieve_primes(100)
-    with pytest.raises(InvalidArgumentError):
-        chebyshev_theta(table, 101)
-    with pytest.raises(InvalidArgumentError):
-        chebyshev_theta(table, -1)
 
 
 def test_next_prime_search_budget():

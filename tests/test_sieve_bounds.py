@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,11 +7,10 @@ import pytest
 import ap3lab.primes as primes_module
 import ap3lab.sieve_bounds as sieve_bounds_module
 from ap3lab.cyclic import CyclicFunction
-from ap3lab.errors import InvalidArgumentError, InvariantError, PreconditionError
+from ap3lab.errors import InvalidArgumentError, PreconditionError
 from ap3lab.primes import is_prime, sieve_primes
 from ap3lab.sieve_bounds import (
     TupleSpec,
-    brun_titchmarsh_bound,
     count_prime_tuples,
     hypothesis_flags,
     klimov_upper_bound,
@@ -21,7 +19,6 @@ from ap3lab.sieve_bounds import (
     root_count_rho,
     singular_series,
 )
-from ap3lab.wtrick import build_context
 from conftest import (
     dense_tuple_count,
     moment_distinct_split,
@@ -254,39 +251,6 @@ def test_pnt_shape_for_single_offset():
         count = count_prime_tuples(TupleSpec(w=1, offsets=(0,)), limit)
         ratio = count * math.log(limit) / limit
         assert 0.9 <= ratio <= 1.3
-
-
-def test_brun_titchmarsh_forms(table_1e6):
-    ctx, _ = build_context(table_1e6.primes(), 10**6)
-    bound = brun_titchmarsh_bound(ctx)
-    want_raw = 2 * ctx.p * ctx.w / (ctx.phi_w * math.log(ctx.p / ctx.w))
-    assert math.isclose(bound.raw_form, want_raw, rel_tol=1e-12)
-    want_simple = 12 * ctx.p * math.log(ctx.z) / math.log(10**6)
-    assert math.isclose(bound.simplified_form, want_simple, rel_tol=1e-12)
-    # at this N the ratio condition W/phi(W) <= 2 ln z fails: flagged, not asserted
-    assert not bound.side_conditions_hold
-
-
-def test_brun_titchmarsh_comparison_when_conditions_hold(monkeypatch):
-    ctx, _ = build_context(sieve_primes(10**5).primes(), 10**5)
-    bound = brun_titchmarsh_bound(ctx)
-    assert bound.side_conditions_hold
-    assert bound.raw_form <= bound.simplified_form
-    # Under its side conditions the comparison is a theorem; shrinking
-    # ln(P/W) is the only way to reach the check that guards it.
-    log = math.log
-    shrunk = SimpleNamespace(log=lambda x: 1e-3 if x == ctx.p / ctx.w else log(x))
-    monkeypatch.setattr(sieve_bounds_module, "math", shrunk)
-    with pytest.raises(InvariantError):
-        brun_titchmarsh_bound(ctx)
-
-
-def test_brun_titchmarsh_rejects_degenerate_modulus():
-    from ap3lab.wtrick import WTrickContext
-
-    ctx = WTrickContext(n=100, z=2.0, w=7, phi_w=6, b=1, p=7, scale=1.0)
-    with pytest.raises(InvalidArgumentError):
-        brun_titchmarsh_bound(ctx)
 
 
 def test_convolution_norm_bound_designed_points():
