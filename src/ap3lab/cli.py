@@ -51,38 +51,42 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ap3lab", description=__doc__)
-    parser.add_argument("--config", help="JSON config file: pipeline fields and fft_budget")
-    parser.add_argument("--force", action="store_true",
-                        help="echo force: true in the report's config (changes no value)")
     sub = parser.add_subparsers(dest="command", required=True)
+    # parent parsers: the options shared by the commands that read a config
+    config = _Parser(add_help=False)
+    config.add_argument("--config", help="JSON config file: pipeline fields and fft_budget")
+    lift = _Parser(add_help=False, parents=[config])
+    lift.add_argument("--n", type=int)
+    lift.add_argument("--z", type=float)
+    lift.add_argument("--set", dest="set_file")
+    point = _Parser(add_help=False, parents=[lift])
+    point.add_argument("--delta")
+    point.add_argument("--eps")
 
     p = sub.add_parser("primes", help="write primes up to a limit, one per line")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("transform", help="spectrum of a serialized function")
+    p = sub.add_parser("transform", parents=[config], help="spectrum of a serialized function")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("wtrick", help="sieving construction report")
-    p.add_argument("--n", type=int)
-    p.add_argument("--z", type=float)
-    p.add_argument("--set", dest="set_file")
+    p = sub.add_parser("wtrick", parents=[lift], help="sieving construction report")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("bohr", help="Bohr set size and members")
+    p = sub.add_parser("bohr", parents=[config], help="Bohr set size and members")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--freqs", required=True, help="comma-separated frequencies")
     p.add_argument("--eps", required=True, help="radius as a decimal string")
     p.add_argument("--members", action="store_true")
     p.add_argument("--out")
 
-    p = sub.add_parser("lambda", help="three-term progression operator of a set")
+    p = sub.add_parser("lambda", parents=[config],
+                       help="three-term progression operator of a set of residues")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--set", dest="set_file", required=True)
-    p.add_argument("--fourier", action="store_true")
-    p.add_argument("--direct", action="store_true")
-    p.add_argument("--both", action="store_true")
+    p.add_argument("--direct", action="store_true",
+                   help="add the O(P^2) direct operator to the spectral one")
     p.add_argument("--out")
 
     p = sub.add_parser("tuples", help="prime tuple count against its sieve bound")
@@ -92,16 +96,16 @@ def _build_parser() -> _Parser:
     p.add_argument("--series-cutoff", type=int, default=DEFAULT_SERIES_CUTOFF)
     p.add_argument("--out")
 
-    p = sub.add_parser("pipeline", help="full experiment; JSON plus CSV")
-    _add_pipeline_args(p)
+    p = sub.add_parser("pipeline", parents=[point], help="full experiment; JSON plus CSV")
+    p.add_argument("--k", help="comma-separated k values")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("norm-sweep", help="norm table rows over --k (default 1,2,3)")
-    _add_pipeline_args(p)
+    p = sub.add_parser("norm-sweep", parents=[point],
+                       help="norm table rows over --k (default 1,2,3)")
+    p.add_argument("--k", help="comma-separated k values")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("delta-sweep", help="rows over a (delta, epsilon) grid")
-    _add_pipeline_args(p)
+    p = sub.add_parser("delta-sweep", parents=[point], help="rows over a (delta, epsilon) grid")
     p.add_argument("--delta-grid")
     p.add_argument("--eps-grid")
     p.add_argument("--out", required=True)
@@ -111,15 +115,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     return parser
-
-
-def _add_pipeline_args(p):
-    p.add_argument("--n", type=int)
-    p.add_argument("--z", type=float)
-    p.add_argument("--set", dest="set_file")
-    p.add_argument("--delta")
-    p.add_argument("--eps")
-    p.add_argument("--k", help="comma-separated k values")
 
 
 def _read_config(args) -> dict:
@@ -155,8 +150,6 @@ def _pipeline_config(args) -> PipelineConfig:
         raw["delta_grid"] = [v for v in args.delta_grid.split(",")]
     if getattr(args, "eps_grid", None):
         raw["epsilon_grid"] = [v for v in args.eps_grid.split(",")]
-    if args.force:
-        raw["force"] = True
     if "n" not in raw:
         raise InvalidArgumentError("--n (or a config file with n) is required")
     return PipelineConfig.from_dict(raw)
@@ -234,17 +227,19 @@ def _cmd_bohr(args) -> int:
 def _cmd_lambda(args) -> int:
     check_fft_budget(args.p, _fft_budget(args))
     members = load_member_file(args.set_file)
+    for member in (members[0], members[-1]):  # the least and the largest
+        if not 0 <= member < args.p:
+            raise InvalidArgumentError(
+                f"set member {member} in {args.set_file} is not a residue in [0, P = {args.p})"
+            )
     f = CyclicFunction.indicator(args.p, members.tolist())
-    use_direct = args.direct or args.both
-    use_fourier = args.fourier or args.both or not use_direct
-    report: dict = {"p": args.p, "set_size": int(members.size)}
-    triv = trivial_mass(f, f, f)
-    if use_fourier:
-        lam = lambda_fourier(f, f, f)
-        report["fourier"] = {
-            "lambda": lam, "trivial": triv, "nontrivial": lam - triv,
-        }
-    if use_direct:
+    lam, triv = lambda_fourier(f, f, f), trivial_mass(f, f, f)
+    report: dict = {
+        "p": args.p,
+        "set_size": int(members.size),
+        "fourier": {"lambda": lam, "trivial": triv, "nontrivial": lam - triv},
+    }
+    if args.direct:
         direct = lambda_direct(f, f, f)
         report["direct"] = {
             "lambda": direct.lambda_value,

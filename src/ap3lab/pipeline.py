@@ -64,7 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bd
-from .bohr import build_bohr_set, kernel_spectrum, smooth
+from .bohr import as_radius, build_bohr_set, kernel_spectrum, smooth
 from .cyclic import lp_norm, spectral_lp_norm, threshold_spectrum
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import sieve_primes
@@ -166,6 +166,8 @@ class PipelineConfig:
                 if not 0 < value < Fraction(1, 2):
                     raise InvalidArgumentError(f"{name} must lie in (0, 1/2), got {value}")
             _reject_repeats(name, fractions)
+        for radius in (self.epsilon, *self.epsilon_grid):
+            as_radius(radius)  # the Bohr scan's rule, checked before the lift
         for name in ("c4", "c_sanders", "c1", "eta"):
             value = getattr(self, name)
             if not _is_real(value) or not 0 < value < math.inf:

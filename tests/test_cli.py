@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -72,10 +74,15 @@ def test_bohr_subcommand(tmp_path, capsys):
 def test_lambda_subcommand(tmp_path, capsys):
     path = tmp_path / "set.txt"
     path.write_text("0\n1\n3\n4\n9\n10\n")
-    assert run_cli("lambda", "--p", "101", "--set", str(path), "--both") == 0
+    assert run_cli("lambda", "--p", "101", "--set", str(path)) == 0
+    spectral = json.loads(capsys.readouterr().out)
+    assert set(spectral) == {"p", "set_size", "fourier"}
+    assert run_cli("lambda", "--p", "101", "--set", str(path), "--direct") == 0
     report = json.loads(capsys.readouterr().out)
+    assert report["fourier"] == spectral["fourier"]  # --direct only adds its block
     assert report["direct"]["pair_count"] == 6
-    assert abs(report["fourier"]["lambda"] - report["direct"]["lambda"]) < 1e-10
+    for key in ("lambda", "trivial", "nontrivial"):
+        assert abs(report["fourier"][key] - report["direct"][key]) < 1e-10
     assert abs(report["direct"]["nontrivial"]) < 1e-15
 
 
@@ -115,26 +122,22 @@ def test_pipeline_with_config_file(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": 10000, "delta": "0.4", "k_values": [1]}))
     out = tmp_path / "report.json"
-    assert run_cli("--config", str(config), "pipeline", "--out", str(out)) == 0
+    assert run_cli("pipeline", "--config", str(config), "--out", str(out)) == 0
     report = json.loads(out.read_text())
     assert report["config"]["delta"] == "0.4"
 
 
 def test_force_is_only_echoed_in_the_config(tmp_path):
-    # --force changes no computed value: the two reports differ only in
-    # config.force, and their CSVs are the same bytes; a config file's
-    # force is kept when the flag is not given
+    # the config key force changes no computed value: the two reports
+    # differ only in config.force, and their CSVs are the same bytes
     args = ["pipeline", "--n", "100000", "--delta", "0.05", "--eps", "0.1", "--k", "1,2,3"]
     plain, forced = tmp_path / "plain.json", tmp_path / "forced.json"
     assert run_cli(*args, "--out", str(plain)) == 0
-    assert run_cli("--force", *args, "--out", str(forced)) == 0
-    want, got = json.loads(plain.read_text()), json.loads(forced.read_text())
-    assert want["config"]["force"] is False and got["config"]["force"] is True
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"force": True}))
-    from_file = tmp_path / "from_file.json"
-    assert run_cli("--config", str(config), *args, "--out", str(from_file)) == 0
-    assert from_file.read_bytes() == forced.read_bytes()
+    assert run_cli(*args, "--config", str(config), "--out", str(forced)) == 0
+    want, got = json.loads(plain.read_text()), json.loads(forced.read_text())
+    assert want["config"]["force"] is False and got["config"]["force"] is True
     got["config"]["force"] = False
     assert got == want
     assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "forced.csv").read_bytes()
@@ -226,7 +229,11 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     (["wtrick", "--n", "1000000000"], 3),  # P past the FFT budget
     (["pipeline", "--n", "1000000000"], 3),
     (["wtrick", "--n", "1000", "--z", "100"], 1),  # z past ln N
-], ids=["wtrick-past-budget", "pipeline-past-budget", "z-past-ln-n"])
+    # a radius whose denominator the Bohr scan refuses
+    (["pipeline", "--n", "1000000", "--eps", "0.1234567890123"], 1),
+    (["delta-sweep", "--n", "1000000", "--eps-grid", "0.1,0.1234567890123"], 1),
+], ids=["wtrick-past-budget", "pipeline-past-budget", "z-past-ln-n",
+        "pipeline-eps-denominator", "delta-sweep-eps-grid-denominator"])
 def test_lift_refuses_before_sieving(tmp_path, capsys, monkeypatch, argv, code):
     def unreachable(*args, **kwargs):
         raise AssertionError("sieved to N before the size checks")
@@ -270,7 +277,7 @@ def _config_file(raw):
     def argv(tmp_path):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
-        return ["--config", str(path), "pipeline", "--out", str(tmp_path / "r.json")]
+        return ["pipeline", "--config", str(path), "--out", str(tmp_path / "r.json")]
     return argv
 
 
@@ -285,7 +292,8 @@ def _set_file(text, command="wtrick"):
 def _with_config(tmp_path, raw, argv):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw))
-    return ["--config", str(path), *argv(tmp_path)]
+    command, *rest = argv(tmp_path)
+    return [command, "--config", str(path), *rest]
 
 
 def _small_function(tmp_path):
@@ -294,9 +302,9 @@ def _small_function(tmp_path):
     return ["transform", "--in", str(path), "--out", str(tmp_path / "s.zpsp")]
 
 
-def _small_set(tmp_path):
+def _small_set(tmp_path, text="0\n1\n3\n"):
     path = tmp_path / "set.txt"
-    path.write_text("0\n1\n3\n")
+    path.write_text(text)
     return ["lambda", "--p", "101", "--set", str(path)]
 
 
@@ -322,7 +330,7 @@ def test_wtrick_reads_n_from_the_config(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"n": 10000}))
     out = tmp_path / "w.json"
-    assert run_cli("--config", str(config), "wtrick", "--out", str(out)) == 0
+    assert run_cli("wtrick", "--config", str(config), "--out", str(out)) == 0
     assert json.loads(out.read_text())["p"] == 15013
 
 
@@ -421,6 +429,39 @@ MALFORMED_INPUTS = {
                           "--out", str(tmp_path / "n.csv")],
         "unrecognized arguments: --k-grid",
     ),
+    # each option a command does not read is refused, not ignored
+    "force-flag": (
+        lambda tmp_path: ["--force", "pipeline", "--n", "1000",
+                          "--out", str(tmp_path / "r.json")],
+        "unrecognized arguments: --force",
+    ),
+    **{
+        f"config-{argv[0]}": (
+            lambda tmp_path, argv=argv: _with_config(tmp_path, {"threads": 2}, lambda _: argv),
+            "unrecognized arguments: --config",
+        )
+        for argv in (["primes", "--limit", "30"],
+                     ["tuples", "--w", "6", "--offsets", "1,5", "--limit", "10"],
+                     ["bounds", "--n", "1e10"])
+    },
+    "k-flag-delta-sweep": (
+        lambda tmp_path: ["delta-sweep", "--n", "1000", "--k", "1,2", "--delta-grid", "0.1",
+                          "--eps-grid", "0.1", "--out", str(tmp_path / "d.csv")],
+        "unrecognized arguments: --k 1,2",
+    ),
+    "lambda-both": (lambda tmp_path: [*_small_set(tmp_path), "--both"],
+                    "unrecognized arguments: --both"),
+    "lambda-fourier": (lambda tmp_path: [*_small_set(tmp_path), "--fourier"],
+                       "unrecognized arguments: --fourier"),
+    # lambda reads residues mod P: a member outside [0, P) is not reduced
+    "lambda-member-negative": (
+        lambda tmp_path: _small_set(tmp_path, "1\n102\n-100\n"),
+        "set member -100 in",
+    ),
+    "lambda-member-past-p": (
+        lambda tmp_path: _small_set(tmp_path, "0\n1\n101\n"),
+        "set member 101 in",
+    ),
 }
 
 
@@ -468,12 +509,50 @@ def test_oversized_input_exits_3_with_a_message(tmp_path, capsys, monkeypatch, c
     assert "Traceback" not in err
 
 
+def _command_options():
+    """command -> the option strings its subparser accepts, help left out."""
+    (subparsers,) = [action for action in _build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return {
+        command: {flag for action in parser._actions for flag in action.option_strings}
+        - {"-h", "--help"}
+        for command, parser in subparsers.choices.items()
+    }
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    lift = {"--config", "--n", "--z", "--set"}
+    point = lift | {"--delta", "--eps"}
+    options = _command_options()
+    assert options == {
+        "primes": {"--limit", "--out"},
+        "transform": {"--config", "--in", "--out"},
+        "wtrick": lift | {"--out"},
+        "bohr": {"--config", "--p", "--freqs", "--eps", "--members", "--out"},
+        "lambda": {"--config", "--p", "--set", "--direct", "--out"},
+        "tuples": {"--w", "--offsets", "--limit", "--series-cutoff", "--out"},
+        "pipeline": point | {"--k", "--out"},
+        "norm-sweep": point | {"--k", "--out"},
+        "delta-sweep": point | {"--delta-grid", "--eps-grid", "--out"},
+        "bounds": {"--n", "--out"},
+    }
+    assert sum(map(len, options.values())) == 53  # (command, option) slots
+
+
 def test_readme_command_lines_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
     argvs = [shlex.split(line)[1:] for line in block.splitlines()
              if line.startswith("ap3lab ")]
     assert sorted(argv[0] for argv in argvs) == sorted(_COMMANDS)  # one per command
     parser = _build_parser()
     for argv in argvs:
         parser.parse_args(argv)
+    # one bullet per command lists exactly the options its subparser accepts
+    listed = {
+        match["command"]: set(re.findall(r"`(--[a-z][a-z-]*)`", match["body"]))
+        for match in re.finditer(r"^\* `(?P<command>[a-z-]+)`: (?P<body>.*?)(?=^\* |^$)",
+                                 section, re.M | re.S)
+    }
+    assert listed == _command_options()
