@@ -90,7 +90,7 @@ class BohrSet:
         return self._members
 
 
-def build_bohr_set(p: int, frequencies, eps) -> BohrSet:
+def build_bohr_set(p: int, frequencies, eps, within=None) -> BohrSet:
     """Exact member scan, seeded by the first frequency, then survivor
     compaction; the sorted survivors are the set's members.
 
@@ -103,6 +103,12 @@ def build_bohr_set(p: int, frequencies, eps) -> BohrSet:
     The scan stops once only 0 is left, since 0 lies in every Bohr set.
     Each step touches only the survivors of the one before, so the cost is
     about 2*eps*P / (1 - 2*eps) rather than P * |R|.
+
+    within, when given, is an ascending array of residues in [0, P), or
+    InvalidArgumentError is raised. The seed is then skipped and every
+    nonzero frequency's test runs over within alone, so the members are
+    B(R, eps) & within: B(R, eps) itself whenever within contains it, as
+    B(R', eps') does for every R' within R and eps' >= eps.
 
     Checks the pigeonhole lower bound |B| >= P * eps^|R| (an exact theorem
     at modulus P) by integer cross-multiplication, and raises
@@ -123,7 +129,16 @@ def build_bohr_set(p: int, frequencies, eps) -> BohrSet:
     bound = num * p  # compare q*min(t, P-t) <= p*P exactly
     nonzero = [x for x in freqs if x != 0]
     reach = min(bound // den, p // 2)
-    if not nonzero or 2 * reach + 1 >= p:
+    tested = nonzero[1:]  # the seed passes nonzero[0]'s test by construction
+    if within is not None:
+        survivors = np.array(within, dtype=np.int64)  # a copy: sorted in place below
+        if survivors.ndim != 1 or (
+            survivors.size
+            and (survivors[0] < 0 or survivors[-1] >= p or np.any(survivors[1:] <= survivors[:-1]))
+        ):
+            raise InvalidArgumentError(f"within must be ascending residues in [0, {p})")
+        tested = nonzero
+    elif not nonzero or 2 * reach + 1 >= p:
         survivors = np.arange(p, dtype=np.int64)
     else:
         # j * x^-1 < P^2 <= 2**62 stays inside int64
@@ -132,10 +147,10 @@ def build_bohr_set(p: int, frequencies, eps) -> BohrSet:
         )
         survivors *= pow(nonzero[0], -1, p)
         survivors %= p
-    for x in nonzero[1:]:
+    for x in tested:
         t = (survivors * x) % p
         survivors = survivors[np.minimum(t, p - t) * den <= bound]
-        if survivors.size == 1:  # only 0 is left
+        if survivors.size == 1 and survivors[0] == 0:  # only 0 is left
             break
     size = int(survivors.size)
 

@@ -19,7 +19,10 @@ coefficient within rounding of delta. math.log and pow come from the
 platform's libm and are outside this guarantee.
 
 delta_sweep reads h only through lambda(h, h, h), so it never builds h: it
-evaluates the operator on ahat * sigmahat (bohr.kernel_spectrum).
+evaluates the operator on ahat * sigmahat (bohr.kernel_spectrum). Its Bohr
+sets nest, B(R(delta), eps) within B(R(delta'), eps') for delta <= delta'
+and eps <= eps', so it seeds only the largest point's scan and filters
+every other set from one already built (build_bohr_set's within).
 
 Around the one forward transform of a, each pass does only the work its
 output needs: the Bohr scan forms the survivors of its least nonzero
@@ -468,8 +471,13 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
     """Rows over the (delta, epsilon) grid in ascending lexicographic order.
 
     The sieved function and its spectrum are shared across grid points; the
-    threshold set is built once per distinct delta and the Bohr set once
-    per point. A row reads h only
+    threshold set R(delta) is taken once per distinct delta, in ascending
+    order, and the Bohr set once per point. R(delta) only grows as delta
+    falls, so the sets are built from the largest (delta, epsilon) down:
+    only that one is seeded, and each other is scanned within the least
+    set already built at a larger or equal epsilon for its own delta or
+    for the next larger one (build_bohr_set's within). At most two delta
+    groups' sets are held at once. A row reads h only
     through lambda(h, h, h), so h is never built: its spectrum
     hhat = ahat * sigmahat (bohr.kernel_spectrum) goes straight to the
     operator. For B = {0}, h is a and lambda_hhh is the exact count
@@ -489,13 +497,25 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
     spec_a = a.spectrum()
     a_hat = spec_a.half
 
-    rows = []
     # points are sorted by delta, and the threshold set depends on delta alone
-    for delta_f, group in groupby(points, key=lambda point: float(point[0])):
-        r_set, raw_size = threshold_spectrum(spec_a, delta_f)
-        for _, delta_str, _, eps_str in group:
-            eps_f = float(Fraction(eps_str))
-            bohr = build_bohr_set(ctx.p, r_set.tolist(), eps_str)
+    groups = [
+        (delta_f, list(group), *threshold_spectrum(spec_a, delta_f))
+        for delta_f, group in groupby(points, key=lambda point: float(point[0]))
+    ]
+    # B(R(delta), eps) lies in B(R(delta'), eps') for delta <= delta' and
+    # eps <= eps', so the sets are built from the largest point down, each
+    # from the least superset built so far in its own or the next delta group
+    rows = {}
+    outer = []  # (eps, Bohr set) of the next larger delta
+    for delta_f, group, r_set, raw_size in reversed(groups):
+        inner = []
+        for point in reversed(group):
+            _, delta_str, eps, eps_str = point
+            supersets = [bohr for e, bohr in inner + outer if e >= eps]
+            within = min(supersets, key=lambda b: b.size).members() if supersets else None
+            bohr = build_bohr_set(ctx.p, r_set.tolist(), eps_str, within=within)
+            inner.append((eps, bohr))
+            eps_f = float(eps)
             if bohr.size == 1:
                 lam_h = lam_a  # B = {0}: h is a
             else:
@@ -520,8 +540,9 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
                 "eps_delta_ok": constraint.satisfied,
                 "zero_lambda": abs(lam_h) < 1e-15,
             }
-            rows.append([_csv_cell(record.get(col)) for col in DELTA_SWEEP_CSV_COLUMNS])
-    return DELTA_SWEEP_CSV_COLUMNS, rows
+            rows[point] = [_csv_cell(record.get(col)) for col in DELTA_SWEEP_CSV_COLUMNS]
+        outer = inner
+    return DELTA_SWEEP_CSV_COLUMNS, [rows[point] for point in points]
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ constant the source material does not supply.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,7 +150,7 @@ def klimov_upper_bound(
     """P * 3^k * k! / (ln P)^k times the singular series, with constant 1.
 
     Needs k >= 2. Past k > ln P / (12 ln ln P) the bound is weaker than the
-    trivial count P, which is reported as a warning rather than an error.
+    trivial count P; hypothesis_flags reports that as k_within_sieve_range.
     """
     k = spec.k
     if k < 2:
@@ -159,12 +158,6 @@ def klimov_upper_bound(
     if limit < 3:
         raise InvalidArgumentError(f"limit must be >= 3, got {limit}")
     log_p = math.log(limit)
-    if k > log_p / (12 * math.log(log_p)):
-        warnings.warn(
-            f"k = {k} exceeds ln P/(12 ln ln P) = {log_p / (12 * math.log(log_p)):.3f};"
-            " the bound is weaker than the trivial count",
-            stacklevel=2,
-        )
     if series is None:
         series = singular_series(spec)
     return limit * 3**k * math.factorial(k) / log_p**k * series.value

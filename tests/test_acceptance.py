@@ -7,6 +7,7 @@ stream; without -s pytest shows them for failing tests only.
 import json
 import math
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from ap3lab.primes import next_prime_above, sieve_primes
 from ap3lab.sieve_bounds import (
     TupleSpec,
     count_prime_tuples,
+    hypothesis_flags,
     klimov_upper_bound,
     convolution_norm_bound,
     singular_series,
@@ -293,8 +295,11 @@ def test_criterion_10_bound_evaluators_at_designed_points():
 
     spec = TupleSpec(w=6, offsets=(1, 5))
     series = singular_series(spec, 10**4)
-    with pytest.warns(UserWarning):  # desk-scale P sits outside the sieve range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = klimov_upper_bound(spec, 10**6, series)
+    # desk-scale P sits outside the sieve range: the flag says so, silently
+    checks.append(hypothesis_flags(spec, 10**6)["k_within_sieve_range"] is False)
     want = 10**6 * 9 * 2 / math.log(10**6) ** 2 * series.value
     checks.append(math.isclose(got, want, rel_tol=1e-9))
 

@@ -709,3 +709,104 @@ def test_smooth_with_a_progression_matches_the_convolution(p, step, m):
     reference = convolve(a, normalized_indicator(bohr))
     assert np.max(np.abs(h.values - reference.values)) < 1e-12
     assert np.max(np.abs(h.spectrum().full() - direct_forward(h.values))) < 1e-12 * a.mean()
+
+
+def _within_cases():
+    """(P, R', R, eps', eps) with R' within R and eps <= eps': random
+    nested frequency sets over radii of 1/2, of (P//2)/P (whose interval
+    covers Z/PZ, 2*reach + 1 >= P) and smaller ones, plus R = {0} and an
+    outer set B(R', eps') = {0}."""
+    rng = np.random.default_rng(2311)
+    cases = []
+    for p in (101, 1009, 10007):
+        radii = [Fraction(1, 2), Fraction(p // 2, p), Fraction(1, 5), Fraction(1, 10),
+                 Fraction(3, 100)]
+        for _ in range(8):
+            outer = rng.integers(0, p, size=int(rng.integers(1, 4))).tolist()
+            inner = outer + rng.integers(0, p, size=int(rng.integers(0, 4))).tolist()
+            wide, narrow = sorted(rng.choice(len(radii), size=2))
+            cases.append((p, outer, inner, radii[wide], radii[narrow]))
+        cases += [
+            (p, [0], [0], Fraction(1, 2), Fraction(p // 2, p)),
+            (p, [0], [0, 7], Fraction(p // 2, p), Fraction(1, 10)),
+            (p, [3, 1000, 77, 5], [3, 1000, 77, 5, 11], Fraction(1, 50), Fraction(1, 50)),
+        ]
+    return cases
+
+
+@pytest.mark.parametrize("p, outer, inner, wide, narrow", _within_cases())
+def test_scan_within_a_larger_bohr_set_is_the_fresh_scan(p, outer, inner, wide, narrow):
+    within = build_bohr_set(p, outer, wide).members()
+    kept = within.copy()
+    bohr = build_bohr_set(p, inner, narrow, within=within)
+    fresh = build_bohr_set(p, inner, narrow)
+    assert np.array_equal(bohr.members(), fresh.members())
+    assert (bohr.frequencies, bohr.radius) == (fresh.frequencies, fresh.radius)
+    assert np.array_equal(within, kept)
+
+
+def test_within_cases_reach_every_shape():
+    shapes = set()
+    for p, outer, inner, wide, narrow in _within_cases():
+        size = build_bohr_set(p, outer, wide).size
+        if size in (1, p):
+            shapes.add(f"within of size {'1' if size == 1 else 'P'}")
+        if 2 * min(math.floor(narrow * p), p // 2) + 1 >= p:
+            shapes.add("inner interval covers Z/PZ")
+        if {x % p for x in inner} == {0}:
+            shapes.add("R = {0}")
+        if len({x % p for x in inner}) > len({x % p for x in outer}):
+            shapes.add("R' a proper part of R")
+    assert shapes == {"within of size 1", "within of size P", "inner interval covers Z/PZ",
+                      "R = {0}", "R' a proper part of R"}
+
+
+@pytest.mark.parametrize("p", [101, 1009, 10007])
+def test_scan_within_any_residues_is_the_intersection(p):
+    rng = np.random.default_rng(p)
+    checked = refused = 0
+    for _ in range(6):
+        freqs = rng.integers(0, p, size=int(rng.integers(1, 4))).tolist()
+        eps = Fraction(int(rng.integers(1, 26)), 100)
+        brute = set(bohr_members_brute(p, freqs, eps).tolist())
+        d = len({x % p for x in freqs})
+        for density in (0.5, 0.9, 1.0):
+            within = np.flatnonzero(rng.random(p) < density)
+            if rng.random() < 0.5:
+                within = np.union1d(within, [0])
+            want = sorted(brute & set(within.tolist()))
+            if len(want) * eps.denominator**d >= p * eps.numerator**d:
+                bohr = build_bohr_set(p, freqs, eps, within=within)
+                assert bohr.members().tolist() == want
+                checked += 1
+            else:
+                with pytest.raises(InvariantError, match="pigeonhole"):
+                    build_bohr_set(p, freqs, eps, within=within)
+                refused += 1
+    # within = {0} meets the bound once P * eps^|R| <= 1
+    assert build_bohr_set(p, [1, 2, 3], Fraction(1, p), within=[0]).members().tolist() == [0]
+    assert checked and refused
+
+
+@pytest.mark.parametrize(
+    "within",
+    [[-1, 0, 1], [0, 1, 101], [0, 5, 5], [5, 0], [[0, 1]]],
+    ids=["negative", "past-P", "repeated", "descending", "two-dimensional"],
+)
+def test_scan_within_rejects_what_is_not_ascending_residues(within):
+    with pytest.raises(InvalidArgumentError, match="within"):
+        build_bohr_set(101, [1], "0.1", within=within)
+
+
+def test_scan_within_below_the_pigeonhole_bound_is_refused():
+    p = 101
+    with pytest.raises(InvariantError, match="pigeonhole"):
+        build_bohr_set(p, [0], "0.5", within=[0])  # R = {0}: B is all of Z/PZ
+    with pytest.raises(InvariantError, match="pigeonhole"):
+        build_bohr_set(p, [1], "0.1", within=[0, 50, 51])  # only 0 of B(R, eps)
+    with pytest.raises(InvariantError, match="pigeonhole"):
+        build_bohr_set(p, [1], "0.1", within=[30])  # no member at all
+    # 1 passes frequency 1 and fails 50: a lone survivor other than 0 must
+    # meet every test, and the empty result is below P * eps^2 < 1
+    with pytest.raises(InvariantError, match="pigeonhole"):
+        build_bohr_set(p, [1, 50], Fraction(1, 100), within=[1])

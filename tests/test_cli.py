@@ -1,13 +1,17 @@
 import argparse
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ap3lab
 from ap3lab.cli import _COMMANDS, _build_parser, main
 from ap3lab.cyclic import CyclicFunction, load_spectrum, save_function
 from ap3lab.pipeline import NORM_SWEEP_CSV_COLUMNS
@@ -86,7 +90,7 @@ def test_lambda_subcommand(tmp_path, capsys):
     assert abs(report["direct"]["nontrivial"]) < 1e-15
 
 
-def test_tuples_subcommand(capsys, recwarn):
+def test_tuples_subcommand(capsys):
     assert run_cli(
         "tuples", "--w", "6", "--offsets", "1,5", "--limit", "10",
         "--series-cutoff", "1000",
@@ -95,6 +99,19 @@ def test_tuples_subcommand(capsys, recwarn):
     assert report["count"] == 5
     assert report["klimov_bound"] > 0
     assert report["ratio"] == report["count"] / report["klimov_bound"]
+
+
+def test_tuples_out_of_sieve_range_leaves_stderr_empty():
+    # k = 2 exceeds ln P/(12 ln ln P) at this limit; the report's flag says so
+    src = Path(ap3lab.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-m", "ap3lab.cli", "tuples", "--w", "6", "--offsets", "1,5",
+         "--limit", "100000"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stderr == ""
+    assert json.loads(out.stdout)["hypotheses"]["k_within_sieve_range"] is False
 
 
 def test_tuples_single_offset_has_no_klimov(capsys):

@@ -280,6 +280,38 @@ def test_delta_sweep_thresholds_once_per_distinct_delta(monkeypatch):
     assert [row[header.index("delta")] for row in rows] == ["0.3"] * 3 + ["0.45"] * 3
 
 
+def test_delta_sweep_seeds_one_scan_and_filters_the_rest(monkeypatch):
+    import ap3lab.pipeline as pipeline
+    from ap3lab.bohr import build_bohr_set
+
+    calls = []
+
+    def recording(p, frequencies, eps, within=None):
+        bohr = build_bohr_set(p, frequencies, eps, within=within)
+        calls.append((p, frequencies, eps, within, bohr))
+        return bohr
+
+    monkeypatch.setattr(pipeline, "build_bohr_set", recording)
+    config = PipelineConfig(
+        n=10**4,
+        delta_grid=("0.05", "0.1", "0.2", "0.3"),
+        epsilon_grid=("0.1", "0.4"),
+    )
+    header, rows = delta_sweep(config)
+    delta, eps, size = (header.index(col) for col in ("delta", "epsilon", "bohr_size"))
+    assert SWEEP_REGIMES.items() <= {(r[delta], r[eps]): r[size] for r in rows}.items()
+    assert len(calls) == len(rows) == 8
+    seeded = [call for call in calls if call[3] is None]
+    assert len(seeded) == 1
+    p, frequencies, epsilon, _, _ = seeded[0]
+    _, _, _, sieved = lift(config)
+    largest, _ = cyclic.threshold_spectrum(sieved.function.spectrum(), 0.3)
+    assert (frequencies, epsilon) == (largest.tolist(), "0.4")
+    for p, frequencies, epsilon, within, bohr in calls:
+        fresh = build_bohr_set(p, frequencies, epsilon)
+        assert np.array_equal(bohr.members(), fresh.members())
+
+
 @pytest.mark.parametrize(
     "delta, epsilon",
     [

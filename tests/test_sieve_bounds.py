@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -208,19 +209,24 @@ def test_count_prime_tuples_memory_is_one_segment():
 def test_klimov_bound_formula():
     spec = TupleSpec(w=6, offsets=(1, 5))
     series = singular_series(spec, 10**4)
-    with pytest.warns(UserWarning):  # desk-scale P sits outside the sieve range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         got = klimov_upper_bound(spec, 10**6, series)
+    # desk-scale P sits outside the sieve range: the flag says so, silently
+    assert hypothesis_flags(spec, 10**6)["k_within_sieve_range"] is False
     want = 10**6 * 9 * 2 / math.log(10**6) ** 2 * series.value
     assert math.isclose(got, want, rel_tol=1e-12)
     with pytest.raises(InvalidArgumentError):
         klimov_upper_bound(TupleSpec(w=1, offsets=(0,)), 100)
 
 
-def test_klimov_warns_out_of_sieve_range():
+def test_klimov_is_silent_out_of_sieve_range():
     spec = TupleSpec(w=6, offsets=(1, 5))
     series = singular_series(spec, 10**4)
-    with pytest.warns(UserWarning):
-        klimov_upper_bound(spec, 100, series)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert klimov_upper_bound(spec, 100, series) > 0
+    assert hypothesis_flags(spec, 100)["k_within_sieve_range"] is False
 
 
 def test_klimov_count_ratio_frozen():
@@ -228,8 +234,10 @@ def test_klimov_count_ratio_frozen():
     series = singular_series(spec, 10**5)
     limit = 10**4
     count = count_prime_tuples(spec, limit)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         bound = klimov_upper_bound(spec, limit, series)
+    assert hypothesis_flags(spec, limit)["k_within_sieve_range"] is False
     ratio = count / bound
     assert 0 < ratio < 1
     # frozen from the first verified run
