@@ -502,9 +502,7 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
         (delta_f, list(group), *threshold_spectrum(spec_a, delta_f))
         for delta_f, group in groupby(points, key=lambda point: float(point[0]))
     ]
-    # B(R(delta), eps) lies in B(R(delta'), eps') for delta <= delta' and
-    # eps <= eps', so the sets are built from the largest point down, each
-    # from the least superset built so far in its own or the next delta group
+    # largest point first, so each later set has a superset already built
     rows = {}
     outer = []  # (eps, Bohr set) of the next larger delta
     for delta_f, group, r_set, raw_size in reversed(groups):
