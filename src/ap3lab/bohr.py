@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclic import CyclicFunction, Spectrum, _in_two, _sum_counts
+from .cyclic import CyclicFunction, _in_two, _sum_counts
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import is_prime
 
@@ -199,18 +199,17 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     nonzero value of a must equal the first, and be positive, or
     InvalidArgumentError is raised. h = g * (c/|B|) with the integer count
     g(x) = #{b in B : x - b in S}, so h is exactly 0 off S + B and nothing
-    is clamped; a zero a gives h = 0. h carries the product spectrum
-    ahat * sigmahat (kernel_spectrum, which checks that B contains 0 and is
-    symmetric), so an operator on h transforms nothing again.
+    is clamped; a zero a gives h = 0. B must contain 0 and be symmetric
+    about it (_check_centred), or InvariantError is raised.
 
     * |B| = 1: B = {0}, sigma is the convolution identity and h is a.
     * 1 < |B| <= _SHIFT_COUNT_MAX_SIZE: |B| shifted adds (_shifted_count).
     * larger B: one FFT convolution, rounded and checked (_convolved_count).
 
     Both counts give the same integers, so the path changes no bit of h.
-    Neither makes an inverse transform of a Spectrum. The shifted adds
-    start no thread; the convolution, kernel_spectrum and ahat (if a is not
-    yet transformed) may use two once their arrays reach 2^20 values.
+    Neither transforms a or h; h's spectrum, when asked for, is its own
+    forward transform. The shifted adds start no thread; the convolution
+    may use two once its arrays reach 2^20 values.
     """
     if a.modulus != bohr.modulus:
         raise InvalidArgumentError(
@@ -223,11 +222,9 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
             "smooth takes a = c * 1_S with c > 0: every nonzero value must "
             "equal the first, and be positive"
         )
+    _check_centred(bohr)
     if bohr.size == 1:
         return a  # B = {0}: sigma is the exact convolution identity
-    sigma_hat = kernel_spectrum(bohr)
-    carried = Spectrum(a.modulus, a.spectrum().half * sigma_hat)
-    del sigma_hat  # free it before the count is allocated
     # h's values come before the count's small arrays, which would cut up
     # the memory the transforms freed (N = 1e7 peak 212 MB, not 192), and
     # after the convolution's large ones (259 MB, not 224, at |B| = 17143)
@@ -236,9 +233,7 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
         counts = _shifted_count(support, bohr)
     else:
         values, counts = None, _convolved_count(support, bohr)
-    h = CyclicFunction(a.modulus, np.multiply(counts, scale / bohr.size, out=values))
-    h._spectrum = carried
-    return h
+    return CyclicFunction(a.modulus, np.multiply(counts, scale / bohr.size, out=values))
 
 
 def _shifted_count(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
@@ -312,26 +307,30 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
 
 def _half_set_spectrum(bohr: BohrSet) -> np.ndarray:
     """The real sigmahat at t <= P//2 of a Bohr set that contains 0 and is
-    symmetric about it, from the forward transform of
-    (2P/|B|) * 1_{B+}, B+ = B & (0, P/2): its real part plus 1/|B|.
-
-    The sorted members are checked exactly, in O(|B|) integer work:
-    members[0] = 0 and members[1:] = P - members[:0:-1], or InvariantError
-    is raised; so is a member outside [-P/4, P/4] when 1 in R and
-    eps < 1/4 (as for normalized_indicator). B+ is then the first half of
-    members[1:], and its window is at most P/2 long where all of B's may
-    be P.
+    symmetric about it (_check_centred), from the forward transform of
+    (2P/|B|) * 1_{B+}, B+ = B & (0, P/2): its real part plus 1/|B|. B+ is
+    the first half of members[1:], and its window is at most P/2 long
+    where all of B's may be P.
     """
+    _check_centred(bohr)
     p, members, size = bohr.modulus, bohr.members(), bohr.size
-    mirrored = np.array_equal(members[1:], p - members[:0:-1])
-    if size == 0 or members[0] != 0 or not mirrored:
-        raise InvariantError("Bohr set must contain 0 and be symmetric about it")
-    _check_quarter_support(bohr)
     values = np.zeros(p)
     values[members[1 : 1 + size // 2]] = 2 * p / size
     half = CyclicFunction(p, values).spectrum().half
     del values
     return half.real + 1.0 / size
+
+
+def _check_centred(bohr: BohrSet) -> None:
+    """Raise InvariantError unless the sorted members hold 0 and B = -B
+    (members[0] = 0 and members[1:] = P - members[:0:-1], exact O(|B|)
+    integer work), and lie in [-P/4, P/4] when 1 in R and eps < 1/4
+    (_check_quarter_support)."""
+    p, members = bohr.modulus, bohr.members()
+    mirrored = np.array_equal(members[1:], p - members[:0:-1])
+    if bohr.size == 0 or members[0] != 0 or not mirrored:
+        raise InvariantError("Bohr set must contain 0 and be symmetric about it")
+    _check_quarter_support(bohr)
 
 
 def _progression_step(bohr: BohrSet) -> int | None:

