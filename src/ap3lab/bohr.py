@@ -207,9 +207,9 @@ def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
     * larger B: one FFT convolution, rounded and checked (_convolved_count).
 
     Both counts give the same integers, so the path changes no bit of h.
-    Neither transforms a or h; h's spectrum, when asked for, is its own
-    forward transform. The shifted adds start no thread; the convolution
-    may use two once its arrays reach 2^20 values.
+    Neither makes an inverse transform of a Spectrum, and sigmahat is not
+    formed here (kernel_spectrum). The shifted adds start no thread; the
+    convolution may use two once its arrays reach 2^20 values.
     """
     if a.modulus != bohr.modulus:
         raise InvalidArgumentError(

@@ -59,6 +59,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import groupby
@@ -168,6 +169,8 @@ class PipelineConfig:
             for value in fractions:
                 if not 0 < value < Fraction(1, 2):
                     raise InvalidArgumentError(f"{name} must lie in (0, 1/2), got {value}")
+                if float(value) == 0:  # the threshold compares floats
+                    raise InvalidArgumentError(f"{name} rounds to 0.0 as a float")
             _reject_repeats(name, fractions)
         for radius in (self.epsilon, *self.epsilon_grid):
             as_radius(radius)  # the Bohr scan's rule, checked before the lift
@@ -275,14 +278,20 @@ def check_fft_budget(p: int, budget: int = DEFAULT_FFT_BUDGET) -> None:
 def lift(config: PipelineConfig) -> tuple:
     """The W-trick lift shared by every entry point.
 
-    Picks W and P from (N, z) and refuses P past the FFT budget before
-    anything is sieved. Then sieves to N, reads the members (all primes up
-    to N, or a set file, each member of which must be a prime up to N),
-    picks b, and lifts the chosen class to the sieved function. Returns
-    (members, ctx, params, sieved).
+    Picks W and P from (N, z), and refuses P past the FFT budget and a k
+    whose 2k-norm would overflow a float, before anything is sieved. Then
+    sieves to N, reads the members (all primes up to N, or a set file,
+    each member of which must be a prime up to N), picks b, and lifts the
+    chosen class to the sieved function. Returns (members, ctx, params,
+    sieved).
     """
-    p = compute_parameters(config.n, config.z_override).p
-    check_fft_budget(p, config.fft_budget)
+    params = compute_parameters(config.n, config.z_override)
+    check_fft_budget(params.p, config.fft_budget)
+    # h <= scale = ln N / ln z, so the 2k-norm's sum is at most P * scale^(2k)
+    k = max(config.k_values, default=1)
+    log_sum = 2 * k * math.log(math.log(config.n) / math.log(params.z)) + math.log(params.p)
+    if log_sum >= math.log(sys.float_info.max):
+        raise InvalidArgumentError(f"k = {k} is too large: the 2k-norm of h would overflow")
     table = sieve_primes(config.n)
     if config.set_source == "all-primes":
         members = table.primes()

@@ -157,7 +157,7 @@ def lambda_of_spectra(p: int, fs: np.ndarray, gs: np.ndarray, hs: np.ndarray) ->
     m + 1 terms only block-sized scratch is made.
 
     Takes any array that holds a half spectrum, so a caller that needs only
-    the operator (delta_sweep's hhat = ahat * sigmahat) never builds h.
+    the operator (the pipeline's hhat = ahat * sigmahat) never builds h.
     """
     if p == 2:
         return fixed_sum((fs * gs[[0, 0]] * hs).real)

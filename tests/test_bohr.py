@@ -196,7 +196,7 @@ def test_smooth_preserves_mass_and_bounds_sup():
         smooth(CyclicFunction.constant(101, 1.0), bohr)
 
 
-def test_carried_spectra_match_the_direct_transform():
+def test_smoothed_spectra_match_the_direct_transform():
     # a sparse 0/1 input leaves h exactly zero on many residues, where the
     # convolution through the transform dips below zero by rounding; the
     # count has nothing to clamp
@@ -405,8 +405,8 @@ def _odd_shifts(p, count):
 
 
 def test_shifted_sum_needs_a_symmetric_set_with_zero():
-    # 6 members take the shifted count and 300 the convolution; both
-    # reach kernel_spectrum's member check, since neither is a progression
+    # 6 members take the shifted count and 300 the convolution; smooth
+    # checks the members before either count
     assert _odd_shifts(2003, 150).size > _SHIFT_COUNT_MAX_SIZE
     for p, members in (
         (101, [0, 1, 2]),
@@ -700,8 +700,7 @@ def test_kernel_spectrum_rejects_a_broken_closed_form(monkeypatch, case):
 
 @pytest.mark.parametrize("p, step, m", [(2003, 7, 10), (2003, 3, 100), (2003, 3, 150)])
 def test_smooth_with_a_progression_matches_the_convolution(p, step, m):
-    # 21 and 201 members take the shifted count, 301 the convolution; all
-    # carry the closed-form sigmahat
+    # 21 and 201 members take the shifted count, 301 the convolution
     bohr = _progression(p, step, m)
     assert (bohr.size <= _SHIFT_COUNT_MAX_SIZE) == (m < 150)
     a = _lifted(p, step)

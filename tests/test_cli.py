@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -249,8 +250,15 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     # a radius whose denominator the Bohr scan refuses
     (["pipeline", "--n", "1000000", "--eps", "0.1234567890123"], 1),
     (["delta-sweep", "--n", "1000000", "--eps-grid", "0.1,0.1234567890123"], 1),
+    # a threshold that rounds to 0.0 as a float
+    (["pipeline", "--n", "10000000", "--delta", "1e-400"], 1),
+    (["delta-sweep", "--n", "10000000", "--delta-grid", "0.1,1e-400"], 1),
+    # 2k * ln(scale) + ln P past ln(float max): the 2k-norm of h would overflow
+    (["pipeline", "--n", "1000000", "--k", "145"], 1),
 ], ids=["wtrick-past-budget", "pipeline-past-budget", "z-past-ln-n",
-        "pipeline-eps-denominator", "delta-sweep-eps-grid-denominator"])
+        "pipeline-eps-denominator", "delta-sweep-eps-grid-denominator",
+        "pipeline-delta-underflow", "delta-sweep-delta-grid-underflow",
+        "pipeline-k-norm-overflow"])
 def test_lift_refuses_before_sieving(tmp_path, capsys, monkeypatch, argv, code):
     def unreachable(*args, **kwargs):
         raise AssertionError("sieved to N before the size checks")
@@ -259,6 +267,14 @@ def test_lift_refuses_before_sieving(tmp_path, capsys, monkeypatch, argv, code):
     assert run_cli(*argv, "--out", str(tmp_path / "out.json")) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_the_largest_k_whose_norm_stays_finite_runs(tmp_path):
+    # at N = 1e6, 2k * ln(scale) + ln P stays below ln(float max) up to k = 144
+    out = tmp_path / "r.json"
+    assert run_cli("pipeline", "--n", "1000000", "--k", "144", "--out", str(out)) == 0
+    (row,) = json.loads(out.read_text())["norm_table"]
+    assert row["k"] == 144 and 0 < row["h_norm_2k"] < math.inf
 
 
 @pytest.mark.parametrize("message, line", [
@@ -441,6 +457,8 @@ MALFORMED_INPUTS = {
         "epsilon_grid repeats the value 1/5",
     ),
     "k-grid-key": (_config_file({"n": 1000, "k_grid": [1, 2]}), "unknown config keys"),
+    # suggested_delta = (eta * floor_rhs)^(5/3) overflows a float
+    "eta-overflow": (_config_file({"n": 10000, "eta": 1e200}), "error: overflow:"),
     "k-grid-flag": (
         lambda tmp_path: ["norm-sweep", "--n", "1000", "--k-grid", "1,2",
                           "--out", str(tmp_path / "n.csv")],

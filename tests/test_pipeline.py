@@ -315,6 +315,7 @@ def test_delta_sweep_seeds_one_scan_and_filters_the_rest(monkeypatch):
 @pytest.mark.parametrize(
     "delta, epsilon",
     [
+        pytest.param("0.05", "0.1", id="0.05"),
         pytest.param("0.2", "0.1", id="0.2"),
         pytest.param("0.3", "0.1", id="0.3"),
         pytest.param("0.1", "0.4", id="0.1-eps0.4"),
@@ -329,6 +330,52 @@ def test_delta_sweep_lambda_hhh_is_the_pipelines_bit_for_bit(delta, epsilon):
     assert report.data["bohr"]["bohr_size"] == size
     assert rows[0][header.index("bohr_size")] == size
     assert rows[0][header.index("lambda_hhh")] == repr(report.data["lambda"]["lambda_hhh"])
+    # every column the sweep shares with the pipeline's CSV, cell for cell
+    pipeline_header, (pipeline_row,) = report.csv_rows()
+    shared = [col for col in header if col in pipeline_header]
+    assert {"raw_spectrum_size", "r_size", "bohr_size", "bohr_measure", "lambda_aaa",
+            "lambda_hhh", "delta_gap", "smoothing_bound", "eps_delta_ok"} <= set(shared)
+    for col in shared:
+        assert rows[0][header.index(col)] == pipeline_row[pipeline_header.index(col)], col
+
+
+def test_sigmahat_is_formed_once_per_point_past_b_zero(monkeypatch):
+    import ap3lab.bohr as bohr_module
+    import ap3lab.pipeline as pipeline
+    from ap3lab.bohr import kernel_spectrum
+    from ap3lab.threeap import lambda_fourier
+
+    sizes, lambdas = [], []
+
+    def counting_kernel(bohr):
+        sizes.append(bohr.size)
+        return kernel_spectrum(bohr)
+
+    def counting_lambda(f, g, h):
+        lambdas.append(f)
+        return lambda_fourier(f, g, h)
+
+    # smooth would reach bohr's own name, so both are counted
+    monkeypatch.setattr(pipeline, "kernel_spectrum", counting_kernel)
+    monkeypatch.setattr(bohr_module, "kernel_spectrum", counting_kernel)
+    monkeypatch.setattr(pipeline, "lambda_fourier", counting_lambda)
+    config = PipelineConfig(
+        n=10**4, k_values=(1,),
+        delta_grid=("0.05", "0.1", "0.2", "0.3"), epsilon_grid=("0.1", "0.4"),
+    )
+    for (delta, epsilon), size in SWEEP_REGIMES.items():
+        sizes.clear()
+        lambdas.clear()
+        run_pipeline(replace(config, delta=delta, epsilon=epsilon))
+        assert sizes == ([size] if size > 1 else [])
+        # the cross-check on a, and with B = {0} one more on h, which is a
+        assert len(lambdas) == (1 if size > 1 else 2)
+        assert all(f is lambdas[0] for f in lambdas)
+    sizes.clear()
+    header, rows = delta_sweep(config)
+    column = header.index("bohr_size")
+    assert sorted(sizes) == sorted(row[column] for row in rows if row[column] > 1)
+    assert len(sizes) < len(rows)  # the grid reaches B = {0} too
 
 
 def test_pipeline_scans_the_level_set_once_for_every_k(monkeypatch):
