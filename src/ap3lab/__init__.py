@@ -2,28 +2,25 @@
 
 Modules: primes (sieving), cyclic (Fourier analysis mod P), wtrick
 (small-prime sieving construction), bohr (Bohr sets and smoothing), threeap
-(progression operator and AP-free generators), sieve_bounds (tuple counts
+(progression operator and exact additive counts), sieve_bounds (tuple counts
 and sieve bounds), bounds (closed-form evaluators), pipeline (end-to-end
 runs), cli (command line).
 """
 
-from .bohr import BohrSet, build_bohr_set, kernel_spectrum, normalized_indicator, smooth
+from .bohr import BohrSet, build_bohr_set, kernel_spectrum, smooth
 from .bounds import (
     choose_k,
     choose_k_from_log,
     density_bound_table,
     epsilon_delta_constraint,
-    level_set_extract,
     smoothed_progression_floor,
     sanders_lower_bound,
 )
 from .cyclic import (
     CyclicFunction,
     Spectrum,
-    convolve,
     fixed_sum,
     forward_transform,
-    inverse_transform,
     lp_norm,
     spectral_lp_norm,
     threshold_spectrum,
@@ -49,16 +46,12 @@ from .sieve_bounds import (
     count_prime_tuples,
     klimov_upper_bound,
     convolution_norm_bound,
-    root_count_rho,
     singular_series,
 )
 from .threeap import (
     AdditiveCounts,
     APReport,
     additive_counts,
-    behrend_set,
-    count_3aps_integers,
-    greedy_3ap_free,
     lambda_direct,
     lambda_fourier,
     lambda_of_spectra,

@@ -1,4 +1,4 @@
-"""Bohr sets in Z/PZ, their normalized indicators, and convolution smoothing.
+"""Bohr sets in Z/PZ, their kernel spectra, and convolution smoothing.
 
 Membership n in B(R, eps) means every frequency x in R satisfies
 ||n*x/P|| <= eps, where ||.|| is distance to the nearest integer. With
@@ -163,22 +163,6 @@ def build_bohr_set(p: int, frequencies, eps, within=None) -> BohrSet:
         )
     survivors.sort()  # in place: survivors is this scan's own array
     return BohrSet(p, tuple(freqs), radius, survivors)
-
-
-def normalized_indicator(bohr: BohrSet) -> CyclicFunction:
-    """sigma = (P/|B|) * 1_B, the probability kernel of the Bohr set.
-
-    When 1 is a frequency and eps < 1/4 the support provably sits inside
-    [-P/4, P/4]; under those hypotheses a support outside it raises
-    InvariantError.
-    """
-    if bohr.size < 1:
-        raise InvalidArgumentError("empty Bohr set has no normalized indicator")
-    _check_quarter_support(bohr)
-    p = bohr.modulus
-    values = np.zeros(p)
-    values[bohr.members()] = p / bohr.size
-    return CyclicFunction(p, values)
 
 
 def _check_quarter_support(bohr: BohrSet) -> None:

@@ -101,10 +101,6 @@ class CyclicFunction:
         self._spectrum = None
 
     @classmethod
-    def constant(cls, modulus: int, value: float) -> "CyclicFunction":
-        return cls(modulus, np.full(modulus, float(value)))
-
-    @classmethod
     def indicator(cls, modulus: int, support, scale: float = 1.0) -> "CyclicFunction":
         values = np.zeros(modulus)
         idx = np.asarray(list(support), dtype=np.int64) % modulus
@@ -130,7 +126,7 @@ class Spectrum:
 
     Only coefficients t <= P//2 are held, coefficient t at half[t]; the
     others are coeff[P - t] = conj(coeff[t]). full() is the one expansion
-    to all P, and from_full the one way in from a length-P array.
+    to all P.
     """
 
     __slots__ = ("modulus", "half")
@@ -147,24 +143,6 @@ class Spectrum:
         half.setflags(write=False)
         self.modulus = modulus
         self.half = half
-
-    @classmethod
-    def from_full(cls, modulus: int, coefficients) -> "Spectrum":
-        """The spectrum whose P coefficients are given, which must be those
-        of a real function: coeff[P - t] = conj(coeff[t]) up to 1e-6 of the
-        largest coefficient, or InvalidArgumentError is raised."""
-        coefficients = np.asarray(coefficients, dtype=np.complex128)
-        if coefficients.shape != (modulus,):
-            raise InvalidArgumentError(
-                f"expected {modulus} coefficients, got shape {coefficients.shape}"
-            )
-        mirrored = np.conj(np.roll(coefficients[::-1], 1))  # coeff[-t] at t
-        scale = float(np.max(np.abs(coefficients))) or 1.0
-        if float(np.max(np.abs(coefficients - mirrored))) > 1e-6 * scale:
-            raise InvalidArgumentError(
-                "spectrum is not conjugate-symmetric: it is not that of a real function"
-            )
-        return cls(modulus, coefficients[: modulus // 2 + 1])
 
     def full(self) -> np.ndarray:
         """All P coefficients, a new array: coeff[P - t] = conj(half[t])."""
@@ -559,28 +537,11 @@ def inverse_transform(s: Spectrum) -> CyclicFunction:
     """Recover f(x) = sum_t coeff[t] exp(-2*pi*i*x*t/P) as a real function.
 
     The half spectrum is expanded once and transformed in place; the real
-    part of the result is f (a Spectrum is that of a real function, see
-    Spectrum.from_full).
+    part of the result is f, since a Spectrum is that of a real function.
     """
     values = s.full()
     np.fft.fft(values, out=values)
     return CyclicFunction(s.modulus, values.real)
-
-
-def convolve(f: CyclicFunction, g: CyclicFunction) -> CyclicFunction:
-    """(f*g)(x) = (1/P) sum_y f(y) g(x-y), computed spectrally.
-
-    The result carries the product spectrum fhat * ghat as its memoized
-    spectrum, so it is never transformed forward again.
-    """
-    if f.modulus != g.modulus:
-        raise InvalidArgumentError(
-            f"modulus mismatch: {f.modulus} vs {g.modulus}"
-        )
-    product = Spectrum(f.modulus, f.spectrum().half * g.spectrum().half)
-    out = inverse_transform(product)
-    out._spectrum = product
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -715,13 +676,6 @@ def threshold_spectrum(s: Spectrum, delta: float) -> tuple[np.ndarray, int]:
 # binary serialization
 # ----------------------------------------------------------------------
 
-def save_function(f: CyclicFunction, path) -> None:
-    """Write magic ZPFN, u32 version, u64 P, then P little-endian float64."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_FUNCTION_MAGIC, _FORMAT_VERSION, f.modulus))
-        fh.write(f.values.astype("<f8").tobytes())
-
-
 def _read_payload(path, magic: bytes, floats_per_point: int):
     """Check a ZPFN or ZPSP header and payload length; return P, the float64s."""
     with open(path, "rb") as fh:
@@ -751,9 +705,3 @@ def save_spectrum(s: Spectrum, path) -> None:
         fh.write(_HEADER.pack(_SPECTRUM_MAGIC, _FORMAT_VERSION, s.modulus))
         fh.write(interleaved.tobytes())
 
-
-def load_spectrum(path) -> Spectrum:
-    """Read a ZPSP file; a payload that is not conjugate-symmetric is
-    rejected (see Spectrum.from_full)."""
-    modulus, data = _read_payload(path, _SPECTRUM_MAGIC, 2)
-    return Spectrum.from_full(modulus, data.astype(np.float64).view(np.complex128))

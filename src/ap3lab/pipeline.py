@@ -174,6 +174,13 @@ class PipelineConfig:
             _reject_repeats(name, fractions)
         for radius in (self.epsilon, *self.epsilon_grid):
             as_radius(radius)  # the Bohr scan's rule, checked before the lift
+        for delta in (self.delta, *self.delta_grid):
+            try:
+                float(Fraction(delta)) ** -4  # the eps-delta constraint's power
+            except OverflowError:
+                raise InvalidArgumentError(
+                    f"delta {delta} is too small: delta**-4 overflows a float"
+                ) from None
         for name in ("c4", "c_sanders", "c1", "eta"):
             value = getattr(self, name)
             if not _is_real(value) or not 0 < value < math.inf:

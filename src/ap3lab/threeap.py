@@ -1,13 +1,8 @@
-"""Three-term progression operator on Z/PZ, integer 3AP counting, and
-progression-free test-set generators.
+"""Three-term progression operator on Z/PZ and exact additive counts.
 
-Two counting conventions live side by side; keep them straight:
-
-  * the operator averages over ORDERED pairs (x, d) including d = 0, so a
-    single integer progression embedded without wraparound contributes two
-    orientations (d and P-d);
-  * count_3aps_integers counts each nontrivial progression ONCE (d > 0),
-    and the |A| trivial progressions are reported separately.
+The operator averages over ORDERED pairs (x, d) including d = 0, so a
+single integer progression embedded without wraparound contributes two
+orientations (d and P-d), and each member one trivial progression.
 
 additive_counts takes its exact sum counts from cyclic._sum_counts, which
 forms, rounds and checks them; this module only reads the integers.
@@ -17,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -181,75 +175,6 @@ def lambda_of_spectra(p: int, fs: np.ndarray, gs: np.ndarray, hs: np.ndarray) ->
         block *= hs[start:stop]
         terms[start:stop] = block.real
     return mirrored_sum(terms, p)
-
-
-def count_3aps_integers(members) -> int:
-    """Nontrivial integer 3APs (x, x+d, x+2d), d > 0, counted once each."""
-    arr = sorted(set(int(m) for m in members))
-    member_set = set(arr)
-    count = 0
-    for i, x in enumerate(arr):
-        for y in arr[i + 1 :]:
-            if 2 * y - x in member_set:
-                count += 1
-    return count
-
-
-def behrend_set(limit: int) -> list[int]:
-    """Dense 3AP-free subset of [1, limit] from spheres in digit space.
-
-    Digits bounded by half the base make addition carry-free, so a + b = 2c
-    forces the digit vectors into an arithmetic relation that a sphere
-    (constant sum of squares) only satisfies degenerately. The best
-    (base, dimension, radius) triple under the limit is picked by scan.
-    Output is verified 3AP-free before returning.
-    """
-    if limit < 1:
-        raise InvalidArgumentError(f"limit must be >= 1, got {limit}")
-    if limit <= 3:
-        return [1] if limit == 1 else [1, 2]  # too small for the digit scan
-
-    best: list[int] = [1]
-    for base in range(3, 40):
-        max_digit = (base - 1) // 2
-        dims = 1
-        while base ** (dims + 1) <= 4 * limit:
-            dims += 1
-        for n_dims in range(1, dims + 1):
-            spheres: dict[int, list[int]] = {}
-            for digits in product(range(max_digit + 1), repeat=n_dims):
-                value = 0
-                for a in digits:
-                    value = value * base + a
-                if value + 1 > limit:
-                    continue
-                spheres.setdefault(sum(a * a for a in digits), []).append(value + 1)
-            for bucket in spheres.values():
-                if len(bucket) > len(best):
-                    best = bucket
-    result = sorted(best)
-    if count_3aps_integers(result) != 0:
-        raise InvariantError("construction produced a 3AP")
-    return result
-
-
-def greedy_3ap_free(limit: int) -> list[int]:
-    """Lexicographically greedy 3AP-free subset of [0, limit].
-
-    Equals the integers with only digits 0 and 1 in base 3 (the greedy rule
-    is implemented directly; the digit characterization is a test oracle).
-    """
-    if limit < 0:
-        raise InvalidArgumentError(f"limit must be >= 0, got {limit}")
-    member = np.zeros(limit + 1, dtype=bool)
-    out: list[int] = []
-    for n in range(limit + 1):
-        d = np.arange(1, n // 2 + 1)
-        if d.size and bool(np.any(member[n - d] & member[n - 2 * d])):
-            continue
-        member[n] = True
-        out.append(n)
-    return out
 
 
 def _common_modulus(f, g, h) -> int:

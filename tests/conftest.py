@@ -1,8 +1,10 @@
 """Shared fixtures and independent oracles.
 
 Every oracle here deliberately avoids the code path it checks: transforms
-by explicit summation, convolution by the definition, primality by trial
-division, the progression operator by a pure-Python double loop.
+by explicit summation, convolution by the definition (or numpy's FFT where
+P is too large for it), primality by trial division, the progression
+operator by a pure-Python double loop. The inputs made here, function
+files and progression-free sets, are made without package code.
 """
 
 from __future__ import annotations
@@ -11,11 +13,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ap3lab.cyclic import CyclicFunction, convolve, fixed_sum, lp_norm
+from ap3lab.cyclic import (
+    _SPECTRUM_MAGIC,
+    CyclicFunction,
+    Spectrum,
+    _read_payload,
+    fixed_sum,
+    lp_norm,
+)
 from ap3lab.errors import InvalidArgumentError, ResourceLimitError
 from ap3lab.pipeline import PipelineConfig, run_pipeline
 from ap3lab.primes import is_prime, sieve_primes
@@ -129,7 +139,8 @@ def moment_distinct_split(
     by_distinct = {r: v * scale for r, v in sorted(buckets.items())}
 
     sigma = CyclicFunction.indicator(p, members, scale=p / len(members))
-    norm_check = lp_norm(convolve(a, sigma), 2 * k) ** (2 * k)
+    smoothed = CyclicFunction(p, direct_convolve(a.values, sigma.values))
+    norm_check = lp_norm(smoothed, 2 * k) ** (2 * k)
     total = sum(by_distinct.values())
     return MomentSplit(
         k=k,
@@ -223,6 +234,13 @@ def direct_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     return out
 
 
+def fft_convolve(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(f*g)(x) = (1/P) sum_y f(y) g(x-y) by numpy's real FFT, for P too
+    large for direct_convolve."""
+    p = f.shape[0]
+    return np.fft.irfft(np.fft.rfft(f) * np.fft.rfft(g), n=p) / p
+
+
 def lambda_enumerate(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
     """Pure-Python (x, d) double loop; small P only."""
     p = f.shape[0]
@@ -267,6 +285,40 @@ def bohr_members_brute(p: int, frequencies, eps) -> np.ndarray:
     return np.array(members, dtype=np.int64)
 
 
+def behrend_set(limit: int) -> list[int]:
+    """Dense 3AP-free subset of [1, limit] from spheres in digit space.
+
+    Digits bounded by half the base make addition carry-free, so a + b = 2c
+    forces the digit vectors into an arithmetic relation that a sphere
+    (constant sum of squares) only satisfies degenerately. The best
+    (base, dimension, radius) triple under the limit is picked by scan.
+    """
+    if limit < 1:
+        raise InvalidArgumentError(f"limit must be >= 1, got {limit}")
+    if limit <= 3:
+        return [1] if limit == 1 else [1, 2]  # too small for the digit scan
+
+    best: list[int] = [1]
+    for base in range(3, 40):
+        max_digit = (base - 1) // 2
+        dims = 1
+        while base ** (dims + 1) <= 4 * limit:
+            dims += 1
+        for n_dims in range(1, dims + 1):
+            spheres: dict[int, list[int]] = {}
+            for digits in product(range(max_digit + 1), repeat=n_dims):
+                value = 0
+                for a in digits:
+                    value = value * base + a
+                if value + 1 > limit:
+                    continue
+                spheres.setdefault(sum(a * a for a in digits), []).append(value + 1)
+            for bucket in spheres.values():
+                if len(bucket) > len(best):
+                    best = bucket
+    return sorted(best)
+
+
 def stanley_digits(limit: int) -> list[int]:
     """Integers in [0, limit] whose base-3 digits are all 0 or 1."""
     out = []
@@ -279,6 +331,20 @@ def stanley_digits(limit: int) -> list[int]:
         else:
             out.append(n)
     return out
+
+
+def save_function(f: CyclicFunction, path) -> None:
+    """Write f as `transform` reads it: magic ZPFN, u32 version 1, u64 P,
+    then P little-endian float64."""
+    header = b"ZPFN" + (1).to_bytes(4, "little") + f.modulus.to_bytes(8, "little")
+    Path(path).write_bytes(header + f.values.astype("<f8").tobytes())
+
+
+def read_spectrum(path) -> Spectrum:
+    """The spectrum in a ZPSP file, as `transform` and save_spectrum write
+    it, after the header and length checks that load_function makes."""
+    p, data = _read_payload(path, _SPECTRUM_MAGIC, 2)
+    return Spectrum(p, data.astype(np.float64).view(np.complex128)[: p // 2 + 1])
 
 
 # ----------------------------------------------------------------------

@@ -25,7 +25,6 @@ from ap3lab.bounds import (
 )
 from ap3lab.cyclic import (
     CyclicFunction,
-    convolve,
     forward_transform,
     inverse_transform,
     lp_norm,
@@ -40,9 +39,9 @@ from ap3lab.sieve_bounds import (
     convolution_norm_bound,
     singular_series,
 )
-from ap3lab.threeap import behrend_set, greedy_3ap_free, lambda_direct, lambda_fourier
+from ap3lab.threeap import lambda_direct, lambda_fourier
 from ap3lab.wtrick import build_context, build_sieved_function
-from conftest import direct_dft_stack, trial_is_prime
+from conftest import behrend_set, direct_dft_stack, fft_convolve, stanley_digits, trial_is_prime
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -92,7 +91,7 @@ def test_criterion_02_plancherel_and_convolution_theorem():
                 worst_pl, abs(space - freq) / (lp_norm(f, 2) * lp_norm(g, 2))
             )
             product = f.spectrum().full() * g.spectrum().full()
-            lhs = forward_transform(convolve(f, g)).full()
+            lhs = forward_transform(CyclicFunction(p, fft_convolve(f.values, g.values))).full()
             worst_ct = max(worst_ct, float(np.max(np.abs(lhs - product))))
     verdict(
         2,
@@ -126,7 +125,7 @@ def test_criterion_03_lambda_equivalence_and_speed():
 def test_criterion_04_trivial_progression_identity():
     failures = []
     sets = [behrend_set(50 * i) for i in range(1, 21)]
-    sets += [greedy_3ap_free(30 * i) for i in range(1, 21)]
+    sets += [stanley_digits(30 * i) for i in range(1, 21)]
     for members in sets:
         members = [m for m in members if m >= 0]
         p = next_prime_above(3 * max(max(members), 2) + 1)

@@ -20,17 +20,23 @@ from ap3lab.bohr import (
     as_radius,
     build_bohr_set,
     kernel_spectrum,
-    normalized_indicator,
     smooth,
 )
-from ap3lab.cyclic import CyclicFunction, Spectrum, convolve, lp_norm
+from ap3lab.cyclic import CyclicFunction, Spectrum, lp_norm
 from ap3lab.errors import InvalidArgumentError, InvariantError
 from ap3lab.threeap import lambda_direct, lambda_fourier
 from conftest import (
     bohr_members_brute,
+    direct_convolve,
     direct_dft_stack,
     direct_forward,
+    fft_convolve,
 )
+
+
+def _sigma(bohr):
+    """sigma = (P/|B|) * 1_B, the probability kernel of the Bohr set."""
+    return CyclicFunction.indicator(bohr.modulus, bohr.members(), scale=bohr.modulus / bohr.size)
 
 
 def test_single_frequency_interval():
@@ -138,17 +144,17 @@ def test_radius_validation():
 
 def test_normalized_indicator_has_unit_mass():
     bohr = build_bohr_set(101, [1], "0.1")
-    sigma = normalized_indicator(bohr)
+    sigma = _sigma(bohr)
     assert math.isclose(float(np.mean(sigma.values)), 1.0, rel_tol=1e-12)
     assert math.isclose(sigma.values[0], 101 / 21, rel_tol=1e-12)
-    full = normalized_indicator(build_bohr_set(101, [0], "0.1"))
+    full = _sigma(build_bohr_set(101, [0], "0.1"))
     assert np.max(np.abs(full.values - 1.0)) < 1e-12
 
 
 def test_indicator_of_singleton_is_convolution_identity():
     bohr = build_bohr_set(101, [1], Fraction(1, 1000))
     assert bohr.size == 1
-    sigma = normalized_indicator(bohr)
+    sigma = _sigma(bohr)
     expected = np.zeros(101)
     expected[0] = 101.0
     assert np.array_equal(sigma.values, expected)
@@ -156,7 +162,7 @@ def test_indicator_of_singleton_is_convolution_identity():
 
 def test_indicator_support_inside_quarter_when_one_in_r():
     p = 1009
-    sigma = normalized_indicator(build_bohr_set(p, [1, 7], "0.2"))
+    sigma = _sigma(build_bohr_set(p, [1, 7], "0.2"))
     support = np.flatnonzero(sigma.values)
     assert np.all(np.minimum(support, p - support) * 4 < p)
 
@@ -193,7 +199,7 @@ def test_smooth_preserves_mass_and_bounds_sup():
     assert float(h.values.min()) >= 0.0
     assert h.sup_norm() <= a.sup_norm() * (1 + 1e-12)
     with pytest.raises(InvalidArgumentError):
-        smooth(CyclicFunction.constant(101, 1.0), bohr)
+        smooth(CyclicFunction(101, np.full(101, 1.0)), bohr)
 
 
 def test_smoothed_spectra_match_the_direct_transform():
@@ -203,8 +209,8 @@ def test_smoothed_spectra_match_the_direct_transform():
     p = 2003
     a = _lifted(p, 2003, density=0.01, scale=1.0)
     bohr = build_bohr_set(p, [1], "0.05")
-    sigma = normalized_indicator(bohr)
-    raw = convolve(a, sigma)
+    sigma = _sigma(bohr)
+    raw = CyclicFunction(p, fft_convolve(a.values, sigma.values))
     h = smooth(a, bohr)
     assert float(raw.values.min()) < 0.0
     assert float(h.values.min()) == 0.0
@@ -250,8 +256,8 @@ def test_smooth_agrees_with_the_convolution_on_both_paths(p, freqs, eps):
     assert h.sup_norm() <= a.sup_norm() * (1 + 1e-12)
     # exactly zero off S + B, and positive on it
     assert np.array_equal(h.values > 0, _count_oracle(a, bohr) > 0)
-    reference = convolve(a, normalized_indicator(bohr))
-    assert np.max(np.abs(h.values - reference.values)) < 1e-12
+    reference = direct_convolve(a.values, _sigma(bohr).values)
+    assert np.max(np.abs(h.values - reference)) < 1e-12
     assert np.max(np.abs(h.spectrum().full() - direct_forward(h.values))) < 1e-12 * a.mean()
     assert math.isclose(
         lambda_fourier(h, h, h), lambda_direct(h, h, h).lambda_value, rel_tol=1e-12
@@ -286,7 +292,7 @@ def test_smoothing_cases_reach_both_paths():
 def test_kernel_spectrum_matches_the_direct_transform(p, freqs, eps):
     bohr = build_bohr_set(p, freqs, eps)
     sigma_hat = kernel_spectrum(bohr)
-    want = direct_dft_stack(normalized_indicator(bohr).values, p)[0] / p
+    want = direct_dft_stack(_sigma(bohr).values, p)[0] / p
     assert np.max(np.abs(sigma_hat - want[: p // 2 + 1])) < 1e-12
     assert sigma_hat.dtype == np.float64  # on both paths
 
@@ -416,7 +422,7 @@ def test_shifted_sum_needs_a_symmetric_set_with_zero():
     ):
         lopsided = BohrSet(p, (1,), Fraction(1, 10), members)
         with pytest.raises(InvariantError, match="symmetric"):
-            smooth(CyclicFunction.constant(p, 1.0), lopsided)
+            smooth(CyclicFunction(p, np.full(p, 1.0)), lopsided)
 
 
 def test_invariants_survive_optimized_mode():
@@ -424,7 +430,7 @@ def test_invariants_survive_optimized_mode():
 import numpy as np
 import ap3lab.bohr as bohr_module
 from fractions import Fraction
-from ap3lab.bohr import BohrSet, build_bohr_set, normalized_indicator, smooth
+from ap3lab.bohr import BohrSet, build_bohr_set, smooth
 from ap3lab.cyclic import CyclicFunction
 from ap3lab.errors import InvalidArgumentError, InvariantError
 
@@ -445,7 +451,7 @@ def shifted_convolution(*args):
 
 cyclic_module._real_convolution = shifted_convolution
 try:
-    smooth(CyclicFunction.constant(1009, 1.0), wide_bohr)
+    smooth(CyclicFunction(1009, np.full(1009, 1.0)), wide_bohr)
 except InvariantError as exc:
     if "rounding error" in str(exc):
         raised.append("smooth")
@@ -456,11 +462,12 @@ try:
     smooth(CyclicFunction(101, dipped), build_bohr_set(101, [1], "0.05"))
 except InvalidArgumentError:
     raised.append("lifted")
-wide = BohrSet(101, (1,), Fraction(1, 10), [0, 50, 51])
+wide = BohrSet(101, (1,), Fraction(1, 10), [0, 30, 71])  # centred, 30 past P/4
 try:
-    normalized_indicator(wide)
-except InvariantError:
-    raised.append("support")
+    smooth(CyclicFunction(101, np.ones(101)), wide)
+except InvariantError as exc:
+    if "[-P/4, P/4]" in str(exc):
+        raised.append("support")
 shifts = np.arange(1, 160, 2)
 zeroless = BohrSet(2003, (1,), Fraction(1, 10), np.concatenate((shifts, 2003 - shifts[::-1])))
 try:
@@ -480,14 +487,9 @@ from ap3lab.cyclic import Spectrum, threshold_spectrum
 
 cyclic_module.mirrored_sum = lambda *args: 0.0
 try:
-    threshold_spectrum(Spectrum.from_full(101, np.full(101, 0.5) + 0j), 0.1)
+    threshold_spectrum(Spectrum(101, np.full(51, 0.5)), 0.1)
 except InvariantError:
     raised.append("markov")
-threeap_module.count_3aps_integers = lambda members: 1
-try:
-    threeap_module.behrend_set(100)
-except InvariantError:
-    raised.append("behrend")
 try:
     threeap_module._pair_count(0.5 / 101**2, 101)
 except InvariantError:
@@ -506,7 +508,7 @@ print(",".join(raised))
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == (
-        "smooth,lifted,support,symmetric,lift,markov,behrend,pair_count,bertrand"
+        "smooth,lifted,support,symmetric,lift,markov,pair_count,bertrand"
     )
 
 
@@ -662,7 +664,7 @@ def test_closed_form_matches_the_direct_transform(p, step, m):
     sigma_hat = kernel_spectrum(bohr)
     assert sigma_hat.dtype == np.float64  # the closed form, not the transform
     if p <= 2003:
-        want = direct_dft_stack(normalized_indicator(bohr).values, p)[0] / p
+        want = direct_dft_stack(_sigma(bohr).values, p)[0] / p
         want = want[: p // 2 + 1]
     else:
         want = _dirichlet_oracle(bohr.members(), p)
@@ -705,8 +707,8 @@ def test_smooth_with_a_progression_matches_the_convolution(p, step, m):
     assert (bohr.size <= _SHIFT_COUNT_MAX_SIZE) == (m < 150)
     a = _lifted(p, step)
     h = smooth(a, bohr)
-    reference = convolve(a, normalized_indicator(bohr))
-    assert np.max(np.abs(h.values - reference.values)) < 1e-12
+    reference = direct_convolve(a.values, _sigma(bohr).values)
+    assert np.max(np.abs(h.values - reference)) < 1e-12
     assert np.max(np.abs(h.spectrum().full() - direct_forward(h.values))) < 1e-12 * a.mean()
 
 

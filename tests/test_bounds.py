@@ -22,7 +22,7 @@ from ap3lab.errors import InvalidArgumentError, PreconditionError
 
 
 def test_level_set_constant_function():
-    f = CyclicFunction.constant(101, 0.3)
+    f = CyclicFunction(101, np.full(101, 0.3))
     level, report = level_set_extract(f, 0.3, 2.0)
     assert report.size == 101 and report.mu == 1.0
     assert math.isclose(report.holder_bound, 0.25, rel_tol=1e-12)
@@ -73,7 +73,7 @@ def test_one_level_count_serves_every_exponent():
 
 
 def test_level_set_preconditions():
-    f = CyclicFunction.constant(101, 0.1)
+    f = CyclicFunction(101, np.full(101, 0.1))
     with pytest.raises(PreconditionError):
         level_set_extract(f, 0.2, 2.0)  # mass below alpha
     with pytest.raises(InvalidArgumentError):

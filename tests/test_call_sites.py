@@ -1,14 +1,28 @@
 """run_pipeline and delta_sweep take every grid-point value from one
 evaluator, so sigmahat, lambda on hhat and the eps-delta constraint each
-have one call site in pipeline.py, all in the same function."""
+have one call site in pipeline.py, all in the same function. And every
+public function and method of the package is called from the package
+itself: code that only tests reach belongs in the tests."""
 
 import ast
 from pathlib import Path
 
 import ap3lab
 
-PIPELINE = Path(ap3lab.__file__).resolve().parent / "pipeline.py"
+SRC = Path(ap3lab.__file__).resolve().parent
+PIPELINE = SRC / "pipeline.py"
 OWNED = ("kernel_spectrum", "lambda_of_spectra", "bd.epsilon_delta_constraint")
+
+# Public names that no package code references, and why each stays.
+UNREFERENCED = {
+    # argparse calls it on a bad command line
+    "error",
+    # perfbench/spans.py wraps these by name; they go with the benchmark
+    # revision that stops wrapping them (ROADMAP item 1)
+    "inverse_transform",
+    "level_set_extract",
+    "root_count_rho",
+}
 
 
 def _callee(call: ast.Call) -> str:
@@ -27,3 +41,24 @@ def test_each_point_value_has_one_call_site_in_pipeline():
                 sites[_callee(node)].append(getattr(function, "name", None))
     assert all(len(owners) == 1 for owners in sites.values()), sites
     assert len({owners[0] for owners in sites.values()}) == 1, sites
+
+
+def test_every_public_function_is_referenced_by_package_code():
+    defined, referenced = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            defined |= {
+                member.name
+                for member in members
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not member.name.startswith("_")
+            }
+        if path.name != "__init__.py":
+            referenced |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            referenced |= {
+                node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            }
+    assert sorted(defined - referenced - UNREFERENCED) == []
+    assert UNREFERENCED <= defined - referenced

@@ -14,9 +14,9 @@ import pytest
 
 import ap3lab
 from ap3lab.cli import _COMMANDS, _build_parser, main
-from ap3lab.cyclic import CyclicFunction, load_spectrum, save_function
+from ap3lab.cyclic import CyclicFunction
 from ap3lab.pipeline import NORM_SWEEP_CSV_COLUMNS
-from conftest import direct_forward
+from conftest import direct_forward, read_spectrum, save_function
 
 
 def run_cli(*argv):
@@ -38,7 +38,7 @@ def test_transform_subcommand(tmp_path):
     outfile = tmp_path / "f.zpsp"
     save_function(f, infile)
     assert run_cli("transform", "--in", str(infile), "--out", str(outfile)) == 0
-    spectrum = load_spectrum(outfile)
+    spectrum = read_spectrum(outfile)
     assert np.max(np.abs(spectrum.full() - direct_forward(f.values))) < 1e-10
 
 
@@ -253,11 +253,15 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     # a threshold that rounds to 0.0 as a float
     (["pipeline", "--n", "10000000", "--delta", "1e-400"], 1),
     (["delta-sweep", "--n", "10000000", "--delta-grid", "0.1,1e-400"], 1),
+    # a threshold whose -4th power, in the eps-delta constraint, overflows
+    (["pipeline", "--n", "100000", "--delta", "1e-100"], 1),
+    (["delta-sweep", "--n", "100000", "--delta-grid", "0.1,1e-90"], 1),
     # 2k * ln(scale) + ln P past ln(float max): the 2k-norm of h would overflow
     (["pipeline", "--n", "1000000", "--k", "145"], 1),
 ], ids=["wtrick-past-budget", "pipeline-past-budget", "z-past-ln-n",
         "pipeline-eps-denominator", "delta-sweep-eps-grid-denominator",
         "pipeline-delta-underflow", "delta-sweep-delta-grid-underflow",
+        "pipeline-delta-overflow", "delta-sweep-delta-grid-overflow",
         "pipeline-k-norm-overflow"])
 def test_lift_refuses_before_sieving(tmp_path, capsys, monkeypatch, argv, code):
     def unreachable(*args, **kwargs):

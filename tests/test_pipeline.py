@@ -166,10 +166,9 @@ def test_pipeline_from_set_file(tmp_path):
 def test_planted_ap_free_pipeline(tmp_path):
     # lift a 3AP-free seed through the progression; the nontrivial part of
     # the progression operator on the sieved function must vanish
-    from ap3lab.threeap import greedy_3ap_free
-    from conftest import trial_is_prime
+    from conftest import stanley_digits, trial_is_prime
 
-    seed = greedy_3ap_free(2500)
+    seed = stanley_digits(2500)
     members = [1 + 2 * m for m in seed if m >= 1]
     members = [m for m in members if trial_is_prime(m)]
     path = tmp_path / "planted.txt"
@@ -396,11 +395,12 @@ def test_pipeline_scans_the_level_set_once_for_every_k(monkeypatch):
 
 def test_self_convolution_square_norm_identity(sieved_1e5):
     # ||a*a||_2^2 equals the fourth power of the spectral 4-norm of a
-    from ap3lab.cyclic import convolve, lp_norm, spectral_lp_norm
+    from ap3lab.cyclic import CyclicFunction, lp_norm, spectral_lp_norm
+    from conftest import fft_convolve
 
     _, _, sieved = sieved_1e5
     a = sieved.function
-    lhs = lp_norm(convolve(a, a), 2) ** 2
+    lhs = lp_norm(CyclicFunction(a.modulus, fft_convolve(a.values, a.values)), 2) ** 2
     rhs = spectral_lp_norm(a.spectrum(), 4) ** 4
     assert math.isclose(lhs, rhs, rel_tol=1e-8)
 

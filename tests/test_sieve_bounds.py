@@ -320,7 +320,7 @@ def test_moment_split_identity():
 
 
 def test_moment_split_guards():
-    a = CyclicFunction.constant(101, 1.0)
+    a = CyclicFunction(101, np.full(101, 1.0))
     with pytest.raises(InvalidArgumentError):
         moment_distinct_split(a, [], 1)
     from ap3lab.errors import ResourceLimitError

@@ -19,9 +19,6 @@ from ap3lab.primes import next_prime_above
 from ap3lab.threeap import (
     DIRECT_LAMBDA_CEILING,
     additive_counts,
-    behrend_set,
-    count_3aps_integers,
-    greedy_3ap_free,
     lambda_direct,
     lambda_fourier,
     lambda_of_spectra,
@@ -29,6 +26,7 @@ from ap3lab.threeap import (
 )
 from conftest import (
     additive_energy_brute,
+    behrend_set,
     count_3aps_brute,
     lambda_enumerate,
     lambda_of_full_spectra,
@@ -41,7 +39,7 @@ def random_triple(p, rng):
 
 
 def test_lambda_of_ones_is_one():
-    one = CyclicFunction.constant(101, 1.0)
+    one = CyclicFunction(101, np.full(101, 1.0))
     report = lambda_direct(one, one, one)
     assert math.isclose(report.lambda_value, 1.0, rel_tol=1e-12)
     assert math.isclose(lambda_fourier(one, one, one), 1.0, rel_tol=1e-12)
@@ -140,7 +138,7 @@ def test_translation_invariance():
 
 def test_direct_ceiling():
     p = next_prime_above(DIRECT_LAMBDA_CEILING)
-    f = CyclicFunction.constant(p, 1.0)
+    f = CyclicFunction(p, np.full(p, 1.0))
     with pytest.raises(ResourceLimitError):
         lambda_direct(f, f, f)
     assert math.isclose(lambda_fourier(f, f, f), 1.0, rel_tol=1e-9)
@@ -154,31 +152,14 @@ def test_direct_speed_at_2003():
     assert time.perf_counter() - start < 5.0
 
 
-def test_count_3aps_examples():
-    assert count_3aps_integers([1, 3, 5]) == 1
-    assert count_3aps_integers([1, 2, 3, 4]) == 2
-    assert count_3aps_integers([]) == 0
-    assert count_3aps_integers([7]) == 0
-
-
-def test_count_3aps_against_brute_force():
-    rng = np.random.default_rng(41)
-    for _ in range(10):
-        members = rng.choice(200, size=40, replace=False).tolist()
-        assert count_3aps_integers(members) == count_3aps_brute(members)
-
-
 def test_greedy_matches_stanley_digit_characterization():
+    # the digit set is the lexicographically greedy 3AP-free set: each n
+    # is kept exactly when it completes no progression with kept members
     for limit in (0, 4, 10, 100, 729):
-        assert greedy_3ap_free(limit) == stanley_digits(limit)
-
-
-def test_greedy_small_examples():
-    assert greedy_3ap_free(10) == [0, 1, 3, 4, 9, 10]
-    assert greedy_3ap_free(4) == [0, 1, 3, 4]
-    assert greedy_3ap_free(0) == [0]
-    with pytest.raises(InvalidArgumentError):
-        greedy_3ap_free(-1)
+        kept = set(stanley_digits(limit))
+        for n in range(limit + 1):
+            completes = any(n - d in kept and n - 2 * d in kept for d in range(1, n // 2 + 1))
+            assert (n in kept) != completes, n
 
 
 def test_behrend_sets_are_progression_free():
@@ -186,7 +167,7 @@ def test_behrend_sets_are_progression_free():
         members = behrend_set(limit)
         assert members, limit
         assert min(members) >= 1 and max(members) <= limit
-        assert count_3aps_integers(members) == 0
+        assert count_3aps_brute(members) == 0
     with pytest.raises(InvalidArgumentError):
         behrend_set(0)
 
@@ -208,7 +189,7 @@ def test_trivial_only_identity_for_embedded_ap_free_sets():
 def _count_sets():
     """Sets in [0, 330]: inside [0, P/3] for P = 991, so no sum wraps."""
     rng = np.random.default_rng(331)
-    sets = [greedy_3ap_free(330), behrend_set(330)]
+    sets = [stanley_digits(330), behrend_set(330)]
     sets += [
         sorted(rng.choice(331, size=size, replace=False).tolist())
         for size in (20, 60, 110)

@@ -11,7 +11,6 @@ from ap3lab.errors import (
     ResourceLimitError,
 )
 from ap3lab.primes import next_prime_above, prime_count, sieve_primes
-from ap3lab.threeap import count_3aps_integers, greedy_3ap_free
 from ap3lab.wtrick import (
     WTrickContext,
     build_context,
@@ -19,6 +18,7 @@ from ap3lab.wtrick import (
     choose_residue,
     compute_parameters,
 )
+from conftest import count_3aps_brute, stanley_digits
 
 
 def test_parameters_at_1e6():
@@ -177,13 +177,13 @@ def test_planted_ap_free_set_lifts_to_ap_free_a0():
     # is a subset of it, hence 3AP-free
     n = 10**4
     params = compute_parameters(n)
-    seed = greedy_3ap_free(3000)
+    seed = stanley_digits(3000)
     members = [1 + params.w * m for m in seed if m >= 1]
     members = [m for m in members if _is_prime_trial(m)]
     assert len(members) > 10
     ctx, _ = build_context(members, n)
     build_sieved_function(members, ctx)
-    assert count_3aps_integers(ctx.a0.tolist()) == 0
+    assert count_3aps_brute(ctx.a0.tolist()) == 0
 
 
 def _is_prime_trial(n):
