@@ -8,7 +8,8 @@ No float ever touches the membership decision.
 
 Smoothing is counting too: for a = c * 1_S, the smoothed h = a * sigma is
 (c/|B|) * g with the integer g(x) = #{b in B : x - b in S}, so smooth
-forms g exactly and makes no inverse transform and no clamp.
+returns g itself, formed exactly with no inverse transform and no clamp,
+and h is never built.
 """
 
 from __future__ import annotations
@@ -165,59 +166,22 @@ def build_bohr_set(p: int, frequencies, eps, within=None) -> BohrSet:
     return BohrSet(p, tuple(freqs), radius, survivors)
 
 
-def _check_quarter_support(bohr: BohrSet) -> None:
-    """With 1 in R and eps < 1/4 every member provably lies in
-    [-P/4, P/4]; under those hypotheses raise InvariantError if one does
-    not."""
-    if 1 in bohr.frequencies and bohr.radius < Fraction(1, 4):
-        p, members = bohr.modulus, bohr.members()
-        folded = np.minimum(members, p - members)
-        if int(folded.max()) * 4 >= p:
-            raise InvariantError(
-                "support must lie in [-P/4, P/4] when 1 in R and eps < 1/4"
-            )
-
-
-def smooth(a: CyclicFunction, bohr: BohrSet) -> CyclicFunction:
-    """h = a * sigma for a = c * 1_S, c > 0 (the lift's form): every
-    nonzero value of a must equal the first, and be positive, or
-    InvalidArgumentError is raised. h = g * (c/|B|) with the integer count
-    g(x) = #{b in B : x - b in S}, so h is exactly 0 off S + B and nothing
-    is clamped; a zero a gives h = 0. B must contain 0 and be symmetric
-    about it (_check_centred), or InvariantError is raised.
-
-    * |B| = 1: B = {0}, sigma is the convolution identity and h is a.
-    * 1 < |B| <= _SHIFT_COUNT_MAX_SIZE: |B| shifted adds (_shifted_count).
-    * larger B: one FFT convolution, rounded and checked (_convolved_count).
-
-    Both counts give the same integers, so the path changes no bit of h.
-    Neither makes an inverse transform of a Spectrum, and sigmahat is not
-    formed here (kernel_spectrum). The shifted adds start no thread; the
-    convolution may use two once its arrays reach 2^20 values.
+def smooth(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
+    """The integer count g(x) = #{b in B : x - b in S} for S = support,
+    distinct residues in [0, P) (the lift's A0), in the least unsigned
+    integer type that holds |B|: for a = c * 1_S, a * sigma = (c/|B|) * g.
+    B must contain 0 and be symmetric about it (_check_centred), or
+    InvariantError is raised. Up to _SHIFT_COUNT_MAX_SIZE members, g is
+    |B| shifted adds (_shifted_count; g = 1_S for B = {0}), which start
+    no thread; past it, one FFT convolution, rounded and checked
+    (_convolved_count), which may use two once its arrays reach 2^20
+    values. Both give the same integers, and neither makes an inverse
+    transform or forms sigmahat (kernel_spectrum).
     """
-    if a.modulus != bohr.modulus:
-        raise InvalidArgumentError(
-            f"modulus mismatch: function {a.modulus} vs Bohr set {bohr.modulus}"
-        )
-    support = np.flatnonzero(a.values)
-    scale = float(a.values[support[0]]) if support.size else 1.0
-    if not (scale > 0 and np.all(a.values[support] == scale)):
-        raise InvalidArgumentError(
-            "smooth takes a = c * 1_S with c > 0: every nonzero value must "
-            "equal the first, and be positive"
-        )
     _check_centred(bohr)
-    if bohr.size == 1:
-        return a  # B = {0}: sigma is the exact convolution identity
-    # h's values come before the count's small arrays, which would cut up
-    # the memory the transforms freed (N = 1e7 peak 212 MB, not 192), and
-    # after the convolution's large ones (259 MB, not 224, at |B| = 17143)
     if bohr.size <= _SHIFT_COUNT_MAX_SIZE:
-        values = np.empty(a.modulus)
-        counts = _shifted_count(support, bohr)
-    else:
-        values, counts = None, _convolved_count(support, bohr)
-    return CyclicFunction(a.modulus, np.multiply(counts, scale / bohr.size, out=values))
+        return _shifted_count(support, bohr)
+    return _convolved_count(support, bohr)
 
 
 def _shifted_count(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
@@ -235,15 +199,15 @@ def _shifted_count(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
 
 
 def _convolved_count(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
-    """g(x) = #{b in B : x - b in S} as int32: the exact sum counts of S
-    and of B's members folded into (-P/2, P/2] and shifted to start at 0
-    (cyclic._sum_counts, which forms, rounds and checks them), added into
-    g mod P."""
+    """g(x) = #{b in B : x - b in S} in the least unsigned integer type
+    that holds |B|: the exact sum counts of S and of B's members folded
+    into (-P/2, P/2] and shifted to start at 0 (cyclic._sum_counts, which
+    forms, rounds and checks them), added into g mod P."""
     p, members = bohr.modulus, bohr.members()
     folded = members - p * (members > p // 2)
     low = int(folded.min())
     r, _ = _sum_counts(support, folded - low)  # r[s] is the count at x = s + low
-    counts = np.zeros(p, dtype=np.int32)  # g(x) <= |B| <= P < 2**31
+    counts = np.zeros(p, dtype=np.min_scalar_type(bohr.size))
     x = low % p
     while r.size:
         n = min(r.size, p - x)
@@ -308,13 +272,15 @@ def _half_set_spectrum(bohr: BohrSet) -> np.ndarray:
 def _check_centred(bohr: BohrSet) -> None:
     """Raise InvariantError unless the sorted members hold 0 and B = -B
     (members[0] = 0 and members[1:] = P - members[:0:-1], exact O(|B|)
-    integer work), and lie in [-P/4, P/4] when 1 in R and eps < 1/4
-    (_check_quarter_support)."""
+    integer work), and, when 1 in R and eps < 1/4, unless every member
+    lies in [-P/4, P/4], as it then provably does."""
     p, members = bohr.modulus, bohr.members()
     mirrored = np.array_equal(members[1:], p - members[:0:-1])
     if bohr.size == 0 or members[0] != 0 or not mirrored:
         raise InvariantError("Bohr set must contain 0 and be symmetric about it")
-    _check_quarter_support(bohr)
+    if 1 in bohr.frequencies and bohr.radius < Fraction(1, 4):
+        if int(np.minimum(members, p - members).max()) * 4 >= p:
+            raise InvariantError("support must lie in [-P/4, P/4] when 1 in R and eps < 1/4")
 
 
 def _progression_step(bohr: BohrSet) -> int | None:

@@ -39,28 +39,32 @@ def level_set_extract(
 
     The bound is an exact consequence of splitting the mass of f at the
     threshold and applying the norm inequality to the upper part, so the
-    returned margin is nonnegative for every valid input.
+    returned margin is nonnegative for every valid input. f must be
+    nonnegative with mean at least alpha > 0.
     """
     _check_exponent(p)
-    level_set = np.flatnonzero(_level_mask(f, alpha)).astype(np.int64, copy=False)
-    return level_set, holder_report(f, alpha, p, lp_norm(f, p), level_set.size)
-
-
-def level_set_size(f: CyclicFunction, alpha: float) -> int:
-    """|{n : f(n) >= alpha/2}|, with level_set_extract's checks on f and
-    alpha. The set does not depend on the exponent, so one count serves
-    holder_report at every p."""
-    return int(np.count_nonzero(_level_mask(f, alpha)))
+    if alpha <= 0:
+        raise InvalidArgumentError(f"mass level alpha must be positive, got {alpha}")
+    if float(f.values.min()) < 0:
+        raise PreconditionError("level-set extraction needs a nonnegative function")
+    l1 = f.mean()
+    if l1 < alpha:
+        raise PreconditionError(
+            f"mean {l1:.6g} is below the requested mass alpha = {alpha:.6g}"
+        )
+    level_set = np.flatnonzero(f.values >= alpha / 2.0).astype(np.int64, copy=False)
+    return level_set, holder_report(f.modulus, alpha, p, lp_norm(f, p), level_set.size)
 
 
 def holder_report(
-    f: CyclicFunction, alpha: float, p: float, c_norm: float, size: int
+    modulus: int, alpha: float, p: float, c_norm: float, size: int
 ) -> LevelSetReport:
-    """level_set_extract's report for a level set of the given size, with
-    c_norm = ||f||_p."""
+    """level_set_extract's report for a level set of the given size in
+    Z/(modulus)Z, with c_norm = ||f||_p. The set does not depend on p, so
+    one count serves every exponent."""
     _check_exponent(p)
     q = p / (p - 1.0)
-    mu = size / f.modulus
+    mu = size / modulus
     holder_bound = (alpha / (2.0 * c_norm)) ** q if c_norm > 0 else 0.0
     return LevelSetReport(
         alpha=alpha,
@@ -78,21 +82,6 @@ def holder_report(
 def _check_exponent(p: float) -> None:
     if p <= 1:
         raise InvalidArgumentError(f"need p > 1, got {p}")
-
-
-def _level_mask(f: CyclicFunction, alpha: float) -> np.ndarray:
-    """f >= alpha/2 as a bool mask, for f >= 0 with mean at least alpha."""
-    if alpha <= 0:
-        raise InvalidArgumentError(f"mass level alpha must be positive, got {alpha}")
-    values = f.values
-    if float(values.min()) < 0:
-        raise PreconditionError("level-set extraction needs a nonnegative function")
-    l1 = f.mean()
-    if l1 < alpha:
-        raise PreconditionError(
-            f"mean {l1:.6g} is below the requested mass alpha = {alpha:.6g}"
-        )
-    return values >= alpha / 2.0
 
 
 @dataclass

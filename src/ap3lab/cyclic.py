@@ -115,11 +115,6 @@ class CyclicFunction:
     def mean(self) -> float:
         return fixed_sum(self.values) / self.modulus
 
-    def sup_norm(self) -> float:
-        """max |f(x)|, from the largest and least values with no length-P
-        temporary; abs turns a -0.0 maximum into 0.0, as np.abs would."""
-        return abs(max(float(self.values.max()), -float(self.values.min())))
-
 
 class Spectrum:
     """Fourier coefficients of a real function on Z/PZ.

@@ -6,11 +6,12 @@ column order.
 
 Values computed from integers or by fixed-order reductions are identical
 on every numpy build: lambda(a, a, a), its d = 0 part and sum |ahat|^4
-come from exact integer counts of A0 (threeap.additive_counts), and every
-mean and L^k norm is a cyclic.fixed_sum with integer powers by repeated
-multiplication. h is (scale/|B|) times bohr.smooth's exact integer count
-(with B = {0}, h is a), so every value derived from h, its norms and
-level sets included, is a fixed function of integers and the scale, by
+come from exact integer counts of A0 (threeap.additive_counts). h is
+(scale/|B|) times bohr.smooth's exact integer count g (with B = {0}, g is
+the indicator of A0), and h is never built: _smoothed_statistics reads
+h_sup, the level set and every 2k-norm off one histogram of g by exact
+integer sums, and h_l1 is the lift's a_l1 = scale * |A0| / P. So every
+value derived from h is a fixed function of integers and the scale, by
 IEEE operations in a fixed order. Two things still carry the transform's
 rounding: lambda_hhh, evaluated on ahat * sigmahat (the rounding of ahat's
 transform and of sigmahat's sines or transform), and threshold membership
@@ -50,8 +51,8 @@ FFT passes and combining pass of the integer convolutions (the exact
 counts, and smooth's count of a Bohr set past 255 members), and the
 closed-form sigmahat of a progression. Each value is formed by the
 same numpy calls in the same order on either thread, so no report bit
-depends on the split. The level set
-{h >= h_l1/2} does not depend on k, so it is counted once per run.
+depends on the split. The level set {h >= h_l1/2} does not depend on k,
+so the one histogram of g serves every k.
 """
 
 from __future__ import annotations
@@ -69,12 +70,15 @@ import numpy as np
 
 from . import bounds as bd
 from .bohr import as_radius, build_bohr_set, kernel_spectrum, smooth
-from .cyclic import lp_norm, spectral_lp_norm, threshold_spectrum
+from .cyclic import spectral_lp_norm, threshold_spectrum
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import sieve_primes
 from .sieve_bounds import convolution_norm_bound, moment_index_in_range
 from .threeap import additive_counts, lambda_fourier, lambda_of_spectra
 from .wtrick import build_context, build_sieved_function, compute_parameters
+
+# lp_norm stays importable here because perfbench/spans.py wraps pipeline.lp_norm.
+from .cyclic import lp_norm  # noqa: F401
 
 REPORT_SCHEMA = "ap3lab-report/1"
 DEFAULT_FFT_BUDGET = 1 << 23
@@ -174,19 +178,22 @@ class PipelineConfig:
             _reject_repeats(name, fractions)
         for radius in (self.epsilon, *self.epsilon_grid):
             as_radius(radius)  # the Bohr scan's rule, checked before the lift
-        for delta in (self.delta, *self.delta_grid):
-            try:
-                float(Fraction(delta)) ** -4  # the eps-delta constraint's power
-            except OverflowError:
-                raise InvalidArgumentError(
-                    f"delta {delta} is too small: delta**-4 overflows a float"
-                ) from None
         for name in ("c4", "c_sanders", "c1", "eta"):
             value = getattr(self, name)
             if not _is_real(value) or not 0 < value < math.inf:
                 raise InvalidArgumentError(
                     f"constant {name} must be a positive real number, got {value!r}"
                 )
+        # the eps-delta constraint's lhs is largest at the least delta and eps
+        delta = float(min(map(Fraction, (self.delta, *self.delta_grid))))
+        epsilon = float(min(map(Fraction, (self.epsilon, *self.epsilon_grid))))
+        try:
+            lhs = self.c4 * delta**-4 * abs(math.log(epsilon))
+        except OverflowError:  # delta**-4 alone
+            lhs = math.inf
+        if lhs == math.inf:
+            raise InvalidArgumentError(f"c4 * delta**-4 * |ln epsilon| overflows a float at "
+                                       f"c4 = {self.c4}, delta = {delta}, epsilon = {epsilon}")
         if not all(_is_integer(k) and k >= 1 for k in self.k_values):
             raise InvalidArgumentError("k_values must be integers >= 1")
         _reject_repeats("k_values", self.k_values)
@@ -325,30 +332,25 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
     delta_f = float(Fraction(config.delta))
     r_set, raw_size = threshold_spectrum(spec_a, delta_f)
     bohr = build_bohr_set(ctx.p, r_set.tolist(), config.epsilon)
-    # before smooth, so hhat is freed before h's values are allocated
-    # (N = 1e7 peak 192 MB, not 211)
     point = _point_record(config, config.delta, config.epsilon, lam_a,
                           spec_a.half, raw_size, r_set, bohr)
-    h = smooth(a, bohr)
-    if h is a:
-        lambda_fourier(h, h, h)  # discarded; perfbench's traced test counts it
+    g = smooth(ctx.a0, bohr)
+    if bohr.size == 1:
+        lambda_fourier(a, a, a)  # discarded; perfbench's traced test counts it
     trivial_term = (math.log(config.n) / math.log(ctx.z)) ** 2 / ctx.p
     final_lhs = trivial_term + point["smoothing_bound"]
 
-    h_l1 = h.mean()
-    h_sup = h.sup_norm()
-
     k_values = tuple(config.k_values) or (bd.choose_k(config.n),)
-    # {h >= h_l1/2} does not depend on k: one scan serves every row
-    level_size = bd.level_set_size(h, h_l1)
+    h_l1 = sieved.l1_norm
+    h_sup, level_size, norms = _smoothed_statistics(g, bohr.size, ctx.a0.size, ctx.scale, k_values)
     norm_table = []
     exploratory = False
     for k in k_values:
         in_range = moment_index_in_range(k, ctx.z)
         exploratory = exploratory or not in_range
         norm_bound = convolution_norm_bound(k, config.n, ctx.z, bohr.size)
-        h2k = lp_norm(h, 2 * k)
-        level = bd.holder_report(h, h_l1, 2 * k, h2k, level_size)
+        h2k = norms[k]
+        level = bd.holder_report(ctx.p, h_l1, 2 * k, h2k, level_size)
         floor_rhs = _progression_floor(sieved.alpha, k, config.c1)
         sanders_val = (
             bd.sanders_lower_bound(level.mu, config.c_sanders)
@@ -461,6 +463,29 @@ def _point_record(config, delta: str, epsilon: str, lam_a: float, a_hat: np.ndar
         "eps_delta_slack": constraint.slack,
         "eps_delta_ok": constraint.satisfied,
     }
+
+
+def _smoothed_statistics(g: np.ndarray, size: int, a0_size: int, scale: float,
+                         k_values) -> tuple[float, int, dict]:
+    """(h_sup, |{h >= h_l1/2}|, {k: ||h||_2k}) of h = (scale/|B|) * g on
+    Z/PZ, P = g.size, read off the histogram n_v of smooth's count g: the
+    only code that knows how h is made from g. sum g = |A0| * |B| is
+    checked (InvariantError), so h_l1 is the lift's a_l1. The level set is
+    2P * g >= |A0| * |B|, and ||h||_2k^2k the exact sum_v n_v * v^(2k) over
+    |B|^(2k), rounded once with the factor scale^(2k) (by repeated
+    multiplication), then over P: nothing overflows for a k the lift takes.
+    """
+    histogram = np.bincount(g, minlength=size + 1)
+    bins = [(v, int(histogram[v])) for v in np.flatnonzero(histogram).tolist()]
+    if sum(v * n for v, n in bins) != a0_size * size:
+        raise InvariantError(f"smoothed count does not sum to |A0| * |B| = {a0_size * size}")
+    level_size = int(histogram[-(-a0_size * size // (2 * g.size)) :].sum())
+    norms = {}
+    for k in k_values:
+        moment = Fraction(sum(n * v ** (2 * k) for v, n in bins), size ** (2 * k))
+        power = math.prod([scale] * (2 * k))  # 1 * scale * ... * scale
+        norms[k] = (float(moment * Fraction(power)) / g.size) ** (1.0 / (2 * k))
+    return float(bins[-1][0]) * (scale / size), level_size, norms
 
 
 def _pick(record: dict, *keys: str) -> dict:
@@ -583,7 +608,22 @@ def _plain(obj):
 
 
 def canonical_json(data) -> str:
-    return json.dumps(_plain(data), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Sorted keys, two-space indent. A non-finite float raises
+    InvalidArgumentError that names its key path."""
+    plain = _plain(data)
+    bad = _non_finite_paths(plain, "")
+    if bad:
+        raise InvalidArgumentError(f"report value {bad[0].lstrip('.')} is not finite")
+    return json.dumps(plain, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _non_finite_paths(obj, path: str) -> list[str]:
+    """Key paths (".a.b[2].c") of obj's non-finite floats, in written order."""
+    if isinstance(obj, dict):
+        return [bad for key in sorted(obj) for bad in _non_finite_paths(obj[key], f"{path}.{key}")]
+    if isinstance(obj, list):
+        return [bad for i, v in enumerate(obj) for bad in _non_finite_paths(v, f"{path}[{i}]")]
+    return [path] if isinstance(obj, float) and not math.isfinite(obj) else []
 
 
 def _csv_cell(value):

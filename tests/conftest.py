@@ -4,7 +4,8 @@ Every oracle here deliberately avoids the code path it checks: transforms
 by explicit summation, convolution by the definition (or numpy's FFT where
 P is too large for it), primality by trial division, the progression
 operator by a pure-Python double loop. The inputs made here, function
-files and progression-free sets, are made without package code.
+files and progression-free sets, are made without package code; only the
+dense smoothed function (smoothed) is built from the package's count.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from ap3lab.cyclic import (
     fixed_sum,
     lp_norm,
 )
+from ap3lab.bohr import smooth
 from ap3lab.errors import InvalidArgumentError, ResourceLimitError
 from ap3lab.pipeline import PipelineConfig, run_pipeline
 from ap3lab.primes import is_prime, sieve_primes
@@ -345,6 +347,16 @@ def read_spectrum(path) -> Spectrum:
     it, after the header and length checks that load_function makes."""
     p, data = _read_payload(path, _SPECTRUM_MAGIC, 2)
     return Spectrum(p, data.astype(np.float64).view(np.complex128)[: p // 2 + 1])
+
+
+def smoothed(a: CyclicFunction, bohr) -> CyclicFunction:
+    """h = a * sigma for a = c * 1_S, as the dense array (c/|B|) * g built
+    from smooth's count g of S = the support of a; h = 0 when a = 0. The
+    package never builds h, so the checks on h's convolution, spectrum
+    and lambda build it here."""
+    support = np.flatnonzero(a.values)
+    scale = float(a.values[support[0]]) if support.size else 0.0
+    return CyclicFunction(a.modulus, smooth(support, bohr) * (scale / bohr.size))
 
 
 # ----------------------------------------------------------------------

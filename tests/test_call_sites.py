@@ -1,8 +1,10 @@
 """run_pipeline and delta_sweep take every grid-point value from one
 evaluator, so sigmahat, lambda on hhat and the eps-delta constraint each
-have one call site in pipeline.py, all in the same function. And every
-public function and method of the package is called from the package
-itself: code that only tests reach belongs in the tests."""
+have one call site in pipeline.py, all in the same function. pipeline.py
+reads h only off the histogram of smooth's count, so no float pass over
+a dense h can come back. And every public function and method of the
+package is called from the package itself: code that only tests reach
+belongs in the tests."""
 
 import ast
 from pathlib import Path
@@ -12,6 +14,8 @@ import ap3lab
 SRC = Path(ap3lab.__file__).resolve().parent
 PIPELINE = SRC / "pipeline.py"
 OWNED = ("kernel_spectrum", "lambda_of_spectra", "bd.epsilon_delta_constraint")
+# float passes over a dense function that h's statistics once took
+DENSE_PASSES = ("lp_norm", "mean", "sup_norm", "level_set_size", "level_set_extract")
 
 # Public names that no package code references, and why each stays.
 UNREFERENCED = {
@@ -41,6 +45,18 @@ def test_each_point_value_has_one_call_site_in_pipeline():
                 sites[_callee(node)].append(getattr(function, "name", None))
     assert all(len(owners) == 1 for owners in sites.values()), sites
     assert len({owners[0] for owners in sites.values()}) == 1, sites
+
+
+def test_pipeline_makes_no_float_pass_over_a_dense_function():
+    tree = ast.parse(PIPELINE.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func  # f(...), module.f(...) or value.method(...)
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in DENSE_PASSES:
+                found.append(f"line {node.lineno}: {name}")
+    assert found == []
 
 
 def test_every_public_function_is_referenced_by_package_code():

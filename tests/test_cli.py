@@ -258,16 +258,22 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     (["delta-sweep", "--n", "100000", "--delta-grid", "0.1,1e-90"], 1),
     # 2k * ln(scale) + ln P past ln(float max): the 2k-norm of h would overflow
     (["pipeline", "--n", "1000000", "--k", "145"], 1),
+    # c4 * delta**-4 * |ln eps| overflows to inf, though delta**-4 does not
+    (["pipeline", "--n", "100000", "--delta", "1e-77"], 1),
+    (lambda tmp_path: _config_file({"n": 100000, "c4": 1e305})(tmp_path), 1),
 ], ids=["wtrick-past-budget", "pipeline-past-budget", "z-past-ln-n",
         "pipeline-eps-denominator", "delta-sweep-eps-grid-denominator",
         "pipeline-delta-underflow", "delta-sweep-delta-grid-underflow",
         "pipeline-delta-overflow", "delta-sweep-delta-grid-overflow",
-        "pipeline-k-norm-overflow"])
+        "pipeline-k-norm-overflow", "pipeline-constraint-overflow",
+        "pipeline-c4-constraint-overflow"])
 def test_lift_refuses_before_sieving(tmp_path, capsys, monkeypatch, argv, code):
     def unreachable(*args, **kwargs):
         raise AssertionError("sieved to N before the size checks")
 
     monkeypatch.setattr("ap3lab.pipeline.sieve_primes", unreachable)
+    if callable(argv):
+        argv = argv(tmp_path)
     assert run_cli(*argv, "--out", str(tmp_path / "out.json")) == code
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err

@@ -1,18 +1,23 @@
 import json
 import math
+import re
+import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ap3lab import cyclic
+from ap3lab.bohr import BohrSet, build_bohr_set, smooth
 from ap3lab.errors import InvalidArgumentError, ResourceLimitError
 from ap3lab.pipeline import (
     DELTA_SWEEP_CSV_COLUMNS,
     NORM_SWEEP_CSV_COLUMNS,
     PIPELINE_CSV_COLUMNS,
     PipelineConfig,
+    _smoothed_statistics,
     canonical_json,
     delta_sweep,
     lift,
@@ -21,6 +26,7 @@ from ap3lab.pipeline import (
     write_csv,
     write_report,
 )
+from conftest import smoothed
 
 
 def test_config_validation():
@@ -86,9 +92,7 @@ def test_report_structure_and_self_consistency(pipeline_smoothing):
 def test_smoothing_identities_hold(pipeline_smoothing):
     data = pipeline_smoothing.data
     assert data["bohr"]["bohr_size"] == 30001
-    assert math.isclose(
-        data["lambda"]["h_l1"], data["wtrick"]["a_l1"], rel_tol=1e-10
-    )
+    assert data["lambda"]["h_l1"] == data["wtrick"]["a_l1"]  # sum g = |A0| * |B|
     assert data["lambda"]["h_sup"] <= data["wtrick"]["scale"] * (1 + 1e-12)
     assert data["lambda"]["delta_gap"] <= data["lambda"]["smoothing_bound"]
 
@@ -378,19 +382,74 @@ def test_sigmahat_is_formed_once_per_point_past_b_zero(monkeypatch):
 
 
 def test_pipeline_scans_the_level_set_once_for_every_k(monkeypatch):
-    import ap3lab.bounds as bounds
+    # one histogram of g serves every k
+    import ap3lab.pipeline as pipeline
 
-    scans = []
-    real = bounds._level_mask
+    calls = []
+    real = pipeline._smoothed_statistics
 
-    def counting(f, alpha):
-        scans.append(alpha)
-        return real(f, alpha)
+    def counting(g, size, a0_size, scale, k_values):
+        calls.append(tuple(k_values))
+        return real(g, size, a0_size, scale, k_values)
 
-    monkeypatch.setattr(bounds, "_level_mask", counting)
+    monkeypatch.setattr(pipeline, "_smoothed_statistics", counting)
     report = run_pipeline(PipelineConfig(n=10**4, delta="0.2", epsilon="0.1", k_values=(1, 2, 3)))
-    assert scans == [report.data["lambda"]["h_l1"]]
+    assert calls == [(1, 2, 3)]
     assert len({row["level_size"] for row in report.data["norm_table"]}) == 1
+
+
+def _level_cases():
+    """(P, S, B): random S at small primes with Bohr sets on both sides of
+    the shifted-count cutoff, and at P = 12 a set S of 8 residues with
+    B = {0, 1, 11}, where g(x) = 1 lies exactly on the threshold
+    2P * g = |S| * |B| = 24."""
+    rng = np.random.default_rng(3)
+    cases = []
+    for p, freqs, eps in ((101, [1], "0.1"), (1009, [1, 5], "0.2"), (2003, [1], "0.1")):
+        support = np.flatnonzero(rng.random(p) < 0.3)
+        cases.append((p, support, build_bohr_set(p, freqs, eps)))
+    cases.append((12, np.array([0, 1, 2, 3, 6, 7, 8, 9]),
+                  BohrSet(12, (1,), Fraction(1, 2), [0, 1, 11])))
+    return cases
+
+
+@pytest.mark.parametrize("p, support, bohr", _level_cases())
+def test_integer_level_set_is_the_brute_force_level_set(p, support, bohr):
+    # {x : h(x) >= h_l1/2} over exact rationals, with h = (c/|B|) * g
+    scale = 2.75
+    g = smooth(support, bohr)
+    h = [Fraction(scale) * int(v) / bohr.size for v in g]
+    h_l1 = sum(h) / p
+    want = sum(1 for value in h if value >= h_l1 / 2)
+    _, level_size, _ = _smoothed_statistics(g, bohr.size, support.size, scale, (1,))
+    assert level_size == want
+    if p == 12:
+        assert 2 * p * 1 == support.size * bohr.size and 1 in g.tolist()
+
+
+def test_largest_k_norm_stays_finite_past_the_float_range_of_b_to_the_2k(tmp_path):
+    # k = 146 is the largest the lift takes at N = 1e5; |B|^(2k) = 30001^292
+    # is far past the float range, yet the exact histogram sum keeps the
+    # 2k-norm finite and equal to a float evaluation of the dense h
+    config = PipelineConfig(n=10**5, delta="0.4", epsilon="0.1", k_values=(146,))
+    with pytest.raises(InvalidArgumentError):
+        lift(replace(config, k_values=(147,)))
+    report = run_pipeline(config)
+    (row,) = report.data["norm_table"]
+    size = report.data["bohr"]["bohr_size"]
+    assert size**292 > sys.float_info.max
+    _, ctx, _, sieved = lift(config)
+    r_set, _ = cyclic.threshold_spectrum(sieved.function.spectrum(), 0.4)
+    h = smoothed(sieved.function, build_bohr_set(ctx.p, r_set.tolist(), "0.1"))
+    want = float(np.mean(h.values**292)) ** (1 / 292)
+    assert math.isclose(row["h_norm_2k"], want, rel_tol=1e-13)
+    assert report.data["lambda"]["h_l1"] <= row["h_norm_2k"] <= report.data["lambda"]["h_sup"]
+
+
+@pytest.mark.parametrize("name", ["pipeline_n100000.json", "pipeline_n1000000.json"])
+def test_golden_h_l1_is_a_l1_in_every_bit(name):
+    report = json.loads((Path(__file__).parent / "goldens" / name).read_text(encoding="utf-8"))
+    assert report["lambda"]["h_l1"] == report["wtrick"]["a_l1"]
 
 
 def test_self_convolution_square_norm_identity(sieved_1e5):
@@ -408,6 +467,17 @@ def test_self_convolution_square_norm_identity(sieved_1e5):
 def test_canonical_json_is_stable():
     blob = canonical_json({"b": np.float64(1.5), "a": [np.int64(2), (3, 4)]})
     assert blob == '{\n  "a": [\n    2,\n    [\n      3,\n      4\n    ]\n  ],\n  "b": 1.5\n}\n'
+
+
+@pytest.mark.parametrize("data, path", [
+    ({"flags": {"ok": True, "eps_delta_lhs": math.inf}}, "flags.eps_delta_lhs"),
+    ({"norm_table": [{"k": 1}, {"k": 2, "h_norm_2k": np.float64("nan")}]},
+     "norm_table[1].h_norm_2k"),
+    ({"b": -math.inf, "a": {"c": math.inf}}, "a.c"),  # first in written order
+])
+def test_canonical_json_names_the_key_path_of_a_non_finite_value(data, path):
+    with pytest.raises(InvalidArgumentError, match=f"report value {re.escape(path)} is not finite"):
+        canonical_json(data)
 
 
 def test_write_csv_quoting(tmp_path):

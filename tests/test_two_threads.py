@@ -107,40 +107,34 @@ def test_real_convolution_is_the_same_on_two_threads(monkeypatch, cross):
     _assert_same_bits(_three_ways(monkeypatch, compute))
 
 
-def _spread_smoothing(monkeypatch):
-    """(a, B, g) at a P past the floor: a = 2.5 on random points of
-    [1, P/3], a stand-in spectrum, a 15-member B spread over Z/PZ with its
-    kernel spectrum formed now, and the count g that smooth must form."""
+def _spread_smoothing():
+    """(S, B, g) at a P past the floor: S random points of [1, P/3], a
+    15-member B spread over Z/PZ, and the count g that smooth must form."""
     rng = np.random.default_rng(17)
-    values = np.zeros(P_ABOVE)
-    values[rng.integers(1, P_ABOVE // 3, size=P_ABOVE // 20)] = 2.5
-    a = CyclicFunction(P_ABOVE, values)
-    a._spectrum = cyclic.Spectrum(P_ABOVE, np.ones(P_ABOVE // 2 + 1))  # a stand-in
+    support = np.unique(rng.integers(1, P_ABOVE // 3, size=P_ABOVE // 20))
+    indicator = np.zeros(P_ABOVE, dtype=np.int64)
+    indicator[support] = 1
     js = np.arange(-7, 8, dtype=np.int64)
     bohr = BohrSet(P_ABOVE, (1,), Fraction(1, 2), np.sort(js * 99991 % P_ABOVE))
-    sigma_hat = kernel_spectrum(bohr)
-    monkeypatch.setattr(bohr_module, "kernel_spectrum", lambda b: sigma_hat)
-    counts = sum(np.roll(values != 0, b).astype(np.int64) for b in bohr.members().tolist())
-    return a, bohr, counts
+    counts = sum(np.roll(indicator, b) for b in bohr.members().tolist())
+    return support, bohr, counts
 
 
 def test_shifted_count_starts_no_thread_above_the_floor(monkeypatch):
-    # ahat and sigmahat, which may use two threads, are formed before
-    # threads are refused
-    a, bohr, counts = _spread_smoothing(monkeypatch)
+    support, bohr, counts = _spread_smoothing()
     assert bohr.size <= bohr_module._SHIFT_COUNT_MAX_SIZE
     monkeypatch.setattr(threading.Thread, "start", _refused)
-    assert np.array_equal(smooth(a, bohr).values, counts * (2.5 / bohr.size))
+    assert np.array_equal(smooth(support, bohr), counts)
 
 
 def test_convolved_count_is_the_same_on_two_threads(monkeypatch):
     # B's window spreads over Z/PZ, so the convolution has past 2^20
     # complex values and shares its passes out
-    a, bohr, counts = _spread_smoothing(monkeypatch)
+    support, bohr, counts = _spread_smoothing()
     monkeypatch.setattr(bohr_module, "_SHIFT_COUNT_MAX_SIZE", 1)
-    results = _three_ways(monkeypatch, lambda: smooth(a, bohr).values)
+    results = _three_ways(monkeypatch, lambda: smooth(support, bohr))
     _assert_same_bits(results)
-    assert np.array_equal(results[0], counts * (2.5 / bohr.size))
+    assert np.array_equal(results[0], counts)
 
 
 def test_no_thread_is_started_below_the_floor(monkeypatch):
