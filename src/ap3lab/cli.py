@@ -1,5 +1,9 @@
 """Command-line front end.
 
+wtrick, pipeline, norm-sweep and delta-sweep read --config, a JSON object
+of pipeline fields under the command line. Every command refuses a P past
+the fixed FFT budget 2^23 before it allocates or reads P values.
+
 Exit codes: 0 success, 1 invalid arguments, 2 precondition or constraint
 violation, 3 resource limit (a refused size, or memory that could not be
 allocated).
@@ -14,12 +18,11 @@ from pathlib import Path
 
 from . import bounds as bd
 from .bohr import build_bohr_set
-from .cyclic import CyclicFunction, forward_transform, load_function, save_spectrum
+from .cyclic import CyclicFunction, check_fft_budget, forward_transform, load_function, save_spectrum
 from .errors import InvalidArgumentError, LabError, ResourceLimitError
 from .pipeline import (
     PipelineConfig,
     canonical_json,
-    check_fft_budget,
     delta_sweep,
     lift,
     load_member_file,
@@ -49,42 +52,47 @@ class _Parser(argparse.ArgumentParser):
         raise _CliArgumentError(message)
 
 
+def _nonempty(text: str) -> str:
+    """An option value that must not be empty; argparse names the option."""
+    if not text:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return text
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ap3lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # parent parsers: the options shared by the commands that read a config
-    config = _Parser(add_help=False)
-    config.add_argument("--config", help="JSON config file: pipeline fields and fft_budget")
-    lift = _Parser(add_help=False, parents=[config])
+    # parent parsers: the options shared by the commands that run the lift
+    lift = _Parser(add_help=False)
+    lift.add_argument("--config", type=_nonempty, help="JSON config file of pipeline fields")
     lift.add_argument("--n", type=int)
     lift.add_argument("--z", type=float)
-    lift.add_argument("--set", dest="set_file")
+    lift.add_argument("--set", dest="set_file", type=_nonempty)
     point = _Parser(add_help=False, parents=[lift])
-    point.add_argument("--delta")
-    point.add_argument("--eps")
+    point.add_argument("--delta", type=_nonempty)
+    point.add_argument("--eps", type=_nonempty)
 
     p = sub.add_parser("primes", help="write primes up to a limit, one per line")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--out")
 
-    p = sub.add_parser("transform", parents=[config], help="spectrum of a serialized function")
+    p = sub.add_parser("transform", help="spectrum of a serialized function")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("wtrick", parents=[lift], help="sieving construction report")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("bohr", parents=[config], help="Bohr set size and members")
+    p = sub.add_parser("bohr", help="Bohr set size and members")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--freqs", required=True, help="comma-separated frequencies")
     p.add_argument("--eps", required=True, help="radius as a decimal string")
     p.add_argument("--members", action="store_true")
     p.add_argument("--out")
 
-    p = sub.add_parser("lambda", parents=[config],
-                       help="three-term progression operator of a set of residues")
+    p = sub.add_parser("lambda", help="three-term progression operator of a set of residues")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--set", dest="set_file", required=True)
+    p.add_argument("--set", dest="set_file", type=_nonempty, required=True)
     p.add_argument("--direct", action="store_true",
                    help="add the O(P^2) direct operator to the spectral one")
     p.add_argument("--out")
@@ -97,17 +105,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("pipeline", parents=[point], help="full experiment; JSON plus CSV")
-    p.add_argument("--k", help="comma-separated k values")
+    p.add_argument("--k", type=_nonempty, help="comma-separated k values")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("norm-sweep", parents=[point],
                        help="norm table rows over --k (default 1,2,3)")
-    p.add_argument("--k", help="comma-separated k values")
+    p.add_argument("--k", type=_nonempty, help="comma-separated k values")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("delta-sweep", parents=[point], help="rows over a (delta, epsilon) grid")
-    p.add_argument("--delta-grid")
-    p.add_argument("--eps-grid")
+    p.add_argument("--delta-grid", type=_nonempty)
+    p.add_argument("--eps-grid", type=_nonempty)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bounds", help="density bound comparison table")
@@ -118,18 +126,12 @@ def _build_parser() -> _Parser:
 
 
 def _read_config(args) -> dict:
-    if not args.config:
+    if args.config is None:
         return {}
     raw = json.loads(Path(args.config).read_text())
     if not isinstance(raw, dict):
         raise InvalidArgumentError(f"config file {args.config} must hold a JSON object")
     return raw
-
-
-def _fft_budget(args) -> int:
-    """The config file's fft_budget, for the commands that take no N. The
-    whole file is checked as `pipeline` checks it; its n defaults to 2."""
-    return PipelineConfig.from_dict({"n": 2, **_read_config(args)}).fft_budget
 
 
 def _pipeline_config(args) -> PipelineConfig:
@@ -138,25 +140,25 @@ def _pipeline_config(args) -> PipelineConfig:
         raw["n"] = args.n
     if args.z is not None:
         raw["z_override"] = args.z
-    if args.set_file:
+    if args.set_file is not None:
         raw["set_source"] = args.set_file
-    if getattr(args, "delta", None):
+    if getattr(args, "delta", None) is not None:
         raw["delta"] = args.delta
-    if getattr(args, "eps", None):
+    if getattr(args, "eps", None) is not None:
         raw["epsilon"] = args.eps
-    if getattr(args, "k", None):
+    if getattr(args, "k", None) is not None:
         raw["k_values"] = [int(v) for v in args.k.split(",")]
-    if getattr(args, "delta_grid", None):
-        raw["delta_grid"] = [v for v in args.delta_grid.split(",")]
-    if getattr(args, "eps_grid", None):
-        raw["epsilon_grid"] = [v for v in args.eps_grid.split(",")]
+    if getattr(args, "delta_grid", None) is not None:
+        raw["delta_grid"] = args.delta_grid.split(",")
+    if getattr(args, "eps_grid", None) is not None:
+        raw["epsilon_grid"] = args.eps_grid.split(",")
     if "n" not in raw:
         raise InvalidArgumentError("--n (or a config file with n) is required")
     return PipelineConfig.from_dict(raw)
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if out is not None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
@@ -164,20 +166,19 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_primes(args) -> int:
     table = sieve_primes(args.limit)
-    sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    sink = open(args.out, "w", encoding="utf-8") if args.out is not None else sys.stdout
     try:
         for block in table.iter_blocks():
             sink.write("\n".join(str(int(p)) for p in block.tolist()))
             sink.write("\n")
     finally:
-        if args.out:
+        if args.out is not None:
             sink.close()
     return 0
 
 
 def _cmd_transform(args) -> int:
-    function = load_function(args.infile)
-    check_fft_budget(function.modulus, _fft_budget(args))
+    function = load_function(args.infile)  # refuses P past the budget from the header
     save_spectrum(forward_transform(function), args.out)
     return 0
 
@@ -208,7 +209,7 @@ def _cmd_wtrick(args) -> int:
 
 
 def _cmd_bohr(args) -> int:
-    check_fft_budget(args.p, _fft_budget(args))
+    check_fft_budget(args.p)
     freqs = [int(v) for v in args.freqs.split(",")]
     bohr = build_bohr_set(args.p, freqs, args.eps)
     report = {
@@ -225,7 +226,7 @@ def _cmd_bohr(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    check_fft_budget(args.p, _fft_budget(args))
+    check_fft_budget(args.p)
     members = load_member_file(args.set_file)
     for member in (members[0], members[-1]):  # the least and the largest
         if not 0 <= member < args.p:

@@ -33,6 +33,9 @@ _FUNCTION_MAGIC = b"ZPFN"
 _SPECTRUM_MAGIC = b"ZPSP"
 _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQ")
+# The largest P of any P-point array. Each P is checked where it is first
+# read (from N and z, --p or a file header), before any such allocation.
+FFT_BUDGET = 1 << 23
 # The Markov count holds exactly; this allows for rounding in the fourth moment.
 _MARKOV_REL_TOL = 1e-9
 # The forward transform squares chirp indices |n| <= 2P - 2 in int64:
@@ -671,17 +674,26 @@ def threshold_spectrum(s: Spectrum, delta: float) -> tuple[np.ndarray, int]:
 # binary serialization
 # ----------------------------------------------------------------------
 
+def check_fft_budget(p: int) -> None:
+    """Refuse a modulus P past FFT_BUDGET, before any P-point array exists."""
+    if p > FFT_BUDGET:
+        raise ResourceLimitError(f"P = {p} exceeds the FFT budget {FFT_BUDGET}")
+
+
 def _read_payload(path, magic: bytes, floats_per_point: int):
-    """Check a ZPFN or ZPSP header and payload length; return P, the float64s."""
+    """Check a ZPFN or ZPSP header, its P against the FFT budget before the
+    payload is read, and the payload length; return P, the float64s."""
     with open(path, "rb") as fh:
-        header, payload = fh.read(_HEADER.size), fh.read()
-    if len(header) < _HEADER.size:
-        raise InvalidArgumentError(f"truncated header of {len(header)} bytes")
-    found, version, modulus = _HEADER.unpack(header)
-    if found != magic:
-        raise InvalidArgumentError(f"bad magic {found!r}, expected {magic.decode()}")
-    if version != _FORMAT_VERSION:
-        raise InvalidArgumentError(f"unsupported format version {version}")
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise InvalidArgumentError(f"truncated header of {len(header)} bytes")
+        found, version, modulus = _HEADER.unpack(header)
+        if found != magic:
+            raise InvalidArgumentError(f"bad magic {found!r}, expected {magic.decode()}")
+        if version != _FORMAT_VERSION:
+            raise InvalidArgumentError(f"unsupported format version {version}")
+        check_fft_budget(modulus)
+        payload = fh.read()
     if len(payload) != 8 * floats_per_point * modulus:
         raise InvalidArgumentError(f"payload has {len(payload)} bytes for P = {modulus}")
     return modulus, np.frombuffer(payload, dtype="<f8")

@@ -70,8 +70,8 @@ import numpy as np
 
 from . import bounds as bd
 from .bohr import as_radius, build_bohr_set, kernel_spectrum, smooth
-from .cyclic import spectral_lp_norm, threshold_spectrum
-from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
+from .cyclic import check_fft_budget, spectral_lp_norm, threshold_spectrum
+from .errors import InvalidArgumentError, InvariantError
 from .primes import sieve_primes
 from .sieve_bounds import convolution_norm_bound, moment_index_in_range
 from .threeap import additive_counts, lambda_fourier, lambda_of_spectra
@@ -81,7 +81,6 @@ from .wtrick import build_context, build_sieved_function, compute_parameters
 from .cyclic import lp_norm  # noqa: F401
 
 REPORT_SCHEMA = "ap3lab-report/1"
-DEFAULT_FFT_BUDGET = 1 << 23
 
 # Agreement required between an exact count and its transform evaluation;
 # the transform's relative error measured about 2e-15 up to P = 5000011.
@@ -147,19 +146,15 @@ class PipelineConfig:
     delta_grid: tuple[str, ...] = ()
     epsilon_grid: tuple[str, ...] = ()
     force: bool = False
-    fft_budget: int = DEFAULT_FFT_BUDGET
 
     def __post_init__(self):
-        for name in ("n", "fft_budget"):
-            if not _is_integer(getattr(self, name)):
-                raise InvalidArgumentError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}"
-                )
+        if not _is_integer(self.n):
+            raise InvalidArgumentError(f"n must be an integer, got {self.n!r}")
         if not isinstance(self.force, bool):
             raise InvalidArgumentError(f"force must be a boolean, got {self.force!r}")
-        if not isinstance(self.set_source, str):
+        if not isinstance(self.set_source, str) or not self.set_source:
             raise InvalidArgumentError(
-                f"set_source must be a path string, got {self.set_source!r}"
+                f"set_source must be a nonempty path string, got {self.set_source!r}"
             )
         if self.z_override is not None and not _is_real(self.z_override):
             raise InvalidArgumentError(
@@ -221,8 +216,8 @@ class PipelineConfig:
         return cls(**coerced)
 
     def echo(self) -> dict:
-        """The fields that define the experiment: the sweep grids and the
-        FFT budget are left out, since no report value depends on them."""
+        """The fields that define the experiment: the sweep grids are left
+        out, since no report value depends on them."""
         return {
             "n": self.n,
             "set_source": self.set_source,
@@ -282,13 +277,6 @@ def load_member_file(path) -> np.ndarray:
     return np.asarray(members, dtype=np.int64)
 
 
-def check_fft_budget(p: int, budget: int = DEFAULT_FFT_BUDGET) -> None:
-    """Refuse a modulus P past the budget on the length of P-point arrays,
-    before any of them is allocated."""
-    if p > budget:
-        raise ResourceLimitError(f"P = {p} exceeds the FFT budget {budget}")
-
-
 def lift(config: PipelineConfig) -> tuple:
     """The W-trick lift shared by every entry point.
 
@@ -300,7 +288,7 @@ def lift(config: PipelineConfig) -> tuple:
     sieved).
     """
     params = compute_parameters(config.n, config.z_override)
-    check_fft_budget(params.p, config.fft_budget)
+    check_fft_budget(params.p)
     # h <= scale = ln N / ln z, so the 2k-norm's sum is at most P * scale^(2k)
     k = max(config.k_values, default=1)
     log_sum = 2 * k * math.log(math.log(config.n) / math.log(params.z)) + math.log(params.p)
@@ -316,7 +304,7 @@ def lift(config: PipelineConfig) -> tuple:
             raise InvalidArgumentError(
                 f"set member {int(outside[0])} is not a prime in [2, N = {config.n}]"
             )
-    ctx, params = build_context(members, config.n, config.z_override)
+    ctx = build_context(members, config.n, params)
     sieved = build_sieved_function(members, ctx, prime_table=table)
     return members, ctx, params, sieved
 

@@ -205,22 +205,15 @@ def build_sieved_function(
     )
 
 
-def build_context(
-    members,
-    n: int,
-    z_override: float | None = None,
-) -> tuple[WTrickContext, WTrickParams]:
-    """Parameter selection plus residue choice, bundled into a context."""
-    params = compute_parameters(n, z_override)
-    b = choose_residue(members, params.w)
-    scale = math.log(n) / math.log(params.z)
-    ctx = WTrickContext(
+def build_context(members, n: int, params: WTrickParams) -> WTrickContext:
+    """The residue choice for the parameters compute_parameters picked for
+    N, bundled with them into a context."""
+    return WTrickContext(
         n=n,
         z=params.z,
         w=params.w,
         phi_w=params.phi_w,
-        b=b,
+        b=choose_residue(members, params.w),
         p=params.p,
-        scale=scale,
+        scale=math.log(n) / math.log(params.z),
     )
-    return ctx, params

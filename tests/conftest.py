@@ -400,8 +400,9 @@ def pipeline_smoothing():
 
 @pytest.fixture(scope="session")
 def sieved_1e5(table_1e5):
-    from ap3lab.wtrick import build_context, build_sieved_function
+    from ap3lab.wtrick import build_context, build_sieved_function, compute_parameters
 
-    ctx, params = build_context(table_1e5.primes(), 10**5)
+    params = compute_parameters(10**5)
+    ctx = build_context(table_1e5.primes(), 10**5, params)
     sieved = build_sieved_function(table_1e5.primes(), ctx, prime_table=table_1e5)
     return ctx, params, sieved

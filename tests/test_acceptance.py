@@ -40,7 +40,7 @@ from ap3lab.sieve_bounds import (
     singular_series,
 )
 from ap3lab.threeap import lambda_direct, lambda_fourier
-from ap3lab.wtrick import build_context, build_sieved_function
+from ap3lab.wtrick import build_context, build_sieved_function, compute_parameters
 from conftest import (
     behrend_set,
     direct_dft_stack,
@@ -155,7 +155,7 @@ def test_criterion_05_wtrick_mass_and_support():
     for n in (10**5, 10**6, 10**7):
         table = sieve_primes(n)
         primes = table.primes()
-        ctx, _ = build_context(primes, n)
+        ctx = build_context(primes, n, compute_parameters(n))
         sieved = build_sieved_function(primes, ctx, prime_table=table)
         support = np.flatnonzero(sieved.function.values)
         mass_ok = sieved.l1_norm >= sieved.alpha / 10
@@ -214,7 +214,7 @@ def test_criterion_07_smoothing_identities():
     ):
         table = sieve_primes(n)
         primes = table.primes()
-        ctx, _ = build_context(primes, n)
+        ctx = build_context(primes, n, compute_parameters(n))
         sieved = build_sieved_function(primes, ctx, prime_table=table)
         a = sieved.function
         r_set = a.spectrum()

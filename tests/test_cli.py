@@ -261,12 +261,16 @@ def test_exit_code_resource_limit(tmp_path, capsys):
     # c4 * delta**-4 * |ln eps| overflows to inf, though delta**-4 does not
     (["pipeline", "--n", "100000", "--delta", "1e-77"], 1),
     (lambda tmp_path: _config_file({"n": 100000, "c4": 1e305})(tmp_path), 1),
+    # an empty set file path, from the command line or a config
+    (["pipeline", "--n", "1000", "--set", ""], 1),
+    (lambda tmp_path: _config_file({"n": 1000, "set_source": ""})(tmp_path), 1),
 ], ids=["wtrick-past-budget", "pipeline-past-budget", "z-past-ln-n",
         "pipeline-eps-denominator", "delta-sweep-eps-grid-denominator",
         "pipeline-delta-underflow", "delta-sweep-delta-grid-underflow",
         "pipeline-delta-overflow", "delta-sweep-delta-grid-overflow",
         "pipeline-k-norm-overflow", "pipeline-constraint-overflow",
-        "pipeline-c4-constraint-overflow"])
+        "pipeline-c4-constraint-overflow", "pipeline-set-empty",
+        "pipeline-set-source-empty"])
 def test_lift_refuses_before_sieving(tmp_path, capsys, monkeypatch, argv, code):
     def unreachable(*args, **kwargs):
         raise AssertionError("sieved to N before the size checks")
@@ -339,34 +343,44 @@ def _with_config(tmp_path, raw, argv):
     return [command, "--config", str(path), *rest]
 
 
-def _small_function(tmp_path):
-    path = tmp_path / "f.zpfn"
-    save_function(CyclicFunction(101, np.linspace(0.0, 1.0, 101)), path)
-    return ["transform", "--in", str(path), "--out", str(tmp_path / "s.zpsp")]
-
-
 def _small_set(tmp_path, text="0\n1\n3\n"):
     path = tmp_path / "set.txt"
     path.write_text(text)
     return ["lambda", "--p", "101", "--set", str(path)]
 
 
-# every command that builds P-point arrays, at P = 101 (wtrick: P = 151)
+def _header_only(tmp_path):
+    # a ZPFN header claiming P = 8388617 and no payload: the budget is
+    # checked from the header, before the payload is read
+    path = tmp_path / "big.zpfn"
+    path.write_bytes(b"ZPFN" + (1).to_bytes(4, "little") + (8388617).to_bytes(8, "little"))
+    return ["transform", "--in", str(path), "--out", str(tmp_path / "s.zpsp")]
+
+
+# every command that builds P-point arrays, at P = 8388617, the least prime
+# past the 2^23 FFT budget (wtrick: N = 2^24 at the default z); the set
+# file does not exist, so the budget must be checked before it is read
 BUDGETED = {
-    "transform": _small_function,
-    "wtrick": lambda tmp_path: ["wtrick", "--n", "100", "--out", str(tmp_path / "w.json")],
-    "bohr": lambda tmp_path: ["bohr", "--p", "101", "--freqs", "1", "--eps", "0.1"],
-    "lambda": _small_set,
+    "transform": _header_only,
+    "wtrick": lambda tmp_path: ["wtrick", "--n", "16777216", "--out", str(tmp_path / "w.json")],
+    "bohr": lambda tmp_path: ["bohr", "--p", "8388617", "--freqs", "1", "--eps", "0.1"],
+    "lambda": lambda tmp_path: [
+        "lambda", "--p", "8388617", "--set", str(tmp_path / "missing.txt"),
+    ],
 }
 
 
 @pytest.mark.parametrize("command", sorted(BUDGETED))
 def test_config_fft_budget_binds_every_command(tmp_path, capsys, command):
+    # the budget is a constant: each command refuses a P past it, and no
+    # config can move it
     argv = BUDGETED[command]
-    assert run_cli(*_with_config(tmp_path, {"fft_budget": 50}, argv)) == 3
+    assert run_cli(*argv(tmp_path)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "exceeds the FFT budget 50" in err
-    assert run_cli(*_with_config(tmp_path, {"fft_budget": 200}, argv)) == 0
+    assert err.startswith("error:") and "P = 8388617 exceeds the FFT budget 8388608" in err
+    assert run_cli(*_with_config(tmp_path, {"fft_budget": 1 << 24}, argv)) == 1
+    refusal = "unknown config keys" if command == "wtrick" else "unrecognized arguments: --config"
+    assert refusal in capsys.readouterr().err
 
 
 def test_wtrick_reads_n_from_the_config(tmp_path):
@@ -396,7 +410,7 @@ MALFORMED_INPUTS = {
     "n-bool": (_config_file({"n": True}), "n must be an integer"),
     "c4-string": (_config_file({"n": 100000, "c4": "1"}), "constant c4 must be a positive real"),
     "z-string": (_config_file({"n": 100000, "z_override": "3"}), "z_override must be a real"),
-    "fft-budget-string": (_config_file({"n": 10000, "fft_budget": "8"}), "fft_budget must be an integer"),
+    "fft-budget-string": (_config_file({"n": 10000, "fft_budget": "8"}), "unknown config keys"),
     "k-values-null": (_config_file({"n": 10000, "k_values": [None]}), "k_values must be integers"),
     "set-composite": (_set_file("-5\n4\n5\n11\n17\n23\n"), "set member -5 is not a prime"),
     "set-above-n": (_set_file("5\n11\n17\n23\n101\n"), "set member 101 is not a prime"),
@@ -411,11 +425,11 @@ MALFORMED_INPUTS = {
     "config-not-object": (_config_file([["n", 10000]]), "must hold a JSON object"),
     "fft-budget-string-bohr": (
         lambda tmp_path: _with_config(tmp_path, {"fft_budget": "8"}, BUDGETED["bohr"]),
-        "fft_budget must be an integer",
+        "unrecognized arguments: --config",
     ),
     "threads-key-lambda": (
         lambda tmp_path: _with_config(tmp_path, {"threads": 2}, BUDGETED["lambda"]),
-        "unknown config keys",
+        "unrecognized arguments: --config",
     ),
     "tuples-limit-below-3": (
         lambda tmp_path: ["tuples", "--w", "2", "--offsets", "1", "--limit", "1"],
@@ -489,6 +503,24 @@ MALFORMED_INPUTS = {
                      ["tuples", "--w", "6", "--offsets", "1,5", "--limit", "10"],
                      ["bounds", "--n", "1e10"])
     },
+    # an empty option value is refused, not read as absent
+    **{
+        f"empty-{argv[-2][2:]}": (
+            lambda tmp_path, argv=argv: argv + ["--out", str(tmp_path / "out")],
+            f"argument {argv[-2]}: must not be empty",
+        )
+        for argv in (["pipeline", "--n", "1000", "--set", ""],
+                     ["pipeline", "--n", "1000", "--delta", ""],
+                     ["pipeline", "--n", "1000", "--eps", ""],
+                     ["pipeline", "--n", "1000", "--k", ""],
+                     ["pipeline", "--n", "1000", "--config", ""],
+                     ["delta-sweep", "--n", "1000", "--delta-grid", ""],
+                     ["delta-sweep", "--n", "1000", "--eps-grid", ""])
+    },
+    "set-source-empty-config": (
+        _config_file({"n": 1000, "set_source": ""}),
+        "set_source must be a nonempty path string, got ''",
+    ),
     "k-flag-delta-sweep": (
         lambda tmp_path: ["delta-sweep", "--n", "1000", "--k", "1,2", "--delta-grid", "0.1",
                           "--eps-grid", "0.1", "--out", str(tmp_path / "d.csv")],
@@ -529,14 +561,10 @@ def _oversized_function(tmp_path):
     return ["transform", "--in", str(path), "--out", str(tmp_path / "s.zpsp")]
 
 
-# P = 8388617, the least prime above the default 2^23 FFT budget; the set
-# file does not exist, so the budget must be checked before it is read
 OVERSIZED_INPUTS = {
     "transform-in": _oversized_function,
-    "bohr-p": lambda tmp_path: ["bohr", "--p", "8388617", "--freqs", "1", "--eps", "0.1"],
-    "lambda-p": lambda tmp_path: [
-        "lambda", "--p", "8388617", "--set", str(tmp_path / "missing.txt"),
-    ],
+    "bohr-p": BUDGETED["bohr"],
+    "lambda-p": BUDGETED["lambda"],
 }
 
 
@@ -571,17 +599,17 @@ def test_each_command_accepts_only_the_options_it_reads():
     options = _command_options()
     assert options == {
         "primes": {"--limit", "--out"},
-        "transform": {"--config", "--in", "--out"},
+        "transform": {"--in", "--out"},
         "wtrick": lift | {"--out"},
-        "bohr": {"--config", "--p", "--freqs", "--eps", "--members", "--out"},
-        "lambda": {"--config", "--p", "--set", "--direct", "--out"},
+        "bohr": {"--p", "--freqs", "--eps", "--members", "--out"},
+        "lambda": {"--p", "--set", "--direct", "--out"},
         "tuples": {"--w", "--offsets", "--limit", "--series-cutoff", "--out"},
         "pipeline": point | {"--k", "--out"},
         "norm-sweep": point | {"--k", "--out"},
         "delta-sweep": point | {"--delta-grid", "--eps-grid", "--out"},
         "bounds": {"--n", "--out"},
     }
-    assert sum(map(len, options.values())) == 53  # (command, option) slots
+    assert sum(map(len, options.values())) == 50  # (command, option) slots
 
 
 def test_readme_command_lines_parse():

@@ -44,8 +44,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("c4", "1"), ("c_sanders", True), ("c1", None), ("eta", float("nan")),
-    ("z_override", "3"), ("z_override", False), ("fft_budget", 2.0**23),
-    ("fft_budget", True), ("force", "yes"), ("set_source", 5),
+    ("z_override", "3"), ("z_override", False), ("force", "yes"), ("set_source", 5),
     ("k_values", (1, True)),
 ])
 def test_config_rejects_a_field_of_the_wrong_type(field, value):
@@ -149,9 +148,13 @@ def test_rerun_is_bit_identical(pipeline_smoothing):
 
 
 @pytest.mark.parametrize("entry", [run_pipeline, delta_sweep, lift])
-def test_fft_budget_guard(entry):
-    config = PipelineConfig(n=10**5, fft_budget=10**4)
-    with pytest.raises(ResourceLimitError):
+def test_fft_budget_guard(entry, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("sieved to N before the budget check")
+
+    monkeypatch.setattr("ap3lab.pipeline.sieve_primes", unreachable)
+    config = PipelineConfig(n=16777216)  # P = 8388617, past 2^23
+    with pytest.raises(ResourceLimitError, match="P = 8388617 exceeds the FFT budget 8388608"):
         entry(config)
 
 

@@ -117,7 +117,7 @@ def test_support_stays_inside_first_third(sieved_1e5):
 
 
 def test_mass_lower_bound_for_all_primes(table_1e5):
-    ctx, _ = build_context(table_1e5.primes(), 10**5)
+    ctx = build_context(table_1e5.primes(), 10**5, compute_parameters(10**5))
     sieved = build_sieved_function(table_1e5.primes(), ctx, prime_table=table_1e5)
     assert sieved.l1_norm >= sieved.alpha / 10
     assert sieved.mass_ok
@@ -125,7 +125,7 @@ def test_mass_lower_bound_for_all_primes(table_1e5):
 
 def test_single_element_class():
     # A = {b + W} for W = 2, b = 1: lift is {1}
-    ctx, _ = build_context([3], 100)
+    ctx = build_context([3], 100, compute_parameters(100))
     for members in ([3], [3, 3, 3]):  # repeats count once
         sieved = build_sieved_function(members, ctx)
         assert ctx.a0.tolist() == [1]
@@ -135,8 +135,9 @@ def test_single_element_class():
 
 def test_rejects_empty_and_composite_inputs():
     with pytest.raises(EmptySelectionError):
-        build_context([], 1000)
-    ctx, _ = build_context([9], 1000)  # 9 = 1 mod 2, 9 > 2, but not prime
+        build_context([], 1000, compute_parameters(1000))
+    # 9 = 1 mod 2, 9 > 2, but not prime
+    ctx = build_context([9], 1000, compute_parameters(1000))
     with pytest.raises(InvalidArgumentError):
         build_sieved_function([9], ctx)
     # with a covering table, and with one too short that is replaced
@@ -148,7 +149,7 @@ def test_rejects_empty_and_composite_inputs():
 
 
 def test_rejects_elements_above_n():
-    ctx, _ = build_context([3, 5, 7], 100)
+    ctx = build_context([3, 5, 7], 100, compute_parameters(100))
     with pytest.raises(InvalidArgumentError):
         build_sieved_function([3, 5, 7, 101], ctx)
 
@@ -156,7 +157,7 @@ def test_rejects_elements_above_n():
 def test_lifting_preserves_progressions(table_1e5):
     # every 3AP in the lifted set comes from a 3AP in A, constructively
     primes = table_1e5.primes()
-    ctx, _ = build_context(primes, 10**5)
+    ctx = build_context(primes, 10**5, compute_parameters(10**5))
     build_sieved_function(primes, ctx, prime_table=table_1e5)
     a0 = ctx.a0.tolist()
     a0_set = set(a0)
@@ -181,7 +182,7 @@ def test_planted_ap_free_set_lifts_to_ap_free_a0():
     members = [1 + params.w * m for m in seed if m >= 1]
     members = [m for m in members if _is_prime_trial(m)]
     assert len(members) > 10
-    ctx, _ = build_context(members, n)
+    ctx = build_context(members, n, params)
     build_sieved_function(members, ctx)
     assert count_3aps_brute(ctx.a0.tolist()) == 0
 
