@@ -18,6 +18,7 @@ from .bounds import (
 )
 from .cyclic import (
     CyclicFunction,
+    ScaledIndicator,
     Spectrum,
     fixed_sum,
     forward_transform,

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclic import CyclicFunction, _in_two, _sum_counts
+from .cyclic import ScaledIndicator, _in_two, _sum_counts
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import is_prime
 
@@ -256,16 +256,14 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
 def _half_set_spectrum(bohr: BohrSet) -> np.ndarray:
     """The real sigmahat at t <= P//2 of a Bohr set that contains 0 and is
     symmetric about it (_check_centred), from the forward transform of
-    (2P/|B|) * 1_{B+}, B+ = B & (0, P/2): its real part plus 1/|B|. B+ is
-    the first half of members[1:], and its window is at most P/2 long
-    where all of B's may be P.
+    (2P/|B|) * 1_{B+}, B+ = B & (0, P/2), held as its support
+    (cyclic.ScaledIndicator): its real part plus 1/|B|. B+ is the first
+    half of members[1:], and its window is at most P/2 long where all of
+    B's may be P.
     """
     _check_centred(bohr)
     p, members, size = bohr.modulus, bohr.members(), bohr.size
-    values = np.zeros(p)
-    values[members[1 : 1 + size // 2]] = 2 * p / size
-    half = CyclicFunction(p, values).spectrum().half
-    del values
+    half = ScaledIndicator(p, members[1 : 1 + size // 2], 2 * p / size).spectrum().half
     return half.real + 1.0 / size
 
 

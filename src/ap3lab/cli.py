@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bd
@@ -59,6 +60,37 @@ def _nonempty(text: str) -> str:
     return text
 
 
+def _integer(text: str) -> int:
+    """One integer; argparse names the option of a malformed one."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+
+
+def _decimal(text: str) -> str:
+    """A nonempty decimal or fraction string, kept as written for the exact
+    parse downstream; argparse names the option of a malformed one."""
+    try:
+        Fraction(_nonempty(text))
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal or fraction") from None
+    return text
+
+
+def _listed(parse):
+    """The argparse type of a nonempty comma-separated list, each value
+    read by parse (_integer or _decimal)."""
+
+    def read(text: str) -> list:
+        values = _nonempty(text).split(",")
+        if "" in values:
+            raise argparse.ArgumentTypeError(f"{text!r} holds an empty value")
+        return [parse(value) for value in values]
+
+    return read
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ap3lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -69,8 +101,8 @@ def _build_parser() -> _Parser:
     lift.add_argument("--z", type=float)
     lift.add_argument("--set", dest="set_file", type=_nonempty)
     point = _Parser(add_help=False, parents=[lift])
-    point.add_argument("--delta", type=_nonempty)
-    point.add_argument("--eps", type=_nonempty)
+    point.add_argument("--delta", type=_decimal)
+    point.add_argument("--eps", type=_decimal)
 
     p = sub.add_parser("primes", help="write primes up to a limit, one per line")
     p.add_argument("--limit", type=int, required=True)
@@ -85,8 +117,9 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bohr", help="Bohr set size and members")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--freqs", required=True, help="comma-separated frequencies")
-    p.add_argument("--eps", required=True, help="radius as a decimal string")
+    p.add_argument("--freqs", type=_listed(_integer), required=True,
+                   help="comma-separated frequencies")
+    p.add_argument("--eps", type=_decimal, required=True, help="radius as a decimal string")
     p.add_argument("--members", action="store_true")
     p.add_argument("--out")
 
@@ -99,23 +132,24 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("tuples", help="prime tuple count against its sieve bound")
     p.add_argument("--w", type=int, required=True)
-    p.add_argument("--offsets", required=True, help="comma-separated offsets")
+    p.add_argument("--offsets", type=_listed(_integer), required=True,
+                   help="comma-separated offsets")
     p.add_argument("--limit", type=int, required=True)
     p.add_argument("--series-cutoff", type=int, default=DEFAULT_SERIES_CUTOFF)
     p.add_argument("--out")
 
     p = sub.add_parser("pipeline", parents=[point], help="full experiment; JSON plus CSV")
-    p.add_argument("--k", type=_nonempty, help="comma-separated k values")
+    p.add_argument("--k", type=_listed(_integer), help="comma-separated k values")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("norm-sweep", parents=[point],
                        help="norm table rows over --k (default 1,2,3)")
-    p.add_argument("--k", type=_nonempty, help="comma-separated k values")
+    p.add_argument("--k", type=_listed(_integer), help="comma-separated k values")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("delta-sweep", parents=[point], help="rows over a (delta, epsilon) grid")
-    p.add_argument("--delta-grid", type=_nonempty)
-    p.add_argument("--eps-grid", type=_nonempty)
+    p.add_argument("--delta-grid", type=_listed(_decimal))
+    p.add_argument("--eps-grid", type=_listed(_decimal))
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bounds", help="density bound comparison table")
@@ -147,11 +181,11 @@ def _pipeline_config(args) -> PipelineConfig:
     if getattr(args, "eps", None) is not None:
         raw["epsilon"] = args.eps
     if getattr(args, "k", None) is not None:
-        raw["k_values"] = [int(v) for v in args.k.split(",")]
+        raw["k_values"] = args.k
     if getattr(args, "delta_grid", None) is not None:
-        raw["delta_grid"] = args.delta_grid.split(",")
+        raw["delta_grid"] = args.delta_grid
     if getattr(args, "eps_grid", None) is not None:
-        raw["epsilon_grid"] = args.eps_grid.split(",")
+        raw["epsilon_grid"] = args.eps_grid
     if "n" not in raw:
         raise InvalidArgumentError("--n (or a config file with n) is required")
     return PipelineConfig.from_dict(raw)
@@ -210,8 +244,7 @@ def _cmd_wtrick(args) -> int:
 
 def _cmd_bohr(args) -> int:
     check_fft_budget(args.p)
-    freqs = [int(v) for v in args.freqs.split(",")]
-    bohr = build_bohr_set(args.p, freqs, args.eps)
+    bohr = build_bohr_set(args.p, args.freqs, args.eps)
     report = {
         "p": args.p,
         "frequencies": list(bohr.frequencies),
@@ -253,7 +286,7 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_tuples(args) -> int:
-    spec = TupleSpec(w=args.w, offsets=tuple(int(v) for v in args.offsets.split(",")))
+    spec = TupleSpec(w=args.w, offsets=tuple(args.offsets))
     count = count_prime_tuples(spec, args.limit)
     series = singular_series(spec, args.series_cutoff)
     report = {

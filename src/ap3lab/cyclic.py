@@ -12,6 +12,13 @@ Every function here is real, so coeff[P - t] = conj(coeff[t]) and a Spectrum
 stores only t <= P//2: P//2 + 1 coefficients. Consumers read that half, and
 a sum over all P coefficients is a fixed_sum over the mirrored sequence
 (mirrored_sum), formed row by row without building it.
+
+A function is held one of two ways: CyclicFunction, dense, as its P values;
+or ScaledIndicator, c * 1_S, as its support S and the scale c, which is
+how the W-trick lift and the Bohr kernel's half set are made. Both answer
+.modulus and .spectrum(), and forward_transform takes either through one
+chirp-z core, so the indicator's transform reads |S| values and builds no
+length-P float array.
 """
 
 from __future__ import annotations
@@ -119,15 +126,50 @@ class CyclicFunction:
         return fixed_sum(self.values) / self.modulus
 
 
+class ScaledIndicator:
+    """scale * 1_S on Z/PZ, held as its support S: a read-only, ascending
+    int64 array of distinct residues in [0, P). No length-P array is held.
+
+    Immutable; the spectrum is memoized on first use, and is
+    forward_transform(CyclicFunction.indicator(P, S, scale)) in every bit.
+    """
+
+    __slots__ = ("modulus", "support", "scale", "_spectrum")
+
+    def __init__(self, modulus: int, support, scale: float):
+        support = np.asarray(support, dtype=np.int64)
+        if support.ndim != 1 or (support.size and (
+            support[0] < 0 or support[-1] >= modulus or np.any(support[1:] <= support[:-1])
+        )):
+            raise InvalidArgumentError(
+                f"support must be ascending distinct residues in [0, {modulus})"
+            )
+        if not math.isfinite(scale):
+            raise InvalidArgumentError(f"scale must be finite, got {scale!r}")
+        if not is_prime(modulus):
+            raise InvalidArgumentError(f"modulus {modulus} is not prime")
+        support.setflags(write=False)
+        self.modulus = modulus
+        self.support = support
+        self.scale = float(scale)
+        self._spectrum = None
+
+    def spectrum(self) -> "Spectrum":
+        if self._spectrum is None:
+            self._spectrum = forward_transform(self)
+        return self._spectrum
+
+
 class Spectrum:
     """Fourier coefficients of a real function on Z/PZ.
 
     Only coefficients t <= P//2 are held, coefficient t at half[t]; the
     others are coeff[P - t] = conj(coeff[t]). full() is the one expansion
-    to all P.
+    to all P. fourth_moment() is sum_t |coeff[t]|^4, memoized, so the
+    Markov check and the pipeline's exact cross-check share one sum.
     """
 
-    __slots__ = ("modulus", "half")
+    __slots__ = ("modulus", "half", "_fourth_moment")
 
     def __init__(self, modulus: int, half):
         half = np.ascontiguousarray(half, dtype=np.complex128)
@@ -141,6 +183,7 @@ class Spectrum:
         half.setflags(write=False)
         self.modulus = modulus
         self.half = half
+        self._fourth_moment = None
 
     def full(self) -> np.ndarray:
         """All P coefficients, a new array: coeff[P - t] = conj(half[t])."""
@@ -150,12 +193,19 @@ class Spectrum:
         np.conjugate(self.half[p - size : 0 : -1], out=out[size:])
         return out
 
+    def fourth_moment(self) -> float:
+        """sum_t |coeff[t]|^4 over all P frequencies, as mirrored_sum forms
+        it (fixed order, repeated multiplication), on first use."""
+        if self._fourth_moment is None:
+            self._fourth_moment = mirrored_sum(self.half, self.modulus, _powers(4))
+        return self._fourth_moment
+
 
 # ----------------------------------------------------------------------
 # transforms
 # ----------------------------------------------------------------------
 
-def forward_transform(f: CyclicFunction) -> Spectrum:
+def forward_transform(f: CyclicFunction | ScaledIndicator) -> Spectrum:
     """Normalized transform: coeff[t] = mean_x f(x) exp(+2*pi*i*x*t/P).
 
     f is real, so only t <= P/2 is computed and held (see Spectrum). Those
@@ -164,17 +214,31 @@ def forward_transform(f: CyclicFunction) -> Spectrum:
     the nonzero values of f, with each chirp phase n^2 mod 2P formed in
     exact integers (see _half_chirp_z). The lift's a lives in [1, P/3],
     so its convolution is about 5P/6 long instead of the 2P a generic
-    prime-length FFT pads to.
+    prime-length FFT pads to. A dense f's nonzero values are found by one
+    scan of its P values; a ScaledIndicator's are its support (none at
+    scale 0), whose window is read off its |S| sorted residues.
     """
-    return Spectrum(f.modulus, _half_chirp_z(f.values))
+    p = f.modulus
+    if p > _EXACT_PHASE_MAX_MODULUS:
+        raise ResourceLimitError(
+            f"P = {p} is past {_EXACT_PHASE_MAX_MODULUS}, where the chirp phase "
+            "n^2 mod 2P could overflow int64"
+        )
+    if isinstance(f, ScaledIndicator):
+        nonzero = f.support if f.scale != 0 else f.support[:0]
+        return Spectrum(p, _half_chirp_z(p, nonzero, scale=f.scale))
+    return Spectrum(p, _half_chirp_z(p, np.flatnonzero(f.values), f.values))
 
 
-def _half_chirp_z(values: np.ndarray) -> np.ndarray:
-    """(1/P) sum_x values[x] exp(2*pi*i*x*t/P) for t in [0, P//2], where
-    P = len(values) and the values are real.
+def _half_chirp_z(p: int, nonzero: np.ndarray, values: np.ndarray | None = None,
+                  scale: float = 0.0) -> np.ndarray:
+    """(1/P) sum_x f(x) exp(2*pi*i*x*t/P) for t in [0, P//2], for the real
+    f on Z/PZ that is nonzero exactly at the ascending residues nonzero:
+    values[x] for the dense values of f, or scale there when values is
+    None.
 
     With x*t = (x^2 + t^2 - (t - x)^2)/2 and w(n) = exp(i*pi*n^2/P),
-    coeff[t] = w(t)/P * sum_x values[x] w(x) conj(w(t - x)), which holds
+    coeff[t] = w(t)/P * sum_x f(x) w(x) conj(w(t - x)), which holds
     for any integer representative x of a residue. So x runs over the
     window [x0, x0 + L) of the nonzero values and t over [0, P//2], and
     the sum is a linear convolution of L chirped values with
@@ -183,16 +247,13 @@ def _half_chirp_z(values: np.ndarray) -> np.ndarray:
     is used. Its three FFTs are row-column passes over an R x C grid
     (_row_column_fft): both spectra come out in the same transposed
     order, so their product needs no transpose, and no pass needs
-    scratch of length S.
+    scratch of length S. Dense values fill all L window slots, their
+    chirps times the values; without them scale * w(x) is scattered at
+    the offsets of the nonzero residues alone, the same complex products
+    at the same slots and zeros elsewhere.
     """
-    p = values.size
-    if p > _EXACT_PHASE_MAX_MODULUS:
-        raise ResourceLimitError(
-            f"P = {p} is past {_EXACT_PHASE_MAX_MODULUS}, where the chirp phase "
-            "n^2 mod 2P could overflow int64"
-        )
     half = p // 2 + 1
-    x0, length = _support_window(values)
+    x0, length = _support_window(nonzero, p)
     size = _five_smooth_at_least(half + length - 1)
     columns = _fft_columns(size)
 
@@ -200,13 +261,19 @@ def _half_chirp_z(values: np.ndarray) -> np.ndarray:
     _chirp(1 - length - x0, half - x0, p, kernel[: half + length - 1])
     window = np.zeros(size, dtype=np.complex128)
     # w is even, so w(x0 + j) = w(-x0 - j), which kernel holds at L - 1 - j
-    window[:length] = kernel[length - 1 :: -1]
+    if values is None:
+        offsets = nonzero - x0
+        offsets %= p
+        window[offsets] = kernel[length - 1 - offsets] * scale
+        del offsets
+    else:
+        window[:length] = kernel[length - 1 :: -1]
+        head = min(length, p - x0)  # the window wraps past P - 1 after head values
+        window[:head] *= values[x0 : x0 + head]
+        window[head:length] *= values[: length - head]
     np.conjugate(kernel, out=kernel)
     _row_column_fft(kernel, columns)
 
-    head = min(length, p - x0)  # the window wraps past P - 1 after head values
-    window[:head] *= values[x0 : x0 + head]
-    window[head:length] *= values[: length - head]
     _row_column_fft(window, columns)
     window *= kernel
     del kernel
@@ -427,9 +494,12 @@ def _sum_counts(x: np.ndarray, y: np.ndarray | None = None) -> tuple[np.ndarray,
     The indicators are convolved (_real_convolution) at the least even
     5-smooth length S > max X + max Y, so no sum wraps, and r is a view of
     X's indicator; X + X takes one length-S array. r is rounded in place,
-    _COUNT_BLOCK values at a time, and InvariantError is raised unless
+    _COUNT_BLOCK values at a time, the blocks shared out in chunks
+    between two threads (_in_two), and InvariantError is raised unless
     every value lay within AUTOCONVOLUTION_ROUNDING_BOUND of its integer
-    and the integers sum to |X| * |Y|.
+    and the integers sum to |X| * |Y|. The rounding is elementwise and
+    both results are a max and an integer sum, so no bit depends on the
+    split.
     """
     sets = [x] if y is None else [x, y]
     top = int(x.max(initial=0)) + int(sets[-1].max(initial=0))
@@ -439,13 +509,18 @@ def _sum_counts(x: np.ndarray, y: np.ndarray | None = None) -> tuple[np.ndarray,
         indicator[members] = 1.0
     r = _real_convolution(*indicators)[: top + 1]
     del indicators  # frees Y's indicator; r is a view of X's
-    rounding_error, counted = 0.0, 0
-    for start in range(0, r.size, _COUNT_BLOCK):
-        chunk = r[start : start + _COUNT_BLOCK]
-        rounded = np.rint(chunk)
-        rounding_error = max(rounding_error, float(np.max(np.abs(chunk - rounded))))
-        chunk[:] = rounded
-        counted += int(rounded.astype(np.int64).sum())
+    errors, counts = [0.0], []  # list.append is atomic under the GIL
+
+    def round_blocks(lo: int, hi: int) -> None:
+        for start in range(lo, hi, _COUNT_BLOCK):
+            chunk = r[start : min(start + _COUNT_BLOCK, hi)]
+            rounded = np.rint(chunk)
+            errors.append(float(np.max(np.abs(chunk - rounded))))
+            chunk[:] = rounded
+            counts.append(int(rounded.astype(np.int64).sum()))
+
+    _in_two(round_blocks, r.size, _COUNT_BLOCK, r.size)
+    rounding_error, counted = max(errors), sum(counts)
     total = x.size * sets[-1].size
     if rounding_error > AUTOCONVOLUTION_ROUNDING_BOUND or counted != total:
         raise InvariantError(
@@ -467,16 +542,15 @@ def _unit_roots(rows: np.ndarray, columns: int, size: int, sign: float) -> np.nd
     return out
 
 
-def _support_window(values: np.ndarray) -> tuple[int, int]:
+def _support_window(nonzero: np.ndarray, p: int) -> tuple[int, int]:
     """(x0, L) with 0 <= x0 < P: the shortest cyclic window
-    [x0, x0 + L) mod P that holds every nonzero value. It lies opposite
-    the widest cyclic gap between nonzero indices."""
-    nonzero = np.flatnonzero(values)
+    [x0, x0 + L) mod P that holds every residue of the ascending array
+    nonzero. It lies opposite the widest cyclic gap between them."""
     if nonzero.size == 0:
         return 0, 1
-    gaps = np.diff(nonzero, append=nonzero[0] + values.size)
+    gaps = np.diff(nonzero, append=nonzero[0] + p)
     widest = int(np.argmax(gaps))
-    return int(nonzero[(widest + 1) % nonzero.size]), values.size + 1 - int(gaps[widest])
+    return int(nonzero[(widest + 1) % nonzero.size]), p + 1 - int(gaps[widest])
 
 
 def _five_smooth_at_least(n: int) -> int:
@@ -661,8 +735,7 @@ def threshold_spectrum(s: Spectrum, delta: float) -> tuple[np.ndarray, int]:
     low = np.flatnonzero(magnitudes >= delta)
     mirrored = low[(low >= 1) & (low <= p - magnitudes.size)]
     raw = np.concatenate((low, p - mirrored[::-1]))
-    fourth_moment = mirrored_sum(magnitudes, p, _powers(4))
-    if raw.size * delta**4 > fourth_moment * (1 + _MARKOV_REL_TOL):
+    if raw.size * delta**4 > s.fourth_moment() * (1 + _MARKOV_REL_TOL):
         raise InvariantError(
             "Markov bound on the large spectrum failed; transform is inconsistent"
         )

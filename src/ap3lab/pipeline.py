@@ -4,9 +4,15 @@ Every entry point starts from one W-trick lift stage, `lift`. A run is
 deterministic: canonical JSON (sorted keys, two-space indent), fixed CSV
 column order.
 
+a = scale * 1_{A0} is held as its support A0 and the scale
+(cyclic.ScaledIndicator), from the lift to the one forward transform of a,
+which scatters the chirped scale at A0's offsets; no length-P array of a
+is built, and after the lift only the size of the input set is kept.
+
 Values computed from integers or by fixed-order reductions are identical
 on every numpy build: lambda(a, a, a), its d = 0 part and sum |ahat|^4
-come from exact integer counts of A0 (threeap.additive_counts). h is
+come from exact integer counts of A0 (threeap.additive_counts), taken
+after ahat (that order peaked about 1.3 MB lower at N = 1e7). h is
 (scale/|B|) times bohr.smooth's exact integer count g (with B = {0}, g is
 the indicator of A0), and h is never built: _smoothed_statistics reads
 h_sup, the level set and every 2k-norm off one histogram of g by exact
@@ -49,9 +55,10 @@ N <= 1e6): the chirps and the row-column FFT passes of each forward
 transform (ahat, and sigmahat of a set that is not a progression), the
 FFT passes and combining pass of the integer convolutions (the exact
 counts, and smooth's count of a Bohr set past 255 members), and the
-closed-form sigmahat of a progression. Each value is formed by the
-same numpy calls in the same order on either thread, so no report bit
-depends on the split. The level set {h >= h_l1/2} does not depend on k,
+closed-form sigmahat of a progression; the exact counts' rounding and
+energy passes share their blocks out the same way. Each value is formed
+by the same numpy calls in the same order on either thread, so no report
+bit depends on the split. The level set {h >= h_l1/2} does not depend on k,
 so the one histogram of g serves every k.
 """
 
@@ -70,15 +77,16 @@ import numpy as np
 
 from . import bounds as bd
 from .bohr import as_radius, build_bohr_set, kernel_spectrum, smooth
-from .cyclic import check_fft_budget, spectral_lp_norm, threshold_spectrum
+from .cyclic import check_fft_budget, threshold_spectrum
 from .errors import InvalidArgumentError, InvariantError
 from .primes import sieve_primes
 from .sieve_bounds import convolution_norm_bound, moment_index_in_range
 from .threeap import additive_counts, lambda_fourier, lambda_of_spectra
 from .wtrick import build_context, build_sieved_function, compute_parameters
 
-# lp_norm stays importable here because perfbench/spans.py wraps pipeline.lp_norm.
-from .cyclic import lp_norm  # noqa: F401
+# lp_norm and spectral_lp_norm stay importable here because perfbench/spans.py
+# wraps pipeline.lp_norm and pipeline.spectral_lp_norm.
+from .cyclic import lp_norm, spectral_lp_norm  # noqa: F401
 
 REPORT_SCHEMA = "ap3lab-report/1"
 
@@ -118,6 +126,16 @@ def _is_integer(value) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _fraction(name: str, value) -> Fraction:
+    """value as an exact Fraction; a malformed one names its field."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InvalidArgumentError(
+            f"{name} must be a decimal or fraction string, got {value!r}"
+        ) from None
 
 
 def _reject_repeats(name: str, values) -> None:
@@ -164,7 +182,7 @@ class PipelineConfig:
             ("delta", [self.delta]), ("epsilon", [self.epsilon]),
             ("delta_grid", self.delta_grid), ("epsilon_grid", self.epsilon_grid),
         ):
-            fractions = [Fraction(value) for value in values]
+            fractions = [_fraction(name, value) for value in values]
             for value in fractions:
                 if not 0 < value < Fraction(1, 2):
                     raise InvalidArgumentError(f"{name} must lie in (0, 1/2), got {value}")
@@ -313,6 +331,8 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
     """Full run: W-trick lift, spectrum, Bohr smoothing, progression
     operators, norm table, level sets, and the final-inequality ledger."""
     members, ctx, params, sieved = lift(config)
+    set_size = int(members.size)
+    del members
     a = sieved.function
 
     lam_a, lam_a_trivial, l4_pow4 = _counted_moments(a, ctx)
@@ -375,7 +395,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
             "b": ctx.b,
             "p": ctx.p,
             "scale": ctx.scale,
-            "set_size": int(members.size),
+            "set_size": set_size,
             "a0_size": int(ctx.a0.size),
             "alpha": sieved.alpha,
             "a_l1": sieved.l1_norm,
@@ -463,7 +483,14 @@ def _smoothed_statistics(g: np.ndarray, size: int, a0_size: int, scale: float,
     |B|^(2k), rounded once with the factor scale^(2k) (by repeated
     multiplication), then over P: nothing overflows for a k the lift takes.
     """
-    histogram = np.bincount(g, minlength=size + 1)
+    # bincount casts its input to intp, so g is counted in blocks: each
+    # block's histogram has |B| + 1 bins, and a block of at least four
+    # times that keeps their sums a small part of the work (one block once
+    # |B| nears P)
+    block = max(1 << 16, 4 * (size + 1))
+    histogram = np.zeros(size + 1, dtype=np.int64)
+    for start in range(0, g.size, block):
+        histogram += np.bincount(g[start : start + block], minlength=size + 1)
     bins = [(v, int(histogram[v])) for v in np.flatnonzero(histogram).tolist()]
     if sum(v * n for v, n in bins) != a0_size * size:
         raise InvariantError(f"smoothed count does not sum to |A0| * |B| = {a0_size * size}")
@@ -486,8 +513,11 @@ def _counted_moments(a, ctx) -> tuple[float, float, float]:
 
     Each value is a product of the scale with an integer over a power of P,
     so it does not depend on how the transforms round. The operator and the
-    4-norm are cross-checked against their spectral evaluations.
+    4-norm are cross-checked against their spectral evaluations; ahat is
+    taken first, and its fourth moment is the one the threshold's Markov
+    check reads.
     """
+    spectrum = a.spectrum()
     counts = additive_counts(ctx.a0)
     p, scale = ctx.p, ctx.scale
     scale3 = scale * scale * scale
@@ -496,7 +526,7 @@ def _counted_moments(a, ctx) -> tuple[float, float, float]:
     l4_pow4 = scale3 * scale * counts.energy / (p * p * p)
     for name, exact, spectral in (
         ("lambda(a, a, a)", lam, lambda_fourier(a, a, a)),
-        ("sum |ahat|^4", l4_pow4, spectral_lp_norm(a.spectrum(), 4) ** 4),
+        ("sum |ahat|^4", l4_pow4, spectrum.fourth_moment()),
     ):
         if not math.isclose(exact, spectral, rel_tol=_SPECTRAL_CHECK_REL_TOL):
             raise InvariantError(

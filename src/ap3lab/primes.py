@@ -27,8 +27,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 class PrimeTable:
     """Bit-packed primality table for [2, limit].
 
-    Bit i of `bits` is set iff the odd number 2i+1 is composite (or 1).
-    Immutable after construction; safe to share across threads.
+    Bit i of `bits` is set iff the odd number 2i+1 is composite (or 1), and
+    count is pi(limit). Immutable after construction; safe to share across
+    threads. is_prime reads the bytes through a zero-copy memoryview of
+    `bits`, so each lookup is Python integer work on no numpy scalar.
     """
 
     def __init__(self, limit: int, bits: np.ndarray, count: int):
@@ -36,6 +38,7 @@ class PrimeTable:
         self.bits = bits
         self.count = count
         bits.setflags(write=False)
+        self._bytes = memoryview(bits)
 
     def is_prime(self, n: int) -> bool:
         if n < 2 or n > self.limit:
@@ -43,7 +46,7 @@ class PrimeTable:
         if n % 2 == 0:
             return n == 2
         i = (n - 1) // 2
-        return not (self.bits[i >> 3] >> (7 - (i & 7))) & 1
+        return not (self._bytes[i >> 3] >> (7 - (i & 7))) & 1
 
     def is_prime_many(self, values) -> np.ndarray:
         """is_prime of each value, as one bool array, by one vectorized
@@ -134,9 +137,11 @@ def sieve_progression(w: int, offsets, start: int, stop: int, base):
 
 
 def prime_count(table: PrimeTable, x: int) -> int:
-    """pi(x): number of primes <= x."""
+    """pi(x): number of primes <= x; the table's own count at its limit."""
     if x < 0 or x > table.limit:
         raise InvalidArgumentError(f"x={x} outside [0, {table.limit}]")
+    if x == table.limit:
+        return table.count
     if x < 2:
         return 0
     n_odds = (x + 1) // 2  # odd numbers 1..x

@@ -15,7 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cyclic import _COUNT_BLOCK, SUM_BLOCK, CyclicFunction, _sum_counts, fixed_sum, mirrored_sum
+from .cyclic import (
+    _COUNT_BLOCK,
+    SUM_BLOCK,
+    CyclicFunction,
+    ScaledIndicator,
+    _in_two,
+    _sum_counts,
+    fixed_sum,
+    mirrored_sum,
+)
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 
 # Above this modulus the O(P^2) double loop is refused and callers should
@@ -53,8 +62,10 @@ def additive_counts(members) -> AdditiveCounts:
     Duplicates are dropped by sort and mask. r is the autoconvolution
     of A (cyclic._sum_counts), formed over one length-S float64 array,
     rounded in place and checked there. The energy is taken from r in
-    blocks of _COUNT_BLOCK values converted to int64, and the pairs from
-    r at 2A, so only a block at a time is held as int64.
+    blocks of _COUNT_BLOCK values converted to int64, shared out in chunks
+    between two threads (cyclic._in_two) once r reaches 2^20 values, and
+    the pairs from r at 2A, so only a block a thread is held as int64.
+    Both are exact integer sums, so no bit depends on the split.
     """
     arr = np.sort(np.asarray(members, dtype=np.int64))
     first = np.ones(arr.size, dtype=bool)
@@ -66,10 +77,15 @@ def additive_counts(members) -> AdditiveCounts:
     size = int(arr.size)
     # r(s) <= |A|, so r^2 fits int64 and each block's sum stays below 2**63
     block = min(_COUNT_BLOCK, max(1, (2**63 - 1) // max(1, size * size)))
-    energy = 0
-    for start in range(0, r.size, block):
-        counts = r[start : start + block].astype(np.int64)
-        energy += int(np.square(counts, out=counts).sum())
+    energies = []  # list.append is atomic under the GIL
+
+    def square_blocks(lo: int, hi: int) -> None:
+        for start in range(lo, hi, block):
+            counts = r[start : min(start + block, hi)].astype(np.int64)
+            energies.append(int(np.square(counts, out=counts).sum()))
+
+    _in_two(square_blocks, r.size, block, r.size)
+    energy = sum(energies)
     pairs = sum(
         int(r[2 * arr[i : i + block]].astype(np.int64).sum())
         for i in range(0, arr.size, block)
@@ -117,10 +133,13 @@ def lambda_direct(f: CyclicFunction, g: CyclicFunction, h: CyclicFunction) -> AP
     )
 
 
-def lambda_fourier(
-    f: CyclicFunction, g: CyclicFunction, h: CyclicFunction
-) -> float:
-    """Spectral evaluation via sum_t fhat(t) * ghat(-2t) * hhat(t).
+Function = CyclicFunction | ScaledIndicator  # anything with .modulus and .spectrum()
+
+
+def lambda_fourier(f: Function, g: Function, h: Function) -> float:
+    """Spectral evaluation via sum_t fhat(t) * ghat(-2t) * hhat(t), for
+    any functions that answer .modulus and .spectrum(): dense
+    CyclicFunctions or ScaledIndicators held as their supports.
 
     The closed form follows from expanding f, g, h against this package's
     transform pair: the x-average forces r + s + u = 0 and the d-average

@@ -1,5 +1,7 @@
 """Small-prime sieving of a prime set: product modulus W, densest coprime
-residue class, lift to [1, P], and the rescaled indicator function.
+residue class, lift to [1, P], and the rescaled indicator function, held
+as its support A0 and the scale (cyclic.ScaledIndicator): no length-P
+array of a is ever built.
 """
 
 from __future__ import annotations
@@ -9,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cyclic import CyclicFunction
+from .cyclic import ScaledIndicator
 from .errors import (
     DegenerateParametersError,
     EmptySelectionError,
@@ -57,9 +59,10 @@ class WTrickContext:
 
 @dataclass
 class SievedFunction:
-    """The rescaled indicator of the lifted set, plus its headline stats."""
+    """The rescaled indicator of the lifted set, held as its support, plus
+    its headline stats."""
 
-    function: CyclicFunction
+    function: ScaledIndicator
     alpha: float  # |A| / pi(N)
     l1_norm: float  # scale * |A0| / P
     mass_ok: bool  # l1_norm >= alpha / 10 (reported; asserted only for dense A)
@@ -154,7 +157,7 @@ def build_sieved_function(
     prime_table: PrimeTable | None = None,
 ) -> SievedFunction:
     """Lift the chosen class to A0 = {(m-b)/W} and build a = scale * 1_{A0}
-    on Z/PZ.
+    on Z/PZ, as the ScaledIndicator over ctx.a0.
 
     Every lifted element must be prime (the input is supposed to be a prime
     subset); each is looked up in `prime_table`, which is sieved to N here
@@ -190,9 +193,7 @@ def build_sieved_function(
         )
     ctx.a0 = a0
 
-    values = np.zeros(ctx.p)
-    values[a0] = ctx.scale
-    function = CyclicFunction(ctx.p, values)
+    function = ScaledIndicator(ctx.p, a0, ctx.scale)
 
     alpha = members.size / prime_count(prime_table, ctx.n)
     l1_norm = ctx.scale * a0.size / ctx.p

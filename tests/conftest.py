@@ -22,6 +22,7 @@ import pytest
 from ap3lab.cyclic import (
     _SPECTRUM_MAGIC,
     CyclicFunction,
+    ScaledIndicator,
     Spectrum,
     _read_payload,
     fixed_sum,
@@ -349,13 +350,18 @@ def read_spectrum(path) -> Spectrum:
     return Spectrum(p, data.astype(np.float64).view(np.complex128)[: p // 2 + 1])
 
 
-def smoothed(a: CyclicFunction, bohr) -> CyclicFunction:
+def smoothed(a, bohr) -> CyclicFunction:
     """h = a * sigma for a = c * 1_S, as the dense array (c/|B|) * g built
-    from smooth's count g of S = the support of a; h = 0 when a = 0. The
-    package never builds h, so the checks on h's convolution, spectrum
-    and lambda build it here."""
-    support = np.flatnonzero(a.values)
-    scale = float(a.values[support[0]]) if support.size else 0.0
+    from smooth's count g of S; h = 0 when a = 0. a is a ScaledIndicator
+    (the lift's a), read as its support and scale, or a dense
+    CyclicFunction, whose support is its nonzero values. The package never
+    builds h, so the checks on h's convolution, spectrum and lambda build
+    it here."""
+    if isinstance(a, ScaledIndicator):
+        support, scale = a.support, a.scale
+    else:
+        support = np.flatnonzero(a.values)
+        scale = float(a.values[support[0]]) if support.size else 0.0
     return CyclicFunction(a.modulus, smooth(support, bohr) * (scale / bohr.size))
 
 

@@ -157,7 +157,7 @@ def test_criterion_05_wtrick_mass_and_support():
         primes = table.primes()
         ctx = build_context(primes, n, compute_parameters(n))
         sieved = build_sieved_function(primes, ctx, prime_table=table)
-        support = np.flatnonzero(sieved.function.values)
+        support = sieved.function.support
         mass_ok = sieved.l1_norm >= sieved.alpha / 10
         support_ok = int(support.max()) * 3 <= ctx.p and int(support.min()) >= 0
         ok = ok and mass_ok and support_ok
@@ -223,7 +223,8 @@ def test_criterion_07_smoothing_identities():
         freqs, _ = threshold_spectrum(r_set, float(delta))
         bohr = build_bohr_set(ctx.p, freqs.tolist(), eps)
         h = smoothed(a, bohr)
-        l1_ok = math.isclose(lp_norm(h, 1), lp_norm(a, 1), rel_tol=1e-10)
+        dense_a = CyclicFunction.indicator(ctx.p, ctx.a0, ctx.scale)
+        l1_ok = math.isclose(lp_norm(h, 1), lp_norm(dense_a, 1), rel_tol=1e-10)
         nonneg_ok = float(h.values.min()) >= 0.0
         sup_ok = float(h.values.max()) <= ctx.scale * (1 + 1e-12)
         ok = ok and l1_ok and nonneg_ok and sup_ok

@@ -358,13 +358,15 @@ def test_kernel_spectrum_transforms_only_the_positive_half_of_the_set(monkeypatc
     transform = cyclic.forward_transform
 
     def recording(f):
-        supports.append(np.flatnonzero(f.values))
+        supports.append((f.support, f.scale))
         return transform(f)
 
     monkeypatch.setattr(cyclic, "forward_transform", recording)
     kernel_spectrum(bohr)
     assert len(supports) == 1
-    assert np.array_equal(supports[0], members[(members > 0) & (2 * members < 2003)])
+    support, scale = supports[0]
+    assert np.array_equal(support, members[(members > 0) & (2 * members < 2003)])
+    assert scale == 2 * 2003 / bohr.size
 
 
 # members of Z/101Z that are not a progression: 0 missing, a member below

@@ -25,6 +25,7 @@ UNREFERENCED = {
     # revision that stops wrapping them (ROADMAP item 1)
     "inverse_transform",
     "level_set_extract",
+    "spectral_lp_norm",
     "root_count_rho",
 }
 

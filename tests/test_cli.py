@@ -539,6 +539,54 @@ MALFORMED_INPUTS = {
         lambda tmp_path: _small_set(tmp_path, "0\n1\n101\n"),
         "set member 101 in",
     ),
+    # a malformed list or decimal value names its option or config key
+    "delta-grid-trailing-comma": (
+        lambda tmp_path: ["delta-sweep", "--n", "1000", "--delta-grid", "0.1,",
+                          "--out", str(tmp_path / "d.csv")],
+        "argument --delta-grid: '0.1,' holds an empty value",
+    ),
+    "eps-grid-not-a-decimal": (
+        lambda tmp_path: ["delta-sweep", "--n", "1000", "--eps-grid", "0.1,abc",
+                          "--out", str(tmp_path / "d.csv")],
+        "argument --eps-grid: 'abc' is not a decimal or fraction",
+    ),
+    "delta-empty-config": (_config_file({"n": 1000, "delta": ""}),
+                           "delta must be a decimal or fraction string, got ''"),
+    "epsilon-zero-denominator-config": (
+        _config_file({"n": 1000, "epsilon": "1/0"}),
+        "epsilon must be a decimal or fraction string, got '1/0'",
+    ),
+    "delta-grid-not-a-decimal-config": (
+        _config_file({"n": 1000, "delta_grid": ["0.1", "abc"]}),
+        "delta_grid must be a decimal or fraction string, got 'abc'",
+    ),
+    "delta-zero-denominator": (
+        lambda tmp_path: ["pipeline", "--n", "1000", "--delta", "1/0",
+                          "--out", str(tmp_path / "r.json")],
+        "argument --delta: '1/0' is not a decimal or fraction",
+    ),
+    "k-trailing-comma": (
+        lambda tmp_path: ["pipeline", "--n", "1000", "--k", "1,",
+                          "--out", str(tmp_path / "r.json")],
+        "argument --k: '1,' holds an empty value",
+    ),
+    "k-not-an-integer": (
+        lambda tmp_path: ["norm-sweep", "--n", "1000", "--k", "1,1.5",
+                          "--out", str(tmp_path / "n.csv")],
+        "argument --k: '1.5' is not an integer",
+    ),
+    "bohr-freqs-trailing-comma": (
+        lambda tmp_path: ["bohr", "--p", "101", "--freqs", "1,", "--eps", "0.1"],
+        "argument --freqs: '1,' holds an empty value",
+    ),
+    "bohr-eps-zero-denominator": (
+        lambda tmp_path: ["bohr", "--p", "101", "--freqs", "1", "--eps", "1/0"],
+        "argument --eps: '1/0' is not a decimal or fraction",
+    ),
+    "tuples-offsets-trailing-comma": (
+        lambda tmp_path: ["tuples", "--w", "6", "--offsets", "1,", "--limit", "10"],
+        "argument --offsets: '1,' holds an empty value",
+    ),
 }
 
 

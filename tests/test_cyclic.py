@@ -12,6 +12,7 @@ from ap3lab import cyclic
 from ap3lab.cyclic import (
     SUM_BLOCK,
     CyclicFunction,
+    ScaledIndicator,
     Spectrum,
     fixed_sum,
     forward_transform,
@@ -23,6 +24,7 @@ from ap3lab.cyclic import (
     spectral_lp_norm,
     threshold_spectrum,
 )
+from ap3lab.bohr import build_bohr_set
 from ap3lab.errors import InvalidArgumentError, ResourceLimitError
 from ap3lab.primes import is_prime
 from conftest import (
@@ -149,6 +151,88 @@ def test_transform_lengths_follow_the_support(monkeypatch):
         while n % factor == 0:
             n //= factor
     assert n == 1
+
+
+def _indicator_cases():
+    """(case, P, support, scale): a random support and a single member at
+    each modulus, a support whose shortest window wraps past P - 1, B+ of
+    a Bohr set that is not a progression, and two zero functions."""
+    rng = np.random.default_rng(34)
+    cases = []
+    for p in (2, 3, 5, 101, 2003, 100003):
+        cases.append((f"random-{p}", p, np.flatnonzero(rng.random(p) < 0.3), 1.7))
+        cases.append((f"single-{p}", p, np.array([p // 2]), 2.5))
+    for p in (101, 2003, 100003):
+        cases.append((f"wrapping-{p}", p, np.array([1, 2, 5, p - 7, p - 3]), 0.3))
+    bohr = build_bohr_set(2003, [1, 7], "0.2")
+    members = bohr.members()
+    cases.append(("bohr-half", 2003, members[1 : 1 + bohr.size // 2], 2 * 2003 / bohr.size))
+    cases.append(("empty", 101, np.array([], dtype=np.int64), 1.0))
+    cases.append(("zero-scale", 101, np.array([3, 4]), 0.0))
+    return cases
+
+
+INDICATOR_CASES = _indicator_cases()
+
+
+@pytest.mark.parametrize("case, p, support, scale", INDICATOR_CASES,
+                         ids=[case[0] for case in INDICATOR_CASES])
+def test_support_transform_is_the_dense_transform_in_every_bit(case, p, support, scale):
+    held = ScaledIndicator(p, support, scale).spectrum().half
+    dense = forward_transform(CyclicFunction.indicator(p, support.tolist(), scale)).half
+    assert held.shape == dense.shape
+    assert np.array_equal(held.view(np.uint64), dense.view(np.uint64))
+    if case.startswith("wrapping"):
+        x0, length = cyclic._support_window(support, p)
+        assert x0 == p - 7 and x0 + length > p
+
+
+def test_scaled_indicator_holds_only_its_support(monkeypatch):
+    support = np.array([1, 4, 9], dtype=np.int64)
+    f = ScaledIndicator(101, support, 2.0)
+    assert f.modulus == 101 and f.scale == 2.0 and f.support is support
+    with pytest.raises(ValueError):
+        f.support[0] = 2
+    calls = []
+    exact = cyclic.forward_transform
+
+    def recording(g):
+        calls.append(g)
+        return exact(g)
+
+    monkeypatch.setattr(cyclic, "forward_transform", recording)
+    assert f.spectrum() is f.spectrum()
+    assert calls == [f]
+
+
+@pytest.mark.parametrize("support, scale, fragment", [
+    ([3, 1], 1.0, "ascending distinct residues"),
+    ([1, 1], 1.0, "ascending distinct residues"),
+    ([-1, 3], 1.0, "ascending distinct residues"),
+    ([3, 101], 1.0, "ascending distinct residues"),
+    ([[1, 2]], 1.0, "ascending distinct residues"),
+    ([1, 2], math.inf, "scale must be finite"),
+    ([1, 2], math.nan, "scale must be finite"),
+])
+def test_scaled_indicator_validation(support, scale, fragment):
+    with pytest.raises(InvalidArgumentError, match=fragment):
+        ScaledIndicator(101, support, scale)
+    with pytest.raises(InvalidArgumentError, match="not prime"):
+        ScaledIndicator(100, [1, 2], 1.0)
+
+
+def test_fourth_moment_is_the_spectral_sum_formed_once(monkeypatch):
+    s = random_function(2003, np.random.default_rng(9)).spectrum()
+    power = np.abs(s.full())
+    power = power * power * power * power
+    formed = []
+    powers = cyclic._powers
+    monkeypatch.setattr(cyclic, "_powers", lambda k: formed.append(k) or powers(k))
+    assert s.fourth_moment() == fixed_sum(power)
+    threshold_spectrum(s, 0.05)
+    threshold_spectrum(s, 0.1)
+    assert s.fourth_moment() == fixed_sum(power)
+    assert formed == [4]
 
 
 # 2^k, 3^k, 5^k and mixed, from a single row or column to grids of

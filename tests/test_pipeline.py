@@ -2,6 +2,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -401,6 +402,49 @@ def test_pipeline_scans_the_level_set_once_for_every_k(monkeypatch):
     assert len({row["level_size"] for row in report.data["norm_table"]}) == 1
 
 
+def test_lift_builds_no_dense_a():
+    # a is held as its support: a length-P float64 array would take 8P
+    # traced bytes on its own
+    tracemalloc.start()
+    try:
+        _, ctx, _, sieved = lift(PipelineConfig(n=10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sieved.function.support is ctx.a0
+    assert peak < 8 * ctx.p
+
+
+def test_sweep_sums_the_fourth_moment_of_ahat_once(monkeypatch):
+    # the Markov check of each threshold and the exact cross-check of
+    # sum |ahat|^4 share one fixed-order sum
+    formed = []
+    powers = cyclic._powers
+    monkeypatch.setattr(cyclic, "_powers", lambda k: formed.append(k) or powers(k))
+    delta_sweep(PipelineConfig(n=10**4, delta_grid=("0.05", "0.1", "0.2"),
+                               epsilon_grid=("0.1",)))
+    assert formed == [4]
+
+
+@pytest.mark.parametrize("p, freqs, eps", [
+    (200003, [1], "0.0001"),  # g spans four histogram blocks
+    (2003, [1], "0.5"),  # B is all of Z/PZ: one block
+])
+def test_blocked_histogram_reads_the_whole_count(p, freqs, eps):
+    rng = np.random.default_rng(5)
+    support = np.flatnonzero(rng.random(p) < 0.2)
+    bohr = build_bohr_set(p, freqs, eps)
+    g = smooth(support, bohr)
+    scale = 1.25
+    h_sup, level_size, norms = _smoothed_statistics(g, bohr.size, support.size, scale, (1, 2))
+    assert h_sup == float(g.max()) * (scale / bohr.size)
+    level = 2 * p * g.astype(np.int64) >= support.size * bohr.size
+    assert level_size == int(np.count_nonzero(level))
+    h = g * (scale / bohr.size)
+    for k in (1, 2):
+        assert math.isclose(norms[k], float(np.mean(h ** (2 * k))) ** (1 / (2 * k)), rel_tol=1e-12)
+
+
 def _level_cases():
     """(P, S, B): random S at small primes with Bohr sets on both sides of
     the shifted-count cutoff, and at P = 12 a set S of 8 residues with
@@ -460,10 +504,10 @@ def test_self_convolution_square_norm_identity(sieved_1e5):
     from ap3lab.cyclic import CyclicFunction, lp_norm, spectral_lp_norm
     from conftest import fft_convolve
 
-    _, _, sieved = sieved_1e5
-    a = sieved.function
+    ctx, _, sieved = sieved_1e5
+    a = CyclicFunction.indicator(ctx.p, ctx.a0, ctx.scale)
     lhs = lp_norm(CyclicFunction(a.modulus, fft_convolve(a.values, a.values)), 2) ** 2
-    rhs = spectral_lp_norm(a.spectrum(), 4) ** 4
+    rhs = spectral_lp_norm(sieved.function.spectrum(), 4) ** 4
     assert math.isclose(lhs, rhs, rel_tol=1e-8)
 
 

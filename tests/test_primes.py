@@ -163,3 +163,18 @@ def test_is_prime_many_matches_is_prime():
     assert got.dtype == bool and got.shape == values.shape
     assert got.tolist() == [table.is_prime(int(n)) for n in values]
     assert table.is_prime_many([]).size == 0
+
+
+@pytest.mark.parametrize("limit", [2, 3, 8, 9, 1000, 65537])
+def test_prime_count_at_the_limit_is_the_table_count(limit):
+    table = sieve_primes(limit)
+    unpacked = sum(1 for n in range(limit + 1) if is_prime(n))
+    assert prime_count(table, limit) == table.count == unpacked
+    assert prime_count(table, limit - 1) == unpacked - is_prime(limit)
+
+
+def test_table_lookups_read_the_packed_bits_as_python_integers():
+    table = sieve_primes(1000)
+    for n in range(-3, 1003):
+        found = table.is_prime(n)
+        assert type(found) is bool and found == (0 <= n <= 1000 and is_prime(n))

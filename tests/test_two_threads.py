@@ -4,6 +4,7 @@ chunks between two threads above cyclic._THREAD_FLOOR values. Every bit
 must be the same as on one thread, every thread must be joined, and an
 error in either thread must reach the caller as it was raised."""
 
+import sys
 import threading
 import time
 from fractions import Fraction
@@ -105,6 +106,27 @@ def test_real_convolution_is_the_same_on_two_threads(monkeypatch, cross):
         return cyclic._real_convolution(x.copy(), y.copy() if cross else None)
 
     _assert_same_bits(_three_ways(monkeypatch, compute))
+
+
+def test_exact_counts_are_the_same_on_two_threads(monkeypatch):
+    # r has past 2^20 values, so the rounding and energy passes share
+    # their blocks out too, each thread appending its blocks' sums; with
+    # the switch interval shortened, a lost sum would break the check
+    # that the counts total |A|^2, or the energy
+    rng = np.random.default_rng(19)
+    members = np.flatnonzero(rng.random(P_ABOVE // 3) < 0.2)
+    assert 2 * int(members[-1]) + 1 >= cyclic._THREAD_FLOOR
+
+    def compute():
+        counts = additive_counts(members)
+        return counts.pairs, counts.energy, counts.rounding_error
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_same_bits(_three_ways(monkeypatch, compute))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _spread_smoothing():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ap3lab.wtrick as wtrick_module
+from ap3lab.cyclic import CyclicFunction
 from ap3lab.errors import (
     EmptySelectionError,
     InvalidArgumentError,
@@ -99,14 +100,15 @@ def test_build_sieved_function_stats(sieved_1e5, table_1e5):
     assert sieved.alpha == 1.0
     expected_l1 = ctx.scale * ctx.a0.size / ctx.p
     assert math.isclose(sieved.l1_norm, expected_l1, rel_tol=1e-12)
-    assert math.isclose(
-        float(np.mean(sieved.function.values)), sieved.l1_norm, rel_tol=1e-12
-    )
+    a = sieved.function
+    assert a.support is ctx.a0 and a.scale == ctx.scale
+    dense = CyclicFunction.indicator(ctx.p, a.support, a.scale)
+    assert math.isclose(float(np.mean(dense.values)), sieved.l1_norm, rel_tol=1e-12)
 
 
 def test_support_stays_inside_first_third(sieved_1e5):
     ctx, _, sieved = sieved_1e5
-    support = np.flatnonzero(sieved.function.values)
+    support = sieved.function.support
     assert int(support.max()) * 3 <= ctx.p
     assert int(support.min()) >= 1
     # P below 3N/W, which compute_parameters never picks: the lift of 97
