@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclic import ScaledIndicator, _in_two, _sum_counts
+from .cyclic import ScaledIndicator, _in_two, _sum_counts, check_residues
 from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
 from .primes import is_prime
 
@@ -105,11 +105,12 @@ def build_bohr_set(p: int, frequencies, eps, within=None) -> BohrSet:
     Each step touches only the survivors of the one before, so the cost is
     about 2*eps*P / (1 - 2*eps) rather than P * |R|.
 
-    within, when given, is an ascending array of residues in [0, P), or
-    InvalidArgumentError is raised. The seed is then skipped and every
-    nonzero frequency's test runs over within alone, so the members are
-    B(R, eps) & within: B(R, eps) itself whenever within contains it, as
-    B(R', eps') does for every R' within R and eps' >= eps.
+    within, when given, is an ascending array of distinct residues in
+    [0, P), or InvalidArgumentError is raised (cyclic.check_residues).
+    The seed is then skipped and every nonzero frequency's test runs over
+    within alone, so the members are B(R, eps) & within: B(R, eps) itself
+    whenever within contains it, as B(R', eps') does for every R' within R
+    and eps' >= eps.
 
     Checks the pigeonhole lower bound |B| >= P * eps^|R| (an exact theorem
     at modulus P) by integer cross-multiplication, and raises
@@ -132,12 +133,7 @@ def build_bohr_set(p: int, frequencies, eps, within=None) -> BohrSet:
     reach = min(bound // den, p // 2)
     tested = nonzero[1:]  # the seed passes nonzero[0]'s test by construction
     if within is not None:
-        survivors = np.array(within, dtype=np.int64)  # a copy: sorted in place below
-        if survivors.ndim != 1 or (
-            survivors.size
-            and (survivors[0] < 0 or survivors[-1] >= p or np.any(survivors[1:] <= survivors[:-1]))
-        ):
-            raise InvalidArgumentError(f"within must be ascending residues in [0, {p})")
+        survivors = check_residues(np.array(within, dtype=np.int64), p, "within")  # a copy
         tested = nonzero
     elif not nonzero or 2 * reach + 1 >= p:
         survivors = np.arange(p, dtype=np.int64)
@@ -168,16 +164,18 @@ def build_bohr_set(p: int, frequencies, eps, within=None) -> BohrSet:
 
 def smooth(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
     """The integer count g(x) = #{b in B : x - b in S} for S = support,
-    distinct residues in [0, P) (the lift's A0), in the least unsigned
-    integer type that holds |B|: for a = c * 1_S, a * sigma = (c/|B|) * g.
-    B must contain 0 and be symmetric about it (_check_centred), or
-    InvariantError is raised. Up to _SHIFT_COUNT_MAX_SIZE members, g is
+    in the least unsigned integer type that holds |B|: for a = c * 1_S,
+    a * sigma = (c/|B|) * g. S must be ascending distinct residues in
+    [0, P) (the lift's A0; cyclic.check_residues), or InvalidArgumentError
+    is raised; B must contain 0 and be symmetric about it (_check_centred),
+    or InvariantError is raised. Up to _SHIFT_COUNT_MAX_SIZE members, g is
     |B| shifted adds (_shifted_count; g = 1_S for B = {0}), which start
     no thread; past it, one FFT convolution, rounded and checked
     (_convolved_count), which may use two once its arrays reach 2^20
     values. Both give the same integers, and neither makes an inverse
     transform or forms sigmahat (kernel_spectrum).
     """
+    support = check_residues(support, bohr.modulus, "support")
     _check_centred(bohr)
     if bohr.size <= _SHIFT_COUNT_MAX_SIZE:
         return _shifted_count(support, bohr)

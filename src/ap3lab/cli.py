@@ -19,7 +19,8 @@ from pathlib import Path
 
 from . import bounds as bd
 from .bohr import build_bohr_set
-from .cyclic import CyclicFunction, check_fft_budget, forward_transform, load_function, save_spectrum
+from .cyclic import (CyclicFunction, ScaledIndicator, check_fft_budget, forward_transform,
+                     load_function, save_spectrum)
 from .errors import InvalidArgumentError, LabError, ResourceLimitError
 from .pipeline import (
     PipelineConfig,
@@ -41,7 +42,7 @@ from .sieve_bounds import (
     klimov_upper_bound,
     singular_series,
 )
-from .threeap import lambda_direct, lambda_fourier, trivial_mass
+from .threeap import lambda_direct, lambda_fourier
 
 
 class _CliArgumentError(Exception):
@@ -98,11 +99,11 @@ def _build_parser() -> _Parser:
     lift = _Parser(add_help=False)
     lift.add_argument("--config", type=_nonempty, help="JSON config file of pipeline fields")
     lift.add_argument("--n", type=int)
-    lift.add_argument("--z", type=float)
-    lift.add_argument("--set", dest="set_file", type=_nonempty)
+    lift.add_argument("--z", dest="z_override", type=float)
+    lift.add_argument("--set", dest="set_source", type=_nonempty)
     point = _Parser(add_help=False, parents=[lift])
     point.add_argument("--delta", type=_decimal)
-    point.add_argument("--eps", type=_decimal)
+    point.add_argument("--eps", dest="epsilon", type=_decimal)
 
     p = sub.add_parser("primes", help="write primes up to a limit, one per line")
     p.add_argument("--limit", type=int, required=True)
@@ -139,17 +140,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("pipeline", parents=[point], help="full experiment; JSON plus CSV")
-    p.add_argument("--k", type=_listed(_integer), help="comma-separated k values")
+    p.add_argument("--k", dest="k_values", type=_listed(_integer), help="comma-separated k values")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("norm-sweep", parents=[point],
                        help="norm table rows over --k (default 1,2,3)")
-    p.add_argument("--k", type=_listed(_integer), help="comma-separated k values")
+    p.add_argument("--k", dest="k_values", type=_listed(_integer), help="comma-separated k values")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("delta-sweep", parents=[point], help="rows over a (delta, epsilon) grid")
     p.add_argument("--delta-grid", type=_listed(_decimal))
-    p.add_argument("--eps-grid", type=_listed(_decimal))
+    p.add_argument("--eps-grid", dest="epsilon_grid", type=_listed(_decimal))
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("bounds", help="density bound comparison table")
@@ -169,23 +170,11 @@ def _read_config(args) -> dict:
 
 
 def _pipeline_config(args) -> PipelineConfig:
+    """The config file with every option given on the command line merged
+    over it: each lift option's dest is the config key it sets."""
     raw = _read_config(args)
-    if args.n is not None:
-        raw["n"] = args.n
-    if args.z is not None:
-        raw["z_override"] = args.z
-    if args.set_file is not None:
-        raw["set_source"] = args.set_file
-    if getattr(args, "delta", None) is not None:
-        raw["delta"] = args.delta
-    if getattr(args, "eps", None) is not None:
-        raw["epsilon"] = args.eps
-    if getattr(args, "k", None) is not None:
-        raw["k_values"] = args.k
-    if getattr(args, "delta_grid", None) is not None:
-        raw["delta_grid"] = args.delta_grid
-    if getattr(args, "eps_grid", None) is not None:
-        raw["epsilon_grid"] = args.eps_grid
+    raw.update((key, value) for key, value in vars(args).items()
+               if key in PipelineConfig.__dataclass_fields__ and value is not None)
     if "n" not in raw:
         raise InvalidArgumentError("--n (or a config file with n) is required")
     return PipelineConfig.from_dict(raw)
@@ -266,14 +255,15 @@ def _cmd_lambda(args) -> int:
             raise InvalidArgumentError(
                 f"set member {member} in {args.set_file} is not a residue in [0, P = {args.p})"
             )
-    f = CyclicFunction.indicator(args.p, members.tolist())
-    lam, triv = lambda_fourier(f, f, f), trivial_mass(f, f, f)
+    a = ScaledIndicator(args.p, members, 1.0)
+    lam, triv = lambda_fourier(a, a, a), members.size / (args.p * args.p)  # d = 0: |S|/P^2
     report: dict = {
         "p": args.p,
         "set_size": int(members.size),
         "fourier": {"lambda": lam, "trivial": triv, "nontrivial": lam - triv},
     }
     if args.direct:
+        f = CyclicFunction.indicator(args.p, members.tolist())  # lambda_direct reads P values
         direct = lambda_direct(f, f, f)
         report["direct"] = {
             "lambda": direct.lambda_value,

@@ -16,9 +16,9 @@ a sum over all P coefficients is a fixed_sum over the mirrored sequence
 A function is held one of two ways: CyclicFunction, dense, as its P values;
 or ScaledIndicator, c * 1_S, as its support S and the scale c, which is
 how the W-trick lift and the Bohr kernel's half set are made. Both answer
-.modulus and .spectrum(), and forward_transform takes either through one
-chirp-z core, so the indicator's transform reads |S| values and builds no
-length-P float array.
+.modulus and .spectrum(); forward_transform scatters either's nonzero
+values into one chirp-z core, so the indicator's transform reads |S|
+values and builds no length-P float array.
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ _EXACT_PHASE_MAX_MODULUS = (math.isqrt(np.iinfo(np.int64).max) + 1) // 2
 # numpy's in-place 1-D FFT (2-core x86_64); 512 also leaves the N = 1e7
 # report bit for bit as it was with the 1-D FFT.
 _FFT_ROW_LENGTH = 512
-# Chirp values per block of _chirp: its phases and gathered factors
-# (512 KiB) stay in L2 cache.
+# Chirp values per block of _chirp, and nonzero values per block of
+# _half_chirp_z's scatter: the phases and gathered factors (512 KiB), or
+# the offsets and chirped values, stay in L2 cache.
 _CHIRP_BLOCK = 16384
 # Rows of _row_column_fft twiddled and row-transformed at a time: 64 rows
 # of 512 complex values are 512 KiB, about an L2 cache.
@@ -126,6 +127,18 @@ class CyclicFunction:
         return fixed_sum(self.values) / self.modulus
 
 
+def check_residues(residues, p: int, name: str) -> np.ndarray:
+    """residues as an int64 array (no copy if it is one), or
+    InvalidArgumentError naming name unless it is one-dimensional and
+    ascending, with distinct values in [0, P)."""
+    residues = np.asarray(residues, dtype=np.int64)
+    if residues.ndim != 1 or (residues.size and (
+        residues[0] < 0 or residues[-1] >= p or np.any(residues[1:] <= residues[:-1])
+    )):
+        raise InvalidArgumentError(f"{name} must be ascending distinct residues in [0, {p})")
+    return residues
+
+
 class ScaledIndicator:
     """scale * 1_S on Z/PZ, held as its support S: a read-only, ascending
     int64 array of distinct residues in [0, P). No length-P array is held.
@@ -137,13 +150,7 @@ class ScaledIndicator:
     __slots__ = ("modulus", "support", "scale", "_spectrum")
 
     def __init__(self, modulus: int, support, scale: float):
-        support = np.asarray(support, dtype=np.int64)
-        if support.ndim != 1 or (support.size and (
-            support[0] < 0 or support[-1] >= modulus or np.any(support[1:] <= support[:-1])
-        )):
-            raise InvalidArgumentError(
-                f"support must be ascending distinct residues in [0, {modulus})"
-            )
+        support = check_residues(support, modulus, "support")
         if not math.isfinite(scale):
             raise InvalidArgumentError(f"scale must be finite, got {scale!r}")
         if not is_prime(modulus):
@@ -209,14 +216,14 @@ def forward_transform(f: CyclicFunction | ScaledIndicator) -> Spectrum:
     """Normalized transform: coeff[t] = mean_x f(x) exp(+2*pi*i*x*t/P).
 
     f is real, so only t <= P/2 is computed and held (see Spectrum). Those
-    coefficients come from Bluestein's
-    chirp-z method, restricted to the shortest cyclic window that holds
-    the nonzero values of f, with each chirp phase n^2 mod 2P formed in
-    exact integers (see _half_chirp_z). The lift's a lives in [1, P/3],
-    so its convolution is about 5P/6 long instead of the 2P a generic
-    prime-length FFT pads to. A dense f's nonzero values are found by one
-    scan of its P values; a ScaledIndicator's are its support (none at
-    scale 0), whose window is read off its |S| sorted residues.
+    coefficients come from Bluestein's chirp-z method, restricted to the
+    shortest cyclic window that holds the nonzero values of f, with each
+    chirp phase n^2 mod 2P formed in exact integers (see _half_chirp_z).
+    The lift's a lives in [1, P/3], so its convolution is about 5P/6 long
+    instead of the 2P a generic prime-length FFT pads to. A dense f's
+    nonzero residues are found by one scan of its P values, and its
+    values are read there; a ScaledIndicator's are its support (none at
+    scale 0), each with the value scale.
     """
     p = f.modulus
     if p > _EXACT_PHASE_MAX_MODULUS:
@@ -226,16 +233,15 @@ def forward_transform(f: CyclicFunction | ScaledIndicator) -> Spectrum:
         )
     if isinstance(f, ScaledIndicator):
         nonzero = f.support if f.scale != 0 else f.support[:0]
-        return Spectrum(p, _half_chirp_z(p, nonzero, scale=f.scale))
+        return Spectrum(p, _half_chirp_z(p, nonzero, f.scale))
     return Spectrum(p, _half_chirp_z(p, np.flatnonzero(f.values), f.values))
 
 
-def _half_chirp_z(p: int, nonzero: np.ndarray, values: np.ndarray | None = None,
-                  scale: float = 0.0) -> np.ndarray:
+def _half_chirp_z(p: int, nonzero: np.ndarray, values: np.ndarray | float) -> np.ndarray:
     """(1/P) sum_x f(x) exp(2*pi*i*x*t/P) for t in [0, P//2], for the real
     f on Z/PZ that is nonzero exactly at the ascending residues nonzero:
-    values[x] for the dense values of f, or scale there when values is
-    None.
+    values[x] when values holds the P values of f, or values itself, one
+    float, at every such x.
 
     With x*t = (x^2 + t^2 - (t - x)^2)/2 and w(n) = exp(i*pi*n^2/P),
     coeff[t] = w(t)/P * sum_x f(x) w(x) conj(w(t - x)), which holds
@@ -247,10 +253,9 @@ def _half_chirp_z(p: int, nonzero: np.ndarray, values: np.ndarray | None = None,
     is used. Its three FFTs are row-column passes over an R x C grid
     (_row_column_fft): both spectra come out in the same transposed
     order, so their product needs no transpose, and no pass needs
-    scratch of length S. Dense values fill all L window slots, their
-    chirps times the values; without them scale * w(x) is scattered at
-    the offsets of the nonzero residues alone, the same complex products
-    at the same slots and zeros elsewhere.
+    scratch of length S. f(x) * w(x) is scattered at the window offsets
+    of the nonzero residues alone, _CHIRP_BLOCK residues at a time, so
+    no temporary as long as the support is made; the other slots hold 0.
     """
     half = p // 2 + 1
     x0, length = _support_window(nonzero, p)
@@ -260,17 +265,13 @@ def _half_chirp_z(p: int, nonzero: np.ndarray, values: np.ndarray | None = None,
     kernel = np.zeros(size, dtype=np.complex128)
     _chirp(1 - length - x0, half - x0, p, kernel[: half + length - 1])
     window = np.zeros(size, dtype=np.complex128)
-    # w is even, so w(x0 + j) = w(-x0 - j), which kernel holds at L - 1 - j
-    if values is None:
-        offsets = nonzero - x0
+    for start in range(0, nonzero.size, _CHIRP_BLOCK):
+        residues = nonzero[start : start + _CHIRP_BLOCK]
+        weight = values[residues] if isinstance(values, np.ndarray) else values
+        offsets = residues - x0
         offsets %= p
-        window[offsets] = kernel[length - 1 - offsets] * scale
-        del offsets
-    else:
-        window[:length] = kernel[length - 1 :: -1]
-        head = min(length, p - x0)  # the window wraps past P - 1 after head values
-        window[:head] *= values[x0 : x0 + head]
-        window[head:length] *= values[: length - head]
+        # w is even, so w(x0 + j) = w(-x0 - j), which kernel holds at L - 1 - j
+        window[offsets] = kernel[length - 1 - offsets] * weight
     np.conjugate(kernel, out=kernel)
     _row_column_fft(kernel, columns)
 

@@ -163,13 +163,10 @@ class PipelineConfig:
     eta: float = 1.0
     delta_grid: tuple[str, ...] = ()
     epsilon_grid: tuple[str, ...] = ()
-    force: bool = False
 
     def __post_init__(self):
         if not _is_integer(self.n):
             raise InvalidArgumentError(f"n must be an integer, got {self.n!r}")
-        if not isinstance(self.force, bool):
-            raise InvalidArgumentError(f"force must be a boolean, got {self.force!r}")
         if not isinstance(self.set_source, str) or not self.set_source:
             raise InvalidArgumentError(
                 f"set_source must be a nonempty path string, got {self.set_source!r}"
@@ -249,7 +246,7 @@ class PipelineConfig:
                 "c1": self.c1,
                 "eta": self.eta,
             },
-            "force": self.force,
+            "force": False,  # a former field that changed no value
         }
 
 
@@ -277,13 +274,18 @@ class ExperimentReport:
 
 
 def load_member_file(path) -> np.ndarray:
-    """One integer per line, blank lines ignored. A member outside int64
-    raises InvalidArgumentError."""
+    """One integer per line, blank lines ignored. A line that is not an
+    integer, or a member outside int64, raises InvalidArgumentError."""
     values = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if line:
-            values.append(int(line))
+            try:
+                values.append(int(line))
+            except ValueError:
+                raise InvalidArgumentError(
+                    f"set file {path}, line {number}: {line!r} is not an integer"
+                ) from None
     if not values:
         raise InvalidArgumentError(f"set file {path} is empty")
     members = sorted(set(values))

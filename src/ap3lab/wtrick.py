@@ -136,15 +136,19 @@ def choose_residue(members, w: int) -> int:
     if members.size == 0:
         raise EmptySelectionError("input set is empty")
     big = members[members > w]
-    counts = np.bincount((big % w).astype(np.int64), minlength=w)
-    best_b = -1
-    best_count = 0
-    for b in range(1, w):
-        if math.gcd(b, w) != 1:
-            continue
-        if int(counts[b]) > best_count:
-            best_b, best_count = b, int(counts[b])
-    if best_b < 0:
+    counts = np.bincount(big % w, minlength=w)
+    counts[0] = 0  # W = 1 has no prime to zero it below
+    rest, q = w, 2
+    while q * q <= rest:  # each prime q of W zeroes its classes in one strided write
+        if rest % q == 0:
+            counts[::q] = 0
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        counts[::rest] = 0
+    best_b = int(np.argmax(counts))  # the first maximum: the smallest b on ties
+    if counts[best_b] == 0:
         raise EmptySelectionError(
             f"every residue class coprime to W={w} is empty above W"
         )

@@ -311,6 +311,19 @@ def test_smoothing_cases_reach_both_paths():
         assert kinds == {True, False}
 
 
+@pytest.mark.parametrize("eps", ["0.005", "0.2"])
+@pytest.mark.parametrize("support", [[3, 3, 7], [3, 2003], [-1, 3]],
+                         ids=["repeated", "past-p", "negative"])
+def test_smooth_refuses_a_support_that_is_not_a_residue_set(support, eps):
+    # both counts read the support only after one check, so a bad member
+    # is refused alike on either side of the shifted-count cutoff
+    p = 2003
+    bohr = build_bohr_set(p, [1], eps)
+    assert (bohr.size <= _SHIFT_COUNT_MAX_SIZE) == (eps == "0.005")
+    with pytest.raises(InvalidArgumentError, match="support must be ascending distinct"):
+        smooth(np.array(support, dtype=np.int64), bohr)
+
+
 @pytest.mark.parametrize("p, freqs, eps", SMOOTHING_CASES)
 def test_kernel_spectrum_matches_the_direct_transform(p, freqs, eps):
     bohr = build_bohr_set(p, freqs, eps)

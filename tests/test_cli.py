@@ -91,6 +91,30 @@ def test_lambda_subcommand(tmp_path, capsys):
     assert abs(report["direct"]["nontrivial"]) < 1e-15
 
 
+def test_lambda_builds_a_dense_function_only_for_direct(tmp_path, capsys, monkeypatch):
+    # the spectral operator is taken on the set's support; only
+    # lambda_direct reads the P values of a dense indicator
+    path = tmp_path / "set.txt"
+    path.write_text("0\n1\n3\n4\n9\n10\n")
+    argv = ["lambda", "--p", "101", "--set", str(path)]
+    assert run_cli(*argv, "--direct") == 0
+    want = json.loads(capsys.readouterr().out)["fourier"]
+
+    class Unreachable:
+        def __call__(self, *args, **kwargs):
+            raise AssertionError("a dense function was built without --direct")
+
+        def __getattr__(self, name):  # CyclicFunction.indicator
+            return self
+
+    monkeypatch.setattr("ap3lab.cli.CyclicFunction", Unreachable())
+    assert run_cli(*argv) == 0
+    assert json.loads(capsys.readouterr().out)["fourier"] == want
+    assert want["trivial"] == 6 / 101**2
+    with pytest.raises(AssertionError, match="without --direct"):
+        run_cli(*argv, "--direct")
+
+
 def test_tuples_subcommand(capsys):
     assert run_cli(
         "tuples", "--w", "6", "--offsets", "1,5", "--limit", "10",
@@ -145,20 +169,19 @@ def test_pipeline_with_config_file(tmp_path):
     assert report["config"]["delta"] == "0.4"
 
 
-def test_force_is_only_echoed_in_the_config(tmp_path):
-    # the config key force changes no computed value: the two reports
-    # differ only in config.force, and their CSVs are the same bytes
-    args = ["pipeline", "--n", "100000", "--delta", "0.05", "--eps", "0.1", "--k", "1,2,3"]
-    plain, forced = tmp_path / "plain.json", tmp_path / "forced.json"
-    assert run_cli(*args, "--out", str(plain)) == 0
+def test_force_is_only_echoed_in_the_config(tmp_path, capsys):
+    # force was a config field that changed no value: the key is now
+    # refused, and the report's config.force stays the constant false
+    args = ["pipeline", "--n", "10000", "--k", "1"]
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"force": True}))
-    assert run_cli(*args, "--config", str(config), "--out", str(forced)) == 0
-    want, got = json.loads(plain.read_text()), json.loads(forced.read_text())
-    assert want["config"]["force"] is False and got["config"]["force"] is True
-    got["config"]["force"] = False
-    assert got == want
-    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "forced.csv").read_bytes()
+    forced = tmp_path / "forced.json"
+    assert run_cli(*args, "--config", str(config), "--out", str(forced)) == 1
+    assert "unknown config keys: ['force']" in capsys.readouterr().err
+    assert not forced.exists()
+    plain = tmp_path / "plain.json"
+    assert run_cli(*args, "--out", str(plain)) == 0
+    assert json.loads(plain.read_text())["config"]["force"] is False
 
 
 def test_sweep_subcommands(tmp_path):
@@ -586,6 +609,15 @@ MALFORMED_INPUTS = {
     "tuples-offsets-trailing-comma": (
         lambda tmp_path: ["tuples", "--w", "6", "--offsets", "1,", "--limit", "10"],
         "argument --offsets: '1,' holds an empty value",
+    ),
+    # a set-file line that is not an integer names the file and the line
+    "set-line-not-an-integer-pipeline": (
+        _set_file("5\n\n11\nabc\n", "pipeline"),
+        "set.txt, line 4: 'abc' is not an integer",
+    ),
+    "lambda-set-line-not-an-integer": (
+        lambda tmp_path: _small_set(tmp_path, "0\n1.5\n3\n"),
+        "set.txt, line 2: '1.5' is not an integer",
     ),
 }
 

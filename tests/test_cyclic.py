@@ -94,6 +94,9 @@ SUPPORT_SHAPES = {
     "wrapped": lambda p, rng: _random_on(p, rng, range(-(p // 10), p // 10 + 1)),
     "first-third": lambda p, rng: _random_on(p, rng, range(1, p // 3 + 1)),
     "dense": lambda p, rng: rng.random(p) + 0.5,
+    # negative values and zeros inside a window that wraps past P - 1
+    "signed-wrapped": lambda p, rng: (_random_on(p, rng, range(-(p // 5), p // 7 + 1))
+                                      * rng.choice([-1.0, 0.0, 1.0], p)),
 }
 
 
@@ -116,11 +119,12 @@ def test_upper_half_is_the_bitwise_conjugate_of_the_lower(shape):
     assert np.array_equal(coeffs[p - t], np.conj(coeffs[t]))
 
 
-@pytest.mark.parametrize("shape", ["wrapped", "first-third", "dense"])
+@pytest.mark.parametrize("shape", ["wrapped", "first-third", "dense", "signed-wrapped"])
 @pytest.mark.parametrize("p", [100003, 500009])
 def test_forward_matches_numpy_past_one_twiddle_block(p, shape):
     # grids of 135 to 1875 rows: several blocks of _TWIDDLE_ROWS rows,
-    # each grid with a partial last one
+    # each grid with a partial last one; every shape scatters more than
+    # one block of cyclic._CHIRP_BLOCK nonzero values
     values = SUPPORT_SHAPES[shape](p, np.random.default_rng(p))
     got = forward_transform(CyclicFunction(p, values)).full()
     assert np.max(np.abs(got - np.fft.ifft(values))) < 1e-13

@@ -45,7 +45,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("c4", "1"), ("c_sanders", True), ("c1", None), ("eta", float("nan")),
-    ("z_override", "3"), ("z_override", False), ("force", "yes"), ("set_source", 5),
+    ("z_override", "3"), ("z_override", False), ("set_source", 5),
     ("k_values", (1, True)),
 ])
 def test_config_rejects_a_field_of_the_wrong_type(field, value):

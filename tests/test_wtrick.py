@@ -74,6 +74,32 @@ def test_choose_residue_examples():
         choose_residue([2, 3], 6)  # nothing above W
 
 
+def _densest_coprime_class(members, w):
+    """choose_residue as a loop over b = 1 .. W - 1 with math.gcd: the
+    reference for its strided zeroing; None when every class is empty."""
+    counts = [0] * w
+    for m in members:
+        if m > w:
+            counts[m % w] += 1
+    best = max(((counts[b], -b) for b in range(1, w) if math.gcd(b, w) == 1),
+               default=(0, 0))
+    return -best[1] if best[0] else None
+
+
+@pytest.mark.parametrize("w", [1, 2, 6, 12, 30, 97, 2 * 97 * 97, 210, 30030])
+def test_choose_residue_is_the_gcd_loop(w):
+    # composite and prime-power W, a prime factor past sqrt(W), ties
+    rng = np.random.default_rng(w)
+    for size in (1, 5, 40, 400):
+        members = rng.integers(0, 3 * w + 50, size).tolist()
+        want = _densest_coprime_class(members, w)
+        if want is None:
+            with pytest.raises(EmptySelectionError):
+                choose_residue(members, w)
+        else:
+            assert choose_residue(members, w) == want
+
+
 def test_choose_residue_pigeonhole_guarantee(table_1e6):
     primes = table_1e6.primes()
     b = choose_residue(primes, 6)
