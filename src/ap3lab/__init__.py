@@ -33,7 +33,7 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
 )
-from .pipeline import ExperimentReport, PipelineConfig, delta_sweep, norm_sweep, run_pipeline
+from .pipeline import ExperimentReport, PipelineConfig, delta_sweep, run_pipeline
 from .primes import (
     PrimeTable,
     is_prime,
@@ -51,9 +51,7 @@ from .sieve_bounds import (
 )
 from .threeap import (
     AdditiveCounts,
-    APReport,
     additive_counts,
-    lambda_direct,
     lambda_fourier,
     lambda_of_spectra,
 )

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-wtrick, pipeline, norm-sweep and delta-sweep read --config, a JSON object
+wtrick, pipeline and delta-sweep read --config, a JSON object
 of pipeline fields under the command line. Every command refuses a P past
 the fixed FFT budget 2^23 before it allocates or reads P values.
 
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import bounds as bd
 from .bohr import build_bohr_set
-from .cyclic import (CyclicFunction, ScaledIndicator, check_fft_budget, forward_transform,
+from .cyclic import (ScaledIndicator, check_fft_budget, check_residues, forward_transform,
                      load_function, save_spectrum)
 from .errors import InvalidArgumentError, LabError, ResourceLimitError
 from .pipeline import (
@@ -28,7 +28,6 @@ from .pipeline import (
     delta_sweep,
     lift,
     load_member_file,
-    norm_sweep,
     run_pipeline,
     write_csv,
     write_report,
@@ -42,7 +41,7 @@ from .sieve_bounds import (
     klimov_upper_bound,
     singular_series,
 )
-from .threeap import lambda_direct, lambda_fourier
+from .threeap import additive_counts, lambda_fourier
 
 
 class _CliArgumentError(Exception):
@@ -128,7 +127,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--set", dest="set_file", type=_nonempty, required=True)
     p.add_argument("--direct", action="store_true",
-                   help="add the O(P^2) direct operator to the spectral one")
+                   help="add the operator from the exact pair count to the spectral one")
     p.add_argument("--out")
 
     p = sub.add_parser("tuples", help="prime tuple count against its sieve bound")
@@ -140,11 +139,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--out")
 
     p = sub.add_parser("pipeline", parents=[point], help="full experiment; JSON plus CSV")
-    p.add_argument("--k", dest="k_values", type=_listed(_integer), help="comma-separated k values")
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("norm-sweep", parents=[point],
-                       help="norm table rows over --k (default 1,2,3)")
     p.add_argument("--k", dest="k_values", type=_listed(_integer), help="comma-separated k values")
     p.add_argument("--out", required=True)
 
@@ -249,27 +243,22 @@ def _cmd_bohr(args) -> int:
 
 def _cmd_lambda(args) -> int:
     check_fft_budget(args.p)
-    members = load_member_file(args.set_file)
-    for member in (members[0], members[-1]):  # the least and the largest
-        if not 0 <= member < args.p:
-            raise InvalidArgumentError(
-                f"set member {member} in {args.set_file} is not a residue in [0, P = {args.p})"
-            )
+    # load_member_file sorts and dedupes, so only the range can fail
+    members = check_residues(load_member_file(args.set_file), args.p,
+                             f"the members of {args.set_file}")
+    p2 = args.p * args.p
     a = ScaledIndicator(args.p, members, 1.0)
-    lam, triv = lambda_fourier(a, a, a), members.size / (args.p * args.p)  # d = 0: |S|/P^2
+    lam, triv = lambda_fourier(a, a, a), members.size / p2  # d = 0: |S|/P^2
     report: dict = {
         "p": args.p,
         "set_size": int(members.size),
         "fourier": {"lambda": lam, "trivial": triv, "nontrivial": lam - triv},
     }
     if args.direct:
-        f = CyclicFunction.indicator(args.p, members.tolist())  # lambda_direct reads P values
-        direct = lambda_direct(f, f, f)
+        pairs = additive_counts(members, args.p).pairs  # P^2 * lambda, exactly
+        exact = pairs / p2
         report["direct"] = {
-            "lambda": direct.lambda_value,
-            "trivial": direct.trivial_mass,
-            "nontrivial": direct.nontrivial_mass,
-            "pair_count": direct.pair_count,
+            "lambda": exact, "trivial": triv, "nontrivial": exact - triv, "pair_count": pairs,
         }
     _emit(canonical_json(report), args.out)
     return 0
@@ -305,12 +294,6 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _cmd_norm_sweep(args) -> int:
-    header, rows = norm_sweep(_pipeline_config(args))
-    write_csv(args.out, header, rows)
-    return 0
-
-
 def _cmd_delta_sweep(args) -> int:
     header, rows = delta_sweep(_pipeline_config(args))
     write_csv(args.out, header, rows)
@@ -331,7 +314,6 @@ _COMMANDS = {
     "lambda": _cmd_lambda,
     "tuples": _cmd_tuples,
     "pipeline": _cmd_pipeline,
-    "norm-sweep": _cmd_norm_sweep,
     "delta-sweep": _cmd_delta_sweep,
     "bounds": _cmd_bounds,
 }

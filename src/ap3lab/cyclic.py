@@ -111,13 +111,6 @@ class CyclicFunction:
         self.values = values
         self._spectrum = None
 
-    @classmethod
-    def indicator(cls, modulus: int, support, scale: float = 1.0) -> "CyclicFunction":
-        values = np.zeros(modulus)
-        idx = np.asarray(list(support), dtype=np.int64) % modulus
-        values[idx] = scale
-        return cls(modulus, values)
-
     def spectrum(self) -> "Spectrum":
         if self._spectrum is None:
             self._spectrum = forward_transform(self)
@@ -143,8 +136,9 @@ class ScaledIndicator:
     """scale * 1_S on Z/PZ, held as its support S: a read-only, ascending
     int64 array of distinct residues in [0, P). No length-P array is held.
 
-    Immutable; the spectrum is memoized on first use, and is
-    forward_transform(CyclicFunction.indicator(P, S, scale)) in every bit.
+    Immutable; the spectrum is memoized on first use, and is in every bit
+    the forward_transform of the dense CyclicFunction equal to scale on S
+    and 0 elsewhere.
     """
 
     __slots__ = ("modulus", "support", "scale", "_spectrum")

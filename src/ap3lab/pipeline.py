@@ -68,7 +68,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import groupby
 from pathlib import Path
@@ -105,12 +105,6 @@ PIPELINE_CSV_COLUMNS = [
     "norm_ratio", "level_size", "level_mu", "level_bound", "level_margin",
     "floor_rhs", "final_lhs", "final_ratio", "sanders_at_level_mu",
     "suggested_epsilon", "suggested_delta",
-]
-
-NORM_SWEEP_CSV_COLUMNS = [
-    "n", "delta", "epsilon", "k", "in_theory_range", "h_norm_2k",
-    "norm_bound", "norm_ratio", "level_size", "level_mu", "level_margin",
-    "floor_rhs", "final_lhs", "final_ratio",
 ]
 
 DELTA_SWEEP_CSV_COLUMNS = [
@@ -520,7 +514,7 @@ def _counted_moments(a, ctx) -> tuple[float, float, float]:
     check reads.
     """
     spectrum = a.spectrum()
-    counts = additive_counts(ctx.a0)
+    counts = additive_counts(ctx.a0, ctx.p)  # A0 lies in [1, P/3], so nothing folds
     p, scale = ctx.p, ctx.scale
     scale3 = scale * scale * scale
     lam = scale3 * counts.pairs / (p * p)
@@ -543,15 +537,6 @@ def _progression_floor(alpha: float, k: int, c1: float) -> float:
     if alpha >= 1:
         return 1.0
     return bd.smoothed_progression_floor(alpha, k, c1)
-
-
-def norm_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
-    """One pipeline run on k_values (default 1, 2, 3): its CSV rows,
-    restricted to NORM_SWEEP_CSV_COLUMNS."""
-    report = run_pipeline(replace(config, k_values=config.k_values or (1, 2, 3)))
-    header, rows = report.csv_rows()
-    kept = [header.index(col) for col in NORM_SWEEP_CSV_COLUMNS]
-    return NORM_SWEEP_CSV_COLUMNS, [[row[i] for i in kept] for row in rows]
 
 
 def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:

@@ -1,16 +1,17 @@
-"""Three-term progression operator on Z/PZ and exact additive counts.
+"""Three-term progression operator on Z/PZ and exact additive counts mod P.
 
 The operator averages over ORDERED pairs (x, d) including d = 0, so a
 single integer progression embedded without wraparound contributes two
 orientations (d and P-d), and each member one trivial progression.
 
-additive_counts takes its exact sum counts from cyclic._sum_counts, which
-forms, rounds and checks them; this module only reads the integers.
+additive_counts is the one exact evaluator: for any set S of residues it
+gives P^2 * lambda(1_S, 1_S, 1_S) and P^3 * sum_t |1_S^(t)|^4 as integers.
+It takes its sum counts from cyclic._sum_counts, which forms, rounds and
+checks them; this module only folds them mod P and reads the integers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,57 +26,50 @@ from .cyclic import (
     fixed_sum,
     mirrored_sum,
 )
-from .errors import InvalidArgumentError, InvariantError, ResourceLimitError
-
-# Above this modulus the O(P^2) double loop is refused and callers should
-# take the spectral route.
-DIRECT_LAMBDA_CEILING = 20011
-
-
-@dataclass
-class APReport:
-    """Lambda value split by common difference: d = 0 versus the rest."""
-
-    lambda_value: float
-    trivial_mass: float
-    nontrivial_mass: float
-    pair_count: int | None  # round(lambda * P^2) when inputs are indicators
+from .errors import InvalidArgumentError
 
 
 @dataclass
 class AdditiveCounts:
-    """Exact counts of a set A of nonnegative integers, from its
-    autoconvolution r(s) = #{(x, z) in A^2 : x + z = s}."""
+    """Exact counts of a set S of residues mod P, from its cyclic
+    autoconvolution r(s) = #{(x, z) in S^2 : x + z = s mod P}."""
 
-    pairs: int  # sum_{y in A} r(2y) = |A| + 2 * (number of 3APs in A)
-    energy: int  # sum_s r(s)^2, the additive energy of A
+    pairs: int  # sum_{y in S} r(2y mod P) = P^2 * lambda(1_S, 1_S, 1_S)
+    energy: int  # sum_s r(s)^2 = P^3 * sum_t |1_S^(t)|^4, the cyclic energy
     rounding_error: float  # max distance of the float r(s) to its integer
 
 
-def additive_counts(members) -> AdditiveCounts:
-    """Count the pairs (x, z) in A^2 with x + z = 2y for some y in A, and
-    the additive energy of A, exactly.
+def additive_counts(members, modulus: int) -> AdditiveCounts:
+    """Count the pairs (x, z) in S^2 with x + z = 2y mod P for some y in S,
+    and the additive energy of S mod P, exactly.
 
-    For A inside [0, P/3] no sum wraps mod P, so these give the operator
-    and the spectral 4-norm of the indicator on Z/PZ as integers:
-    P^2 * lambda(1_A, 1_A, 1_A) = pairs and P^3 * sum_t |1_A^(t)|^4 = energy.
-    Duplicates are dropped by sort and mask. r is the autoconvolution
-    of A (cyclic._sum_counts), formed over one length-S float64 array,
-    rounded in place and checked there. The energy is taken from r in
-    blocks of _COUNT_BLOCK values converted to int64, shared out in chunks
-    between two threads (cyclic._in_two) once r reaches 2^20 values, and
-    the pairs from r at 2A, so only a block a thread is held as int64.
-    Both are exact integer sums, so no bit depends on the split.
+    members are residues in [0, P), in any order; duplicates are dropped by
+    sort and mask, and a member outside [0, P) is refused. r is the
+    integer autoconvolution of S (cyclic._sum_counts), formed over one
+    float64 array of the least even 5-smooth length > 2 * max S, rounded
+    in place and checked there. When r is longer than P it is folded in
+    place, r(s) += r(s + P), and cut to its first P values; a folded value
+    is at most |S|, so it stays an exact float64 integer. A set inside
+    [0, P/3], such as the lift's A0, never folds. The energy is taken from
+    r in blocks of _COUNT_BLOCK values converted to int64, shared out in
+    chunks between two threads (cyclic._in_two) once r reaches 2^20
+    values, and the pairs from r at 2S mod P, so only a block a thread is
+    held as int64. Both are exact integer sums, so no bit depends on the
+    split.
     """
     arr = np.sort(np.asarray(members, dtype=np.int64))
     first = np.ones(arr.size, dtype=bool)
     np.not_equal(arr[1:], arr[:-1], out=first[1:])
     arr = arr[first]
-    if arr.size and arr[0] < 0:
-        raise InvalidArgumentError(f"members must be nonnegative, got {int(arr[0])}")
+    if arr.size and (arr[0] < 0 or arr[-1] >= modulus):
+        bad = int(arr[0] if arr[0] < 0 else arr[-1])
+        raise InvalidArgumentError(f"members must be residues in [0, {modulus}), got {bad}")
     r, rounding_error = _sum_counts(arr)
+    if r.size > modulus:
+        r[: r.size - modulus] += r[modulus:]
+        r = r[:modulus]
     size = int(arr.size)
-    # r(s) <= |A|, so r^2 fits int64 and each block's sum stays below 2**63
+    # r(s) <= |S|, so r^2 fits int64 and each block's sum stays below 2**63
     block = min(_COUNT_BLOCK, max(1, (2**63 - 1) // max(1, size * size)))
     energies = []  # list.append is atomic under the GIL
 
@@ -87,50 +81,10 @@ def additive_counts(members) -> AdditiveCounts:
     _in_two(square_blocks, r.size, block, r.size)
     energy = sum(energies)
     pairs = sum(
-        int(r[2 * arr[i : i + block]].astype(np.int64).sum())
+        int(r[(2 * arr[i : i + block]) % modulus].astype(np.int64).sum())
         for i in range(0, arr.size, block)
     )
     return AdditiveCounts(pairs=pairs, energy=energy, rounding_error=rounding_error)
-
-
-def trivial_mass(f: CyclicFunction, g: CyclicFunction, h: CyclicFunction) -> float:
-    """The d = 0 contribution (1/P^2) sum_x f(x) g(x) h(x), in O(P)."""
-    p = f.modulus
-    return fixed_sum(f.values * g.values * h.values) / (p * p)
-
-
-def lambda_direct(f: CyclicFunction, g: CyclicFunction, h: CyclicFunction) -> APReport:
-    """Exact double sum (1/P^2) sum_{x,d} f(x) g(x+d) h(x+2d).
-
-    O(P^2); refuses P past DIRECT_LAMBDA_CEILING. The terms
-    f(x) g(x+d) h(x+2d) are added elementwise into one P-wide accumulator
-    in ascending d, and the accumulator is reduced by one fixed_sum, so the
-    result does not depend on the numpy build.
-    """
-    p = _common_modulus(f, g, h)
-    if p > DIRECT_LAMBDA_CEILING:
-        raise ResourceLimitError(
-            f"P = {p} exceeds the direct-evaluation ceiling {DIRECT_LAMBDA_CEILING};"
-            " use lambda_fourier"
-        )
-    fv = f.values
-    g2 = np.concatenate([g.values, g.values])
-    h2 = np.concatenate([h.values, h.values])
-    acc = np.zeros(p)
-    term = np.empty(p)
-    for d in range(p):
-        shift = 2 * d % p
-        np.multiply(fv, g2[d : d + p], out=term)
-        term *= h2[shift : shift + p]
-        acc += term
-    lam = fixed_sum(acc) / (p * p)
-    triv = trivial_mass(f, g, h)
-    return APReport(
-        lambda_value=lam,
-        trivial_mass=triv,
-        nontrivial_mass=lam - triv,
-        pair_count=_pair_count(lam, p) if _all_indicator(f, g, h) else None,
-    )
 
 
 Function = CyclicFunction | ScaledIndicator  # anything with .modulus and .spectrum()
@@ -143,8 +97,8 @@ def lambda_fourier(f: Function, g: Function, h: Function) -> float:
 
     The closed form follows from expanding f, g, h against this package's
     transform pair: the x-average forces r + s + u = 0 and the d-average
-    forces s + 2u = 0, leaving r = u and s = -2u. Verified against
-    lambda_direct in the test suite before any production use. The real
+    forces s + 2u = 0, leaving r = u and s = -2u. The test suite checks it
+    against a direct O(P^2) double sum and against additive_counts. The real
     parts of the products are reduced by fixed_sum, so the order of the
     sum does not depend on the numpy build; only t <= P/2 is multiplied
     out (see lambda_of_spectra).
@@ -203,16 +157,3 @@ def _common_modulus(f, g, h) -> int:
         )
     return f.modulus
 
-
-def _all_indicator(*functions) -> bool:
-    return all(
-        np.all((fn.values == 0.0) | (fn.values == 1.0)) for fn in functions
-    )
-
-
-def _pair_count(lam: float, p: int) -> int:
-    scaled = lam * p * p
-    rounded = round(scaled)
-    if not math.isclose(scaled, rounded, abs_tol=1e-6):
-        raise InvariantError(f"indicator lambda {lam!r} is not a multiple of 1/P^2")
-    return int(rounded)

@@ -3,9 +3,10 @@
 Every oracle here deliberately avoids the code path it checks: transforms
 by explicit summation, convolution by the definition (or numpy's FFT where
 P is too large for it), primality by trial division, the progression
-operator by a pure-Python double loop. The inputs made here, function
-files and progression-free sets, are made without package code; only the
-dense smoothed function (smoothed) is built from the package's count.
+operator by a pure-Python or an elementwise double loop. The inputs made
+here, function files, dense indicators and progression-free sets, are
+made without package code; only the dense smoothed function (smoothed) is
+built from the package's count.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ def moment_distinct_split(
     scale = 1.0 / len(members) ** (2 * k)
     by_distinct = {r: v * scale for r, v in sorted(buckets.items())}
 
-    sigma = CyclicFunction.indicator(p, members, scale=p / len(members))
+    sigma = dense_indicator(p, members, scale=p / len(members))
     smoothed = CyclicFunction(p, direct_convolve(a.values, sigma.values))
     norm_check = lp_norm(smoothed, 2 * k) ** (2 * k)
     total = sum(by_distinct.values())
@@ -254,6 +255,24 @@ def lambda_enumerate(f: np.ndarray, g: np.ndarray, h: np.ndarray) -> float:
     return total / (p * p)
 
 
+def lambda_direct(f: CyclicFunction, g: CyclicFunction, h: CyclicFunction) -> float:
+    """The double sum (1/P^2) sum_{x,d} f(x) g(x+d) h(x+2d) in O(P^2): the
+    terms f(x) g(x+d) h(x+2d) are added elementwise into one P-wide
+    accumulator in ascending d, reduced by one fixed_sum."""
+    p = f.modulus
+    fv = f.values
+    g2 = np.concatenate([g.values, g.values])
+    h2 = np.concatenate([h.values, h.values])
+    acc = np.zeros(p)
+    term = np.empty(p)
+    for d in range(p):
+        shift = 2 * d % p
+        np.multiply(fv, g2[d : d + p], out=term)
+        term *= h2[shift : shift + p]
+        acc += term
+    return fixed_sum(acc) / (p * p)
+
+
 def count_3aps_brute(members) -> int:
     """Triple loop over increasing progressions; checks the pair-based counter."""
     arr = sorted(set(members))
@@ -334,6 +353,14 @@ def stanley_digits(limit: int) -> list[int]:
         else:
             out.append(n)
     return out
+
+
+def dense_indicator(modulus: int, support, scale: float = 1.0) -> CyclicFunction:
+    """scale * 1_S as a dense CyclicFunction, the support read mod P. The
+    package holds an indicator as its support (cyclic.ScaledIndicator)."""
+    values = np.zeros(modulus)
+    values[np.asarray(list(support), dtype=np.int64) % modulus] = scale
+    return CyclicFunction(modulus, values)
 
 
 def save_function(f: CyclicFunction, path) -> None:

@@ -39,12 +39,14 @@ from ap3lab.sieve_bounds import (
     convolution_norm_bound,
     singular_series,
 )
-from ap3lab.threeap import lambda_direct, lambda_fourier
+from ap3lab.threeap import lambda_fourier
 from ap3lab.wtrick import build_context, build_sieved_function, compute_parameters
 from conftest import (
     behrend_set,
+    dense_indicator,
     direct_dft_stack,
     fft_convolve,
+    lambda_direct,
     smoothed,
     stanley_digits,
     trial_is_prime,
@@ -114,7 +116,7 @@ def test_criterion_03_lambda_equivalence_and_speed():
         rng = np.random.default_rng(p + 2000)
         for _ in range(reps):
             f, g, h = (CyclicFunction(p, rng.random(p)) for _ in range(3))
-            direct = lambda_direct(f, g, h).lambda_value
+            direct = lambda_direct(f, g, h)
             worst = max(worst, abs(lambda_fourier(f, g, h) - direct))
     rng = np.random.default_rng(77)
     f, g, h = (CyclicFunction(2003, rng.random(2003)) for _ in range(3))
@@ -136,7 +138,7 @@ def test_criterion_04_trivial_progression_identity():
     for members in sets:
         members = [m for m in members if m >= 0]
         p = next_prime_above(3 * max(max(members), 2) + 1)
-        f = CyclicFunction.indicator(p, members)
+        f = dense_indicator(p, members)
         lam = lambda_fourier(f, f, f)
         scaled = lam * p * p
         if abs(scaled - len(members)) > 1e-6:
@@ -223,7 +225,7 @@ def test_criterion_07_smoothing_identities():
         freqs, _ = threshold_spectrum(r_set, float(delta))
         bohr = build_bohr_set(ctx.p, freqs.tolist(), eps)
         h = smoothed(a, bohr)
-        dense_a = CyclicFunction.indicator(ctx.p, ctx.a0, ctx.scale)
+        dense_a = dense_indicator(ctx.p, ctx.a0, ctx.scale)
         l1_ok = math.isclose(lp_norm(h, 1), lp_norm(dense_a, 1), rel_tol=1e-10)
         nonneg_ok = float(h.values.min()) >= 0.0
         sup_ok = float(h.values.max()) <= ctx.scale * (1 + 1e-12)

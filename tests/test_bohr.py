@@ -25,20 +25,22 @@ from ap3lab.bohr import (
 from ap3lab.cyclic import CyclicFunction, Spectrum, lp_norm
 from ap3lab.errors import InvalidArgumentError, InvariantError
 from ap3lab.pipeline import _smoothed_statistics
-from ap3lab.threeap import lambda_direct, lambda_fourier
+from ap3lab.threeap import lambda_fourier
 from conftest import (
     bohr_members_brute,
+    dense_indicator,
     direct_convolve,
     direct_dft_stack,
     direct_forward,
     fft_convolve,
+    lambda_direct,
     smoothed,
 )
 
 
 def _sigma(bohr):
     """sigma = (P/|B|) * 1_B, the probability kernel of the Bohr set."""
-    return CyclicFunction.indicator(bohr.modulus, bohr.members(), scale=bohr.modulus / bohr.size)
+    return dense_indicator(bohr.modulus, bohr.members(), scale=bohr.modulus / bohr.size)
 
 
 def test_single_frequency_interval():
@@ -219,7 +221,7 @@ def test_smoothed_spectra_match_the_direct_transform():
     for f in (raw, h):
         assert np.max(np.abs(f.spectrum().full() - direct_forward(f.values))) < tol
     assert math.isclose(
-        lambda_fourier(h, h, h), lambda_direct(h, h, h).lambda_value, rel_tol=1e-12
+        lambda_fourier(h, h, h), lambda_direct(h, h, h), rel_tol=1e-12
     )
 
 
@@ -261,7 +263,7 @@ def test_smooth_agrees_with_the_convolution_on_both_paths(p, freqs, eps):
     assert np.max(np.abs(h.values - reference)) < 1e-12
     assert np.max(np.abs(h.spectrum().full() - direct_forward(h.values))) < 1e-12 * a.mean()
     assert math.isclose(
-        lambda_fourier(h, h, h), lambda_direct(h, h, h).lambda_value, rel_tol=1e-12
+        lambda_fourier(h, h, h), lambda_direct(h, h, h), rel_tol=1e-12
     )
 
 
@@ -509,7 +511,6 @@ try:
     build_sieved_function([3, 97], WTrickContext(100, 2.0, 2, 1, 1, 101, 1.0))
 except InvariantError:
     raised.append("lift")
-import ap3lab.threeap as threeap_module
 from ap3lab.cyclic import Spectrum, threshold_spectrum
 
 cyclic_module.mirrored_sum = lambda *args: 0.0
@@ -517,10 +518,6 @@ try:
     threshold_spectrum(Spectrum(101, np.full(51, 0.5)), 0.1)
 except InvariantError:
     raised.append("markov")
-try:
-    threeap_module._pair_count(0.5 / 101**2, 101)
-except InvariantError:
-    raised.append("pair_count")
 primes_module.is_prime = lambda n: n > 100
 try:
     primes_module.next_prime_above(10)
@@ -535,7 +532,7 @@ print(",".join(raised))
         capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == (
-        "smooth,histogram,support,symmetric,lift,markov,pair_count,bertrand"
+        "smooth,histogram,support,symmetric,lift,markov,bertrand"
     )
 
 

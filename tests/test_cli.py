@@ -1,5 +1,4 @@
 import argparse
-import csv
 import json
 import math
 import os
@@ -15,7 +14,8 @@ import pytest
 import ap3lab
 from ap3lab.cli import _COMMANDS, _build_parser, main
 from ap3lab.cyclic import CyclicFunction
-from ap3lab.pipeline import NORM_SWEEP_CSV_COLUMNS
+from ap3lab.primes import next_prime_above
+from ap3lab.threeap import additive_counts
 from conftest import direct_forward, read_spectrum, save_function
 
 
@@ -85,34 +85,45 @@ def test_lambda_subcommand(tmp_path, capsys):
     assert run_cli("lambda", "--p", "101", "--set", str(path), "--direct") == 0
     report = json.loads(capsys.readouterr().out)
     assert report["fourier"] == spectral["fourier"]  # --direct only adds its block
-    assert report["direct"]["pair_count"] == 6
+    # the set holds no progression, so the count is the six trivial pairs
+    assert report["direct"] == {"lambda": 6 / 101**2, "trivial": 6 / 101**2,
+                                "nontrivial": 0.0, "pair_count": 6}
     for key in ("lambda", "trivial", "nontrivial"):
         assert abs(report["fourier"][key] - report["direct"][key]) < 1e-10
-    assert abs(report["direct"]["nontrivial"]) < 1e-15
 
 
-def test_lambda_builds_a_dense_function_only_for_direct(tmp_path, capsys, monkeypatch):
-    # the spectral operator is taken on the set's support; only
-    # lambda_direct reads the P values of a dense indicator
+def test_lambda_builds_no_dense_function(tmp_path, capsys, monkeypatch):
+    # the spectral operator is taken on the set's support and --direct
+    # reads the exact pair count, so no P values are built either way
     path = tmp_path / "set.txt"
     path.write_text("0\n1\n3\n4\n9\n10\n")
     argv = ["lambda", "--p", "101", "--set", str(path)]
     assert run_cli(*argv, "--direct") == 0
-    want = json.loads(capsys.readouterr().out)["fourier"]
+    want = json.loads(capsys.readouterr().out)
 
-    class Unreachable:
-        def __call__(self, *args, **kwargs):
-            raise AssertionError("a dense function was built without --direct")
+    def unreachable(*args, **kwargs):
+        raise AssertionError("lambda built a dense function")
 
-        def __getattr__(self, name):  # CyclicFunction.indicator
-            return self
-
-    monkeypatch.setattr("ap3lab.cli.CyclicFunction", Unreachable())
+    monkeypatch.setattr(CyclicFunction, "__init__", unreachable)
+    assert run_cli(*argv, "--direct") == 0
+    assert json.loads(capsys.readouterr().out) == want
     assert run_cli(*argv) == 0
-    assert json.loads(capsys.readouterr().out)["fourier"] == want
-    assert want["trivial"] == 6 / 101**2
-    with pytest.raises(AssertionError, match="without --direct"):
-        run_cli(*argv, "--direct")
+    assert json.loads(capsys.readouterr().out)["fourier"] == want["fourier"]
+
+
+def test_lambda_direct_runs_past_20011(tmp_path, capsys):
+    # the count has no ceiling of its own: spread members, whose sums wrap
+    # past P, give the pair count mod P
+    p = next_prime_above(20011)
+    members = np.sort(np.random.default_rng(20011).choice(p, size=500, replace=False))
+    path = tmp_path / "set.txt"
+    path.write_text("".join(f"{m}\n" for m in members.tolist()))
+    assert run_cli("lambda", "--p", str(p), "--set", str(path), "--direct") == 0
+    report = json.loads(capsys.readouterr().out)
+    pairs = additive_counts(members, p).pairs
+    assert report["direct"]["pair_count"] == pairs > members.size
+    assert report["direct"]["lambda"] == pairs / p**2
+    assert abs(report["fourier"]["lambda"] - report["direct"]["lambda"]) < 1e-10
 
 
 def test_tuples_subcommand(capsys):
@@ -185,37 +196,12 @@ def test_force_is_only_echoed_in_the_config(tmp_path, capsys):
 
 
 def test_sweep_subcommands(tmp_path):
-    out = tmp_path / "norm.csv"
-    assert run_cli(
-        "norm-sweep", "--n", "10000", "--delta", "0.4",
-        "--k", "1,2", "--out", str(out),
-    ) == 0
-    lines = out.read_text().splitlines()
-    assert len(lines) == 3  # header + two rows
-
-    out2 = tmp_path / "delta.csv"
+    out = tmp_path / "delta.csv"
     assert run_cli(
         "delta-sweep", "--n", "10000", "--delta-grid", "0.3,0.4",
-        "--eps-grid", "0.1", "--out", str(out2),
+        "--eps-grid", "0.1", "--out", str(out),
     ) == 0
-    assert len(out2.read_text().splitlines()) == 3
-
-
-def _csv_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.reader(fh))
-
-
-def test_norm_sweep_is_pipeline_rows_restricted_to_its_columns(tmp_path):
-    args = ["--n", "10000", "--delta", "0.4"]
-    assert run_cli("pipeline", *args, "--k", "1,2,3", "--out", str(tmp_path / "p.json")) == 0
-    header, *rows = _csv_rows(tmp_path / "p.csv")
-    kept = [header.index(col) for col in NORM_SWEEP_CSV_COLUMNS]
-    want = [NORM_SWEEP_CSV_COLUMNS] + [[row[i] for i in kept] for row in rows]
-    for k_flag in (["--k", "1,2,3"], []):  # no --k means k = 1, 2, 3
-        out = tmp_path / "norms.csv"
-        assert run_cli("norm-sweep", *args, *k_flag, "--out", str(out)) == 0
-        assert _csv_rows(out) == want
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_report_does_not_depend_on_the_order_of_k(tmp_path):
@@ -507,8 +493,8 @@ MALFORMED_INPUTS = {
     # suggested_delta = (eta * floor_rhs)^(5/3) overflows a float
     "eta-overflow": (_config_file({"n": 10000, "eta": 1e200}), "error: overflow:"),
     "k-grid-flag": (
-        lambda tmp_path: ["norm-sweep", "--n", "1000", "--k-grid", "1,2",
-                          "--out", str(tmp_path / "n.csv")],
+        lambda tmp_path: ["pipeline", "--n", "1000", "--k-grid", "1,2",
+                          "--out", str(tmp_path / "r.json")],
         "unrecognized arguments: --k-grid",
     ),
     # each option a command does not read is refused, not ignored
@@ -556,11 +542,11 @@ MALFORMED_INPUTS = {
     # lambda reads residues mod P: a member outside [0, P) is not reduced
     "lambda-member-negative": (
         lambda tmp_path: _small_set(tmp_path, "1\n102\n-100\n"),
-        "set member -100 in",
+        "set.txt must be ascending distinct residues in [0, 101)",
     ),
     "lambda-member-past-p": (
         lambda tmp_path: _small_set(tmp_path, "0\n1\n101\n"),
-        "set member 101 in",
+        "set.txt must be ascending distinct residues in [0, 101)",
     ),
     # a malformed list or decimal value names its option or config key
     "delta-grid-trailing-comma": (
@@ -594,8 +580,8 @@ MALFORMED_INPUTS = {
         "argument --k: '1,' holds an empty value",
     ),
     "k-not-an-integer": (
-        lambda tmp_path: ["norm-sweep", "--n", "1000", "--k", "1,1.5",
-                          "--out", str(tmp_path / "n.csv")],
+        lambda tmp_path: ["pipeline", "--n", "1000", "--k", "1,1.5",
+                          "--out", str(tmp_path / "r.json")],
         "argument --k: '1.5' is not an integer",
     ),
     "bohr-freqs-trailing-comma": (
@@ -654,7 +640,8 @@ def test_oversized_input_exits_3_with_a_message(tmp_path, capsys, monkeypatch, c
         raise AssertionError("a P-length array was built past the budget")
 
     monkeypatch.setattr("ap3lab.cli.build_bohr_set", unreachable)
-    monkeypatch.setattr("ap3lab.cli.CyclicFunction", unreachable)
+    monkeypatch.setattr("ap3lab.cli.ScaledIndicator", unreachable)
+    monkeypatch.setattr("ap3lab.cli.additive_counts", unreachable)
     monkeypatch.setattr("ap3lab.cli.forward_transform", unreachable)
     assert run_cli(*OVERSIZED_INPUTS[case](tmp_path)) == 3
     err = capsys.readouterr().err
@@ -685,11 +672,10 @@ def test_each_command_accepts_only_the_options_it_reads():
         "lambda": {"--p", "--set", "--direct", "--out"},
         "tuples": {"--w", "--offsets", "--limit", "--series-cutoff", "--out"},
         "pipeline": point | {"--k", "--out"},
-        "norm-sweep": point | {"--k", "--out"},
         "delta-sweep": point | {"--delta-grid", "--eps-grid", "--out"},
         "bounds": {"--n", "--out"},
     }
-    assert sum(map(len, options.values())) == 50  # (command, option) slots
+    assert sum(map(len, options.values())) == 42  # (command, option) slots
 
 
 def test_readme_command_lines_parse():

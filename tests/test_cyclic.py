@@ -28,6 +28,7 @@ from ap3lab.bohr import build_bohr_set
 from ap3lab.errors import InvalidArgumentError, ResourceLimitError
 from ap3lab.primes import is_prime
 from conftest import (
+    dense_indicator,
     direct_convolve,
     direct_forward,
     fft_convolve,
@@ -54,7 +55,7 @@ def test_constant_transforms_to_point_mass():
 
 def test_point_mass_transforms_to_constant():
     p = 101
-    f = CyclicFunction.indicator(p, [0], scale=float(p))
+    f = dense_indicator(p, [0], scale=float(p))
     coeffs = f.spectrum().full()
     assert np.max(np.abs(coeffs - 1.0)) < 1e-12
 
@@ -183,7 +184,7 @@ INDICATOR_CASES = _indicator_cases()
                          ids=[case[0] for case in INDICATOR_CASES])
 def test_support_transform_is_the_dense_transform_in_every_bit(case, p, support, scale):
     held = ScaledIndicator(p, support, scale).spectrum().half
-    dense = forward_transform(CyclicFunction.indicator(p, support.tolist(), scale)).half
+    dense = forward_transform(dense_indicator(p, support.tolist(), scale)).half
     assert held.shape == dense.shape
     assert np.array_equal(held.view(np.uint64), dense.view(np.uint64))
     if case.startswith("wrapping"):
@@ -444,7 +445,7 @@ def test_mirrored_sum_is_the_fixed_sum_of_the_mirrored_sequence(size):
 @pytest.mark.parametrize("p", [2, 3, 101, 1009, 8191, 40009])
 def test_threshold_spectrum_matches_the_full_length_oracle(p):
     rng = np.random.default_rng(p)
-    for f in (random_function(p, rng), CyclicFunction.indicator(p, range(0, p, 3))):
+    for f in (random_function(p, rng), dense_indicator(p, range(0, p, 3))):
         s = f.spectrum()
         raw, fourth_moment = threshold_of_full_spectrum(s.full(), 0.0)
         fourth = mirrored_sum(np.abs(s.half), p, cyclic._powers(4))
@@ -535,7 +536,7 @@ def test_l1_multiplicativity_for_nonnegative_functions():
 
 
 def test_indicator_norms():
-    f = CyclicFunction.indicator(101, range(17))
+    f = dense_indicator(101, range(17))
     assert math.isclose(lp_norm(f, 1), 17 / 101, rel_tol=1e-12)
     assert math.isclose(lp_norm(f, 2), math.sqrt(17 / 101), rel_tol=1e-12)
 
@@ -611,7 +612,7 @@ def test_spectral_norm_examples():
     const = CyclicFunction(p, np.full(p, 2.0)).spectrum()
     for k in (1.0, 2.0, 4.0):
         assert math.isclose(spectral_lp_norm(const, k), 2.0, rel_tol=1e-9)
-    mass = CyclicFunction.indicator(p, [0], scale=float(p)).spectrum()
+    mass = dense_indicator(p, [0], scale=float(p)).spectrum()
     assert math.isclose(spectral_lp_norm(mass, 4), p ** 0.25, rel_tol=1e-9)
 
 
@@ -633,7 +634,7 @@ def test_coefficients_bounded_by_l1_norm():
 def test_threshold_spectrum_adjoins_one():
     const = CyclicFunction(101, np.full(101, 1.0))
     assert threshold_spectrum(const.spectrum(), 0.5)[0].tolist() == [0, 1]
-    mass = CyclicFunction.indicator(101, [0], scale=101.0)
+    mass = dense_indicator(101, [0], scale=101.0)
     assert threshold_spectrum(mass.spectrum(), 0.9)[0].tolist() == list(range(101))
     # a flat spectrum meets the Markov count with equality; only rounding
     # of the fourth moment separates the two sides

@@ -15,19 +15,17 @@ from ap3lab.bohr import BohrSet, build_bohr_set, smooth
 from ap3lab.errors import InvalidArgumentError, ResourceLimitError
 from ap3lab.pipeline import (
     DELTA_SWEEP_CSV_COLUMNS,
-    NORM_SWEEP_CSV_COLUMNS,
     PIPELINE_CSV_COLUMNS,
     PipelineConfig,
     _smoothed_statistics,
     canonical_json,
     delta_sweep,
     lift,
-    norm_sweep,
     run_pipeline,
     write_csv,
     write_report,
 )
-from conftest import smoothed
+from conftest import dense_indicator, smoothed
 
 
 def test_config_validation():
@@ -193,17 +191,6 @@ def test_exploratory_flag_at_desk_scale(pipeline_1e5):
     data = pipeline_1e5.data
     assert data["flags"]["exploratory"]
     assert all(not row["in_theory_range"] for row in data["norm_table"])
-
-
-def test_norm_sweep_rows(table_1e5):
-    config = PipelineConfig(n=10**4, delta="0.4", k_values=(3, 1, 2))
-    header, rows = norm_sweep(config)
-    assert header == NORM_SWEEP_CSV_COLUMNS
-    assert len(rows) == 3
-    k_column = [row[header.index("k")] for row in rows]
-    assert k_column == [1, 2, 3]  # ascending regardless of the given order
-    ratio_idx = header.index("norm_ratio")
-    assert all(float(row[ratio_idx]) > 0 for row in rows)
 
 
 def test_delta_sweep_rows():
@@ -505,7 +492,7 @@ def test_self_convolution_square_norm_identity(sieved_1e5):
     from conftest import fft_convolve
 
     ctx, _, sieved = sieved_1e5
-    a = CyclicFunction.indicator(ctx.p, ctx.a0, ctx.scale)
+    a = dense_indicator(ctx.p, ctx.a0, ctx.scale)
     lhs = lp_norm(CyclicFunction(a.modulus, fft_convolve(a.values, a.values)), 2) ** 2
     rhs = spectral_lp_norm(sieved.function.spectrum(), 4) ** 4
     assert math.isclose(lhs, rhs, rel_tol=1e-8)

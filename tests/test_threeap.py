@@ -14,20 +14,15 @@ from ap3lab.cyclic import (
     _real_convolution,
     fixed_sum,
 )
-from ap3lab.errors import InvalidArgumentError, InvariantError, ResourceLimitError
+from ap3lab.errors import InvalidArgumentError, InvariantError
 from ap3lab.primes import next_prime_above
-from ap3lab.threeap import (
-    DIRECT_LAMBDA_CEILING,
-    additive_counts,
-    lambda_direct,
-    lambda_fourier,
-    lambda_of_spectra,
-    trivial_mass,
-)
+from ap3lab.threeap import additive_counts, lambda_fourier, lambda_of_spectra
 from conftest import (
     additive_energy_brute,
     behrend_set,
     count_3aps_brute,
+    dense_indicator,
+    lambda_direct,
     lambda_enumerate,
     lambda_of_full_spectra,
     stanley_digits,
@@ -40,37 +35,30 @@ def random_triple(p, rng):
 
 def test_lambda_of_ones_is_one():
     one = CyclicFunction(101, np.full(101, 1.0))
-    report = lambda_direct(one, one, one)
-    assert math.isclose(report.lambda_value, 1.0, rel_tol=1e-12)
+    assert math.isclose(lambda_direct(one, one, one), 1.0, rel_tol=1e-12)
     assert math.isclose(lambda_fourier(one, one, one), 1.0, rel_tol=1e-12)
 
 
 def test_lambda_of_point_mass():
-    f = CyclicFunction.indicator(5, [0])
-    report = lambda_direct(f, f, f)
-    assert math.isclose(report.lambda_value, 1 / 25, rel_tol=1e-12)
-    assert report.pair_count == 1
-    assert report.nontrivial_mass == pytest.approx(0.0, abs=1e-15)
+    f = dense_indicator(5, [0])
+    assert math.isclose(lambda_direct(f, f, f), 1 / 25, rel_tol=1e-12)
+    assert additive_counts([0], 5).pairs == 1  # the trivial progression alone
 
 
 def test_lambda_enumerated_block_example():
-    f = CyclicFunction.indicator(101, [0, 1, 2])
-    report = lambda_direct(f, f, f)
-    assert report.pair_count == 5  # 3 trivial + both orientations of (0,1,2)
-    assert math.isclose(report.lambda_value, 5 / 101**2, rel_tol=1e-12)
-    assert math.isclose(
-        report.lambda_value, lambda_enumerate(f.values, f.values, f.values),
-        rel_tol=1e-12,
-    )
+    f = dense_indicator(101, [0, 1, 2])
+    lam = lambda_direct(f, f, f)
+    assert additive_counts([0, 1, 2], 101).pairs == 5  # 3 trivial + both orientations
+    assert math.isclose(lam, 5 / 101**2, rel_tol=1e-12)
+    assert math.isclose(lam, lambda_enumerate(f.values, f.values, f.values), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("p", (5, 101))
 def test_direct_against_pure_python_enumeration(p):
     rng = np.random.default_rng(p)
     f, g, h = random_triple(p, rng)
-    report = lambda_direct(f, g, h)
     assert math.isclose(
-        report.lambda_value,
+        lambda_direct(f, g, h),
         lambda_enumerate(f.values, g.values, h.values),
         rel_tol=1e-11,
     )
@@ -81,7 +69,7 @@ def test_fourier_matches_direct_on_random_functions(p):
     rng = np.random.default_rng(p + 17)
     for _ in range(3):
         f, g, h = random_triple(p, rng)
-        direct = lambda_direct(f, g, h).lambda_value
+        direct = lambda_direct(f, g, h)
         assert abs(lambda_fourier(f, g, h) - direct) < 1e-8
 
 
@@ -98,17 +86,16 @@ def test_fourier_reduces_the_real_products_in_a_fixed_order():
 
 
 def test_direct_decomposition_sums():
-    rng = np.random.default_rng(23)
-    f, g, h = random_triple(101, rng)
-    report = lambda_direct(f, g, h)
-    assert math.isclose(
-        report.lambda_value,
-        report.trivial_mass + report.nontrivial_mass,
-        rel_tol=1e-12,
+    # the exact count splits by common difference: the |S| pairs (y, y) at
+    # d = 0, and one pair per (x, d != 0) with x, x + d, x + 2d in S mod P
+    p = 101
+    members = np.sort(np.random.default_rng(23).choice(p, size=40, replace=False))
+    inside = set(members.tolist())
+    nontrivial = sum(
+        (x + d) % p in inside and (x + 2 * d) % p in inside
+        for x in inside for d in range(1, p)
     )
-    assert math.isclose(
-        report.trivial_mass, trivial_mass(f, g, h), rel_tol=1e-12
-    )
+    assert additive_counts(members, p).pairs == len(inside) + nontrivial > len(inside)
 
 
 def test_multilinearity():
@@ -131,17 +118,9 @@ def test_translation_invariance():
         CyclicFunction(p, np.roll(fn.values, shift)) for fn in (f, g, h)
     )
     assert abs(
-        lambda_direct(f, g, h).lambda_value
-        - lambda_direct(fs, gs, hs).lambda_value
+        lambda_direct(f, g, h)
+        - lambda_direct(fs, gs, hs)
     ) < 1e-12
-
-
-def test_direct_ceiling():
-    p = next_prime_above(DIRECT_LAMBDA_CEILING)
-    f = CyclicFunction(p, np.full(p, 1.0))
-    with pytest.raises(ResourceLimitError):
-        lambda_direct(f, f, f)
-    assert math.isclose(lambda_fourier(f, f, f), 1.0, rel_tol=1e-9)
 
 
 def test_direct_speed_at_2003():
@@ -180,14 +159,17 @@ def test_behrend_size_golden():
 def test_trivial_only_identity_for_embedded_ap_free_sets():
     members = behrend_set(300)
     p = next_prime_above(3 * max(members))
-    f = CyclicFunction.indicator(p, members)
-    report = lambda_direct(f, f, f)
-    assert report.pair_count == len(members)
-    assert abs(report.nontrivial_mass) < 1e-12
+    f = dense_indicator(p, members)
+    assert additive_counts(members, p).pairs == len(members)
+    assert abs(lambda_direct(f, f, f) - len(members) / p**2) < 1e-12
+
+
+# sets in [0, 330] lie inside [0, P/3] for this P, so no sum wraps
+COUNT_P = next_prime_above(3 * 330)
 
 
 def _count_sets():
-    """Sets in [0, 330]: inside [0, P/3] for P = 991, so no sum wraps."""
+    """Sets in [0, 330]: inside [0, P/3] for P = COUNT_P, so no sum wraps."""
     rng = np.random.default_rng(331)
     sets = [stanley_digits(330), behrend_set(330)]
     sets += [
@@ -200,7 +182,7 @@ def _count_sets():
 @pytest.mark.parametrize("index", range(5))
 def test_additive_counts_against_brute_force(index):
     members = _count_sets()[index]
-    counts = additive_counts(members)
+    counts = additive_counts(members, COUNT_P)
     assert counts.pairs == len(members) + 2 * count_3aps_brute(members)
     assert counts.energy == additive_energy_brute(members)
     assert counts.rounding_error <= AUTOCONVOLUTION_ROUNDING_BOUND
@@ -209,24 +191,59 @@ def test_additive_counts_against_brute_force(index):
 @pytest.mark.parametrize("index", [0, 1, 4])
 def test_additive_pairs_are_the_operator_on_an_embedding(index):
     members = _count_sets()[index]
-    p = next_prime_above(3 * 330)
+    p = COUNT_P
     ind = np.zeros(p)
     ind[members] = 1.0
     scaled = lambda_enumerate(ind, ind, ind) * p * p
-    assert abs(scaled - additive_counts(members).pairs) < 1e-6
+    assert abs(scaled - additive_counts(members, p).pairs) < 1e-6
+
+
+@pytest.mark.parametrize("p", (5, 101, 1009))
+def test_additive_counts_mod_p_of_wrapped_sets(p):
+    # random sets over all of Z/PZ, so sums wrap and r folds: the pairs
+    # are the double sum's P^2 * lambda, the energy P^3 * sum |1_S^|^4
+    rng = np.random.default_rng(p + 3)
+    for size in (2, p // 3, p - 1):
+        members = np.sort(rng.choice(p, size=size, replace=False))
+        counts = additive_counts(members, p)
+        f = dense_indicator(p, members)
+        assert abs(counts.pairs - lambda_direct(f, f, f) * p * p) < 1e-6
+        fourth = cyclic.ScaledIndicator(p, members, 1.0).spectrum().fourth_moment()
+        assert math.isclose(counts.energy, p**3 * fourth, rel_tol=1e-12)
+
+
+def test_additive_counts_of_an_interval_wrapped_past_p():
+    # the interval [0, L) with 2L - 2 < P and its translate across P - 1:
+    # the same cyclic counts, x + z = 2y when x = z mod 2, and the energy
+    # sum_s r(s)^2 with r the tent 1, 2, ..., L, ..., 2, 1
+    p = 8388593
+    length = p // 2
+    pairs = (length // 2) ** 2 + ((length + 1) // 2) ** 2
+    energy = (2 * length**3 + length) // 3
+    interval = np.arange(length, dtype=np.int64)
+    for members in (interval, (interval + (p - p // 4)) % p):
+        counts = additive_counts(members, p)
+        assert (counts.pairs, counts.energy) == (pairs, energy)
+        assert counts.rounding_error < AUTOCONVOLUTION_ROUNDING_BOUND
 
 
 def test_additive_counts_of_small_sets():
-    empty = additive_counts([])
+    empty = additive_counts([], 101)
     assert (empty.pairs, empty.energy) == (0, 0)
-    single = additive_counts([5])
+    single = additive_counts([5], 101)
     assert (single.pairs, single.energy) == (1, 1)
     # (0, 2) and (2, 0) around 1, plus the three pairs (y, y);
     # r = 1, 2, 3, 2, 1 on the sums 0..4
-    ap = additive_counts([0, 1, 2])
+    ap = additive_counts([0, 1, 2], 101)
     assert (ap.pairs, ap.energy) == (5, 19)
-    with pytest.raises(InvalidArgumentError):
-        additive_counts([-1, 2])
+    # mod 7 the sum 4 + 4 = 8 folds onto 1 = 0 + 1 = 2 * 4, so (1, 4, 0) is a
+    # progression: r = 1, 3, 1, 0, 2, 2, 0, where the integers give pairs 3
+    # and energy 15
+    wrapped = additive_counts([0, 1, 4], 7)
+    assert (wrapped.pairs, wrapped.energy) == (5, 19)
+    for outside in ([-1, 2], [0, 101]):
+        with pytest.raises(InvalidArgumentError, match=r"residues in \[0, 101\)"):
+            additive_counts(outside, 101)
 
 
 def test_additive_counts_hold_no_integer_copy_of_the_autoconvolution():
@@ -236,9 +253,10 @@ def test_additive_counts_hold_no_integer_copy_of_the_autoconvolution():
     rng = np.random.default_rng(7)
     members = np.flatnonzero(rng.random(200_001) < 0.1)
     size = 2 * _five_smooth_at_least(int(members[-1]) + 1)
+    p = next_prime_above(2 * int(members[-1]))  # r is shorter than P: no fold
     tracemalloc.start()
     try:
-        counts = additive_counts(members)
+        counts = additive_counts(members, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -264,7 +282,7 @@ def test_additive_counts_check_their_rounding(monkeypatch):
 
     monkeypatch.setattr(cyclic, "_real_convolution", shifted)
     with pytest.raises(InvariantError):
-        additive_counts([0, 1, 3, 7])
+        additive_counts([0, 1, 3, 7], 101)
 
     def off_by_one(*args):
         out = _real_convolution(*args)
@@ -273,7 +291,7 @@ def test_additive_counts_check_their_rounding(monkeypatch):
 
     monkeypatch.setattr(cyclic, "_real_convolution", off_by_one)
     with pytest.raises(InvariantError):
-        additive_counts([0, 1, 3, 7])
+        additive_counts([0, 1, 3, 7], 101)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -282,7 +300,7 @@ def test_fourier_at_the_smallest_moduli(p):
     for _ in range(5):
         f, g, h = random_triple(p, rng)
         assert math.isclose(
-            lambda_fourier(f, g, h), lambda_direct(f, g, h).lambda_value, rel_tol=1e-12
+            lambda_fourier(f, g, h), lambda_direct(f, g, h), rel_tol=1e-12
         )
 
 
@@ -302,7 +320,7 @@ def test_fourier_past_one_sum_block():
     assert p > SUM_BLOCK
     f, g, h = random_triple(p, np.random.default_rng(10007))
     lam = lambda_fourier(f, g, h)
-    assert math.isclose(lam, lambda_direct(f, g, h).lambda_value, rel_tol=1e-12)
+    assert math.isclose(lam, lambda_direct(f, g, h), rel_tol=1e-12)
     gathered = _gathered_lambda(
         f.spectrum().full(), g.spectrum().full(), h.spectrum().full()
     )
@@ -317,7 +335,7 @@ def test_half_spectrum_products_sum_in_the_full_order():
     # the computed value is rounding alone: every product counts, to the
     # last bit.
     p = 20011
-    f, g, h = (CyclicFunction.indicator(p, [x], scale=p) for x in (0, 1, 5))
+    f, g, h = (dense_indicator(p, [x], scale=p) for x in (0, 1, 5))
     lam = lambda_of_spectra(p, *(fn.spectrum().half for fn in (f, g, h)))
     assert abs(lam) < 1e-9
     assert lam == _gathered_lambda(*(fn.spectrum().full() for fn in (f, g, h)))
@@ -335,7 +353,7 @@ def test_streamed_lambda_is_bit_equal_to_the_full_length_form(p):
     triples = [
         random_triple(p, rng),
         # point masses: lambda is rounding alone, so every product counts
-        tuple(CyclicFunction.indicator(p, [x], scale=p) for x in (0, 1, 5)),
+        tuple(dense_indicator(p, [x], scale=p) for x in (0, 1, 5)),
     ]
     for f, g, h in triples:
         got = lambda_of_spectra(p, *(fn.spectrum().half for fn in (f, g, h)))
@@ -377,7 +395,7 @@ def test_additive_counts_of_shuffled_input_with_duplicates(monkeypatch):
         members = rng.choice(limit + 1, size=size, replace=False).tolist()
         shuffled = members + members[: size // 3]
         rng.shuffle(shuffled)
-        counts = additive_counts(np.array(shuffled))
+        counts = additive_counts(np.array(shuffled), next_prime_above(3 * limit))
         assert counts.pairs == len(members) + 2 * count_3aps_brute(members)
         assert counts.energy == additive_energy_brute(members)
         # the least even 2^a 3^b 5^c that holds every sum 0 .. 2 * max(A)

@@ -118,7 +118,7 @@ def test_exact_counts_are_the_same_on_two_threads(monkeypatch):
     assert 2 * int(members[-1]) + 1 >= cyclic._THREAD_FLOOR
 
     def compute():
-        counts = additive_counts(members)
+        counts = additive_counts(members, P_ABOVE)
         return counts.pairs, counts.energy, counts.rounding_error
 
     interval = sys.getswitchinterval()
@@ -171,7 +171,7 @@ def test_no_thread_is_started_below_the_floor(monkeypatch):
     forward_transform(CyclicFunction(p, values))
     js = np.arange(-7, 8, dtype=np.int64)
     kernel_spectrum(BohrSet(p, (1,), Fraction(1, 2), np.sort(js * 1001 % p)))
-    additive_counts(np.flatnonzero(values))
+    additive_counts(np.flatnonzero(values), p)
 
 
 class _Failure(Exception):

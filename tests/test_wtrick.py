@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import ap3lab.wtrick as wtrick_module
-from ap3lab.cyclic import CyclicFunction
 from ap3lab.errors import (
     EmptySelectionError,
     InvalidArgumentError,
@@ -19,7 +18,7 @@ from ap3lab.wtrick import (
     choose_residue,
     compute_parameters,
 )
-from conftest import count_3aps_brute, stanley_digits
+from conftest import count_3aps_brute, dense_indicator, stanley_digits
 
 
 def test_parameters_at_1e6():
@@ -128,7 +127,7 @@ def test_build_sieved_function_stats(sieved_1e5, table_1e5):
     assert math.isclose(sieved.l1_norm, expected_l1, rel_tol=1e-12)
     a = sieved.function
     assert a.support is ctx.a0 and a.scale == ctx.scale
-    dense = CyclicFunction.indicator(ctx.p, a.support, a.scale)
+    dense = dense_indicator(ctx.p, a.support, a.scale)
     assert math.isclose(float(np.mean(dense.values)), sieved.l1_norm, rel_tol=1e-12)
 
 
