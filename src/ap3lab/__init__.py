@@ -38,7 +38,6 @@ from .primes import (
     PrimeTable,
     is_prime,
     next_prime_above,
-    prime_count,
     sieve_primes,
 )
 from .sieve_bounds import (

@@ -202,7 +202,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_wtrick(args) -> int:
     config = _pipeline_config(args)
-    members, ctx, params, sieved = lift(config)
+    ctx, _ = lift(config)
     report = {
         "n": config.n,
         "z": ctx.z,
@@ -210,15 +210,15 @@ def _cmd_wtrick(args) -> int:
         "phi_w": ctx.phi_w,
         "b": ctx.b,
         "p": ctx.p,
-        "set_size": int(members.size),
+        "set_size": ctx.set_size,
         "a0_size": int(ctx.a0.size),
-        "alpha": sieved.alpha,
-        "l1_norm": sieved.l1_norm,
+        "alpha": ctx.alpha,
+        "l1_norm": ctx.l1_norm,
         "bounds_hold": {
-            "log_w_in_band": params.log_w_in_band,
-            "ratio_in_band": params.ratio_in_band,
-            "mass_ok": sieved.mass_ok,
-            "alpha_threshold_ok": sieved.alpha_threshold_ok,
+            "log_w_in_band": ctx.log_w_in_band,
+            "ratio_in_band": ctx.ratio_in_band,
+            "mass_ok": ctx.mass_ok,
+            "alpha_threshold_ok": ctx.alpha_threshold_ok,
         },
     }
     _emit(canonical_json(report), args.out)

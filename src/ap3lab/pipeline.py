@@ -1,8 +1,9 @@
 """End-to-end experiment pipeline: sieve, lift, transform, smooth, compare.
 
-Every entry point starts from one W-trick lift stage, `lift`. A run is
-deterministic: canonical JSON (sorted keys, two-space indent), fixed CSV
-column order.
+Every entry point starts from one W-trick lift stage, `lift`, which
+returns (ctx, a): the frozen wtrick.WTrickContext, which holds every lift
+fact a report reads, and a. A run is deterministic: canonical JSON
+(sorted keys, two-space indent), fixed CSV column order.
 
 a = scale * 1_{A0} is held as its support A0 and the scale
 (cyclic.ScaledIndicator), from the lift to the one forward transform of a,
@@ -77,12 +78,12 @@ import numpy as np
 
 from . import bounds as bd
 from .bohr import as_radius, build_bohr_set, kernel_spectrum, smooth
-from .cyclic import check_fft_budget, threshold_spectrum
+from .cyclic import ScaledIndicator, check_fft_budget, threshold_spectrum
 from .errors import InvalidArgumentError, InvariantError
 from .primes import sieve_primes
 from .sieve_bounds import convolution_norm_bound, moment_index_in_range
 from .threeap import additive_counts, lambda_fourier, lambda_of_spectra
-from .wtrick import build_context, build_sieved_function, compute_parameters
+from .wtrick import WTrickContext, build_context, build_sieved_function, compute_parameters
 
 # lp_norm and spectral_lp_norm stay importable here because perfbench/spans.py
 # wraps pipeline.lp_norm and pipeline.spectral_lp_norm.
@@ -291,21 +292,22 @@ def load_member_file(path) -> np.ndarray:
     return np.asarray(members, dtype=np.int64)
 
 
-def lift(config: PipelineConfig) -> tuple:
+def lift(config: PipelineConfig) -> tuple[WTrickContext, ScaledIndicator]:
     """The W-trick lift shared by every entry point.
 
     Picks W and P from (N, z), and refuses P past the FFT budget and a k
     whose 2k-norm would overflow a float, before anything is sieved. Then
     sieves to N, reads the members (all primes up to N, or a set file,
-    each member of which must be a prime up to N), picks b, and lifts the
-    chosen class to the sieved function. Returns (members, ctx, params,
-    sieved).
+    each member of which must be a prime up to N), and lifts them in one
+    pass. Returns (ctx, a): the frozen WTrickContext and
+    a = scale * 1_{A0}, the ScaledIndicator over ctx.a0. The members are
+    not kept: the report reads their count, ctx.set_size.
     """
     params = compute_parameters(config.n, config.z_override)
     check_fft_budget(params.p)
     # h <= scale = ln N / ln z, so the 2k-norm's sum is at most P * scale^(2k)
     k = max(config.k_values, default=1)
-    log_sum = 2 * k * math.log(math.log(config.n) / math.log(params.z)) + math.log(params.p)
+    log_sum = 2 * k * math.log(params.scale) + math.log(params.p)
     if log_sum >= math.log(sys.float_info.max):
         raise InvalidArgumentError(f"k = {k} is too large: the 2k-norm of h would overflow")
     table = sieve_primes(config.n)
@@ -318,18 +320,20 @@ def lift(config: PipelineConfig) -> tuple:
             raise InvalidArgumentError(
                 f"set member {int(outside[0])} is not a prime in [2, N = {config.n}]"
             )
-    ctx = build_context(members, config.n, params)
-    sieved = build_sieved_function(members, ctx, prime_table=table)
-    return members, ctx, params, sieved
+    # Kept while perfbench is frozen (ROADMAP item 1): perfbench/spans.py
+    # wraps both calls below through this module's globals and reads ctx as
+    # build_sieved_function's args[1]; its tests count at least |A0| table
+    # lookups, which that function's loop makes though every member is
+    # checked above; and it wraps wtrick.is_prime and wtrick.sieve_primes
+    # by name, so wtrick imports both.
+    ctx = build_context(members, table, params)
+    return ctx, build_sieved_function(members, ctx, table)
 
 
 def run_pipeline(config: PipelineConfig) -> ExperimentReport:
     """Full run: W-trick lift, spectrum, Bohr smoothing, progression
     operators, norm table, level sets, and the final-inequality ledger."""
-    members, ctx, params, sieved = lift(config)
-    set_size = int(members.size)
-    del members
-    a = sieved.function
+    ctx, a = lift(config)
 
     lam_a, lam_a_trivial, l4_pow4 = _counted_moments(a, ctx)
     spec_a = a.spectrum()
@@ -341,11 +345,11 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
     g = smooth(ctx.a0, bohr)
     if bohr.size == 1:
         lambda_fourier(a, a, a)  # discarded; perfbench's traced test counts it
-    trivial_term = (math.log(config.n) / math.log(ctx.z)) ** 2 / ctx.p
+    trivial_term = ctx.scale ** 2 / ctx.p
     final_lhs = trivial_term + point["smoothing_bound"]
 
     k_values = tuple(config.k_values) or (bd.choose_k(config.n),)
-    h_l1 = sieved.l1_norm
+    h_l1 = ctx.l1_norm
     h_sup, level_size, norms = _smoothed_statistics(g, bohr.size, ctx.a0.size, ctx.scale, k_values)
     norm_table = []
     exploratory = False
@@ -355,7 +359,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
         norm_bound = convolution_norm_bound(k, config.n, ctx.z, bohr.size)
         h2k = norms[k]
         level = bd.holder_report(ctx.p, h_l1, 2 * k, h2k, level_size)
-        floor_rhs = _progression_floor(sieved.alpha, k, config.c1)
+        floor_rhs = _progression_floor(ctx.alpha, k, config.c1)
         sanders_val = (
             bd.sanders_lower_bound(level.mu, config.c_sanders)
             if 0 < level.mu < 1
@@ -391,12 +395,12 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
             "b": ctx.b,
             "p": ctx.p,
             "scale": ctx.scale,
-            "set_size": set_size,
+            "set_size": ctx.set_size,
             "a0_size": int(ctx.a0.size),
-            "alpha": sieved.alpha,
-            "a_l1": sieved.l1_norm,
-            "log_w_in_band": params.log_w_in_band,
-            "ratio_in_band": params.ratio_in_band,
+            "alpha": ctx.alpha,
+            "a_l1": ctx.l1_norm,
+            "log_w_in_band": ctx.log_w_in_band,
+            "ratio_in_band": ctx.ratio_in_band,
             "wphi_gamma_ratio": bd.wphi_gamma_diagnostic(ctx.w, ctx.phi_w, ctx.z),
         },
         "spectrum": {
@@ -421,8 +425,8 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
             "margin": norm_table[0]["level_margin"],
         },
         "flags": {
-            "mass_ok": sieved.mass_ok,
-            "alpha_threshold_ok": sieved.alpha_threshold_ok,
+            "mass_ok": ctx.mass_ok,
+            "alpha_threshold_ok": ctx.alpha_threshold_ok,
             **_pick(point, "eps_delta_lhs", "eps_delta_rhs", "eps_delta_slack", "eps_delta_ok"),
             "exploratory": exploratory,
             "chosen_k": bd.choose_k(config.n),
@@ -559,9 +563,7 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
         ((Fraction(d), d, Fraction(e), e) for d in deltas for e in epsilons)
     )
 
-    # members stays bound: freeing it early raised peak RSS ~5% at N = 1e6
-    members, ctx, _, sieved = lift(config)
-    a = sieved.function
+    ctx, a = lift(config)
     lam_a, _, _ = _counted_moments(a, ctx)
     spec_a = a.spectrum()
     a_hat = spec_a.half

@@ -136,19 +136,6 @@ def sieve_progression(w: int, offsets, start: int, stop: int, base):
         yield lo, alive
 
 
-def prime_count(table: PrimeTable, x: int) -> int:
-    """pi(x): number of primes <= x; the table's own count at its limit."""
-    if x < 0 or x > table.limit:
-        raise InvalidArgumentError(f"x={x} outside [0, {table.limit}]")
-    if x == table.limit:
-        return table.count
-    if x < 2:
-        return 0
-    n_odds = (x + 1) // 2  # odd numbers 1..x
-    flags = np.unpackbits(table.bits[: (n_odds + 7) >> 3])[:n_odds]
-    return int(np.count_nonzero(flags == 0)) + 1
-
-
 def is_prime(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2**64 (Miller-Rabin, fixed witnesses)."""
     if n < 0 or n >= 1 << 64:

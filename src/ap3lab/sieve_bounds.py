@@ -142,12 +142,9 @@ def count_prime_tuples(spec: TupleSpec, limit: int) -> int:
     return count
 
 
-def klimov_upper_bound(
-    spec: TupleSpec,
-    limit: int,
-    series: SingularSeries | None = None,
-) -> float:
-    """P * 3^k * k! / (ln P)^k times the singular series, with constant 1.
+def klimov_upper_bound(spec: TupleSpec, limit: int, series: SingularSeries) -> float:
+    """P * 3^k * k! / (ln P)^k times `series`, the singular series of
+    spec, with constant 1.
 
     Needs k >= 2. Past k > ln P / (12 ln ln P) the bound is weaker than the
     trivial count P; hypothesis_flags reports that as k_within_sieve_range.
@@ -158,8 +155,6 @@ def klimov_upper_bound(
     if limit < 3:
         raise InvalidArgumentError(f"limit must be >= 3, got {limit}")
     log_p = math.log(limit)
-    if series is None:
-        series = singular_series(spec)
     return limit * 3**k * math.factorial(k) / log_p**k * series.value
 
 

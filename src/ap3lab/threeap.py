@@ -23,6 +23,7 @@ from .cyclic import (
     ScaledIndicator,
     _in_two,
     _sum_counts,
+    check_residues,
     fixed_sum,
     mirrored_sum,
 )
@@ -43,8 +44,8 @@ def additive_counts(members, modulus: int) -> AdditiveCounts:
     """Count the pairs (x, z) in S^2 with x + z = 2y mod P for some y in S,
     and the additive energy of S mod P, exactly.
 
-    members are residues in [0, P), in any order; duplicates are dropped by
-    sort and mask, and a member outside [0, P) is refused. r is the
+    members must be ascending distinct residues in [0, P)
+    (cyclic.check_residues refuses any other array). r is the
     integer autoconvolution of S (cyclic._sum_counts), formed over one
     float64 array of the least even 5-smooth length > 2 * max S, rounded
     in place and checked there. When r is longer than P it is folded in
@@ -57,13 +58,7 @@ def additive_counts(members, modulus: int) -> AdditiveCounts:
     held as int64. Both are exact integer sums, so no bit depends on the
     split.
     """
-    arr = np.sort(np.asarray(members, dtype=np.int64))
-    first = np.ones(arr.size, dtype=bool)
-    np.not_equal(arr[1:], arr[:-1], out=first[1:])
-    arr = arr[first]
-    if arr.size and (arr[0] < 0 or arr[-1] >= modulus):
-        bad = int(arr[0] if arr[0] < 0 else arr[-1])
-        raise InvalidArgumentError(f"members must be residues in [0, {modulus}), got {bad}")
+    arr = check_residues(members, modulus, "members")
     r, rounding_error = _sum_counts(arr)
     if r.size > modulus:
         r[: r.size - modulus] += r[modulus:]

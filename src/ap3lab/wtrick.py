@@ -1,6 +1,11 @@
 """Small-prime sieving of a prime set: product modulus W, densest coprime
-residue class, lift to [1, P], and the rescaled indicator function, held
-as its support A0 and the scale (cyclic.ScaledIndicator): no length-P
+residue class, and its lift A0 = {(m - b)/W} to [1, P/3].
+
+The lift is one immutable record, WTrickContext: the parameters
+compute_parameters picks for N (z, W, phi(W), P and scale = ln N / ln z),
+the class b, A0, |A| and alpha = |A| / pi(N), built in one pass by
+build_context. The rescaled indicator a = scale * 1_{A0} is the
+cyclic.ScaledIndicator over ctx.a0 (build_sieved_function): no length-P
 array of a is ever built.
 """
 
@@ -17,61 +22,57 @@ from .errors import (
     EmptySelectionError,
     InvalidArgumentError,
     InvariantError,
-    PreconditionError,
     ResourceLimitError,
 )
-from .primes import PrimeTable, next_prime_above, prime_count, sieve_primes
+from .primes import PrimeTable, next_prime_above
 
-# is_prime stays importable here because perfbench/spans.py counts wtrick.is_prime.
-from .primes import is_prime  # noqa: F401
+# imported for perfbench/spans.py alone (see pipeline.lift)
+from .primes import is_prime, sieve_primes  # noqa: F401
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class WTrickParams:
     """Outcome of parameter selection for a given N."""
-
-    z: float
-    w: int
-    phi_w: int
-    p: int
-    # diagnostic flags, reported not asserted: they hold only for large N
-    log_w_in_band: bool  # (4/5) z <= ln W <= (4/3) z
-    ratio_in_band: bool  # ln z <= W/phi(W) <= 2 ln z
-
-
-@dataclass
-class WTrickContext:
-    """Everything the downstream pipeline needs about one sieving run.
-
-    a0 is filled by build_sieved_function; the context is treated as
-    immutable afterwards.
-    """
 
     n: int
     z: float
     w: int
     phi_w: int
-    b: int
     p: int
     scale: float  # ln N / ln z
-    a0: np.ndarray | None = field(default=None, repr=False)
+    # diagnostic flags, reported not asserted: they hold only for large N
+    log_w_in_band: bool  # (4/5) z <= ln W <= (4/3) z
+    ratio_in_band: bool  # ln z <= W/phi(W) <= 2 ln z
 
 
-@dataclass
-class SievedFunction:
-    """The rescaled indicator of the lifted set, held as its support, plus
-    its headline stats."""
+@dataclass(frozen=True, eq=False)
+class WTrickContext(WTrickParams):
+    """Every fact of one lift: the parameters, the class b, the read-only
+    support A0 of a, the input size |A| and alpha = |A| / pi(N)."""
 
-    function: ScaledIndicator
-    alpha: float  # |A| / pi(N)
-    l1_norm: float  # scale * |A0| / P
-    mass_ok: bool  # l1_norm >= alpha / 10 (reported; asserted only for dense A)
-    alpha_threshold_ok: bool  # alpha >= (ln N)^(-1/4), the paper's density range
+    b: int
+    a0: np.ndarray = field(repr=False)
+    set_size: int
+    alpha: float
+
+    @property
+    def l1_norm(self) -> float:
+        return self.scale * self.a0.size / self.p
+
+    @property
+    def mass_ok(self) -> bool:
+        """l1_norm >= alpha / 10 (reported; asserted only for dense A)."""
+        return self.l1_norm >= self.alpha / 10
+
+    @property
+    def alpha_threshold_ok(self) -> bool:
+        """alpha >= (ln N)^(-1/4), the paper's density range."""
+        return self.alpha >= math.log(self.n) ** -0.25
 
 
 def compute_parameters(n: int, z_override: float | None = None) -> WTrickParams:
-    """Pick z, the product modulus W = prod_{p<=z} p, phi(W), and the least
-    prime P > 3N/W.
+    """Pick z, the product modulus W = prod_{p<=z} p, phi(W), the least
+    prime P > 3N/W, and the scale ln N / ln z.
 
     Default z is ln(N)/4. The two asymptotic bands on ln W and W/phi(W) are
     evaluated and reported as flags.
@@ -112,29 +113,26 @@ def compute_parameters(n: int, z_override: float | None = None) -> WTrickParams:
     log_w = math.log(w)
     ratio = w / phi_w
     return WTrickParams(
+        n=n,
         z=z,
         w=w,
         phi_w=phi_w,
         p=p,
+        scale=math.log(n) / math.log(z),
         log_w_in_band=0.8 * z <= log_w <= (4.0 / 3.0) * z,
         ratio_in_band=math.log(z) <= ratio <= 2 * math.log(z),
     )
 
 
-def choose_residue(members, w: int) -> int:
+def choose_residue(members: np.ndarray, w: int) -> int:
     """Densest residue class: the b coprime to W maximizing
-    |{m in A : m = b mod W, m > W}|, smallest b on ties.
+    |{m in A : m = b mod W, m > W}|, smallest b on ties, for A an int64
+    array.
 
     Realizes the averaging bound count >= (|A| - pi(W)) / phi(W)
     constructively (elements <= W are dropped, as the small primes would
-    pollute the lift). An ndarray is read as it is; a list or any other
-    iterable is collected first.
+    pollute the lift).
     """
-    if not isinstance(members, np.ndarray):
-        members = list(members)
-    members = np.asarray(members, dtype=np.int64)
-    if members.size == 0:
-        raise EmptySelectionError("input set is empty")
     big = members[members > w]
     counts = np.bincount(big % w, minlength=w)
     counts[0] = 0  # W = 1 has no prime to zero it below
@@ -155,70 +153,30 @@ def choose_residue(members, w: int) -> int:
     return best_b
 
 
-def build_sieved_function(
-    members,
-    ctx: WTrickContext,
-    prime_table: PrimeTable | None = None,
-) -> SievedFunction:
-    """Lift the chosen class to A0 = {(m-b)/W} and build a = scale * 1_{A0}
-    on Z/PZ, as the ScaledIndicator over ctx.a0.
+def build_context(members: np.ndarray, table: PrimeTable, params: WTrickParams) -> WTrickContext:
+    """The lift of A, the ascending distinct primes up to N in `members`:
+    the densest class b, A0 = {(m - b)/W : m in A, m = b mod W, m > W},
+    and alpha = |A| / pi(N), with pi(N) the count of `table`, sieved to N.
 
-    Every lifted element must be prime (the input is supposed to be a prime
-    subset); each is looked up in `prime_table`, which is sieved to N here
-    when the caller's table does not reach N. Support lands in [1, P/3]
-    because P > 3N/W.
+    A0 is ascending and lands in [1, P/3] because P > 3N/W.
     """
-    members = np.sort(np.asarray(members, dtype=np.int64))
-    if members.size == 0:
-        raise InvalidArgumentError("input set is empty")
-    # Sort and mask rather than np.unique, which in numpy 2.4 hashes and took
-    # 0.6 s on the 664579 primes below 1e7, against 0.01 s for this.
-    members = members[np.append(True, members[1:] != members[:-1])]
-    if members.max() > ctx.n:
-        raise InvalidArgumentError(
-            f"set contains {members.max()} > N = {ctx.n}"
-        )
-
-    in_class = members[(members % ctx.w == ctx.b % ctx.w) & (members > ctx.w)]
-    if in_class.size == 0:
-        raise PreconditionError(
-            f"no elements of the set lie in class {ctx.b} mod {ctx.w} above W"
-        )
-    if prime_table is None or prime_table.limit < ctx.n:
-        prime_table = sieve_primes(ctx.n)
-    for m in in_class.tolist():
-        if not prime_table.is_prime(m):
-            raise InvalidArgumentError(f"element {m} of the chosen class is not prime")
-
-    a0 = (in_class - ctx.b) // ctx.w
-    if int(a0.max()) * 3 > ctx.p:
+    b = choose_residue(members, params.w)
+    a0 = (members[(members % params.w == b) & (members > params.w)] - b) // params.w
+    if int(a0[-1]) * 3 > params.p:
         raise InvariantError(
-            f"lifted support reaches {int(a0.max())}, past P/3 for P = {ctx.p}"
+            f"lifted support reaches {int(a0[-1])}, past P/3 for P = {params.p}"
         )
-    ctx.a0 = a0
-
-    function = ScaledIndicator(ctx.p, a0, ctx.scale)
-
-    alpha = members.size / prime_count(prime_table, ctx.n)
-    l1_norm = ctx.scale * a0.size / ctx.p
-    return SievedFunction(
-        function=function,
-        alpha=alpha,
-        l1_norm=l1_norm,
-        mass_ok=l1_norm >= alpha / 10,
-        alpha_threshold_ok=alpha >= math.log(ctx.n) ** -0.25,
-    )
+    a0.setflags(write=False)
+    return WTrickContext(**vars(params), b=b, a0=a0, set_size=int(members.size),
+                         alpha=members.size / table.count)
 
 
-def build_context(members, n: int, params: WTrickParams) -> WTrickContext:
-    """The residue choice for the parameters compute_parameters picked for
-    N, bundled with them into a context."""
-    return WTrickContext(
-        n=n,
-        z=params.z,
-        w=params.w,
-        phi_w=params.phi_w,
-        b=choose_residue(members, params.w),
-        p=params.p,
-        scale=math.log(n) / math.log(params.z),
-    )
+def build_sieved_function(members: np.ndarray, ctx: WTrickContext,
+                          table: PrimeTable) -> ScaledIndicator:
+    """a = scale * 1_{A0} on Z/PZ, as the ScaledIndicator over ctx.a0,
+    once each lifted element b + W * x, x in A0, is found prime in
+    `table`. `members` is not read (see pipeline.lift)."""
+    for m in (ctx.b + ctx.w * ctx.a0).tolist():
+        if not table.is_prime(m):
+            raise InvalidArgumentError(f"element {m} of the chosen class is not prime")
+    return ScaledIndicator(ctx.p, ctx.a0, ctx.scale)

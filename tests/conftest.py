@@ -435,7 +435,6 @@ def pipeline_smoothing():
 def sieved_1e5(table_1e5):
     from ap3lab.wtrick import build_context, build_sieved_function, compute_parameters
 
-    params = compute_parameters(10**5)
-    ctx = build_context(table_1e5.primes(), 10**5, params)
-    sieved = build_sieved_function(table_1e5.primes(), ctx, prime_table=table_1e5)
-    return ctx, params, sieved
+    primes = table_1e5.primes()
+    ctx = build_context(primes, table_1e5, compute_parameters(10**5))
+    return ctx, build_sieved_function(primes, ctx, table_1e5)

@@ -157,19 +157,18 @@ def test_criterion_05_wtrick_mass_and_support():
     for n in (10**5, 10**6, 10**7):
         table = sieve_primes(n)
         primes = table.primes()
-        ctx = build_context(primes, n, compute_parameters(n))
-        sieved = build_sieved_function(primes, ctx, prime_table=table)
-        support = sieved.function.support
-        mass_ok = sieved.l1_norm >= sieved.alpha / 10
+        ctx = build_context(primes, table, compute_parameters(n))
+        support = build_sieved_function(primes, ctx, table).support
+        mass_ok = ctx.l1_norm >= ctx.alpha / 10
         support_ok = int(support.max()) * 3 <= ctx.p and int(support.min()) >= 0
         ok = ok and mass_ok and support_ok
-        details.append(f"N=1e{int(math.log10(n))}: l1={sieved.l1_norm:.4f}")
+        details.append(f"N=1e{int(math.log10(n))}: l1={ctx.l1_norm:.4f}")
     verdict(5, ok, "mass >= alpha/10 and support in [0, P/3]: " + ", ".join(details))
 
 
 def test_criterion_06_spectrum_and_bohr_combinatorics(sieved_1e5):
-    ctx, _, sieved = sieved_1e5
-    spectrum = sieved.function.spectrum()
+    _, a = sieved_1e5
+    spectrum = a.spectrum()
     magnitudes = np.abs(spectrum.full())
     fourth = float(np.sum(magnitudes**4))
     markov_ok = all(
@@ -216,9 +215,8 @@ def test_criterion_07_smoothing_identities():
     ):
         table = sieve_primes(n)
         primes = table.primes()
-        ctx = build_context(primes, n, compute_parameters(n))
-        sieved = build_sieved_function(primes, ctx, prime_table=table)
-        a = sieved.function
+        ctx = build_context(primes, table, compute_parameters(n))
+        a = build_sieved_function(primes, ctx, table)
         r_set = a.spectrum()
         from ap3lab.cyclic import threshold_spectrum
 

@@ -505,10 +505,12 @@ except InvariantError:
     raised.append("symmetric")
 
 import ap3lab.primes as primes_module
-from ap3lab.wtrick import WTrickContext, build_sieved_function
+from dataclasses import replace
+from ap3lab.wtrick import build_context, compute_parameters
 
-try:
-    build_sieved_function([3, 97], WTrickContext(100, 2.0, 2, 1, 1, 101, 1.0))
+try:  # P = 101 is below 3N/W, so the lift of 97 lands past P/3
+    build_context(np.array([3, 97]), primes_module.sieve_primes(100),
+                  replace(compute_parameters(100), p=101))
 except InvariantError:
     raised.append("lift")
 from ap3lab.cyclic import Spectrum, threshold_spectrum

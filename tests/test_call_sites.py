@@ -2,7 +2,9 @@
 evaluator, so sigmahat, lambda on hhat and the eps-delta constraint each
 have one call site in pipeline.py, all in the same function. pipeline.py
 reads h only off the histogram of smooth's count, so no float pass over
-a dense h can come back. And every public function and method of the
+a dense h can come back. Every entry point shares one W-trick lift, so
+the two stages that build it are called from pipeline.lift alone. And
+every public function and method of the
 package is called from the package itself: code that only tests reach
 belongs in the tests. A method is called only through an attribute, so
 a variable of the same name does not count as a call."""
@@ -17,6 +19,7 @@ PIPELINE = SRC / "pipeline.py"
 OWNED = ("kernel_spectrum", "lambda_of_spectra", "bd.epsilon_delta_constraint")
 # float passes over a dense function that h's statistics once took
 DENSE_PASSES = ("lp_norm", "mean", "sup_norm", "level_set_size", "level_set_extract")
+LIFT_STAGES = ("build_context", "build_sieved_function")
 
 # Public names that no package code references, and why each stays.
 UNREFERENCED = {
@@ -47,6 +50,20 @@ def test_each_point_value_has_one_call_site_in_pipeline():
                 sites[_callee(node)].append(getattr(function, "name", None))
     assert all(len(owners) == 1 for owners in sites.values()), sites
     assert len({owners[0] for owners in sites.values()}) == 1, sites
+
+
+def test_the_lift_is_built_in_pipeline_lift_alone():
+    sites = {name: [] for name in LIFT_STAGES}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in tree.body:
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call):
+                    func = node.func  # f(...) or module.f(...)
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    if name in sites:
+                        sites[name].append(f"{path.stem}.{getattr(function, 'name', None)}")
+    assert sites == {name: ["pipeline.lift"] for name in LIFT_STAGES}
 
 
 def test_pipeline_makes_no_float_pass_over_a_dense_function():

@@ -12,6 +12,7 @@ import pytest
 
 from ap3lab import cyclic
 from ap3lab.bohr import BohrSet, build_bohr_set, smooth
+from ap3lab.cyclic import ScaledIndicator
 from ap3lab.errors import InvalidArgumentError, ResourceLimitError
 from ap3lab.pipeline import (
     DELTA_SWEEP_CSV_COLUMNS,
@@ -25,6 +26,8 @@ from ap3lab.pipeline import (
     write_csv,
     write_report,
 )
+from ap3lab.primes import sieve_primes
+from ap3lab.wtrick import WTrickContext
 from conftest import dense_indicator, smoothed
 
 
@@ -298,8 +301,8 @@ def test_delta_sweep_seeds_one_scan_and_filters_the_rest(monkeypatch):
     seeded = [call for call in calls if call[3] is None]
     assert len(seeded) == 1
     p, frequencies, epsilon, _, _ = seeded[0]
-    _, _, _, sieved = lift(config)
-    largest, _ = cyclic.threshold_spectrum(sieved.function.spectrum(), 0.3)
+    _, a = lift(config)
+    largest, _ = cyclic.threshold_spectrum(a.spectrum(), 0.3)
     assert (frequencies, epsilon) == (largest.tolist(), "0.4")
     for p, frequencies, epsilon, within, bohr in calls:
         fresh = build_bohr_set(p, frequencies, epsilon)
@@ -394,12 +397,35 @@ def test_lift_builds_no_dense_a():
     # traced bytes on its own
     tracemalloc.start()
     try:
-        _, ctx, _, sieved = lift(PipelineConfig(n=10**6))
+        ctx, a = lift(PipelineConfig(n=10**6))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sieved.function.support is ctx.a0
+    assert a.support is ctx.a0
     assert peak < 8 * ctx.p
+
+
+def test_lift_returns_the_context_and_a():
+    ctx, a = lift(PipelineConfig(n=10**4))
+    assert isinstance(ctx, WTrickContext) and isinstance(a, ScaledIndicator)
+    assert a.support is ctx.a0 and (a.modulus, a.scale) == (ctx.p, ctx.scale)
+    assert ctx.set_size == 1229 and ctx.alpha == 1.0
+
+
+def test_a_set_file_lifts_as_its_sorted_distinct_form(tmp_path):
+    primes = sieve_primes(10**4).primes()
+    rng = np.random.default_rng(11)
+    chosen = np.sort(rng.choice(primes, size=400, replace=False))
+    lines = np.concatenate((chosen, chosen[::7]))
+    rng.shuffle(lines)
+    messy, tidy = tmp_path / "messy.txt", tmp_path / "tidy.txt"
+    messy.write_text("\n".join(map(str, lines.tolist())) + "\n\n")
+    tidy.write_text("\n".join(map(str, chosen.tolist())) + "\n")
+    lifts = [lift(PipelineConfig(n=10**4, set_source=str(path)))[0] for path in (messy, tidy)]
+    for ctx in lifts:
+        assert ctx.set_size == 400 and ctx.alpha == 400 / 1229
+    assert lifts[0].b == lifts[1].b
+    assert np.array_equal(lifts[0].a0, lifts[1].a0)
 
 
 def test_sweep_sums_the_fourth_moment_of_ahat_once(monkeypatch):
@@ -472,9 +498,9 @@ def test_largest_k_norm_stays_finite_past_the_float_range_of_b_to_the_2k(tmp_pat
     (row,) = report.data["norm_table"]
     size = report.data["bohr"]["bohr_size"]
     assert size**292 > sys.float_info.max
-    _, ctx, _, sieved = lift(config)
-    r_set, _ = cyclic.threshold_spectrum(sieved.function.spectrum(), 0.4)
-    h = smoothed(sieved.function, build_bohr_set(ctx.p, r_set.tolist(), "0.1"))
+    ctx, a = lift(config)
+    r_set, _ = cyclic.threshold_spectrum(a.spectrum(), 0.4)
+    h = smoothed(a, build_bohr_set(ctx.p, r_set.tolist(), "0.1"))
     want = float(np.mean(h.values**292)) ** (1 / 292)
     assert math.isclose(row["h_norm_2k"], want, rel_tol=1e-13)
     assert report.data["lambda"]["h_l1"] <= row["h_norm_2k"] <= report.data["lambda"]["h_sup"]
@@ -491,10 +517,10 @@ def test_self_convolution_square_norm_identity(sieved_1e5):
     from ap3lab.cyclic import CyclicFunction, lp_norm, spectral_lp_norm
     from conftest import fft_convolve
 
-    ctx, _, sieved = sieved_1e5
-    a = dense_indicator(ctx.p, ctx.a0, ctx.scale)
-    lhs = lp_norm(CyclicFunction(a.modulus, fft_convolve(a.values, a.values)), 2) ** 2
-    rhs = spectral_lp_norm(sieved.function.spectrum(), 4) ** 4
+    ctx, a = sieved_1e5
+    dense = dense_indicator(ctx.p, ctx.a0, ctx.scale)
+    lhs = lp_norm(CyclicFunction(dense.modulus, fft_convolve(dense.values, dense.values)), 2) ** 2
+    rhs = spectral_lp_norm(a.spectrum(), 4) ** 4
     assert math.isclose(lhs, rhs, rel_tol=1e-8)
 
 

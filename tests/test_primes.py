@@ -8,7 +8,6 @@ from ap3lab.errors import InvalidArgumentError, InvariantError, ResourceLimitErr
 from ap3lab.primes import (
     is_prime,
     next_prime_above,
-    prime_count,
     sieve_primes,
     sieve_progression,
 )
@@ -73,27 +72,9 @@ def test_sieve_rejects_bad_limits():
 
 
 def test_prime_count_examples():
-    table = sieve_primes(10**6)
-    assert prime_count(table, 1) == 0
-    assert prime_count(table, 10) == 4
+    assert sieve_primes(10).count == 4
     # frozen from an independent sieve run
-    assert prime_count(table, 10**6) == 78498
-
-
-def test_prime_count_is_cumulative_membership():
-    table = sieve_primes(2000)
-    previous = 0
-    for x in range(1, 1001):
-        now = prime_count(table, x)
-        assert now - previous == (1 if trial_is_prime(x) else 0)
-        assert now >= previous
-        previous = now
-
-
-def test_prime_count_out_of_range():
-    table = sieve_primes(100)
-    with pytest.raises(InvalidArgumentError):
-        prime_count(table, 101)
+    assert sieve_primes(10**6).count == 78498
 
 
 def test_is_prime_examples():
@@ -169,8 +150,7 @@ def test_is_prime_many_matches_is_prime():
 def test_prime_count_at_the_limit_is_the_table_count(limit):
     table = sieve_primes(limit)
     unpacked = sum(1 for n in range(limit + 1) if is_prime(n))
-    assert prime_count(table, limit) == table.count == unpacked
-    assert prime_count(table, limit - 1) == unpacked - is_prime(limit)
+    assert table.count == unpacked
 
 
 def test_table_lookups_read_the_packed_bits_as_python_integers():

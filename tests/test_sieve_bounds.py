@@ -217,7 +217,7 @@ def test_klimov_bound_formula():
     want = 10**6 * 9 * 2 / math.log(10**6) ** 2 * series.value
     assert math.isclose(got, want, rel_tol=1e-12)
     with pytest.raises(InvalidArgumentError):
-        klimov_upper_bound(TupleSpec(w=1, offsets=(0,)), 100)
+        klimov_upper_bound(TupleSpec(w=1, offsets=(0,)), 100, series)  # k = 1
 
 
 def test_klimov_is_silent_out_of_sieve_range():

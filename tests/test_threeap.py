@@ -221,7 +221,7 @@ def test_additive_counts_of_an_interval_wrapped_past_p():
     pairs = (length // 2) ** 2 + ((length + 1) // 2) ** 2
     energy = (2 * length**3 + length) // 3
     interval = np.arange(length, dtype=np.int64)
-    for members in (interval, (interval + (p - p // 4)) % p):
+    for members in (interval, np.sort((interval + (p - p // 4)) % p)):
         counts = additive_counts(members, p)
         assert (counts.pairs, counts.energy) == (pairs, energy)
         assert counts.rounding_error < AUTOCONVOLUTION_ROUNDING_BOUND
@@ -392,10 +392,9 @@ def test_additive_counts_of_shuffled_input_with_duplicates(monkeypatch):
     monkeypatch.setattr(cyclic, "_real_convolution", recording_convolution)
     rng = np.random.default_rng(77)
     for limit, size in [(40, 15), (331, 60), (1000, 120)]:
-        members = rng.choice(limit + 1, size=size, replace=False).tolist()
-        shuffled = members + members[: size // 3]
-        rng.shuffle(shuffled)
-        counts = additive_counts(np.array(shuffled), next_prime_above(3 * limit))
+        members = sorted(rng.choice(limit + 1, size=size, replace=False).tolist())
+        p = next_prime_above(3 * limit)
+        counts = additive_counts(np.array(members), p)
         assert counts.pairs == len(members) + 2 * count_3aps_brute(members)
         assert counts.energy == additive_energy_brute(members)
         # the least even 2^a 3^b 5^c that holds every sum 0 .. 2 * max(A)
@@ -403,6 +402,12 @@ def test_additive_counts_of_shuffled_input_with_duplicates(monkeypatch):
         while least % 2 or not _is_five_smooth(least):
             least += 1
         assert lengths[-1] == least
+        # shuffled or repeated input is refused, not sorted or deduplicated
+        shuffled = members[::-1]
+        repeated = sorted(members + members[: size // 3])
+        for bad in (shuffled, repeated):
+            with pytest.raises(InvalidArgumentError, match="ascending distinct residues"):
+                additive_counts(np.array(bad), p)
 
 
 def _is_five_smooth(n):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from ap3lab.errors import (
     InvariantError,
     ResourceLimitError,
 )
-from ap3lab.primes import next_prime_above, prime_count, sieve_primes
+from ap3lab.pipeline import PipelineConfig, lift
+from ap3lab.primes import next_prime_above, sieve_primes
 from ap3lab.wtrick import (
-    WTrickContext,
     build_context,
     build_sieved_function,
     choose_residue,
@@ -65,12 +66,12 @@ def test_parameters_p_window(monkeypatch):
 
 
 def test_choose_residue_examples():
-    assert choose_residue([5, 11, 17, 23], 6) == 5
-    assert choose_residue([7], 6) == 1
+    assert choose_residue(np.array([5, 11, 17, 23]), 6) == 5
+    assert choose_residue(np.array([7]), 6) == 1
     with pytest.raises(EmptySelectionError):
-        choose_residue([], 6)
+        choose_residue(np.array([], dtype=np.int64), 6)
     with pytest.raises(EmptySelectionError):
-        choose_residue([2, 3], 6)  # nothing above W
+        choose_residue(np.array([2, 3]), 6)  # nothing above W
 
 
 def _densest_coprime_class(members, w):
@@ -90,8 +91,8 @@ def test_choose_residue_is_the_gcd_loop(w):
     # composite and prime-power W, a prime factor past sqrt(W), ties
     rng = np.random.default_rng(w)
     for size in (1, 5, 40, 400):
-        members = rng.integers(0, 3 * w + 50, size).tolist()
-        want = _densest_coprime_class(members, w)
+        members = rng.integers(0, 3 * w + 50, size)
+        want = _densest_coprime_class(members.tolist(), w)
         if want is None:
             with pytest.raises(EmptySelectionError):
                 choose_residue(members, w)
@@ -104,88 +105,92 @@ def test_choose_residue_pigeonhole_guarantee(table_1e6):
     b = choose_residue(primes, 6)
     assert b in (1, 5)
     count = int(np.count_nonzero((primes % 6 == b) & (primes > 6)))
-    floor = (prime_count(table_1e6, 10**6) - prime_count(table_1e6, 6)) / 2
+    floor = (table_1e6.count - 3) / 2  # pi(6) = 3
     assert count >= floor
 
 
-def test_choose_residue_reads_arrays_lists_and_iterables_alike(table_1e5):
-    primes = table_1e5.primes()
-    b = choose_residue(primes, 30)
-    assert choose_residue(primes.tolist(), 30) == b
-    assert choose_residue(iter(primes.tolist()), 30) == b
-    assert choose_residue(set(primes.tolist()), 30) == b
-    with pytest.raises(EmptySelectionError):
-        choose_residue(np.array([], dtype=np.int64), 30)
-
-
 def test_build_sieved_function_stats(sieved_1e5, table_1e5):
-    ctx, params, sieved = sieved_1e5
+    ctx, a = sieved_1e5
     assert ctx.w == 2 and ctx.b == 1 and ctx.p == 150001
-    assert ctx.a0.size == prime_count(table_1e5, 10**5) - 1  # odd primes
-    assert sieved.alpha == 1.0
+    assert ctx.a0.size == table_1e5.count - 1  # odd primes
+    assert ctx.set_size == table_1e5.count and ctx.alpha == 1.0
     expected_l1 = ctx.scale * ctx.a0.size / ctx.p
-    assert math.isclose(sieved.l1_norm, expected_l1, rel_tol=1e-12)
-    a = sieved.function
+    assert math.isclose(ctx.l1_norm, expected_l1, rel_tol=1e-12)
     assert a.support is ctx.a0 and a.scale == ctx.scale
     dense = dense_indicator(ctx.p, a.support, a.scale)
-    assert math.isclose(float(np.mean(dense.values)), sieved.l1_norm, rel_tol=1e-12)
+    assert math.isclose(float(np.mean(dense.values)), ctx.l1_norm, rel_tol=1e-12)
 
 
 def test_support_stays_inside_first_third(sieved_1e5):
-    ctx, _, sieved = sieved_1e5
-    support = sieved.function.support
-    assert int(support.max()) * 3 <= ctx.p
-    assert int(support.min()) >= 1
+    ctx, a = sieved_1e5
+    assert int(a.support.max()) * 3 <= ctx.p
+    assert int(a.support.min()) >= 1
     # P below 3N/W, which compute_parameters never picks: the lift of 97
     # is 48 > 101/3
-    small_p = WTrickContext(n=100, z=2.0, w=2, phi_w=1, b=1, p=101, scale=1.0)
+    small_p = replace(compute_parameters(100), p=101)
     with pytest.raises(InvariantError):
-        build_sieved_function([3, 5, 97], small_p)
+        build_context(np.array([3, 5, 97]), sieve_primes(100), small_p)
+
+
+def test_context_is_frozen_and_a0_read_only(sieved_1e5):
+    ctx, _ = sieved_1e5
+    for name, value in (("b", 3), ("a0", None), ("alpha", 0.5), ("p", 101)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(ctx, name, value)
+    assert not ctx.a0.flags.writeable
+    with pytest.raises(ValueError):
+        ctx.a0[0] = 0
+
+
+def test_alpha_is_the_set_size_over_the_primes_up_to_n():
+    n = 10**4
+    table = sieve_primes(n)
+    members = table.primes()[::3]
+    ctx = build_context(members, table, compute_parameters(n))
+    pi_n = int(table.is_prime_many(np.arange(n + 1)).sum())
+    assert ctx.set_size == members.size and ctx.alpha == members.size / pi_n
 
 
 def test_mass_lower_bound_for_all_primes(table_1e5):
-    ctx = build_context(table_1e5.primes(), 10**5, compute_parameters(10**5))
-    sieved = build_sieved_function(table_1e5.primes(), ctx, prime_table=table_1e5)
-    assert sieved.l1_norm >= sieved.alpha / 10
-    assert sieved.mass_ok
+    ctx = build_context(table_1e5.primes(), table_1e5, compute_parameters(10**5))
+    assert ctx.l1_norm >= ctx.alpha / 10
+    assert ctx.mass_ok
 
 
 def test_single_element_class():
     # A = {b + W} for W = 2, b = 1: lift is {1}
-    ctx = build_context([3], 100, compute_parameters(100))
-    for members in ([3], [3, 3, 3]):  # repeats count once
-        sieved = build_sieved_function(members, ctx)
-        assert ctx.a0.tolist() == [1]
-        assert math.isclose(sieved.l1_norm, ctx.scale / ctx.p, rel_tol=1e-12)
-        assert sieved.alpha == 1 / 25
+    table = sieve_primes(100)
+    ctx = build_context(np.array([3]), table, compute_parameters(100))
+    build_sieved_function(np.array([3]), ctx, table)
+    assert ctx.a0.tolist() == [1]
+    assert math.isclose(ctx.l1_norm, ctx.scale / ctx.p, rel_tol=1e-12)
+    assert ctx.alpha == 1 / 25
 
 
 def test_rejects_empty_and_composite_inputs():
+    table, params = sieve_primes(1000), compute_parameters(1000)
     with pytest.raises(EmptySelectionError):
-        build_context([], 1000, compute_parameters(1000))
-    # 9 = 1 mod 2, 9 > 2, but not prime
-    ctx = build_context([9], 1000, compute_parameters(1000))
-    with pytest.raises(InvalidArgumentError):
-        build_sieved_function([9], ctx)
-    # with a covering table, and with one too short that is replaced
-    for table in (sieve_primes(1000), sieve_primes(100)):
-        with pytest.raises(InvalidArgumentError, match="element 91 "):
-            build_sieved_function([3, 5, 7, 91, 95, 97], ctx, prime_table=table)
-    with pytest.raises(InvalidArgumentError):
-        build_sieved_function([], ctx)
+        build_context(np.array([], dtype=np.int64), table, params)
+    # 9 = 1 mod 2, 9 > 2, but not prime: the lift's lookups find it
+    for members, composite in (([9], 9), ([3, 5, 7, 91, 95, 97], 91)):
+        members = np.array(members)
+        ctx = build_context(members, table, params)
+        with pytest.raises(InvalidArgumentError, match=f"element {composite} "):
+            build_sieved_function(members, ctx, table)
 
 
-def test_rejects_elements_above_n():
-    ctx = build_context([3, 5, 7], 100, compute_parameters(100))
-    with pytest.raises(InvalidArgumentError):
-        build_sieved_function([3, 5, 7, 101], ctx)
+def test_rejects_elements_above_n(tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_text("3\n5\n7\n101\n")
+    with pytest.raises(InvalidArgumentError, match="101 is not a prime in \\[2, N = 100\\]"):
+        lift(PipelineConfig(n=100, set_source=str(path)))
 
 
 def test_lifting_preserves_progressions(table_1e5):
     # every 3AP in the lifted set comes from a 3AP in A, constructively
     primes = table_1e5.primes()
-    ctx = build_context(primes, 10**5, compute_parameters(10**5))
-    build_sieved_function(primes, ctx, prime_table=table_1e5)
+    ctx = build_context(primes, table_1e5, compute_parameters(10**5))
+    build_sieved_function(primes, ctx, table_1e5)
     a0 = ctx.a0.tolist()
     a0_set = set(a0)
     prime_set = set(primes.tolist())
@@ -207,10 +212,11 @@ def test_planted_ap_free_set_lifts_to_ap_free_a0():
     params = compute_parameters(n)
     seed = stanley_digits(3000)
     members = [1 + params.w * m for m in seed if m >= 1]
-    members = [m for m in members if _is_prime_trial(m)]
-    assert len(members) > 10
-    ctx = build_context(members, n, params)
-    build_sieved_function(members, ctx)
+    members = np.array([m for m in members if _is_prime_trial(m)])
+    assert members.size > 10
+    table = sieve_primes(n)
+    ctx = build_context(members, table, params)
+    build_sieved_function(members, ctx, table)
     assert count_3aps_brute(ctx.a0.tolist()) == 0
 
 
