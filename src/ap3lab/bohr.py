@@ -221,7 +221,7 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
     symmetric about 0, so sigmahat is real. One of two paths forms it:
 
     * B is a symmetric arithmetic progression {j*d : |j| <= m} with
-      2*m*d < P (_progression_step, an O(|B|) check of the sorted
+      2*m*d < P (progression_step, an O(|B|) check of the sorted
       members): sigmahat is the Dirichlet kernel
       sin(pi*n*d*t/P) / (n*sin(pi*d*t/P)), n = |B|, in closed form (see
       _progression_spectrum). Most Bohr sets the pipeline builds are of
@@ -237,7 +237,7 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
     raises InvariantError. Callers skip B = {0}, where sigma is the
     convolution identity and sigmahat is 1.
     """
-    step = _progression_step(bohr)
+    step = progression_step(bohr)
     if step is not None:
         sigma_hat = _progression_spectrum(bohr.modulus, bohr.size, step)
     else:
@@ -279,7 +279,7 @@ def _check_centred(bohr: BohrSet) -> None:
             raise InvariantError("support must lie in [-P/4, P/4] when 1 in R and eps < 1/4")
 
 
-def _progression_step(bohr: BohrSet) -> int | None:
+def progression_step(bohr: BohrSet) -> int | None:
     """d when the sorted members are exactly [0, d, ..., m*d] followed by
     [P - m*d, ..., P - d] with m >= 1 and 2*m*d < P, so that B is the
     symmetric progression {j*d : |j| <= m}; otherwise None. O(|B|)."""

@@ -69,6 +69,7 @@ _TWIDDLE_ROWS = 64
 # S = 1679616; with one more busy process on the machine, 1.02x at 839808
 # and 0.95-0.98x above. 2^20 sits at that crossover: every stage at
 # P <= 1000003 stays on one thread, the N = 1e7 stages (P = 5000011) split.
+# Below it, pipeline.delta_sweep shares its grid points out instead.
 _THREAD_FLOOR = 1 << 20
 # Chunks per _in_two call. Each thread claims the next chunk when it ends
 # one, so a thread the host slows down does less of the work instead of
@@ -288,48 +289,62 @@ def _in_two(work, stop: int, step: int, values: int) -> None:
     """Run work(lo, hi) over [0, stop) on the caller and one new thread.
     [0, stop) is cut into about _THREAD_CHUNKS chunks whose bounds are
     multiples of step, and each thread claims the next chunk whenever it
-    ends one. numpy releases the GIL inside its FFTs, gathers and
-    elementwise operations, so the chunks run on two cores. Each value is
-    formed by the same numpy calls whichever chunk and thread hold it, so
-    the result is the same in every bit as one work(0, stop).
+    ends one (_share_out). numpy releases the GIL inside its FFTs, gathers
+    and elementwise operations, so the chunks run on two cores. Each value
+    is formed by the same numpy calls whichever chunk and thread hold it,
+    so the result is the same in every bit as one work(0, stop).
 
     An array of fewer than _THREAD_FLOOR values, or a range of one step,
-    stays on the caller: no thread is started. The thread is always joined
-    before this returns. An exception in either thread leaves no further
-    chunk to start, and one raised by the new thread is raised again here
-    as the same object. If the thread cannot be started, the caller does
-    every chunk.
+    stays on the caller: no thread is started.
     """
     if values < _THREAD_FLOOR or stop <= step:
         work(0, stop)
         return
     size = -(-stop // (_THREAD_CHUNKS * step)) * step
-    starts = iter(range(0, stop, size))  # next() on it is atomic under the GIL
+    _share_out(lambda lo: work(lo, min(lo + size, stop)), range(0, stop, size))
+
+
+def _share_out(task, shared, caller_first=()) -> None:
+    """Run task(item) for every item of caller_first and of shared, on the
+    caller and one new thread. The caller first takes the items of
+    caller_first in order; the thread takes items of shared from the
+    start, and the caller joins it there, each taking the next item
+    whenever it ends one (next() on an iterator over a list or a range is
+    atomic under the GIL).
+
+    The thread is always joined before this returns. An exception in
+    either thread leaves no further item to start, and one raised by the
+    new thread is raised again here as the same object. If the thread
+    cannot be started, the caller takes every item.
+    """
+    own, shared = iter(caller_first), iter(shared)
     failure = []
 
-    def claim() -> None:
+    def claim(queues) -> None:
         try:
-            for lo in starts:
-                work(lo, min(lo + size, stop))
+            for queue in queues:
+                for item in queue:
+                    task(item)
         except BaseException:
-            for _ in starts:  # leave the other thread no chunk to start
-                pass
+            for queue in (own, shared):  # leave the other thread no item to start
+                for _ in queue:
+                    pass
             raise
 
     def worker() -> None:
         try:
-            claim()
+            claim([shared])
         except BaseException as exc:  # raised again on the caller
             failure.append(exc)
 
     thread = threading.Thread(target=worker, name="ap3lab-worker")
     try:
         thread.start()
-    except RuntimeError:  # no thread to be had: the caller does every chunk
-        claim()
+    except RuntimeError:  # no thread to be had: the caller takes every item
+        claim([own, shared])
         return
     try:
-        claim()
+        claim([own, shared])
     finally:
         thread.join()
     if failure:

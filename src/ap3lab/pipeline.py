@@ -57,10 +57,15 @@ transform (ahat, and sigmahat of a set that is not a progression), the
 FFT passes and combining pass of the integer convolutions (the exact
 counts, and smooth's count of a Bohr set past 255 members), and the
 closed-form sigmahat of a progression; the exact counts' rounding and
-energy passes share their blocks out the same way. Each value is formed
-by the same numpy calls in the same order on either thread, so no report
-bit depends on the split. The level set {h >= h_l1/2} does not depend on k,
-so the one histogram of g serves every k.
+energy passes share their blocks out the same way. Below that floor
+(P//2 + 1 < 2^20, so N up to about 4.2e6) delta_sweep shares its grid
+points' records between the caller and one thread instead: the caller
+takes the points whose sigmahat is a forward transform, so at most one
+transform is in flight, and the thread the closed-form and B = {0}
+points. Each value is formed by the same numpy calls in the same order on
+either thread, so no report bit depends on the split. The level set
+{h >= h_l1/2} does not depend on k, so the one histogram of g serves
+every k.
 """
 
 from __future__ import annotations
@@ -77,8 +82,9 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bd
-from .bohr import as_radius, build_bohr_set, kernel_spectrum, smooth
-from .cyclic import ScaledIndicator, check_fft_budget, threshold_spectrum
+from . import cyclic
+from .bohr import as_radius, build_bohr_set, kernel_spectrum, progression_step, smooth
+from .cyclic import ScaledIndicator, _share_out, check_fft_budget, threshold_spectrum
 from .errors import InvalidArgumentError, InvariantError
 from .primes import sieve_primes
 from .sieve_bounds import convolution_norm_bound, moment_index_in_range
@@ -356,7 +362,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
     for k in k_values:
         in_range = moment_index_in_range(k, ctx.z)
         exploratory = exploratory or not in_range
-        norm_bound = convolution_norm_bound(k, config.n, ctx.z, bohr.size)
+        norm_bound = convolution_norm_bound(k, ctx.scale, bohr.size)
         h2k = norms[k]
         level = bd.holder_report(ctx.p, h_l1, 2 * k, h2k, level_size)
         floor_rhs = _progression_floor(ctx.alpha, k, config.c1)
@@ -546,16 +552,28 @@ def _progression_floor(alpha: float, k: int, c1: float) -> float:
 def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
     """Rows over the (delta, epsilon) grid in ascending lexicographic order.
 
-    The sieved function and its spectrum are shared across grid points; the
-    threshold set R(delta) is taken once per distinct delta, in ascending
-    order, and the Bohr set once per point. R(delta) only grows as delta
-    falls, so the sets are built from the largest (delta, epsilon) down:
-    only that one is seeded, and each other is scanned within the least
-    set already built at a larger or equal epsilon for its own delta or
-    for the next larger one (build_bohr_set's within). At most two delta
-    groups' sets are held at once. Each row is a projection of
-    _point_record, which run_pipeline calls too, so a column the two share
-    is the pipeline's bit for bit; h is never built.
+    The sieved function and its spectrum are shared across grid points. In
+    a first phase the threshold set R(delta) is taken once per distinct
+    delta, in ascending order, and the Bohr set once per point. R(delta)
+    only grows as delta falls, so the sets are built from the largest
+    (delta, epsilon) down: only that one is seeded, and each other is
+    scanned within the least set already built at a larger or equal
+    epsilon for its own delta or for the next larger one
+    (build_bohr_set's within). Every point's R, raw size and B are kept
+    for the second phase, which evaluates each point's record.
+
+    Each row is a projection of _point_record, which run_pipeline calls
+    too, so a column the two share is the pipeline's bit for bit; h is
+    never built. Below the thread floor (P//2 + 1 < cyclic._THREAD_FLOOR,
+    where no stage splits itself) and with two points or more, the caller
+    and one thread share the records (cyclic._share_out): the caller first
+    takes, in order, the points whose sigmahat is a forward transform (a B
+    of more than one member that is not a progression, bohr.progression_step),
+    then helps the thread with the rest, whose sigmahat is in closed form
+    or is 1. So at most one forward transform is in flight at a time.
+    Otherwise the points run in turn. Each record is formed by the same
+    calls on either thread, and rows are keyed by point, so no bit depends
+    on the split.
     """
     deltas = config.delta_grid or (config.delta,)
     epsilons = config.epsilon_grid or (config.epsilon,)
@@ -574,20 +592,37 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
         for delta_f, group in groupby(points, key=lambda point: float(point[0]))
     ]
     # largest point first, so each later set has a superset already built
-    rows = {}
+    scanned = {}  # point -> (R, raw size, B)
     outer = []  # (eps, Bohr set) of the next larger delta
     for group, r_set, raw_size in reversed(groups):
         inner = []
         for point in reversed(group):
-            _, delta_str, eps, eps_str = point
+            eps, eps_str = point[2:]
             supersets = [bohr for e, bohr in inner + outer if e >= eps]
             within = min(supersets, key=lambda b: b.size).members() if supersets else None
             bohr = build_bohr_set(ctx.p, r_set.tolist(), eps_str, within=within)
             inner.append((eps, bohr))
-            record = _point_record(config, delta_str, eps_str, lam_a, a_hat, raw_size,
-                                   r_set, bohr)
-            rows[point] = [_csv_cell(record[col]) for col in DELTA_SWEEP_CSV_COLUMNS]
+            scanned[point] = (r_set, raw_size, bohr)
         outer = inner
+
+    rows = {}
+
+    def evaluate(point) -> None:
+        r_set, raw_size, bohr = scanned[point]
+        record = _point_record(config, point[1], point[3], lam_a, a_hat, raw_size,
+                               r_set, bohr)
+        rows[point] = [_csv_cell(record[col]) for col in DELTA_SWEEP_CSV_COLUMNS]
+
+    if len(points) >= 2 and ctx.p // 2 + 1 < cyclic._THREAD_FLOOR:
+        transformed, rest = [], []
+        for point in points:
+            bohr = scanned[point][2]
+            needs_transform = bohr.size > 1 and progression_step(bohr) is None
+            (transformed if needs_transform else rest).append(point)
+        _share_out(evaluate, rest, caller_first=transformed)
+    else:
+        for point in points:
+            evaluate(point)
     return DELTA_SWEEP_CSV_COLUMNS, [rows[point] for point in points]
 
 

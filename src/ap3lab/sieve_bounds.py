@@ -81,9 +81,11 @@ def singular_series(
     rho(p) is read off the offsets, with no modular arithmetic: it is 0 when
     p | W; otherwise the roots -b * W^{-1} mod p are distinct exactly when
     the offsets b are, so rho(p) = |{b mod p}|, which is k once p exceeds
-    max b - min b. The result equals accumulating `root_count_rho` bit for
-    bit. The factors settle to 1 + O(k^2/p^2) once rho(p) = k, so the
-    truncation tail is estimated as k^2/cutoff.
+    max b - min b. Each block of primes is worked on as arrays, with the
+    terms formed by libm's log1p and added in ascending p, so the result
+    equals accumulating `root_count_rho` bit for bit. The factors settle
+    to 1 + O(k^2/p^2) once rho(p) = k, so the truncation tail is
+    estimated as k^2/cutoff.
     """
     if cutoff < 100:
         raise InvalidArgumentError(f"cutoff must be >= 100, got {cutoff}")
@@ -93,18 +95,25 @@ def singular_series(
     spread = max(offsets) - min(offsets)
     log_total = 0.0
     for block in sieve_primes(cutoff).iter_blocks():
-        for p in block.tolist():
-            if w % p == 0:
-                rho = 0
-            elif p <= spread:
-                rho = len({b % p for b in offsets})
-            else:
-                rho = k
-            if rho == p:
-                raise PreconditionError(
-                    f"rho({p}) = {p}: the tuple is locally impossible mod {p}"
-                )
-            log_total += math.log1p(-rho / p) - k * math.log1p(-1.0 / p)
+        if w < 1 << 63:
+            coprime = np.remainder(w, block) != 0
+        else:  # W past int64 is reduced mod each p in Python
+            coprime = np.array([w % p != 0 for p in block.tolist()], dtype=bool)
+        rho = np.where(coprime, k, 0)
+        for i in np.flatnonzero(coprime & (block <= spread)).tolist():
+            rho[i] = len({b % int(block[i]) for b in offsets})
+        impossible = np.flatnonzero(rho == block)
+        if impossible.size:
+            p = int(block[impossible[0]])
+            raise PreconditionError(
+                f"rho({p}) = {p}: the tuple is locally impossible mod {p}"
+            )
+        # libm's log1p term by term (np.log1p may differ in the last bit),
+        # added one at a time in ascending p (accumulate does not pair)
+        terms = np.fromiter(map(math.log1p, (-rho / block).tolist()), float, block.size)
+        terms -= k * np.fromiter(map(math.log1p, (-1.0 / block).tolist()), float, block.size)
+        terms[0] += log_total
+        log_total = float(np.add.accumulate(terms)[-1])
     return SingularSeries(
         spec=spec,
         cutoff=cutoff,
@@ -172,8 +181,9 @@ def hypothesis_flags(spec: TupleSpec, limit: int) -> dict[str, bool]:
     }
 
 
-def convolution_norm_bound(k: int, n: float, z: float, sigma_size: int) -> float:
-    """k + (ln N / ln z)^(1 - 1/(2k)) * |Sigma|^(-1/(2k)), with constant 1.
+def convolution_norm_bound(k: int, scale: float, sigma_size: int) -> float:
+    """k + scale^(1 - 1/(2k)) * |Sigma|^(-1/(2k)), with constant 1, where
+    scale = ln N / ln z is the lift's (wtrick.WTrickParams.scale).
 
     The theory wants 1 <= k <= (ln z)^(1/3) / 2 (moment_index_in_range),
     which is vanishingly small at desk scale; the bound is evaluated for
@@ -183,11 +193,10 @@ def convolution_norm_bound(k: int, n: float, z: float, sigma_size: int) -> float
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
     if sigma_size < 1:
         raise InvalidArgumentError(f"|Sigma| must be >= 1, got {sigma_size}")
-    if z <= 1:
-        raise InvalidArgumentError(f"z must exceed 1, got {z}")
-    ratio = math.log(n) / math.log(z)
+    if not scale > 0:
+        raise InvalidArgumentError(f"scale ln N / ln z must be positive, got {scale}")
     exponent = 1.0 - 1.0 / (2 * k)
-    return k + ratio**exponent * sigma_size ** (-1.0 / (2 * k))
+    return k + scale**exponent * sigma_size ** (-1.0 / (2 * k))
 
 
 def moment_index_in_range(k: int, z: float) -> bool:

@@ -16,7 +16,7 @@ from ap3lab.bohr import (
     _SHIFT_COUNT_MAX_SIZE,
     _SINE_BLOCK,
     BohrSet,
-    _progression_step,
+    progression_step,
     as_radius,
     build_bohr_set,
     kernel_spectrum,
@@ -397,7 +397,7 @@ ASYMMETRIC_SETS = {
 def test_kernel_spectrum_rejects_a_set_not_symmetric_about_zero(case):
     members = sorted(ASYMMETRIC_SETS[case])
     bohr = BohrSet(101, (1,), Fraction(1, 4), members)
-    assert _progression_step(bohr) is None
+    assert progression_step(bohr) is None
     with pytest.raises(InvariantError, match="symmetric"):
         kernel_spectrum(bohr)
 
@@ -640,13 +640,13 @@ def test_progression_check_accepts_symmetric_progressions(p, step, m):
     # d = 1, d > 1, m*d just below P/2 (2*168*3 = 1008 < 1009) and the
     # whole group (d = 1, m = (P - 1)/2)
     assert 2 * m * step < p
-    assert _progression_step(_progression(p, step, m)) == step
+    assert progression_step(_progression(p, step, m)) == step
 
 
 def test_progression_check_accepts_scanned_bohr_sets():
     for p, freqs, eps in [(1009, [1], "0.1"), (20011, [1, 5, 77], "0.05"), (101, [1], "0.5")]:
         bohr = build_bohr_set(p, freqs, eps)
-        assert _progression_step(bohr) == int(bohr.members()[1])
+        assert progression_step(bohr) == int(bohr.members()[1])
 
 
 @pytest.mark.parametrize(
@@ -659,7 +659,7 @@ def test_progression_check_accepts_scanned_bohr_sets():
     ],
 )
 def test_progression_check_rejects_other_sets(members):
-    assert _progression_step(BohrSet(101, (1,), Fraction(1, 4), members)) is None
+    assert progression_step(BohrSet(101, (1,), Fraction(1, 4), members)) is None
 
 
 def test_progression_check_rejects_a_progression_past_half_the_modulus():
@@ -667,9 +667,9 @@ def test_progression_check_rejects_a_progression_past_half_the_modulus():
     # interleave, and the check refuses it on the bound alone
     bohr = _progression(101, 2, 26)
     assert bohr.size == 53 and int(bohr.members()[1]) == 2
-    assert _progression_step(bohr) is None
+    assert progression_step(bohr) is None
     # m*d = P//2 exactly: 2*m*d = P - 1 < P is still accepted
-    assert _progression_step(_progression(101, 1, 50)) == 1
+    assert progression_step(_progression(101, 1, 50)) == 1
 
 
 def _closed_form_cases():
@@ -714,7 +714,7 @@ def test_closed_form_of_the_whole_group_is_exactly_zero_off_zero():
 def test_kernel_spectrum_rejects_a_broken_closed_form(monkeypatch, case):
     first, rest, fragment = BROKEN_KERNEL_SPECTRA[case]
     bohr = build_bohr_set(1009, [1], "0.1")
-    assert _progression_step(bohr) == 1  # the closed-form path
+    assert progression_step(bohr) == 1  # the closed-form path
 
     def broken(p, size, step):
         half = np.full(p // 2 + 1, rest)

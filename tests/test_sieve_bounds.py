@@ -20,6 +20,7 @@ from ap3lab.sieve_bounds import (
     root_count_rho,
     singular_series,
 )
+from ap3lab.wtrick import compute_parameters
 from conftest import (
     dense_tuple_count,
     moment_distinct_split,
@@ -262,13 +263,13 @@ def test_pnt_shape_for_single_offset():
 
 
 def test_convolution_norm_bound_designed_points():
-    # ln N / ln z = 10 with |Sigma| = 100 at k = 1
-    value = convolution_norm_bound(1, math.exp(10), math.e, 100)
+    # scale = ln N / ln z = 10 with |Sigma| = 100 at k = 1
+    value = convolution_norm_bound(1, 10.0, 100)
     assert math.isclose(value, 1 + math.sqrt(10) / 10, rel_tol=1e-12)
     # |Sigma| -> infinity leaves only k
-    assert convolution_norm_bound(2, math.exp(10), math.e, 10**300) == 2.0
-    # |Sigma| = 1 is the degenerate point: k + (ln N / ln z)^(1 - 1/(2k))
-    value = convolution_norm_bound(1, math.exp(10), math.e, 1)
+    assert convolution_norm_bound(2, 10.0, 10**300) == 2.0
+    # |Sigma| = 1 is the degenerate point: k + scale^(1 - 1/(2k))
+    value = convolution_norm_bound(1, 10.0, 1)
     assert math.isclose(value, 1 + 10**0.5, rel_tol=1e-12)
 
 
@@ -276,31 +277,42 @@ def test_convolution_norm_bound_range_guard():
     z = math.exp(8.1)  # (ln z)^(1/3)/2 just above 1, so k = 1 is in range
     assert moment_index_in_range(1, z)
     assert not moment_index_in_range(2, z)
+    scale = math.log(math.exp(16.2)) / math.log(z)  # 2, up to rounding
     assert math.isclose(
-        convolution_norm_bound(1, math.exp(16.2), z, 50),
+        convolution_norm_bound(1, scale, 50),
         1 + 2**0.5 * 50**-0.5,
         rel_tol=1e-12,
     )
     # outside the theory range the bound is still evaluated
     assert math.isclose(
-        convolution_norm_bound(2, math.exp(16.2), z, 50),
+        convolution_norm_bound(2, scale, 50),
         2 + 2**0.75 * 50**-0.25,
         rel_tol=1e-12,
     )
-    with pytest.raises(InvalidArgumentError):
-        convolution_norm_bound(0, math.exp(10), math.e, 10)
+    for k, bad_scale, sigma in ((0, 10.0, 10), (1, 0.0, 10), (1, math.nan, 10), (1, 10.0, 0)):
+        with pytest.raises(InvalidArgumentError):
+            convolution_norm_bound(k, bad_scale, sigma)
 
 
 def test_convolution_norm_bound_monotonicity():
-    z = math.e
-    n = math.exp(10)
+    scale = 10.0
     sizes = [1, 10, 100, 1000, 10**6]
-    values = [convolution_norm_bound(1, n, z, s) for s in sizes]
+    values = [convolution_norm_bound(1, scale, s) for s in sizes]
     assert all(a > b for a, b in zip(values, values[1:]))
     big_sigma = 10**9
     ks = [1, 2, 3, 4, 5, 6]
-    values_k = [convolution_norm_bound(k, n, z, big_sigma) for k in ks]
+    values_k = [convolution_norm_bound(k, scale, big_sigma) for k in ks]
     assert all(a < b for a, b in zip(values_k, values_k[1:]))
+
+
+def test_convolution_norm_bound_reads_the_lift_scale_bit_for_bit():
+    # the old form took (N, z) and formed ln N / ln z itself; the lift's
+    # scale is that float, so every norm table bound is unchanged
+    params = compute_parameters(10**6, None)
+    for k in (1, 2, 3):
+        old_ratio = math.log(params.n) / math.log(params.z)
+        want = k + old_ratio ** (1.0 - 1.0 / (2 * k)) * 409 ** (-1.0 / (2 * k))
+        assert convolution_norm_bound(k, params.scale, 409) == want
 
 
 def test_moment_split_identity():

@@ -1,8 +1,13 @@
-"""cyclic._in_two: the transform, the chirps, the real convolution of the
-exact counts and the closed-form kernel spectrum share their work out in
-chunks between two threads above cyclic._THREAD_FLOOR values. Every bit
-must be the same as on one thread, every thread must be joined, and an
-error in either thread must reach the caller as it was raised."""
+"""Two threads, by one start/join/re-raise path (cyclic._share_out).
+
+Above cyclic._THREAD_FLOOR values the transform, the chirps, the real
+convolution of the exact counts and the closed-form kernel spectrum share
+their work out in chunks (cyclic._in_two). Below it, delta_sweep shares its
+grid points' records out instead: the caller takes every point whose
+sigmahat is a forward transform, one thread the closed-form and B = {0}
+points, so at most one transform is in flight. Every bit must be the same
+as on one thread, every thread must be joined, and an error in either
+thread must reach the caller as it was raised."""
 
 import sys
 import threading
@@ -12,11 +17,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ap3lab import cyclic
+from ap3lab import cyclic, pipeline
 from ap3lab import bohr as bohr_module
 from ap3lab.bohr import BohrSet, _progression_spectrum, kernel_spectrum, smooth
 from ap3lab.cli import main
 from ap3lab.cyclic import CyclicFunction, forward_transform
+from ap3lab.pipeline import PipelineConfig, delta_sweep
 from ap3lab.threeap import additive_counts
 
 # primes with P and P//2 + 1 past the 2^20 floor
@@ -226,4 +232,124 @@ def test_memory_error_in_the_worker_thread_of_a_pipeline_exits_3(tmp_path, capsy
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err == "error: out of memory: Unable to allocate 38.1 MiB for an array\n"
+    assert threading.active_count() == before
+
+
+# At N = 1e5 (P = 150001) this grid holds four points with B = {0}, six
+# progressions and two sets (eps = 0.4, |B| = 629 and 4801) whose sigmahat
+# is a forward transform.
+SWEEP_ARGS = ["delta-sweep", "--n", "100000", "--delta-grid", "0.05,0.1,0.15",
+              "--eps-grid", "0.1,0.2,0.3,0.4"]
+
+
+def _shared_out(*args, **kwargs):
+    raise AssertionError("the points were shared out")
+
+
+def _sweep_bytes(tmp_path, name):
+    out = tmp_path / name
+    assert main([*SWEEP_ARGS, "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def test_sweep_csv_is_the_same_on_two_threads(tmp_path, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(threading, "Thread", _CountedThread)
+        _CountedThread.started = 0
+        threaded = _sweep_bytes(tmp_path, "threaded.csv")
+        assert _CountedThread.started == 1
+    with monkeypatch.context() as patch:
+        patch.setattr(threading.Thread, "start", _no_thread)
+        refused = _sweep_bytes(tmp_path, "refused.csv")
+    with monkeypatch.context() as patch:
+        patch.setattr(cyclic, "_THREAD_FLOOR", 0)  # every stage splits itself
+        patch.setattr(pipeline, "_share_out", _shared_out)  # so the points run in turn
+        in_turn = _sweep_bytes(tmp_path, "in_turn.csv")
+    assert threaded == refused == in_turn
+
+
+def test_sweep_at_n_1e6_starts_one_thread_and_no_stage_starts_one(monkeypatch):
+    # P = 500009: the records share two threads, and every stage stays on one
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    _CountedThread.started = 0
+    config = PipelineConfig(n=10**6, delta_grid=("0.02", "0.05", "0.1"),
+                            epsilon_grid=("0.1", "0.2", "0.3", "0.4"))
+    delta_sweep(config)
+    assert _CountedThread.started == 1
+    _CountedThread.started = 0
+    delta_sweep(PipelineConfig(n=10**6))  # one point runs on the caller
+    assert _CountedThread.started == 0
+
+
+def test_sweep_holds_at_most_one_forward_transform_in_flight(tmp_path, monkeypatch):
+    real = cyclic.forward_transform
+    lock = threading.Lock()
+    in_flight, most, calls = [0], [0], []
+
+    def counted(f):
+        with lock:
+            in_flight[0] += 1
+            most[0] = max(most[0], in_flight[0])
+            calls.append(threading.current_thread() is threading.main_thread())
+        try:
+            time.sleep(0.02)  # widen the window a second transform could open
+            return real(f)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(cyclic, "forward_transform", counted)
+    _sweep_bytes(tmp_path, "sweep.csv")
+    assert calls == [True] * 3  # a, and the two sets that are not progressions
+    assert most[0] == 1
+
+
+def _fail_on_the_worker(monkeypatch, error):
+    """Patch _point_record so that the worker's first point raises error,
+    while the caller's first point waits for the worker to have failed and
+    ended. Returns the list of points started, as (thread is main, delta, eps)."""
+    real = pipeline._point_record
+    failed = threading.Event()
+    worker = []
+    started = []
+
+    def record(config, delta, epsilon, *args):
+        on_caller = threading.current_thread() is threading.main_thread()
+        started.append((on_caller, delta, epsilon))
+        if not on_caller:
+            worker.append(threading.current_thread())
+            failed.set()
+            raise error
+        if failed.wait(timeout=30):
+            worker[0].join(timeout=30)
+            assert not worker[0].is_alive()
+        return real(config, delta, epsilon, *args)
+
+    monkeypatch.setattr(pipeline, "_point_record", record)
+    return started
+
+
+def test_an_error_on_the_sweep_worker_reaches_the_caller_unchanged(monkeypatch):
+    before = threading.active_count()
+    error = _Failure("worker")
+    started = _fail_on_the_worker(monkeypatch, error)
+    config = PipelineConfig(n=10**5, delta_grid=("0.05", "0.1", "0.15"),
+                            epsilon_grid=("0.1", "0.2", "0.3", "0.4"))
+    with pytest.raises(_Failure) as caught:
+        delta_sweep(config)
+    assert caught.value is error
+    # the worker failed on its first point; the caller had at most begun
+    # its first transform point, finished it, and started no point after
+    assert [s for s in started if not s[0]] == [(False, "0.05", "0.1")]
+    assert [s for s in started if s[0]] in ([], [(True, "0.1", "0.4")])
+    assert threading.active_count() == before
+
+
+def test_memory_error_on_the_sweep_worker_exits_3(tmp_path, capsys, monkeypatch):
+    before = threading.active_count()
+    _fail_on_the_worker(monkeypatch, MemoryError("Unable to allocate 1.1 MiB for an array"))
+    code = main([*SWEEP_ARGS, "--out", str(tmp_path / "sweep.csv")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: out of memory: Unable to allocate 1.1 MiB for an array\n"
     assert threading.active_count() == before
