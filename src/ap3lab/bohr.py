@@ -221,7 +221,7 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
     symmetric about 0, so sigmahat is real. One of two paths forms it:
 
     * B is a symmetric arithmetic progression {j*d : |j| <= m} with
-      2*m*d < P (progression_step, an O(|B|) check of the sorted
+      2*m*d < P (_progression_step, an O(|B|) check of the sorted
       members): sigmahat is the Dirichlet kernel
       sin(pi*n*d*t/P) / (n*sin(pi*d*t/P)), n = |B|, in closed form (see
       _progression_spectrum). Most Bohr sets the pipeline builds are of
@@ -234,14 +234,14 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
 
     sigma is a probability kernel, so sigmahat(0) = 1 and |sigmahat| <= 1;
     both are checked on every path to _KERNEL_SPECTRUM_TOL and a failure
-    raises InvariantError. Callers skip B = {0}, where sigma is the
-    convolution identity and sigmahat is 1.
+    raises InvariantError. spectrum_needs_transform states which path is
+    taken. Callers skip B = {0}, where sigma is the convolution identity
+    and sigmahat is 1.
     """
-    step = progression_step(bohr)
-    if step is not None:
-        sigma_hat = _progression_spectrum(bohr.modulus, bohr.size, step)
-    else:
+    if spectrum_needs_transform(bohr):
         sigma_hat = _half_set_spectrum(bohr)
+    else:
+        sigma_hat = _progression_spectrum(bohr.modulus, bohr.size, _progression_step(bohr))
     tol = _KERNEL_SPECTRUM_TOL
     if abs(sigma_hat[0] - 1.0) > tol:
         raise InvariantError(f"kernel spectrum at 0 is {sigma_hat[0]!r}, not 1")
@@ -249,6 +249,14 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
     if peak > 1.0 + tol:
         raise InvariantError(f"kernel spectrum reaches {peak!r}, above 1")
     return sigma_hat
+
+
+def spectrum_needs_transform(bohr: BohrSet) -> bool:
+    """Whether kernel_spectrum forms B's sigmahat by a forward transform
+    (_half_set_spectrum): B is not a symmetric progression
+    (_progression_step), B = {0} among such sets. Otherwise sigmahat is
+    in closed form."""
+    return _progression_step(bohr) is None
 
 
 def _half_set_spectrum(bohr: BohrSet) -> np.ndarray:
@@ -279,7 +287,7 @@ def _check_centred(bohr: BohrSet) -> None:
             raise InvariantError("support must lie in [-P/4, P/4] when 1 in R and eps < 1/4")
 
 
-def progression_step(bohr: BohrSet) -> int | None:
+def _progression_step(bohr: BohrSet) -> int | None:
     """d when the sorted members are exactly [0, d, ..., m*d] followed by
     [P - m*d, ..., P - d] with m >= 1 and 2*m*d < P, so that B is the
     symmetric progression {j*d : |j| <= m}; otherwise None. O(|B|)."""

@@ -69,7 +69,8 @@ _TWIDDLE_ROWS = 64
 # S = 1679616; with one more busy process on the machine, 1.02x at 839808
 # and 0.95-0.98x above. 2^20 sits at that crossover: every stage at
 # P <= 1000003 stays on one thread, the N = 1e7 stages (P = 5000011) split.
-# Below it, pipeline.delta_sweep shares its grid points out instead.
+# Where P//2 + 1 is below it, pipeline.delta_sweep also shares its grid
+# points out, one thread to a point.
 _THREAD_FLOOR = 1 << 20
 # Chunks per _in_two call. Each thread claims the next chunk when it ends
 # one, so a thread the host slows down does less of the work instead of

@@ -57,12 +57,12 @@ transform (ahat, and sigmahat of a set that is not a progression), the
 FFT passes and combining pass of the integer convolutions (the exact
 counts, and smooth's count of a Bohr set past 255 members), and the
 closed-form sigmahat of a progression; the exact counts' rounding and
-energy passes share their blocks out the same way. Below that floor
-(P//2 + 1 < 2^20, so N up to about 4.2e6) delta_sweep shares its grid
-points' records between the caller and one thread instead: the caller
-takes the points whose sigmahat is a forward transform, so at most one
-transform is in flight, and the thread the closed-form and B = {0}
-points. Each value is formed by the same numpy calls in the same order on
+energy passes share their blocks out the same way. Where the closed-form
+sigmahat stays on one thread (P//2 + 1 < 2^20, so N up to about 4.2e6),
+delta_sweep also shares its grid points' records between the caller and
+one thread: the caller takes the points whose sigmahat is a forward
+transform, so at most one transform is in flight, and the thread the
+closed-form points. Each value is formed by the same numpy calls in the same order on
 either thread, so no report bit depends on the split. The level set
 {h >= h_l1/2} does not depend on k, so the one histogram of g serves
 every k.
@@ -83,7 +83,13 @@ import numpy as np
 
 from . import bounds as bd
 from . import cyclic
-from .bohr import as_radius, build_bohr_set, kernel_spectrum, progression_step, smooth
+from .bohr import (
+    as_radius,
+    build_bohr_set,
+    kernel_spectrum,
+    smooth,
+    spectrum_needs_transform,
+)
 from .cyclic import ScaledIndicator, _share_out, check_fft_budget, threshold_spectrum
 from .errors import InvalidArgumentError, InvariantError
 from .primes import sieve_primes
@@ -564,16 +570,19 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
 
     Each row is a projection of _point_record, which run_pipeline calls
     too, so a column the two share is the pipeline's bit for bit; h is
-    never built. Below the thread floor (P//2 + 1 < cyclic._THREAD_FLOOR,
-    where no stage splits itself) and with two points or more, the caller
-    and one thread share the records (cyclic._share_out): the caller first
-    takes, in order, the points whose sigmahat is a forward transform (a B
-    of more than one member that is not a progression, bohr.progression_step),
-    then helps the thread with the rest, whose sigmahat is in closed form
-    or is 1. So at most one forward transform is in flight at a time.
-    Otherwise the points run in turn. Each record is formed by the same
-    calls on either thread, and rows are keyed by point, so no bit depends
-    on the split.
+    never built. When P//2 + 1 < cyclic._THREAD_FLOOR, so that the
+    closed-form sigmahat stays on one thread, and with two points or more,
+    the caller and one thread share the records (cyclic._share_out): the
+    caller first takes, in order, the points whose B kernel_spectrum
+    would transform (bohr.spectrum_needs_transform; B = {0} among them,
+    whose record forms no sigmahat at all), then helps the thread with the
+    rest, whose sigmahat is in closed form. So at most one forward
+    transform is in flight at a time. That transform still splits itself
+    once its length S >= P//2 + L reaches the floor (L the window of
+    B & (0, P/2), so for P from about 1.4e6 with L near P/4), and three
+    threads then share two cores while it runs. Otherwise the points run
+    in turn. Each record is formed by the same calls on either thread, and
+    rows are keyed by point, so no bit depends on the split.
     """
     deltas = config.delta_grid or (config.delta,)
     epsilons = config.epsilon_grid or (config.epsilon,)
@@ -616,8 +625,7 @@ def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
     if len(points) >= 2 and ctx.p // 2 + 1 < cyclic._THREAD_FLOOR:
         transformed, rest = [], []
         for point in points:
-            bohr = scanned[point][2]
-            needs_transform = bohr.size > 1 and progression_step(bohr) is None
+            needs_transform = spectrum_needs_transform(scanned[point][2])
             (transformed if needs_transform else rest).append(point)
         _share_out(evaluate, rest, caller_first=transformed)
     else:

@@ -93,12 +93,18 @@ def singular_series(
     w = spec.w
     offsets = spec.offsets
     spread = max(offsets) - min(offsets)
+    # W's 28-bit limbs, most significant first: W mod p by Horner's rule
+    # keeps r * 2^28 + limb < 2^62 for every p the sieve gives (<= 2^34)
+    top = w.bit_length() // 28 * 28
+    limbs = [(w >> shift) & ((1 << 28) - 1) for shift in range(top, -1, -28)]
     log_total = 0.0
     for block in sieve_primes(cutoff).iter_blocks():
-        if w < 1 << 63:
-            coprime = np.remainder(w, block) != 0
-        else:  # W past int64 is reduced mod each p in Python
-            coprime = np.array([w % p != 0 for p in block.tolist()], dtype=bool)
+        w_mod = np.zeros_like(block)
+        for limb in limbs:
+            w_mod <<= 28
+            w_mod += limb
+            w_mod %= block
+        coprime = w_mod != 0
         rho = np.where(coprime, k, 0)
         for i in np.flatnonzero(coprime & (block <= spread)).tolist():
             rho[i] = len({b % int(block[i]) for b in offsets})

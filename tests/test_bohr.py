@@ -16,7 +16,7 @@ from ap3lab.bohr import (
     _SHIFT_COUNT_MAX_SIZE,
     _SINE_BLOCK,
     BohrSet,
-    progression_step,
+    _progression_step,
     as_radius,
     build_bohr_set,
     kernel_spectrum,
@@ -384,6 +384,32 @@ def test_kernel_spectrum_transforms_only_the_positive_half_of_the_set(monkeypatc
     assert scale == 2 * 2003 / bohr.size
 
 
+@pytest.mark.parametrize(
+    "bohr, transformed",
+    [
+        (BohrSet(2003, (1,), Fraction(1, 4), [0]), True),  # B+ is empty
+        (build_bohr_set(2003, [1], "0.1"), False),  # a progression
+        (build_bohr_set(2003, [1, 7], "0.2"), True),
+    ],
+)
+def test_spectrum_needs_transform_names_the_path_kernel_spectrum_takes(
+    monkeypatch, bohr, transformed
+):
+    calls = []
+    transform = cyclic.forward_transform
+
+    def counted(f):
+        calls.append(f)
+        return transform(f)
+
+    monkeypatch.setattr(cyclic, "forward_transform", counted)
+    sigma_hat = kernel_spectrum(bohr)
+    assert bohr_module.spectrum_needs_transform(bohr) is transformed
+    assert len(calls) == transformed
+    if bohr.size == 1:
+        assert np.array_equal(sigma_hat, np.ones(2003 // 2 + 1))
+
+
 # members of Z/101Z that are not a progression: 0 missing, a member below
 # P/2 without its mirror, and a member above P/2 without its mirror
 ASYMMETRIC_SETS = {
@@ -397,7 +423,7 @@ ASYMMETRIC_SETS = {
 def test_kernel_spectrum_rejects_a_set_not_symmetric_about_zero(case):
     members = sorted(ASYMMETRIC_SETS[case])
     bohr = BohrSet(101, (1,), Fraction(1, 4), members)
-    assert progression_step(bohr) is None
+    assert _progression_step(bohr) is None
     with pytest.raises(InvariantError, match="symmetric"):
         kernel_spectrum(bohr)
 
@@ -640,13 +666,13 @@ def test_progression_check_accepts_symmetric_progressions(p, step, m):
     # d = 1, d > 1, m*d just below P/2 (2*168*3 = 1008 < 1009) and the
     # whole group (d = 1, m = (P - 1)/2)
     assert 2 * m * step < p
-    assert progression_step(_progression(p, step, m)) == step
+    assert _progression_step(_progression(p, step, m)) == step
 
 
 def test_progression_check_accepts_scanned_bohr_sets():
     for p, freqs, eps in [(1009, [1], "0.1"), (20011, [1, 5, 77], "0.05"), (101, [1], "0.5")]:
         bohr = build_bohr_set(p, freqs, eps)
-        assert progression_step(bohr) == int(bohr.members()[1])
+        assert _progression_step(bohr) == int(bohr.members()[1])
 
 
 @pytest.mark.parametrize(
@@ -659,7 +685,7 @@ def test_progression_check_accepts_scanned_bohr_sets():
     ],
 )
 def test_progression_check_rejects_other_sets(members):
-    assert progression_step(BohrSet(101, (1,), Fraction(1, 4), members)) is None
+    assert _progression_step(BohrSet(101, (1,), Fraction(1, 4), members)) is None
 
 
 def test_progression_check_rejects_a_progression_past_half_the_modulus():
@@ -667,9 +693,9 @@ def test_progression_check_rejects_a_progression_past_half_the_modulus():
     # interleave, and the check refuses it on the bound alone
     bohr = _progression(101, 2, 26)
     assert bohr.size == 53 and int(bohr.members()[1]) == 2
-    assert progression_step(bohr) is None
+    assert _progression_step(bohr) is None
     # m*d = P//2 exactly: 2*m*d = P - 1 < P is still accepted
-    assert progression_step(_progression(101, 1, 50)) == 1
+    assert _progression_step(_progression(101, 1, 50)) == 1
 
 
 def _closed_form_cases():
@@ -714,7 +740,7 @@ def test_closed_form_of_the_whole_group_is_exactly_zero_off_zero():
 def test_kernel_spectrum_rejects_a_broken_closed_form(monkeypatch, case):
     first, rest, fragment = BROKEN_KERNEL_SPECTRA[case]
     bohr = build_bohr_set(1009, [1], "0.1")
-    assert progression_step(bohr) == 1  # the closed-form path
+    assert _progression_step(bohr) == 1  # the closed-form path
 
     def broken(p, size, step):
         half = np.full(p // 2 + 1, rest)

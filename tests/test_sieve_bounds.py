@@ -107,6 +107,7 @@ def test_series_matches_root_count_accumulation_bit_for_bit():
         TupleSpec(w=1, offsets=(0, 2)),
         TupleSpec(w=1, offsets=(0,)),
         TupleSpec(w=10**12, offsets=(-997, 1, 1003)),  # collide mod 3
+        TupleSpec(w=3 * 9973 << 70, offsets=(1, 5)),  # W past int64, 9973 | W
     ):
         for cutoff in (100, 10**4):
             got = singular_series(spec, cutoff).value

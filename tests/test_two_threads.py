@@ -1,13 +1,15 @@
 """Two threads, by one start/join/re-raise path (cyclic._share_out).
 
-Above cyclic._THREAD_FLOOR values the transform, the chirps, the real
+From cyclic._THREAD_FLOOR values on, the transform, the chirps, the real
 convolution of the exact counts and the closed-form kernel spectrum share
-their work out in chunks (cyclic._in_two). Below it, delta_sweep shares its
-grid points' records out instead: the caller takes every point whose
-sigmahat is a forward transform, one thread the closed-form and B = {0}
-points, so at most one transform is in flight. Every bit must be the same
-as on one thread, every thread must be joined, and an error in either
-thread must reach the caller as it was raised."""
+their work out in chunks (cyclic._in_two). Where P//2 + 1 is below the
+floor, delta_sweep also shares its grid points' records out: the caller
+takes every point whose B kernel_spectrum would transform (B = {0} among
+them, whose record forms no sigmahat), one thread the closed-form points,
+so at most one transform is in flight; that transform still splits itself
+if its own length reaches the floor. Every bit must be the same as on one
+thread, every thread must be joined, and an error in either thread must
+reach the caller as it was raised."""
 
 import sys
 import threading
@@ -338,10 +340,11 @@ def test_an_error_on_the_sweep_worker_reaches_the_caller_unchanged(monkeypatch):
     with pytest.raises(_Failure) as caught:
         delta_sweep(config)
     assert caught.value is error
-    # the worker failed on its first point; the caller had at most begun
-    # its first transform point, finished it, and started no point after
-    assert [s for s in started if not s[0]] == [(False, "0.05", "0.1")]
-    assert [s for s in started if s[0]] in ([], [(True, "0.1", "0.4")])
+    # the worker failed on its first point, the least progression; the
+    # caller had at most begun its first point (B = {0}), finished it, and
+    # started no point after
+    assert [s for s in started if not s[0]] == [(False, "0.1", "0.1")]
+    assert [s for s in started if s[0]] in ([], [(True, "0.05", "0.1")])
     assert threading.active_count() == before
 
 
