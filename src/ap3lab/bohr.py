@@ -235,13 +235,14 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
     sigma is a probability kernel, so sigmahat(0) = 1 and |sigmahat| <= 1;
     both are checked on every path to _KERNEL_SPECTRUM_TOL and a failure
     raises InvariantError. spectrum_needs_transform states which path is
-    taken. Callers skip B = {0}, where sigma is the convolution identity
-    and sigmahat is 1.
+    taken, by the same one check. Callers skip B = {0}, where sigma is the
+    convolution identity and sigmahat is 1.
     """
-    if spectrum_needs_transform(bohr):
+    step = _progression_step(bohr)
+    if step is None:
         sigma_hat = _half_set_spectrum(bohr)
     else:
-        sigma_hat = _progression_spectrum(bohr.modulus, bohr.size, _progression_step(bohr))
+        sigma_hat = _progression_spectrum(bohr.modulus, bohr.size, step)
     tol = _KERNEL_SPECTRUM_TOL
     if abs(sigma_hat[0] - 1.0) > tol:
         raise InvariantError(f"kernel spectrum at 0 is {sigma_hat[0]!r}, not 1")

@@ -49,6 +49,9 @@ class _CliArgumentError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # an abbreviated option is refused, not expanded
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse default exits with code 2
         raise _CliArgumentError(message)
 
@@ -94,15 +97,12 @@ def _listed(parse):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ap3lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    # parent parsers: the options shared by the commands that run the lift
+    # parent parser: the options shared by the commands that run the lift
     lift = _Parser(add_help=False)
     lift.add_argument("--config", type=_nonempty, help="JSON config file of pipeline fields")
     lift.add_argument("--n", type=int)
     lift.add_argument("--z", dest="z_override", type=float)
     lift.add_argument("--set", dest="set_source", type=_nonempty)
-    point = _Parser(add_help=False, parents=[lift])
-    point.add_argument("--delta", type=_decimal)
-    point.add_argument("--eps", dest="epsilon", type=_decimal)
 
     p = sub.add_parser("primes", help="write primes up to a limit, one per line")
     p.add_argument("--limit", type=int, required=True)
@@ -138,11 +138,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--series-cutoff", type=int, default=DEFAULT_SERIES_CUTOFF)
     p.add_argument("--out")
 
-    p = sub.add_parser("pipeline", parents=[point], help="full experiment; JSON plus CSV")
+    p = sub.add_parser("pipeline", parents=[lift], help="full experiment; JSON plus CSV")
+    p.add_argument("--delta", type=_decimal)
+    p.add_argument("--eps", dest="epsilon", type=_decimal)
     p.add_argument("--k", dest="k_values", type=_listed(_integer), help="comma-separated k values")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("delta-sweep", parents=[point], help="rows over a (delta, epsilon) grid")
+    p = sub.add_parser("delta-sweep", parents=[lift], help="rows over a (delta, epsilon) grid")
     p.add_argument("--delta-grid", type=_listed(_decimal))
     p.add_argument("--eps-grid", dest="epsilon_grid", type=_listed(_decimal))
     p.add_argument("--out", required=True)

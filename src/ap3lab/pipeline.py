@@ -25,13 +25,6 @@ transform and of sigmahat's sines or transform), and threshold membership
 for a coefficient within rounding of delta. math.log and pow come from the
 platform's libm and are outside this guarantee.
 
-Both entry points take every grid-point value from one evaluator,
-_point_record, the one owner of sigmahat (bohr.kernel_spectrum) and of
-lambda_hhh; it reads h only through that operator, so delta_sweep never
-builds h. The sweep's Bohr sets nest, B(R(delta), eps) within
-B(R(delta'), eps') for delta <= delta' and eps <= eps', so it seeds only
-the largest point's scan and filters every other from one already built.
-
 Around the one forward transform of a, each pass does only the work its
 output needs: the Bohr scan forms the survivors of its least nonzero
 frequency directly; sigmahat of a B that is a progression {j*d : |j| <= m}
@@ -50,19 +43,18 @@ only its P//2 + 1 coefficients t <= P/2 (cyclic.Spectrum); the threshold,
 the products and lambda read that half, and a sum over all P frequencies
 mirrors it in fixed_sum's order without building the upper half.
 
-Three stages split their work between two threads once their arrays
-reach 2^20 values (cyclic._THREAD_FLOOR, so at N = 1e7 but not at
-N <= 1e6): the chirps and the row-column FFT passes of each forward
-transform (ahat, and sigmahat of a set that is not a progression), the
-FFT passes and combining pass of the integer convolutions (the exact
-counts, and smooth's count of a Bohr set past 255 members), and the
-closed-form sigmahat of a progression; the exact counts' rounding and
-energy passes share their blocks out the same way. Where the closed-form
-sigmahat stays on one thread (P//2 + 1 < 2^20, so N up to about 4.2e6),
-delta_sweep also shares its grid points' records between the caller and
-one thread: the caller takes the points whose sigmahat is a forward
-transform, so at most one transform is in flight, and the thread the
-closed-form points. Each value is formed by the same numpy calls in the same order on
+Both entry points take every value at a grid point from one front end,
+_grid: the lift, a's exact moments, the thresholds, the Bohr scans and
+_point_record, the one owner of sigmahat (bohr.kernel_spectrum) and of
+lambda_hhh. Three stages split their work between two threads once
+their arrays reach 2^20 values (cyclic._THREAD_FLOOR, so at N = 1e7 but
+not at N <= 1e6): the chirps and the row-column FFT passes of each
+forward transform (ahat, and sigmahat of a set that is not a
+progression), the FFT passes and combining pass of the integer
+convolutions (the exact counts, and smooth's count of a Bohr set past
+255 members), and the closed-form sigmahat of a progression; the exact
+counts' rounding and energy passes share their blocks out the same way.
+Each value is formed by the same numpy calls in the same order on
 either thread, so no report bit depends on the split. The level set
 {h >= h_l1/2} does not depend on k, so the one histogram of g serves
 every k.
@@ -201,16 +193,6 @@ class PipelineConfig:
                 raise InvalidArgumentError(
                     f"constant {name} must be a positive real number, got {value!r}"
                 )
-        # the eps-delta constraint's lhs is largest at the least delta and eps
-        delta = float(min(map(Fraction, (self.delta, *self.delta_grid))))
-        epsilon = float(min(map(Fraction, (self.epsilon, *self.epsilon_grid))))
-        try:
-            lhs = self.c4 * delta**-4 * abs(math.log(epsilon))
-        except OverflowError:  # delta**-4 alone
-            lhs = math.inf
-        if lhs == math.inf:
-            raise InvalidArgumentError(f"c4 * delta**-4 * |ln epsilon| overflows a float at "
-                                       f"c4 = {self.c4}, delta = {delta}, epsilon = {epsilon}")
         if not all(_is_integer(k) and k >= 1 for k in self.k_values):
             raise InvalidArgumentError("k_values must be integers >= 1")
         _reject_repeats("k_values", self.k_values)
@@ -342,18 +324,99 @@ def lift(config: PipelineConfig) -> tuple[WTrickContext, ScaledIndicator]:
     return ctx, build_sieved_function(members, ctx, table)
 
 
+def _grid(config: PipelineConfig, deltas, epsilons) -> tuple:
+    """The front end of run_pipeline (one point) and delta_sweep (a grid).
+    Returns (ctx, a, moments, [(record, B)]): moments is _counted_moments'
+    triple, then each point of deltas x epsilons, in ascending order, as
+    its _point_record and its Bohr set B.
+
+    c4 * delta**-4 * |ln eps|, the eps-delta constraint's lhs, is largest
+    at the least delta and eps given: an overflow there is refused
+    (InvalidArgumentError) before the lift sieves, and no value the run
+    does not evaluate is checked. One lift, a's moments and its spectrum
+    serve every point; R(delta) is taken once per distinct delta and B
+    once per point. R(delta) grows as delta falls, so B(R(delta), eps) lies
+    within B(R(delta'), eps') for delta <= delta' and eps <= eps': the sets
+    are built from the largest point down, only it is seeded, and each
+    other is scanned within the least set built at a larger or equal eps
+    for its own delta or the next larger one (build_bohr_set's within).
+
+    When P//2 + 1 < cyclic._THREAD_FLOOR, so that the closed-form sigmahat
+    stays on one thread, and with two points or more, the caller and one
+    thread share the records (cyclic._share_out): the caller first takes,
+    in order, the points whose B kernel_spectrum would transform
+    (bohr.spectrum_needs_transform; B = {0} among them, whose record forms
+    no sigmahat), then helps the thread with the closed-form rest. So at
+    most one forward transform is in flight. That transform still splits
+    itself once its length S >= P//2 + L reaches the floor (L the window
+    of B & (0, P/2), so for P from about 1.4e6 with L near P/4), and three
+    threads then share two cores while it runs. Otherwise the points run
+    in turn: past the floor every stage splits itself, and sharing the
+    points as well holds two points' sigmahat and hhat at once. On the
+    all-primes 3 x 4 grid at N = 1e7 (P = 5000011), 4 in-process runs a
+    side on 2 cores, shared points took 1.55-1.76 s (median 1.60) and
+    peaked at 329-345 MiB VmHWM, points in turn 1.65-2.32 s (median 1.81)
+    at 268-269 MiB: the gate gives up about a tenth of the wall time for
+    about 70 MiB. Each record is formed by the same calls on either thread
+    and is keyed by point, so no bit depends on the split.
+    """
+    points = sorted((Fraction(d), d, Fraction(e), e) for d in deltas for e in epsilons)
+    delta, epsilon = float(points[0][0]), float(min(point[2] for point in points))
+    try:
+        lhs = config.c4 * delta**-4 * abs(math.log(epsilon))
+    except OverflowError:  # delta**-4 alone
+        lhs = math.inf
+    if lhs == math.inf:
+        raise InvalidArgumentError(f"c4 * delta**-4 * |ln epsilon| overflows a float at "
+                                   f"c4 = {config.c4}, delta = {delta}, epsilon = {epsilon}")
+
+    ctx, a = lift(config)
+    moments = _counted_moments(a, ctx)
+    spec_a = a.spectrum()
+
+    # points are sorted by delta, and the threshold set depends on delta alone
+    groups = [
+        (list(group), *threshold_spectrum(spec_a, delta_f))
+        for delta_f, group in groupby(points, key=lambda point: float(point[0]))
+    ]
+    # largest point first, so each later set has a superset already built
+    scanned = {}  # point -> (R, raw size, B)
+    outer = []  # (eps, Bohr set) of the next larger delta
+    for group, r_set, raw_size in reversed(groups):
+        inner = []
+        for point in reversed(group):
+            eps, eps_str = point[2:]
+            supersets = [bohr for e, bohr in inner + outer if e >= eps]
+            within = min(supersets, key=lambda b: b.size).members() if supersets else None
+            bohr = build_bohr_set(ctx.p, r_set.tolist(), eps_str, within=within)
+            inner.append((eps, bohr))
+            scanned[point] = (r_set, raw_size, bohr)
+        outer = inner
+
+    records = {}
+
+    def evaluate(point) -> None:
+        r_set, raw_size, bohr = scanned[point]
+        records[point] = _point_record(config, point[1], point[3], moments[0], spec_a.half,
+                                       raw_size, r_set, bohr)
+
+    if len(points) >= 2 and ctx.p // 2 + 1 < cyclic._THREAD_FLOOR:
+        transformed, rest = [], []
+        for point in points:
+            needs_transform = spectrum_needs_transform(scanned[point][2])
+            (transformed if needs_transform else rest).append(point)
+        _share_out(evaluate, rest, caller_first=transformed)
+    else:
+        for point in points:
+            evaluate(point)
+    return ctx, a, moments, [(records[point], scanned[point][2]) for point in points]
+
+
 def run_pipeline(config: PipelineConfig) -> ExperimentReport:
     """Full run: W-trick lift, spectrum, Bohr smoothing, progression
     operators, norm table, level sets, and the final-inequality ledger."""
-    ctx, a = lift(config)
-
-    lam_a, lam_a_trivial, l4_pow4 = _counted_moments(a, ctx)
-    spec_a = a.spectrum()
-    delta_f = float(Fraction(config.delta))
-    r_set, raw_size = threshold_spectrum(spec_a, delta_f)
-    bohr = build_bohr_set(ctx.p, r_set.tolist(), config.epsilon)
-    point = _point_record(config, config.delta, config.epsilon, lam_a,
-                          spec_a.half, raw_size, r_set, bohr)
+    ctx, a, (lam_a, lam_a_trivial, l4_pow4), [(point, bohr)] = _grid(
+        config, [config.delta], [config.epsilon])
     g = smooth(ctx.a0, bohr)
     if bohr.size == 1:
         lambda_fourier(a, a, a)  # discarded; perfbench's traced test counts it
@@ -417,7 +480,7 @@ def run_pipeline(config: PipelineConfig) -> ExperimentReport:
         },
         "spectrum": {
             "ahat_l4_pow4": l4_pow4,
-            "markov_bound": l4_pow4 / delta_f**4,
+            "markov_bound": l4_pow4 / float(Fraction(config.delta)) ** 4,
             **_pick(point, "raw_spectrum_size", "r_size"),
         },
         "bohr": _pick(point, "bohr_size", "bohr_measure", "pigeonhole_margin"),
@@ -556,82 +619,16 @@ def _progression_floor(alpha: float, k: int, c1: float) -> float:
 
 
 def delta_sweep(config: PipelineConfig) -> tuple[list[str], list[list]]:
-    """Rows over the (delta, epsilon) grid in ascending lexicographic order.
-
-    The sieved function and its spectrum are shared across grid points. In
-    a first phase the threshold set R(delta) is taken once per distinct
-    delta, in ascending order, and the Bohr set once per point. R(delta)
-    only grows as delta falls, so the sets are built from the largest
-    (delta, epsilon) down: only that one is seeded, and each other is
-    scanned within the least set already built at a larger or equal
-    epsilon for its own delta or for the next larger one
-    (build_bohr_set's within). Every point's R, raw size and B are kept
-    for the second phase, which evaluates each point's record.
-
-    Each row is a projection of _point_record, which run_pipeline calls
+    """Rows over the (delta, epsilon) grid in ascending lexicographic order:
+    delta_grid (or delta alone) by epsilon_grid (or epsilon alone). Each
+    row is a projection of _grid's point record, which run_pipeline reads
     too, so a column the two share is the pipeline's bit for bit; h is
-    never built. When P//2 + 1 < cyclic._THREAD_FLOOR, so that the
-    closed-form sigmahat stays on one thread, and with two points or more,
-    the caller and one thread share the records (cyclic._share_out): the
-    caller first takes, in order, the points whose B kernel_spectrum
-    would transform (bohr.spectrum_needs_transform; B = {0} among them,
-    whose record forms no sigmahat at all), then helps the thread with the
-    rest, whose sigmahat is in closed form. So at most one forward
-    transform is in flight at a time. That transform still splits itself
-    once its length S >= P//2 + L reaches the floor (L the window of
-    B & (0, P/2), so for P from about 1.4e6 with L near P/4), and three
-    threads then share two cores while it runs. Otherwise the points run
-    in turn. Each record is formed by the same calls on either thread, and
-    rows are keyed by point, so no bit depends on the split.
-    """
-    deltas = config.delta_grid or (config.delta,)
-    epsilons = config.epsilon_grid or (config.epsilon,)
-    points = sorted(
-        ((Fraction(d), d, Fraction(e), e) for d in deltas for e in epsilons)
-    )
-
-    ctx, a = lift(config)
-    lam_a, _, _ = _counted_moments(a, ctx)
-    spec_a = a.spectrum()
-    a_hat = spec_a.half
-
-    # points are sorted by delta, and the threshold set depends on delta alone
-    groups = [
-        (list(group), *threshold_spectrum(spec_a, delta_f))
-        for delta_f, group in groupby(points, key=lambda point: float(point[0]))
+    never built."""
+    _, _, _, points = _grid(config, config.delta_grid or [config.delta],
+                            config.epsilon_grid or [config.epsilon])
+    return DELTA_SWEEP_CSV_COLUMNS, [
+        [_csv_cell(record[col]) for col in DELTA_SWEEP_CSV_COLUMNS] for record, _ in points
     ]
-    # largest point first, so each later set has a superset already built
-    scanned = {}  # point -> (R, raw size, B)
-    outer = []  # (eps, Bohr set) of the next larger delta
-    for group, r_set, raw_size in reversed(groups):
-        inner = []
-        for point in reversed(group):
-            eps, eps_str = point[2:]
-            supersets = [bohr for e, bohr in inner + outer if e >= eps]
-            within = min(supersets, key=lambda b: b.size).members() if supersets else None
-            bohr = build_bohr_set(ctx.p, r_set.tolist(), eps_str, within=within)
-            inner.append((eps, bohr))
-            scanned[point] = (r_set, raw_size, bohr)
-        outer = inner
-
-    rows = {}
-
-    def evaluate(point) -> None:
-        r_set, raw_size, bohr = scanned[point]
-        record = _point_record(config, point[1], point[3], lam_a, a_hat, raw_size,
-                               r_set, bohr)
-        rows[point] = [_csv_cell(record[col]) for col in DELTA_SWEEP_CSV_COLUMNS]
-
-    if len(points) >= 2 and ctx.p // 2 + 1 < cyclic._THREAD_FLOOR:
-        transformed, rest = [], []
-        for point in points:
-            needs_transform = spectrum_needs_transform(scanned[point][2])
-            (transformed if needs_transform else rest).append(point)
-        _share_out(evaluate, rest, caller_first=transformed)
-    else:
-        for point in points:
-            evaluate(point)
-    return DELTA_SWEEP_CSV_COLUMNS, [rows[point] for point in points]
 
 
 # ----------------------------------------------------------------------

@@ -3,8 +3,10 @@ evaluator, so sigmahat, lambda on hhat and the eps-delta constraint each
 have one call site in pipeline.py, all in the same function. pipeline.py
 reads h only off the histogram of smooth's count, so no float pass over
 a dense h can come back. Every entry point shares one W-trick lift, so
-the two stages that build it are called from pipeline.lift alone. And
-every public function and method of the
+the two stages that build it are called from pipeline.lift alone, and
+run_pipeline and delta_sweep share one front end, pipeline._grid, the
+one caller of the lift, the counts, the thresholds, the Bohr scans and
+the point records in pipeline.py. And every public function and method of the
 package is called from the package itself: code that only tests reach
 belongs in the tests. A method is called only through an attribute, so
 a variable of the same name does not count as a call."""
@@ -20,6 +22,7 @@ OWNED = ("kernel_spectrum", "lambda_of_spectra", "bd.epsilon_delta_constraint")
 # float passes over a dense function that h's statistics once took
 DENSE_PASSES = ("lp_norm", "mean", "sup_norm", "level_set_size", "level_set_extract")
 LIFT_STAGES = ("build_context", "build_sieved_function")
+FRONT_END = ("lift", "_counted_moments", "threshold_spectrum", "build_bohr_set", "_point_record")
 
 # Public names that no package code references, and why each stays.
 UNREFERENCED = {
@@ -50,6 +53,17 @@ def test_each_point_value_has_one_call_site_in_pipeline():
                 sites[_callee(node)].append(getattr(function, "name", None))
     assert all(len(owners) == 1 for owners in sites.values()), sites
     assert len({owners[0] for owners in sites.values()}) == 1, sites
+
+
+def test_both_entry_points_reach_the_front_end_through_grid_alone():
+    tree = ast.parse(PIPELINE.read_text(encoding="utf-8"))
+    sites = {name: [] for name in (*FRONT_END, "_grid")}
+    for function in tree.body:
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call) and _callee(node) in sites:
+                sites[_callee(node)].append(getattr(function, "name", None))
+    assert sites == {**{name: ["_grid"] for name in FRONT_END},
+                     "_grid": ["run_pipeline", "delta_sweep"]}
 
 
 def test_the_lift_is_built_in_pipeline_lift_alone():

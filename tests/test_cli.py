@@ -292,6 +292,22 @@ def test_lift_refuses_before_sieving(tmp_path, capsys, monkeypatch, argv, code):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, raw, argv", [
+    # wtrick evaluates no (delta, epsilon)
+    ("wtrick", {"c4": 1e304}, ["--n", "100000"]),
+    # pipeline evaluates delta and epsilon, not the grids
+    ("pipeline", {"n": 100000, "delta_grid": ["1e-100"]}, []),
+    # the sweep evaluates its grid, not the default delta = 0.05, eps = 0.1
+    ("delta-sweep", {"c4": 1e304}, ["--n", "100000", "--delta-grid", "0.3", "--eps-grid", "0.3"]),
+], ids=["wtrick", "pipeline-grid", "delta-sweep-grid"])
+def test_eps_delta_overflow_is_checked_only_at_evaluated_points(tmp_path, command, raw, argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(config), *argv, "--out", str(out)) == 0
+    assert out.exists()
+
+
 def test_the_largest_k_whose_norm_stays_finite_runs(tmp_path):
     # at N = 1e6, 2k * ln(scale) + ln P stays below ln(float max) up to k = 144
     out = tmp_path / "r.json"
@@ -605,6 +621,27 @@ MALFORMED_INPUTS = {
         lambda tmp_path: _small_set(tmp_path, "0\n1.5\n3\n"),
         "set.txt, line 2: '1.5' is not an integer",
     ),
+    # an abbreviated option is refused, not expanded: --delta is not read
+    # as --delta-grid, the one delta-sweep option it would abbreviate
+    "primes-lim": (lambda tmp_path: ["primes", "--lim", "10"],
+                   "the following arguments are required: --limit"),
+    "pipeline-de-ep": (
+        lambda tmp_path: ["pipeline", "--n", "100000", "--de", "0.05", "--ep", "0.1",
+                          "--out", str(tmp_path / "r.json")],
+        "unrecognized arguments: --de 0.05 --ep 0.1",
+    ),
+    "delta-sweep-delta": (
+        lambda tmp_path: ["delta-sweep", "--n", "100000", "--delta", "0.3",
+                          "--out", str(tmp_path / "d.csv")],
+        "unrecognized arguments: --delta 0.3",
+    ),
+    # the eps-delta check names the least point the sweep evaluates
+    "delta-sweep-c4-constraint-overflow": (
+        lambda tmp_path: _with_config(tmp_path, {"c4": 1e307}, lambda _: [
+            "delta-sweep", "--n", "100000", "--delta-grid", "0.4,0.3",
+            "--eps-grid", "0.3,0.35", "--out", str(tmp_path / "d.csv")]),
+        "overflows a float at c4 = 1e+307, delta = 0.3, epsilon = 0.3",
+    ),
 }
 
 
@@ -613,7 +650,7 @@ def test_malformed_input_exits_1_with_a_message(tmp_path, capsys, case):
     argv, fragment = MALFORMED_INPUTS[case]
     assert run_cli(*argv(tmp_path)) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and fragment in err
+    assert err.startswith("error:") and fragment in err and err.count("\n") == 1
     assert "Traceback" not in err
 
 
@@ -661,8 +698,8 @@ def _command_options():
 
 
 def test_each_command_accepts_only_the_options_it_reads():
+    # delta-sweep reads delta and epsilon only from a config without grids
     lift = {"--config", "--n", "--z", "--set"}
-    point = lift | {"--delta", "--eps"}
     options = _command_options()
     assert options == {
         "primes": {"--limit", "--out"},
@@ -671,11 +708,11 @@ def test_each_command_accepts_only_the_options_it_reads():
         "bohr": {"--p", "--freqs", "--eps", "--members", "--out"},
         "lambda": {"--p", "--set", "--direct", "--out"},
         "tuples": {"--w", "--offsets", "--limit", "--series-cutoff", "--out"},
-        "pipeline": point | {"--k", "--out"},
-        "delta-sweep": point | {"--delta-grid", "--eps-grid", "--out"},
+        "pipeline": lift | {"--delta", "--eps", "--k", "--out"},
+        "delta-sweep": lift | {"--delta-grid", "--eps-grid", "--out"},
         "bounds": {"--n", "--out"},
     }
-    assert sum(map(len, options.values())) == 42  # (command, option) slots
+    assert sum(map(len, options.values())) == 40  # (command, option) slots
 
 
 def test_readme_command_lines_parse():
