@@ -41,11 +41,35 @@ _KERNEL_SPECTRUM_TOL = 1e-9
 # cutoff stays at the uint8 bound.
 _SHIFT_COUNT_MAX_SIZE = 255
 
-# Frequencies per block of the closed-form sigmahat of a progression: its
-# eight int64 and float64 rows (1 MiB) stay in L2 cache. At P = 5000011 on a
-# 2-core x86_64 machine, blocks of 16384 took 0.11 s against 0.13 s for
-# blocks of 4096; the two sines per frequency are most of it.
+# Frequencies per block of the closed-form sigmahat (_run_spectrum): each
+# thread's eight scratch rows take 1 MiB, and each phase step's table of
+# roots 256 KiB. On a 2-core x86_64 machine (medians of 5 to 7 calls),
+# blocks of 16384 took 18 ms against 34 ms for blocks of 4096 at
+# P = 5000011 (|B| = 15, one run), and 5.5 ms against 6.1 ms at P = 500009
+# (|B| = 133335, nine runs); the one sine per frequency of the denominator
+# is most of it.
 _SINE_BLOCK = 16384
+# Entries of the fine root table of _root_table; the coarse one has
+# _SINE_BLOCK / _ROOT_FINE.
+_ROOT_FINE = 128
+# _step_runs tries this many of B's least positive members as the step d.
+# Every Bohr set but {0} of the 3 x 4 grids of all primes at N = 1e6, 3e6,
+# 4e6 and 1e7 and of two seeded halves of them at N = 1e6 took the first,
+# but |B| = 133335 of the halves, which holds 3 and is nine runs along 5,
+# the second.
+_STEP_CANDIDATES = 4
+# kernel_spectrum takes the closed form for a set of at most this many
+# runs, and the transform of B+ past it. The closed form's cost grows with
+# the runs, the transform's with P alone (2-core x86_64, medians of 5 to 9
+# calls, runs spread over Z/PZ): at P = 500009, 10 ms against 17-23 ms for
+# the transform at 33 runs and 20 ms against 23 ms at 57; at P = 5000011,
+# 66 ms against 111 ms at 33 runs and 110 ms against 137 ms at 57. The cap
+# stays below both crossings, with room for the noise of a shared machine.
+_MAX_RUNS = 32
+# Below this |sin(pi*d*t/P)|, _run_spectrum forms its numerators again
+# from exact phases: its turned roots err by about 6e-16 each, and the
+# quotient magnifies that by 1/|sin|.
+_SMALL_SINE = 2.0**-6
 
 
 def as_radius(eps) -> Fraction:
@@ -217,32 +241,41 @@ def _convolved_count(support: np.ndarray, bohr: BohrSet) -> np.ndarray:
 
 def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
     """sigmahat, the spectrum of sigma = (P/|B|) * 1_B, as a float64 array
-    of its coefficients t <= P//2 (the half a Spectrum holds). sigma is
-    symmetric about 0, so sigmahat is real. One of two paths forms it:
+    of its coefficients t <= P//2 (the half a Spectrum holds). B must
+    contain 0 and be symmetric about it (_check_centred), so sigmahat is
+    real. One of two paths forms it:
 
-    * B is a symmetric arithmetic progression {j*d : |j| <= m} with
-      2*m*d < P (_progression_step, an O(|B|) check of the sorted
-      members): sigmahat is the Dirichlet kernel
-      sin(pi*n*d*t/P) / (n*sin(pi*d*t/P)), n = |B|, in closed form (see
-      _progression_spectrum). Most Bohr sets the pipeline builds are of
-      this form, and with 1 in R (threshold_spectrum always adjoins it)
-      and eps < 1/2 any such progression meets 2*m*d < P.
+    * B is a union of at most _MAX_RUNS runs {(a + j)*d : 0 <= j < L}
+      along one step d (_step_runs; a symmetric progression {j*d : |j| <= m}
+      is the one-run case, and every Bohr set the grid builds has been one
+      of these): sigmahat is a sum of Dirichlet kernels in closed form (see
+      _run_spectrum).
     * any other set: B = -B, so sigmahat(t) = (1/|B|) sum_{b in B}
       e(b*t/P) = (1 + 2 * Re sum_{b in B+} e(b*t/P)) / |B| with
       B+ = B & (0, P/2), and one forward transform of the indicator of
       B+ alone gives that sum (see _half_set_spectrum).
 
-    sigma is a probability kernel, so sigmahat(0) = 1 and |sigmahat| <= 1;
-    both are checked on every path to _KERNEL_SPECTRUM_TOL and a failure
-    raises InvariantError. spectrum_needs_transform states which path is
-    taken, by the same one check. Callers skip B = {0}, where sigma is the
-    convolution identity and sigmahat is 1.
+    sigma is a probability kernel, so sigmahat(0) = 1 and |sigmahat| <= 1.
+    The runs must cover |B| members in all, an exact integer check, and on
+    both paths sigmahat(0) and the peak of |sigmahat| are checked to
+    _KERNEL_SPECTRUM_TOL; a failure raises InvariantError.
+    spectrum_needs_transform states which path is taken, by the same
+    decomposition. Callers skip B = {0}, where sigma is the convolution
+    identity and sigmahat is 1.
     """
-    step = _progression_step(bohr)
-    if step is None:
+    _check_centred(bohr)
+    runs = _step_runs(bohr)
+    if runs is None:
         sigma_hat = _half_set_spectrum(bohr)
     else:
-        sigma_hat = _progression_spectrum(bohr.modulus, bohr.size, step)
+        step, starts, lengths = runs
+        covered = int(lengths.sum())
+        if covered != bohr.size:
+            raise InvariantError(
+                f"kernel spectrum at 0 is {covered}/{bohr.size}, not 1: the runs "
+                f"along {step} do not cover B"
+            )
+        sigma_hat = _run_spectrum(bohr.modulus, bohr.size, step, starts, lengths)
     tol = _KERNEL_SPECTRUM_TOL
     if abs(sigma_hat[0] - 1.0) > tol:
         raise InvariantError(f"kernel spectrum at 0 is {sigma_hat[0]!r}, not 1")
@@ -254,21 +287,19 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
 
 def spectrum_needs_transform(bohr: BohrSet) -> bool:
     """Whether kernel_spectrum forms B's sigmahat by a forward transform
-    (_half_set_spectrum): B is not a symmetric progression
-    (_progression_step), B = {0} among such sets. Otherwise sigmahat is
-    in closed form."""
-    return _progression_step(bohr) is None
+    (_half_set_spectrum): no step tried splits B into at most _MAX_RUNS
+    runs (_step_runs). Otherwise sigmahat is in closed form, B = {0} and
+    every progression among such sets."""
+    return _step_runs(bohr) is None
 
 
 def _half_set_spectrum(bohr: BohrSet) -> np.ndarray:
     """The real sigmahat at t <= P//2 of a Bohr set that contains 0 and is
-    symmetric about it (_check_centred), from the forward transform of
-    (2P/|B|) * 1_{B+}, B+ = B & (0, P/2), held as its support
-    (cyclic.ScaledIndicator): its real part plus 1/|B|. B+ is the first
-    half of members[1:], and its window is at most P/2 long where all of
-    B's may be P.
+    symmetric about it, from the forward transform of (2P/|B|) * 1_{B+},
+    B+ = B & (0, P/2), held as its support (cyclic.ScaledIndicator): its
+    real part plus 1/|B|. B+ is the first half of members[1:], and its
+    window is at most P/2 long where all of B's may be P.
     """
-    _check_centred(bohr)
     p, members, size = bohr.modulus, bohr.members(), bohr.size
     half = ScaledIndicator(p, members[1 : 1 + size // 2], 2 * p / size).spectrum().half
     return half.real + 1.0 / size
@@ -288,74 +319,147 @@ def _check_centred(bohr: BohrSet) -> None:
             raise InvariantError("support must lie in [-P/4, P/4] when 1 in R and eps < 1/4")
 
 
-def _progression_step(bohr: BohrSet) -> int | None:
-    """d when the sorted members are exactly [0, d, ..., m*d] followed by
-    [P - m*d, ..., P - d] with m >= 1 and 2*m*d < P, so that B is the
-    symmetric progression {j*d : |j| <= m}; otherwise None. O(|B|)."""
+def _step_runs(bohr: BohrSet) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """(d, starts, lengths) with B the union of the runs
+    {(a + j)*d mod P : 0 <= j < L} over the pairs (a, L) of starts and
+    lengths, for the first step d among B's _STEP_CANDIDATES least positive
+    members (d = 1 for B = {0}) that gives at most _MAX_RUNS of them;
+    otherwise None. The runs are the maximal cyclic runs of consecutive
+    residues among the sorted u = b*d^-1 mod P, a run may wrap past P - 1,
+    and B = Z/PZ is the one run [0, P). A symmetric progression
+    {j*d : |j| <= m} is the run [-m, m] along its least positive member d.
+    O(|B| log |B|) per step tried."""
     p, members = bohr.modulus, bohr.members()
-    size = members.size
-    if size < 3 or size % 2 == 0 or members[0] != 0:
-        return None
-    step, m = int(members[1]), size // 2
-    if 2 * m * step >= p:
-        return None
-    multiples = np.arange(0, (m + 1) * step, step, dtype=np.int64)
-    if not np.array_equal(members[: m + 1], multiples):
-        return None
-    # members[m + 1 + i] = P - (m - i)*d for i < m
-    if not np.array_equal(members[m + 1 :], p - multiples[m:0:-1]):
-        return None
-    return step
+    positive = members[int(np.searchsorted(members, 1)) :]
+    for step in positive[:_STEP_CANDIDATES].tolist() or [1]:
+        u = members * pow(step, -1, p) % p  # b * d^-1 < P^2 <= 2**62
+        u.sort()
+        ends = np.flatnonzero(np.diff(u, append=u[0] + p) != 1)  # each run's last index
+        if ends.size > _MAX_RUNS:
+            continue
+        if not ends.size:  # no gap: u is all of Z/PZ
+            return step, np.zeros(1, dtype=np.int64), np.array([p])
+        lengths = np.diff(ends, prepend=ends[-1] - u.size)
+        return step, u[(ends - lengths + 1) % u.size], lengths
+    return None
 
 
-def _progression_spectrum(p: int, size: int, step: int) -> np.ndarray:
-    """sigmahat at t <= P//2 for B = {j*d : |j| <= m}, n = 2m + 1 = size,
-    d = step: the Dirichlet kernel
+def _run_spectrum(p: int, size: int, step: int, starts, lengths) -> np.ndarray:
+    """sigmahat at t <= P//2 for the B of _step_runs: the runs of starts
+    a_i and lengths L_i along d = step, with sum L_i = |B| and B = -B.
+    Summing e(u*d*t/P) over each run gives
 
-        sigmahat(t) = (1/n) sum_{|j| <= m} e(j*d*t/P)
-                    = sin(pi*phi_n/P) / (n * sin(pi*phi_d/P)),
+        sigmahat(t) = (1/|B|) sum_i cos(pi*c_i*t/P) * sin(pi*s_i*t/P)
+                                    / sin(pi*d*t/P),
 
-    where phi_d = d*t and phi_n = n*d*t are exact int64 phases taken
-    mod 2P (the period of sin(pi*x/P)), and sigmahat(0) = 1. For t > 0
-    the denominator never vanishes, since P is prime and d, t < P.
+    with c_i = (2*a_i + L_i - 1)*d and s_i = L_i*d exact integer phase
+    steps mod 2P (the period of sin(pi*x/P)), and sigmahat(0) = 1: the sum
+    is real since B = -B. For t > 0 the denominator never vanishes, since
+    P is prime and d, t < P, and for B = Z/PZ (s = P*d) every numerator
+    does, so sigmahat is exactly 0 there. A run and its mirror have the
+    same s and opposite c, and cos is even, so each distinct (|c|, s) is
+    one term, weighted by how many runs share it; a symmetric progression
+    is the one term c = 0.
 
-    The t are taken in blocks of _SINE_BLOCK. For t = s + j in the
-    block at s, each phase is c*t = r + o (mod 2P) with r = c*j mod 2P,
-    tabulated once, and o = c*s mod 2P, so v = r + o - 2P in [-2P, 2P)
-    and no length-P/2 integer temporary is made. Each sine is folded
-    (_folded_sine) to an argument in [0, pi/2] before sin is taken, so a
-    small sine keeps its relative accuracy, and its sign is carried
-    separately. The blocks are shared out in chunks between two threads
-    (cyclic._in_two).
+    The t are taken in blocks of _SINE_BLOCK. Each distinct phase step g
+    gets one table of e(g*j/(2P)) for j in a block, each entry the
+    product of two roots of exact integer phase (_exact_roots), and in
+    the block at s each needed cosine or sine is that table turned by the
+    root of phase g*s mod 2P. The denominator's phases d*t are exact, and
+    it is folded (_folded_sine) to an argument in [0, pi/2] before sin is
+    taken, so it keeps its relative accuracy. Where it falls below
+    _SMALL_SINE, the turned tables' absolute rounding would be magnified,
+    so there every numerator is formed again from its exact phases
+    (_exact_numerator). The blocks are shared out in chunks between two
+    threads (cyclic._in_two).
     """
     half_size = p // 2 + 1
     out = np.empty(half_size)
     out[0] = 1.0
+    if size == p:  # B = Z/PZ
+        out[1:] = 0.0
+        return out
     period = 2 * p
+    terms = {}  # (|c|, s) -> the runs that share it
+    for a, length in zip(starts.tolist(), lengths.tolist()):
+        c = (2 * a + length - 1) * step % period
+        key = (min(c, period - c), length * step % period)
+        terms[key] = terms.get(key, 0) + 1
     block = min(_SINE_BLOCK, half_size - 1)
-    steps = (step, size * step % period)  # phi_d, phi_n per unit of t
-    residues = [np.arange(block, dtype=np.int64) * c % period for c in steps]
+    roots = {g: _root_table(g, block, p) for term in terms for g in term if g}
+    offsets = np.arange(block, dtype=np.int64) * step % period  # d*j mod 2P
+    # each block's turns: the roots of phase g*s mod 2P at its first t = s
+    turns = {g: _exact_roots(np.arange(1, half_size, block) * g % period, p) for g in roots}
 
     def fill(lo: int, hi: int) -> None:  # t in [1 + lo, 1 + hi)
         phase = np.empty(block, dtype=np.int64)
         scratch = np.empty(block, dtype=np.int64)
-        signs = [np.empty(block, dtype=np.int64) for _ in steps]
-        sines = [np.empty(block) for _ in steps]
+        sign = np.empty(block, dtype=np.int64)
+        denominator, numerator, product = (np.empty(block) for _ in range(3))
+        turned = np.empty(block, dtype=np.complex128)
         for start in range(1 + lo, 1 + hi, block):
-            n = min(block, 1 + hi - start)
-            for c, row, sign, sine in zip(steps, residues, signs, sines):
-                np.add(row[:n], c * start % period - period, out=phase[:n])
-                _folded_sine(phase[:n], p, sine[:n], sign[:n], scratch[:n])
-            denominator, numerator = sines
-            ratio = out[start : start + n]
-            denominator[:n] *= size
-            np.divide(numerator[:n], denominator[:n], out=ratio)
-            # the signs agree exactly when their sign words do
-            np.bitwise_xor(signs[0][:n], signs[1][:n], out=scratch[:n])
-            np.copysign(ratio, scratch[:n], out=ratio)
+            n, k = min(block, 1 + hi - start), (start - 1) // block
+            np.add(offsets[:n], step * start % period - period, out=phase[:n])
+            _folded_sine(phase[:n], p, denominator[:n], sign[:n], scratch[:n])
+            small = np.flatnonzero(denominator[:n] < _SMALL_SINE)
+            numerator[:n] = 0.0
+            for (c, s), weight in terms.items():
+                np.multiply(roots[s][:n], turns[s][k], out=turned[:n])
+                np.multiply(turned.imag[:n], weight, out=product[:n])  # sin(pi*s*t/P)
+                if c:
+                    np.multiply(roots[c][:n], turns[c][k], out=turned[:n])
+                    product[:n] *= turned.real[:n]  # cos(pi*c*t/P)
+                numerator[:n] += product[:n]
+            if small.size:
+                numerator[small] = _exact_numerator(terms, small + start, p)
+            # |sin| carries the sign of sin(pi*d*t/P) negated in its sign word
+            np.copysign(denominator[:n], sign[:n], out=denominator[:n])
+            denominator[:n] *= -size
+            np.divide(numerator[:n], denominator[:n], out=out[start : start + n])
 
     _in_two(fill, half_size - 1, block, half_size)
     return out
+
+
+def _exact_numerator(terms, t: np.ndarray, p: int) -> np.ndarray:
+    """sum of weight * cos(pi*c*t/P) * sin(pi*s*t/P) over the terms
+    {(c, s): weight} of _run_spectrum at the int64 t, each root taken at
+    its exact folded phase (_exact_roots), so each sine keeps its
+    relative accuracy."""
+    period = 2 * p
+    total = np.zeros(t.size)
+    for (c, s), weight in terms.items():
+        total += weight * _exact_roots(t * s % period, p).imag * _exact_roots(t * c % period, p).real
+    return total
+
+
+def _root_table(g: int, block: int, p: int) -> np.ndarray:
+    """exp(i*pi*(g*j mod 2P)/P) for j < block: each entry the product of
+    a fine root (j mod K) and a coarse one (the rest of j), K = _ROOT_FINE,
+    both of exact integer phase (_exact_roots), so only about
+    2*sqrt(block) cosines and sines are taken."""
+    period = 2 * p
+    fine = _exact_roots(np.arange(_ROOT_FINE) * g % period, p)
+    coarse = _exact_roots(np.arange(0, block, _ROOT_FINE) * g % period, p)
+    return np.multiply.outer(coarse, fine).ravel()[:block]
+
+
+def _exact_roots(phases: np.ndarray, p: int) -> np.ndarray:
+    """exp(i*pi*v/P) for int64 phases v in [0, 2P). Its cosine and sine
+    are taken at the angle f*pi/P in [0, pi/2], f = min(|w|, P - |w|) with
+    w = v - 2P past P, and their signs set after: the angle's relative
+    rounding is about 1e-16, so a small sine keeps its relative accuracy
+    and no value errs by much more than 2e-16."""
+    w = np.where(phases > p, phases - 2 * p, phases)  # in (-P, P]
+    magnitude = np.abs(w)
+    folded = np.minimum(magnitude, p - magnitude)
+    angle = folded * (np.pi / p)
+    roots = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=roots.real)
+    np.negative(roots.real, out=roots.real, where=magnitude > folded)  # cos(pi - x) = -cos(x)
+    np.sin(angle, out=roots.imag)
+    np.copysign(roots.imag, w, out=roots.imag)
+    return roots
 
 
 def _folded_sine(phase, p, sine, sign, scratch) -> None:

@@ -70,7 +70,9 @@ _TWIDDLE_ROWS = 64
 # and 0.95-0.98x above. 2^20 sits at that crossover: every stage at
 # P <= 1000003 stays on one thread, the N = 1e7 stages (P = 5000011) split.
 # Below it pipeline._grid also shares a sweep's points out, one thread to a
-# point; past it they run in turn, a tenth slower and 70 MiB lower (_grid).
+# point, each point's sigmahat in closed form unless its Bohr set is past
+# bohr._MAX_RUNS runs; past it they run in turn, a tenth slower and 70 MiB
+# lower (_grid).
 _THREAD_FLOOR = 1 << 20
 # Chunks per _in_two call. Each thread claims the next chunk when it ends
 # one, so a thread the host slows down does less of the work instead of
@@ -750,8 +752,11 @@ def threshold_spectrum(s: Spectrum, delta: float) -> tuple[np.ndarray, int]:
         raise InvariantError(
             "Markov bound on the large spectrum failed; transform is inconsistent"
         )
-    freqs = np.union1d(raw, np.array([1], dtype=np.int64)).astype(np.int64)
-    return freqs, int(raw.size)
+    # raw is ascending, so 1 goes in at its place; np.union1d would import
+    # numpy.ma on its first call, 4 ms a process
+    at = int(np.searchsorted(raw, 1))
+    freqs = raw if at < raw.size and raw[at] == 1 else np.insert(raw, at, 1)
+    return freqs.astype(np.int64, copy=False), int(raw.size)
 
 
 # ----------------------------------------------------------------------

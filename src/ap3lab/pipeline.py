@@ -27,16 +27,18 @@ platform's libm and are outside this guarantee.
 
 Around the one forward transform of a, each pass does only the work its
 output needs: the Bohr scan forms the survivors of its least nonzero
-frequency directly; sigmahat of a B that is a progression {j*d : |j| <= m}
-(nearly every B the grid builds, |B| = 15 with d = 5005 at N = 1e7) is
-the Dirichlet kernel in closed form, and of any other B the real part of
-one transform of the indicator of B & (0, P/2), whose window is at most
-half as long as sigma's, so sigmahat is a float64 half either way; every
-exact sum count (A0 + A0, and smooth's S + B) is formed, rounded and
-checked by one helper, cyclic._sum_counts, which convolves over the
-first indicator's own buffer at the least even 5-smooth length S by one
-complex FFT of length S/2 and its inverse; and lambda multiplies out
-only t <= P/2 of its spectra.
+frequency directly; sigmahat of a B made of a few runs along one step d
+(every B the grid has built: a progression {j*d : |j| <= m}, |B| = 15
+with d = 5005 at N = 1e7, is one run, and |B| = 133335 at N = 1e6 nine
+runs along d = 5) is a sum of Dirichlet kernels in closed form, and of
+any other B the real part of one transform of the indicator of
+B & (0, P/2), whose window is at most half as long as sigma's, so
+sigmahat is a float64 half either way; every exact sum count (A0 + A0,
+and smooth's S + B) is formed, rounded and checked by one helper,
+cyclic._sum_counts, which convolves over the first indicator's own
+buffer at the least even 5-smooth length S by one complex FFT of length
+S/2 and its inverse; and lambda multiplies out only t <= P/2 of its
+spectra.
 
 Every spectrum (ahat, sigmahat, hhat) is that of a real function and holds
 only its P//2 + 1 coefficients t <= P/2 (cyclic.Spectrum); the threshold,
@@ -49,10 +51,10 @@ _point_record, the one owner of sigmahat (bohr.kernel_spectrum) and of
 lambda_hhh. Three stages split their work between two threads once
 their arrays reach 2^20 values (cyclic._THREAD_FLOOR, so at N = 1e7 but
 not at N <= 1e6): the chirps and the row-column FFT passes of each
-forward transform (ahat, and sigmahat of a set that is not a
-progression), the FFT passes and combining pass of the integer
-convolutions (the exact counts, and smooth's count of a Bohr set past
-255 members), and the closed-form sigmahat of a progression; the exact
+forward transform (ahat, and sigmahat of a set past the run cap), the
+FFT passes and combining pass of the integer convolutions (the exact
+counts, and smooth's count of a Bohr set past 255 members), and the
+closed-form sigmahat; the exact
 counts' rounding and energy passes share their blocks out the same way.
 Each value is formed by the same numpy calls in the same order on
 either thread, so no report bit depends on the split. The level set
@@ -263,8 +265,9 @@ class ExperimentReport:
 
 
 def load_member_file(path) -> np.ndarray:
-    """One integer per line, blank lines ignored. A line that is not an
-    integer, or a member outside int64, raises InvalidArgumentError."""
+    """The distinct members, ascending, as int64: one integer per line,
+    blank lines ignored. A line that is not an integer, or a member outside
+    int64, raises InvalidArgumentError."""
     values = []
     for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -277,33 +280,30 @@ def load_member_file(path) -> np.ndarray:
                 ) from None
     if not values:
         raise InvalidArgumentError(f"set file {path} is empty")
-    members = sorted(set(values))
-    for member in (members[0], members[-1]):  # the least and the largest
+    for member in (min(values), max(values)):
         if not -(1 << 63) <= member < 1 << 63:
             raise InvalidArgumentError(
                 f"set member {member} in {path} does not fit in a 64-bit integer"
             )
-    return np.asarray(members, dtype=np.int64)
+    members = np.array(values, dtype=np.int64)
+    if np.any(members[1:] <= members[:-1]):  # not strictly ascending: sort, drop repeats
+        members.sort()
+        members = members[np.concatenate(([True], members[1:] != members[:-1]))]
+    return members
 
 
 def lift(config: PipelineConfig) -> tuple[WTrickContext, ScaledIndicator]:
     """The W-trick lift shared by every entry point.
 
-    Picks W and P from (N, z), and refuses P past the FFT budget and a k
-    whose 2k-norm would overflow a float, before anything is sieved. Then
-    sieves to N, reads the members (all primes up to N, or a set file,
-    each member of which must be a prime up to N), and lifts them in one
-    pass. Returns (ctx, a): the frozen WTrickContext and
-    a = scale * 1_{A0}, the ScaledIndicator over ctx.a0. The members are
-    not kept: the report reads their count, ctx.set_size.
+    Picks W and P from (N, z), and refuses P past the FFT budget before
+    anything is sieved. Then sieves to N, reads the members (all primes
+    up to N, or a set file, each member of which must be a prime up to
+    N), and lifts them in one pass. Returns (ctx, a): the frozen
+    WTrickContext and a = scale * 1_{A0}, the ScaledIndicator over ctx.a0.
+    The members are not kept: the report reads their count, ctx.set_size.
     """
     params = compute_parameters(config.n, config.z_override)
     check_fft_budget(params.p)
-    # h <= scale = ln N / ln z, so the 2k-norm's sum is at most P * scale^(2k)
-    k = max(config.k_values, default=1)
-    log_sum = 2 * k * math.log(params.scale) + math.log(params.p)
-    if log_sum >= math.log(sys.float_info.max):
-        raise InvalidArgumentError(f"k = {k} is too large: the 2k-norm of h would overflow")
     table = sieve_primes(config.n)
     if config.set_source == "all-primes":
         members = table.primes()
@@ -345,20 +345,23 @@ def _grid(config: PipelineConfig, deltas, epsilons) -> tuple:
     stays on one thread, and with two points or more, the caller and one
     thread share the records (cyclic._share_out): the caller first takes,
     in order, the points whose B kernel_spectrum would transform
-    (bohr.spectrum_needs_transform; B = {0} among them, whose record forms
-    no sigmahat), then helps the thread with the closed-form rest. So at
-    most one forward transform is in flight. That transform still splits
-    itself once its length S >= P//2 + L reaches the floor (L the window
-    of B & (0, P/2), so for P from about 1.4e6 with L near P/4), and three
-    threads then share two cores while it runs. Otherwise the points run
-    in turn: past the floor every stage splits itself, and sharing the
-    points as well holds two points' sigmahat and hhat at once. On the
-    all-primes 3 x 4 grid at N = 1e7 (P = 5000011), 4 in-process runs a
-    side on 2 cores, shared points took 1.55-1.76 s (median 1.60) and
-    peaked at 329-345 MiB VmHWM, points in turn 1.65-2.32 s (median 1.81)
-    at 268-269 MiB: the gate gives up about a tenth of the wall time for
-    about 70 MiB. Each record is formed by the same calls on either thread
-    and is keyed by point, so no bit depends on the split.
+    (bohr.spectrum_needs_transform: a set past the run cap, which no grid
+    has built yet), then helps the thread with the closed-form rest,
+    B = {0} among them, whose record forms no sigmahat. So at most one
+    forward transform is in flight, and with every B in closed form the
+    caller's only transform is ahat's, before the records. A sigmahat
+    transform still splits itself once its length S >= P//2 + L reaches
+    the floor (L the window of B & (0, P/2), so for P from about 1.4e6
+    with L near P/4), and three threads then share two cores while it
+    runs. Otherwise the points run in turn: past the floor every stage
+    splits itself, and sharing the points as well holds two points'
+    sigmahat and hhat at once. On the all-primes 3 x 4 grid at N = 1e7
+    (P = 5000011), 4 in-process runs a side on 2 cores, shared points
+    took 1.55-1.76 s (median 1.60) and peaked at 329-345 MiB VmHWM,
+    points in turn 1.65-2.32 s (median 1.81) at 268-269 MiB: the gate
+    gives up about a tenth of the wall time for about 70 MiB. Each record
+    is formed by the same calls on either thread and is keyed by point, so
+    no bit depends on the split.
     """
     points = sorted((Fraction(d), d, Fraction(e), e) for d in deltas for e in epsilons)
     delta, epsilon = float(points[0][0]), float(min(point[2] for point in points))
@@ -414,7 +417,16 @@ def _grid(config: PipelineConfig, deltas, epsilons) -> tuple:
 
 def run_pipeline(config: PipelineConfig) -> ExperimentReport:
     """Full run: W-trick lift, spectrum, Bohr smoothing, progression
-    operators, norm table, level sets, and the final-inequality ledger."""
+    operators, norm table, level sets, and the final-inequality ledger.
+
+    A k whose 2k-norm of h would overflow a float is refused
+    (InvalidArgumentError) before anything is sieved; the other entry
+    points take no norm and read no k.
+    """
+    # h <= scale = ln N / ln z, so the 2k-norm's sum is at most P * scale^(2k)
+    params, k = compute_parameters(config.n, config.z_override), max(config.k_values, default=1)
+    if 2 * k * math.log(params.scale) + math.log(params.p) >= math.log(sys.float_info.max):
+        raise InvalidArgumentError(f"k = {k} is too large: the 2k-norm of h would overflow")
     ctx, a, (lam_a, lam_a_trivial, l4_pow4), [(point, bohr)] = _grid(
         config, [config.delta], [config.epsilon])
     g = smooth(ctx.a0, bohr)

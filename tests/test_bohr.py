@@ -13,10 +13,11 @@ import ap3lab
 from ap3lab import bohr as bohr_module
 from ap3lab import cyclic
 from ap3lab.bohr import (
+    _MAX_RUNS,
     _SHIFT_COUNT_MAX_SIZE,
     _SINE_BLOCK,
     BohrSet,
-    _progression_step,
+    _step_runs,
     as_radius,
     build_bohr_set,
     kernel_spectrum,
@@ -332,7 +333,7 @@ def test_kernel_spectrum_matches_the_direct_transform(p, freqs, eps):
     sigma_hat = kernel_spectrum(bohr)
     want = direct_dft_stack(_sigma(bohr).values, p)[0] / p
     assert np.max(np.abs(sigma_hat - want[: p // 2 + 1])) < 1e-12
-    assert sigma_hat.dtype == np.float64  # on both paths
+    assert sigma_hat.dtype == np.float64
 
 
 def _crafted_kernel_spectrum(first, rest):
@@ -350,11 +351,28 @@ BROKEN_KERNEL_SPECTRA = {
 }
 
 
+def _scattered_set(p, count, seed):
+    """A symmetric set of 2*count + 1 members scattered over Z/PZ, so that
+    no step splits it into few runs."""
+    half = np.random.default_rng(seed).choice(np.arange(1, p // 2 + 1), count, replace=False)
+    members = sorted({0} | set(half.tolist()) | set((p - half).tolist()))
+    return BohrSet(p, (1,), Fraction(1, 4), members)
+
+
+def test_scattered_sets_are_past_the_run_cap():
+    for seed in (41, 42):
+        bohr = _scattered_set(2003, 150, seed)
+        assert _step_runs(bohr) is None
+        for step in bohr.members()[1 : 1 + bohr_module._STEP_CANDIDATES].tolist():
+            u = np.sort(bohr.members() * pow(step, -1, 2003) % 2003)
+            assert np.count_nonzero(np.diff(u) != 1) > _MAX_RUNS
+
+
 @pytest.mark.parametrize("case", sorted(BROKEN_KERNEL_SPECTRA))
 def test_kernel_spectrum_rejects_a_broken_transform(monkeypatch, case):
     first, rest, fragment = BROKEN_KERNEL_SPECTRA[case]
-    bohr = build_bohr_set(2003, [1, 7], "0.2")
-    assert not _is_progression(bohr.members(), 2003)  # the transform path
+    bohr = _scattered_set(2003, 150, 41)
+    assert bohr_module.spectrum_needs_transform(bohr)  # the transform path
     # sigmahat is the real part of the transform plus 1/|B|
     offset = 1.0 / bohr.size
     monkeypatch.setattr(
@@ -366,8 +384,8 @@ def test_kernel_spectrum_rejects_a_broken_transform(monkeypatch, case):
 
 
 def test_kernel_spectrum_transforms_only_the_positive_half_of_the_set(monkeypatch):
-    bohr = build_bohr_set(2003, [1, 7], "0.2")
-    assert not _is_progression(bohr.members(), 2003)
+    bohr = _scattered_set(2003, 150, 41)
+    assert bohr_module.spectrum_needs_transform(bohr)
     members = bohr.members()
     supports = []
     transform = cyclic.forward_transform
@@ -387,9 +405,11 @@ def test_kernel_spectrum_transforms_only_the_positive_half_of_the_set(monkeypatc
 @pytest.mark.parametrize(
     "bohr, transformed",
     [
-        (BohrSet(2003, (1,), Fraction(1, 4), [0]), True),  # B+ is empty
+        (_scattered_set(2003, 150, 41), True),  # past the run cap
         (build_bohr_set(2003, [1], "0.1"), False),  # a progression
-        (build_bohr_set(2003, [1, 7], "0.2"), True),
+        (_scattered_set(2003, 150, 42), True),
+        (BohrSet(2003, (1,), Fraction(1, 4), [0]), False),  # one run of length 1
+        (build_bohr_set(2003, [1, 7], "0.2"), False),  # a few runs along 1
     ],
 )
 def test_spectrum_needs_transform_names_the_path_kernel_spectrum_takes(
@@ -406,8 +426,7 @@ def test_spectrum_needs_transform_names_the_path_kernel_spectrum_takes(
     sigma_hat = kernel_spectrum(bohr)
     assert bohr_module.spectrum_needs_transform(bohr) is transformed
     assert len(calls) == transformed
-    if bohr.size == 1:
-        assert np.array_equal(sigma_hat, np.ones(2003 // 2 + 1))
+    assert np.max(np.abs(sigma_hat - _dirichlet_oracle(bohr.members(), 2003))) < 1e-13
 
 
 # members of Z/101Z that are not a progression: 0 missing, a member below
@@ -423,7 +442,6 @@ ASYMMETRIC_SETS = {
 def test_kernel_spectrum_rejects_a_set_not_symmetric_about_zero(case):
     members = sorted(ASYMMETRIC_SETS[case])
     bohr = BohrSet(101, (1,), Fraction(1, 4), members)
-    assert _progression_step(bohr) is None
     with pytest.raises(InvariantError, match="symmetric"):
         kernel_spectrum(bohr)
 
@@ -634,12 +652,74 @@ def _symmetric_bohr_set(p, shifts):
     [[1], [2, 3, 5, 7], [4096, 4097, 9999], [1000, 2000, 3000, 4000, 5000], list(range(1, 64))],
 )
 def test_kernel_spectrum_of_a_symmetric_set_matches_the_exact_phase_sum(p, shifts):
-    # [1], the multiples of 1000 and 1..63 give progressions (the closed
-    # form), the other two take the transform of 1_{B+}
+    # [1], the multiples of 1000 and 1..63 give progressions, the other
+    # two a few runs along their least positive member: all closed form
     bohr = _symmetric_bohr_set(p, shifts)
+    assert _step_runs(bohr) is not None
     sigma_hat = kernel_spectrum(bohr)
     assert sigma_hat.dtype == np.float64
     assert np.max(np.abs(sigma_hat - _dirichlet_oracle(bohr.members(), p))) < 1e-13
+
+
+def _union_of_runs(p, step, runs):
+    """The Bohr set {u*step mod P} for u in the runs [a, a + L) of u, each
+    given with its mirror [-a - L + 1, -a + 1), and the run [-1, 1]."""
+    u = {-1, 0, 1}
+    for a, length in runs:
+        u |= {a + j for j in range(length)} | {-a - j for j in range(length)}
+    return BohrSet(p, (1,), Fraction(1, 4), sorted({x * step % p for x in u}))
+
+
+def _random_unions():
+    """(P, step, runs): random unions of mirrored runs at P = 20011 and
+    100003 along a step below P / (8 |B|), so that it is B's least
+    positive member or close to it; runs of one member and long ones."""
+    rng = np.random.default_rng(4111)
+    cases = []
+    for p in (20011, 100003):
+        for longest in (1, 3, 40, 400):
+            pairs = int(rng.integers(1, 12))
+            runs = [(int(a), int(rng.integers(1, longest + 1)))
+                    for a in rng.integers(3, p // 2 - longest - 1, size=pairs)]
+            size = 3 + 2 * sum(length for _, length in runs)
+            cases.append((p, int(rng.integers(1, max(2, p // (8 * size)))), runs))
+    return cases
+
+
+@pytest.mark.parametrize("p, step, runs", _random_unions())
+def test_closed_form_of_a_union_of_runs_matches_the_exact_phase_sum(p, step, runs):
+    bohr = _union_of_runs(p, step, runs)
+    found = _step_runs(bohr)
+    assert found is not None and found[0] == step
+    # the run through 0 wraps in u, past P - 1 to 0
+    assert any(a + length > p for a, length in zip(*(x.tolist() for x in found[1:])))
+    assert np.max(np.abs(kernel_spectrum(bohr) - _dirichlet_oracle(bohr.members(), p))) < 1e-13
+
+
+def test_closed_form_along_a_step_that_is_not_the_least_member():
+    # {j*5 : |j| <= 40} and {+-(3 + 5j) : 0 <= j < 3}, the pair of runs
+    # from u = +-(3 * 5^-1): 3 is B's least positive member, along which
+    # B is more than _MAX_RUNS runs, so the second candidate, 5, is the step
+    p = 20011
+    bohr = _union_of_runs(p, 5, [(2, 39), (3 * pow(5, -1, p), 3)])
+    assert bohr.members()[1:3].tolist() == [3, 5]
+    d, starts, lengths = _step_runs(bohr)
+    assert d == 5 and lengths.size == 3
+    assert np.max(np.abs(kernel_spectrum(bohr) - _dirichlet_oracle(bohr.members(), p))) < 1e-13
+
+
+@pytest.mark.parametrize("p", [20011, 100003])
+def test_closed_form_of_a_set_at_the_run_cap(p):
+    # the run through 0, 15 mirrored pairs and the self-mirrored run
+    # across P/2 make _MAX_RUNS runs in all; one more pair is past the cap
+    middle = [(p // 2 - 2, 6)]  # u from P//2 - 2 to P//2 + 3, its own mirror
+    pairs = [(100 + 97 * i, 1 + i % 5) for i in range((_MAX_RUNS - 2) // 2)]
+    bohr = BohrSet(p, (1,), Fraction(1, 4), _union_of_runs(p, 1, pairs + middle).members())
+    d, starts, lengths = _step_runs(bohr)
+    assert d == 1 and lengths.size == _MAX_RUNS
+    assert np.max(np.abs(kernel_spectrum(bohr) - _dirichlet_oracle(bohr.members(), p))) < 1e-13
+    past = _union_of_runs(p, 1, pairs + middle + [(5000, 2)])
+    assert bohr_module.spectrum_needs_transform(past)
 
 
 def _progression(p, step, m):
@@ -658,44 +738,58 @@ def _dirichlet_oracle(members, p):
     return total / members.size
 
 
+def _run_members(p, step, starts, lengths):
+    """The sorted residues {(a + j)*step mod P : 0 <= j < L} over the runs."""
+    return sorted({(a + j) * step % p for a, length in zip(starts, lengths) for j in range(length)})
+
+
 @pytest.mark.parametrize(
     "p, step, m",
     [(5, 1, 1), (101, 1, 7), (1009, 7, 5), (1009, 3, 168), (1009, 1, 504), (20011, 1000, 10)],
 )
 def test_progression_check_accepts_symmetric_progressions(p, step, m):
     # d = 1, d > 1, m*d just below P/2 (2*168*3 = 1008 < 1009) and the
-    # whole group (d = 1, m = (P - 1)/2)
+    # whole group (d = 1, m = (P - 1)/2): one run along d, [-m, m] in u
     assert 2 * m * step < p
-    assert _progression_step(_progression(p, step, m)) == step
+    bohr = _progression(p, step, m)
+    d, starts, lengths = _step_runs(bohr)
+    assert d == step and lengths.tolist() == [2 * m + 1]
+    assert _run_members(p, d, starts.tolist(), lengths.tolist()) == bohr.members().tolist()
 
 
 def test_progression_check_accepts_scanned_bohr_sets():
     for p, freqs, eps in [(1009, [1], "0.1"), (20011, [1, 5, 77], "0.05"), (101, [1], "0.5")]:
         bohr = build_bohr_set(p, freqs, eps)
-        assert _progression_step(bohr) == int(bohr.members()[1])
+        d, _, lengths = _step_runs(bohr)
+        assert d == int(bohr.members()[1]) and lengths.tolist() == [bohr.size]
 
 
 @pytest.mark.parametrize(
     "members",
     [
-        [0, 1, 2, 98, 99, 100],  # 3 missing from {0, +-1, +-2, +-3}
+        [0, 1, 3, 98, 100],  # +-2 missing from {0, +-1, +-2, +-3}
         [0, 1, 2, 4, 97, 99, 100],  # the pair +-3 missing: symmetric, odd size
-        [0, 1, 2, 3, 100],  # asymmetric
-        [0],  # |B| = 1
+        [0, 1, 2, 3, 10, 91, 98, 99, 100],  # a progression and one pair beside it
+        [0, 5, 7, 94, 96],  # {0, +-5, +-7}: three runs along 5 and along 7
     ],
 )
 def test_progression_check_rejects_other_sets(members):
-    assert _progression_step(BohrSet(101, (1,), Fraction(1, 4), members)) is None
+    # a symmetric set that is not a progression is more than one run
+    # along every step tried, and the runs found still make up the set
+    d, starts, lengths = _step_runs(BohrSet(101, (1,), Fraction(1, 4), members))
+    assert lengths.size > 1
+    assert _run_members(101, d, starts.tolist(), lengths.tolist()) == members
 
 
-def test_progression_check_rejects_a_progression_past_half_the_modulus():
+def test_run_decomposition_takes_a_progression_past_half_the_modulus():
     # {j*2 : |j| <= 26} mod 101 has 2*m*d = 104 >= 101: its sorted members
-    # interleave, and the check refuses it on the bound alone
+    # interleave, yet it is still the one run [-26, 26] along 2, and the
+    # closed form needs no 2*m*d < P
     bohr = _progression(101, 2, 26)
     assert bohr.size == 53 and int(bohr.members()[1]) == 2
-    assert _progression_step(bohr) is None
-    # m*d = P//2 exactly: 2*m*d = P - 1 < P is still accepted
-    assert _progression_step(_progression(101, 1, 50)) == 1
+    d, starts, lengths = _step_runs(bohr)
+    assert (d, starts.tolist(), lengths.tolist()) == (2, [101 - 26], [53])
+    assert np.max(np.abs(kernel_spectrum(bohr) - _dirichlet_oracle(bohr.members(), 101))) < 1e-13
 
 
 def _closed_form_cases():
@@ -739,16 +833,25 @@ def test_closed_form_of_the_whole_group_is_exactly_zero_off_zero():
 @pytest.mark.parametrize("case", sorted(BROKEN_KERNEL_SPECTRA))
 def test_kernel_spectrum_rejects_a_broken_closed_form(monkeypatch, case):
     first, rest, fragment = BROKEN_KERNEL_SPECTRA[case]
-    bohr = build_bohr_set(1009, [1], "0.1")
-    assert _progression_step(bohr) == 1  # the closed-form path
+    bohr = build_bohr_set(2003, [1, 7], "0.2")
+    assert _step_runs(bohr)[1].size > 1  # the closed form of several runs
 
-    def broken(p, size, step):
+    def broken(p, size, step, starts, lengths):
         half = np.full(p // 2 + 1, rest)
         half[0] = first
         return half
 
-    monkeypatch.setattr(bohr_module, "_progression_spectrum", broken)
+    monkeypatch.setattr(bohr_module, "_run_spectrum", broken)
     with pytest.raises(InvariantError, match=fragment):
+        kernel_spectrum(bohr)
+
+
+def test_kernel_spectrum_rejects_runs_that_do_not_cover_the_set(monkeypatch):
+    # sigmahat(0) = sum L_i / |B|, checked in integers before the closed form
+    bohr = build_bohr_set(2003, [1, 7], "0.2")
+    d, starts, lengths = _step_runs(bohr)
+    monkeypatch.setattr(bohr_module, "_step_runs", lambda b: (d, starts, lengths[1:]))
+    with pytest.raises(InvariantError, match="at 0 is"):
         kernel_spectrum(bohr)
 
 

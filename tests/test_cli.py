@@ -308,6 +308,41 @@ def test_eps_delta_overflow_is_checked_only_at_evaluated_points(tmp_path, comman
     assert out.exists()
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("wtrick", ["--n", "1000000"]),
+    ("delta-sweep", ["--n", "1000000", "--delta-grid", "0.1", "--eps-grid", "0.1"]),
+], ids=["wtrick", "delta-sweep"])
+def test_k_norm_overflow_is_checked_only_where_norms_are_taken(tmp_path, command, argv):
+    # k = 145 is refused by pipeline (test_lift_refuses_before_sieving), but
+    # neither command reads k_values
+    config = tmp_path / "k.json"
+    config.write_text(json.dumps({"k_values": [145]}))
+    out = tmp_path / "out"
+    assert run_cli(command, "--config", str(config), *argv, "--out", str(out)) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--n", "100000"],
+    ["delta-sweep", "--n", "100000", "--delta-grid", "0.05,0.1", "--eps-grid", "0.4"],
+], ids=["pipeline", "delta-sweep"])
+def test_a_run_leaves_numpy_ma_unimported(tmp_path, argv):
+    # np.union1d and np.unique import numpy.ma on their first call, about
+    # 4 ms of every process; no stage of either command may call them
+    src = Path(ap3lab.__file__).resolve().parent.parent
+    code = (
+        "import sys\n"
+        "from ap3lab.cli import main\n"
+        f"assert main({[*argv, '--out', str(tmp_path / 'out')]!r}) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout == "False\n"
+
+
 def test_the_largest_k_whose_norm_stays_finite_runs(tmp_path):
     # at N = 1e6, 2k * ln(scale) + ln P stays below ln(float max) up to k = 144
     out = tmp_path / "r.json"

@@ -493,7 +493,7 @@ def test_largest_k_norm_stays_finite_past_the_float_range_of_b_to_the_2k(tmp_pat
     # 2k-norm finite and equal to a float evaluation of the dense h
     config = PipelineConfig(n=10**5, delta="0.4", epsilon="0.1", k_values=(146,))
     with pytest.raises(InvalidArgumentError):
-        lift(replace(config, k_values=(147,)))
+        run_pipeline(replace(config, k_values=(147,)))
     report = run_pipeline(config)
     (row,) = report.data["norm_table"]
     size = report.data["bohr"]["bohr_size"]
@@ -547,6 +547,32 @@ def test_write_csv_quoting(tmp_path):
     assert '"x,y"' in content
     lines = content.splitlines()
     assert lines[0] == "a,b"
+
+
+def test_member_file_gives_the_sorted_distinct_members(tmp_path):
+    from ap3lab.pipeline import load_member_file
+
+    rng = np.random.default_rng(23)
+    values = rng.integers(-(1 << 63), 1 << 63, size=300, dtype=np.int64).tolist()
+    values += values[::5] + [-(1 << 63), (1 << 63) - 1, 0, 0]
+    rng.shuffle(values)
+    path = tmp_path / "members.txt"
+    path.write_text("\n".join(map(str, values[:150])) + "\n\n  \n" + "\n".join(map(str, values[150:])))
+    members = load_member_file(path)
+    assert members.dtype == np.int64
+    assert members.tolist() == sorted(set(values))
+    path.write_text("\n".join(map(str, sorted(set(values)))))  # already ascending
+    assert load_member_file(path).tolist() == sorted(set(values))
+
+
+@pytest.mark.parametrize("line", [str(1 << 63), str(-(1 << 63) - 1)])
+def test_member_file_refuses_a_member_outside_int64(tmp_path, line):
+    from ap3lab.pipeline import load_member_file
+
+    path = tmp_path / "members.txt"
+    path.write_text(f"5\n{line}\n3\n")
+    with pytest.raises(InvalidArgumentError, match="does not fit in a 64-bit integer"):
+        load_member_file(path)
 
 
 def test_member_file_rejects_empty(tmp_path):

@@ -4,12 +4,13 @@ From cyclic._THREAD_FLOOR values on, the transform, the chirps, the real
 convolution of the exact counts and the closed-form kernel spectrum share
 their work out in chunks (cyclic._in_two). Where P//2 + 1 is below the
 floor, delta_sweep also shares its grid points' records out: the caller
-takes every point whose B kernel_spectrum would transform (B = {0} among
-them, whose record forms no sigmahat), one thread the closed-form points,
-so at most one transform is in flight; that transform still splits itself
-if its own length reaches the floor. Every bit must be the same as on one
-thread, every thread must be joined, and an error in either thread must
-reach the caller as it was raised."""
+first takes every point whose B kernel_spectrum would transform (a set
+past the run cap, which no grid here builds), then the caller and one
+thread share the closed-form points, so at most one transform is in
+flight; that transform still splits itself if its own length reaches the
+floor. Every bit must be the same as on one thread, every thread must be
+joined, and an error in either thread must reach the caller as it was
+raised."""
 
 import sys
 import threading
@@ -21,7 +22,7 @@ import pytest
 
 from ap3lab import cyclic, pipeline
 from ap3lab import bohr as bohr_module
-from ap3lab.bohr import BohrSet, _progression_spectrum, kernel_spectrum, smooth
+from ap3lab.bohr import BohrSet, _run_spectrum, kernel_spectrum, smooth
 from ap3lab.cli import main
 from ap3lab.cyclic import CyclicFunction, forward_transform
 from ap3lab.pipeline import PipelineConfig, delta_sweep
@@ -99,7 +100,11 @@ def test_chirp_is_the_same_on_two_threads(monkeypatch):
 
 
 def test_progression_spectrum_is_the_same_on_two_threads(monkeypatch):
-    _assert_same_bits(_three_ways(monkeypatch, lambda: _progression_spectrum(P_ABOVE, 15, 5005)))
+    # the runs [-7, 7] and +-[100, 111) along 5005: 37 members, two terms
+    starts = np.array([P_ABOVE - 7, 100, P_ABOVE - 110])
+    lengths = np.array([15, 11, 11])
+    _assert_same_bits(_three_ways(
+        monkeypatch, lambda: _run_spectrum(P_ABOVE, 37, 5005, starts, lengths)))
 
 
 @pytest.mark.parametrize("cross", [False, True])
@@ -238,8 +243,8 @@ def test_memory_error_in_the_worker_thread_of_a_pipeline_exits_3(tmp_path, capsy
 
 
 # At N = 1e5 (P = 150001) this grid holds four points with B = {0}, six
-# progressions and two sets (eps = 0.4, |B| = 629 and 4801) whose sigmahat
-# is a forward transform.
+# progressions and two sets (eps = 0.4, |B| = 629 and 4801) of a few runs:
+# every sigmahat is in closed form.
 SWEEP_ARGS = ["delta-sweep", "--n", "100000", "--delta-grid", "0.05,0.1,0.15",
               "--eps-grid", "0.1,0.2,0.3,0.4"]
 
@@ -302,7 +307,7 @@ def test_sweep_holds_at_most_one_forward_transform_in_flight(tmp_path, monkeypat
 
     monkeypatch.setattr(cyclic, "forward_transform", counted)
     _sweep_bytes(tmp_path, "sweep.csv")
-    assert calls == [True] * 3  # a, and the two sets that are not progressions
+    assert calls == [True]  # a alone: every sigmahat is in closed form
     assert most[0] == 1
 
 
@@ -340,11 +345,14 @@ def test_an_error_on_the_sweep_worker_reaches_the_caller_unchanged(monkeypatch):
     with pytest.raises(_Failure) as caught:
         delta_sweep(config)
     assert caught.value is error
-    # the worker failed on its first point, the least progression; the
-    # caller had at most begun its first point (B = {0}), finished it, and
-    # started no point after
-    assert [s for s in started if not s[0]] == [(False, "0.1", "0.1")]
-    assert [s for s in started if s[0]] in ([], [(True, "0.05", "0.1")])
+    # both threads claim from the start of the grid: the worker failed on
+    # its first point, one of the first two; the caller had at most begun
+    # the other, finished it, and started no point after
+    first_two = [("0.05", "0.1"), ("0.05", "0.2")]
+    worker = [s[1:] for s in started if not s[0]]
+    caller = [s[1:] for s in started if s[0]]
+    assert len(worker) == 1 and worker[0] in first_two
+    assert caller in ([], [point for point in first_two if point != worker[0]])
     assert threading.active_count() == before
 
 
