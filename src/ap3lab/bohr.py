@@ -42,12 +42,14 @@ _KERNEL_SPECTRUM_TOL = 1e-9
 _SHIFT_COUNT_MAX_SIZE = 255
 
 # Frequencies per block of the closed-form sigmahat (_run_spectrum): each
-# thread's eight scratch rows take 1 MiB, and each phase step's table of
-# roots 256 KiB. On a 2-core x86_64 machine (medians of 5 to 7 calls),
-# blocks of 16384 took 18 ms against 34 ms for blocks of 4096 at
-# P = 5000011 (|B| = 15, one run), and 5.5 ms against 6.1 ms at P = 500009
-# (|B| = 133335, nine runs); the one sine per frequency of the denominator
-# is most of it.
+# thread's four scratch rows take 768 KiB, and each phase step's table of
+# roots 256 KiB. Every value in a block is a product of a table and one
+# root, so the block sets how far the per-block overheads are spread. On
+# a 2-core x86_64 machine (medians of 7 calls), blocks of 4096, 8192,
+# 16384 and 32768 took 7.6-8.1, 4.4-4.7, 3.3 and 3.0 ms at P = 5000011
+# (|B| = 15, one run), 23-29, 16, 11 and 11-14 ms there at |B| = 135
+# (seven runs), and 2.6-2.7, 2.3, 2.3 and 2.4 ms at P = 500009
+# (|B| = 133335, nine runs).
 _SINE_BLOCK = 16384
 # Entries of the fine root table of _root_table; the coarse one has
 # _SINE_BLOCK / _ROOT_FINE.
@@ -61,14 +63,16 @@ _STEP_CANDIDATES = 4
 # kernel_spectrum takes the closed form for a set of at most this many
 # runs, and the transform of B+ past it. The closed form's cost grows with
 # the runs, the transform's with P alone (2-core x86_64, medians of 5 to 9
-# calls, runs spread over Z/PZ): at P = 500009, 10 ms against 17-23 ms for
-# the transform at 33 runs and 20 ms against 23 ms at 57; at P = 5000011,
-# 66 ms against 111 ms at 33 runs and 110 ms against 137 ms at 57. The cap
-# stays below both crossings, with room for the noise of a shared machine.
+# calls, runs spread over Z/PZ): at P = 500009, 7.7 ms against 21.6 ms for
+# the transform at 33 runs and 13.9 ms against 17.4 ms at 57; at
+# P = 5000011, 45 ms against 106 ms at 33 runs and 73 ms against 137 ms at
+# 57. The cap stays below both crossings, with room for the noise of a
+# shared machine.
 _MAX_RUNS = 32
-# Below this |sin(pi*d*t/P)|, _run_spectrum forms its numerators again
-# from exact phases: its turned roots err by about 6e-16 each, and the
-# quotient magnifies that by 1/|sin|.
+# Below this |sin(pi*d*t/P)|, _run_spectrum forms sigmahat again from
+# exact phases after its blocks: its turned roots err by about 6e-16
+# each, and the quotient magnifies that by 1/|sin|. At P = 5000011 that
+# is 24869 of the 2500005 t in [1, P//2], whatever d is.
 _SMALL_SINE = 2.0**-6
 
 
@@ -89,12 +93,18 @@ def as_radius(eps) -> Fraction:
     return radius
 
 
+# BohrSet._runs before runs() is first called (None means past the cap)
+_UNDECOMPOSED = object()
+
+
 class BohrSet:
     """B(R, eps), held as its members: one read-only, ascending int64
     array of residues in [0, P). size and measure derive from it, and
-    members() returns it as it is. Immutable."""
+    members() returns it as it is. runs() is B's decomposition into runs
+    along one step, memoized, so kernel_spectrum and
+    spectrum_needs_transform share one. Immutable."""
 
-    __slots__ = ("modulus", "frequencies", "radius", "_members")
+    __slots__ = ("modulus", "frequencies", "radius", "_members", "_runs")
 
     def __init__(self, modulus, frequencies, radius, members):
         self.modulus = modulus
@@ -102,6 +112,7 @@ class BohrSet:
         self.radius = radius
         self._members = np.asarray(members, dtype=np.int64)
         self._members.setflags(write=False)
+        self._runs = _UNDECOMPOSED
 
     @property
     def size(self) -> int:
@@ -113,6 +124,13 @@ class BohrSet:
 
     def members(self) -> np.ndarray:
         return self._members
+
+    def runs(self) -> tuple[int, np.ndarray, np.ndarray] | None:
+        """_step_runs(self), taken through the module global on first use
+        and kept."""
+        if self._runs is _UNDECOMPOSED:
+            self._runs = _step_runs(self)
+        return self._runs
 
 
 def build_bohr_set(p: int, frequencies, eps, within=None) -> BohrSet:
@@ -260,11 +278,11 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
     both paths sigmahat(0) and the peak of |sigmahat| are checked to
     _KERNEL_SPECTRUM_TOL; a failure raises InvariantError.
     spectrum_needs_transform states which path is taken, by the same
-    decomposition. Callers skip B = {0}, where sigma is the convolution
-    identity and sigmahat is 1.
+    decomposition, which B takes once (BohrSet.runs). Callers skip
+    B = {0}, where sigma is the convolution identity and sigmahat is 1.
     """
     _check_centred(bohr)
-    runs = _step_runs(bohr)
+    runs = bohr.runs()
     if runs is None:
         sigma_hat = _half_set_spectrum(bohr)
     else:
@@ -288,9 +306,10 @@ def kernel_spectrum(bohr: BohrSet) -> np.ndarray:
 def spectrum_needs_transform(bohr: BohrSet) -> bool:
     """Whether kernel_spectrum forms B's sigmahat by a forward transform
     (_half_set_spectrum): no step tried splits B into at most _MAX_RUNS
-    runs (_step_runs). Otherwise sigmahat is in closed form, B = {0} and
-    every progression among such sets."""
-    return _step_runs(bohr) is None
+    runs (BohrSet.runs, which keeps the decomposition for kernel_spectrum).
+    Otherwise sigmahat is in closed form, B = {0} and every progression
+    among such sets."""
+    return bohr.runs() is None
 
 
 def _half_set_spectrum(bohr: BohrSet) -> np.ndarray:
@@ -361,17 +380,19 @@ def _run_spectrum(p: int, size: int, step: int, starts, lengths) -> np.ndarray:
     one term, weighted by how many runs share it; a symmetric progression
     is the one term c = 0.
 
-    The t are taken in blocks of _SINE_BLOCK. Each distinct phase step g
-    gets one table of e(g*j/(2P)) for j in a block, each entry the
-    product of two roots of exact integer phase (_exact_roots), and in
-    the block at s each needed cosine or sine is that table turned by the
-    root of phase g*s mod 2P. The denominator's phases d*t are exact, and
-    it is folded (_folded_sine) to an argument in [0, pi/2] before sin is
-    taken, so it keeps its relative accuracy. Where it falls below
-    _SMALL_SINE, the turned tables' absolute rounding would be magnified,
-    so there every numerator is formed again from its exact phases
-    (_exact_numerator). The blocks are shared out in chunks between two
-    threads (cyclic._in_two).
+    The t are taken in blocks of _SINE_BLOCK. Each distinct phase step g,
+    d among them, gets one table of e(g*j/(2P)) for j in a block, each
+    entry the product of two roots of exact integer phase (_exact_roots),
+    and in the block at s each cosine or sine, the denominator's with its
+    sign, is that table turned by the root of phase g*s mod 2P. The
+    blocks are shared out in chunks between two threads (cyclic._in_two).
+    The turned roots err by about 6e-16 each, which the quotient magnifies
+    by 1/|sin(pi*d*t/P)|, so after the blocks sigmahat is formed again at
+    the t where that sine is below _SMALL_SINE: those with
+    d*t = +-j mod P, 1 <= j <= J (_small_sine_reach), listed as
+    t = j*d^-1 mod P folded to t <= P//2, each numerator (_exact_numerator)
+    and denominator taken from exact folded phases, so each sine keeps its
+    relative accuracy.
     """
     half_size = p // 2 + 1
     out = np.empty(half_size)
@@ -386,39 +407,45 @@ def _run_spectrum(p: int, size: int, step: int, starts, lengths) -> np.ndarray:
         key = (min(c, period - c), length * step % period)
         terms[key] = terms.get(key, 0) + 1
     block = min(_SINE_BLOCK, half_size - 1)
-    roots = {g: _root_table(g, block, p) for term in terms for g in term if g}
-    offsets = np.arange(block, dtype=np.int64) * step % period  # d*j mod 2P
+    steps = {g for term in terms for g in term if g} | {step}
+    roots = {g: _root_table(g, block, p) for g in steps}
     # each block's turns: the roots of phase g*s mod 2P at its first t = s
-    turns = {g: _exact_roots(np.arange(1, half_size, block) * g % period, p) for g in roots}
+    turns = {g: _exact_roots(np.arange(1, half_size, block) * g % period, p) for g in steps}
+
+    # the sine's turns of each term carry its weight, the denominator's |B|
+    weighted = {term: turns[term[1]] * weight for term, weight in terms.items()}
+    scaled = turns[step] * size
 
     def fill(lo: int, hi: int) -> None:  # t in [1 + lo, 1 + hi)
-        phase = np.empty(block, dtype=np.int64)
-        scratch = np.empty(block, dtype=np.int64)
-        sign = np.empty(block, dtype=np.int64)
-        denominator, numerator, product = (np.empty(block) for _ in range(3))
-        turned = np.empty(block, dtype=np.complex128)
+        numerator, product = np.empty(block), np.empty(block)
+        sines, cosines = (np.empty(block, dtype=np.complex128) for _ in range(2))
         for start in range(1 + lo, 1 + hi, block):
             n, k = min(block, 1 + hi - start), (start - 1) // block
-            np.add(offsets[:n], step * start % period - period, out=phase[:n])
-            _folded_sine(phase[:n], p, denominator[:n], sign[:n], scratch[:n])
-            small = np.flatnonzero(denominator[:n] < _SMALL_SINE)
             numerator[:n] = 0.0
-            for (c, s), weight in terms.items():
-                np.multiply(roots[s][:n], turns[s][k], out=turned[:n])
-                np.multiply(turned.imag[:n], weight, out=product[:n])  # sin(pi*s*t/P)
+            for (c, s), turn in weighted.items():
+                np.multiply(roots[s][:n], turn[k], out=sines[:n])  # weight * sin(pi*s*t/P)
                 if c:
-                    np.multiply(roots[c][:n], turns[c][k], out=turned[:n])
-                    product[:n] *= turned.real[:n]  # cos(pi*c*t/P)
-                numerator[:n] += product[:n]
-            if small.size:
-                numerator[small] = _exact_numerator(terms, small + start, p)
-            # |sin| carries the sign of sin(pi*d*t/P) negated in its sign word
-            np.copysign(denominator[:n], sign[:n], out=denominator[:n])
-            denominator[:n] *= -size
-            np.divide(numerator[:n], denominator[:n], out=out[start : start + n])
+                    np.multiply(roots[c][:n], turns[c][k], out=cosines[:n])  # cos(pi*c*t/P)
+                    np.multiply(sines.imag[:n], cosines.real[:n], out=product[:n])
+                    numerator[:n] += product[:n]
+                else:
+                    numerator[:n] += sines.imag[:n]
+            np.multiply(roots[step][:n], scaled[k], out=sines[:n])  # |B| * sin(pi*d*t/P)
+            np.divide(numerator[:n], sines.imag[:n], out=out[start : start + n])
 
     _in_two(fill, half_size - 1, block, half_size)
+    t = np.arange(1, _small_sine_reach(p) + 1, dtype=np.int64) * pow(step, -1, p) % p
+    np.minimum(t, p - t, out=t)
+    sine = _exact_roots(t * step % period, p).imag
+    out[t] = _exact_numerator(terms, t, p) / (sine * size)
     return out
+
+
+def _small_sine_reach(p: int) -> int:
+    """J, the largest j with sin(pi*j/P) < _SMALL_SINE (0 when there is
+    none), so that |sin(pi*d*t/P)| < _SMALL_SINE where d*t = +-j mod P
+    for some 1 <= j <= J."""
+    return int(p * np.arcsin(_SMALL_SINE) / np.pi)
 
 
 def _exact_numerator(terms, t: np.ndarray, p: int) -> np.ndarray:
@@ -429,7 +456,10 @@ def _exact_numerator(terms, t: np.ndarray, p: int) -> np.ndarray:
     period = 2 * p
     total = np.zeros(t.size)
     for (c, s), weight in terms.items():
-        total += weight * _exact_roots(t * s % period, p).imag * _exact_roots(t * c % period, p).real
+        term = weight * _exact_roots(t * s % period, p).imag
+        if c:
+            term *= _exact_roots(t * c % period, p).real
+        total += term
     return total
 
 
@@ -460,22 +490,3 @@ def _exact_roots(phases: np.ndarray, p: int) -> np.ndarray:
     np.sin(angle, out=roots.imag)
     np.copysign(roots.imag, w, out=roots.imag)
     return roots
-
-
-def _folded_sine(phase, p, sine, sign, scratch) -> None:
-    """|sin(pi*v/P)| into sine and a sign word into sign for int64 v in
-    [-2P, 2P] held in phase (which is overwritten): sin(pi*v/P) > 0
-    exactly when sign < 0, wherever it is not 0.
-
-    With y = |v| - P in [-P, P], sin(pi*v/P) = -sign(v) * sign(y) *
-    sin(pi*|y|/P), so the sign word is v XOR y, and sin(pi*|y|/P) =
-    sin(pi*f/P) with f = min(|y|, P - |y|) in [0, P//2].
-    """
-    np.abs(phase, out=scratch)
-    scratch -= p
-    np.bitwise_xor(phase, scratch, out=sign)
-    np.abs(scratch, out=scratch)
-    np.subtract(p, scratch, out=phase)
-    np.minimum(scratch, phase, out=scratch)
-    np.multiply(scratch, np.pi / p, out=sine)
-    np.sin(sine, out=sine)

@@ -21,8 +21,8 @@ integer sums, and h_l1 is the lift's a_l1 = scale * |A0| / P. So every
 value derived from h is a fixed function of integers and the scale, by
 IEEE operations in a fixed order. Two things still carry the transform's
 rounding: lambda_hhh, evaluated on ahat * sigmahat (the rounding of ahat's
-transform and of sigmahat's sines or transform), and threshold membership
-for a coefficient within rounding of delta. math.log and pow come from the
+transform and of sigmahat's turned roots or transform), and threshold
+membership for a coefficient within rounding of delta. math.log and pow come from the
 platform's libm and are outside this guarantee.
 
 Around the one forward transform of a, each pass does only the work its
@@ -346,7 +346,9 @@ def _grid(config: PipelineConfig, deltas, epsilons) -> tuple:
     thread share the records (cyclic._share_out): the caller first takes,
     in order, the points whose B kernel_spectrum would transform
     (bohr.spectrum_needs_transform: a set past the run cap, which no grid
-    has built yet), then helps the thread with the closed-form rest,
+    has built yet; it decomposes every B into runs here, before the
+    thread starts, and BohrSet.runs keeps that, so the thread only reads
+    it), then helps the thread with the closed-form rest,
     B = {0} among them, whose record forms no sigmahat. So at most one
     forward transform is in flight, and with every B in closed form the
     caller's only transform is ahat's, before the records. A sigmahat
@@ -361,7 +363,11 @@ def _grid(config: PipelineConfig, deltas, epsilons) -> tuple:
     points in turn 1.65-2.32 s (median 1.81) at 268-269 MiB: the gate
     gives up about a tenth of the wall time for about 70 MiB. Each record
     is formed by the same calls on either thread and is keyed by point, so
-    no bit depends on the split.
+    no bit depends on the split. Sharing the points below the floor was
+    worth about 2 ms at N = 1e6 (the seed-1 half: 61.1 ms against
+    63.3 ms, medians of 20 fresh processes a side, alternating) and 8 ms
+    at N = 4e6 (all primes: 163.3 against 171.4 ms), and peaked 6-8 MiB
+    and 22 MiB higher.
     """
     points = sorted((Fraction(d), d, Fraction(e), e) for d in deltas for e in epsilons)
     delta, epsilon = float(points[0][0]), float(min(point[2] for point in points))

@@ -16,6 +16,7 @@ from ap3lab.bohr import (
     _MAX_RUNS,
     _SHIFT_COUNT_MAX_SIZE,
     _SINE_BLOCK,
+    _SMALL_SINE,
     BohrSet,
     _step_runs,
     as_radius,
@@ -828,6 +829,49 @@ def test_closed_form_of_the_whole_group_is_exactly_zero_off_zero():
     sigma_hat = kernel_spectrum(build_bohr_set(1009, [1], "0.5"))
     assert sigma_hat[0] == 1.0
     assert not np.any(sigma_hat[1:])
+
+
+def _runs_along_5005(shape):
+    """The Bohr set {u*5005 mod P} at P = 5000011 for u in shape, built
+    from its members."""
+    p = 5000011
+    return BohrSet(p, (1,), Fraction(1, 4), sorted({u * 5005 % p for u in shape}))
+
+
+def _seven_runs():
+    # [-30, 30], +-[160, 175), +-[1025639, 1025650) and +-[1666665, 1666676)
+    # in u: the shape of B at N = 1e7, delta 0.05, eps 0.4 (|B| = 135)
+    u = set(range(-30, 31))
+    for a, length in [(160, 15), (1025639, 11), (1666665, 11)]:
+        u |= {a + j for j in range(length)} | {-a - j for j in range(length)}
+    return u
+
+
+@pytest.mark.parametrize("shape, runs", [(range(-7, 8), 1), (_seven_runs(), 7)],
+                         ids=["progression", "seven-runs"])
+def test_closed_form_at_its_worst_frequencies(shape, runs):
+    # B = {j*5005 : |j| <= 7} (the pipeline's B at N = 1e7) and seven runs
+    # along 5005, against an fsum of cosines at exact integer phases: where
+    # |sin(pi*d*t/P)| is least (d*t = +-1, +-2 mod P), on either side of
+    # the bound below which sigmahat is formed again (d*t = +-J, +-(J + 1)),
+    # and at 200 seeded random t
+    p, d = 5000011, 5005
+    bohr = _runs_along_5005(shape)
+    assert _step_runs(bohr)[0] == d and _step_runs(bohr)[1].size == runs
+    reach = int(p * math.asin(_SMALL_SINE) / math.pi)
+    while math.sin(math.pi * (reach + 1) / p) < _SMALL_SINE:
+        reach += 1
+    while math.sin(math.pi * reach / p) >= _SMALL_SINE:
+        reach -= 1
+    assert bohr_module._small_sine_reach(p) == reach
+    t = [j * pow(d, -1, p) % p for j in (1, 2, -1, -2, reach, -reach, reach + 1, -reach - 1)]
+    t += np.random.default_rng(4242).integers(1, p // 2 + 1, size=200).tolist()
+    t = [min(x, p - x) for x in t]
+    sigma_hat = kernel_spectrum(bohr)
+    members = bohr.members().tolist()
+    for x in t:
+        want = math.fsum(math.cos(2 * math.pi * (b * x % p) / p) for b in members) / len(members)
+        assert abs(sigma_hat[x] - want) < 1e-13, x
 
 
 @pytest.mark.parametrize("case", sorted(BROKEN_KERNEL_SPECTRA))

@@ -311,6 +311,27 @@ def test_sweep_holds_at_most_one_forward_transform_in_flight(tmp_path, monkeypat
     assert most[0] == 1
 
 
+def test_sweep_decomposes_each_bohr_set_once_on_the_caller(monkeypatch):
+    # the caller splits the points by B's decomposition and the worker's
+    # kernel_spectrum reads the one kept on B (BohrSet.runs)
+    real = bohr_module._step_runs
+    calls = []
+
+    def counted(bohr):
+        calls.append((bohr, threading.current_thread() is threading.main_thread()))
+        return real(bohr)
+
+    monkeypatch.setattr(bohr_module, "_step_runs", counted)
+    monkeypatch.setattr(threading, "Thread", _CountedThread)
+    _CountedThread.started = 0
+    _, rows = delta_sweep(PipelineConfig(n=10**5, delta_grid=("0.15",),
+                                         epsilon_grid=("0.3", "0.4")))
+    assert _CountedThread.started == 1  # the two points were shared out
+    assert len(rows) == 2 and len(calls) == 2
+    assert calls[0][0] is not calls[1][0] and all(on_caller for _, on_caller in calls)
+    assert all(bohr.size > 1 for bohr, _ in calls)  # both records formed sigmahat
+
+
 def _fail_on_the_worker(monkeypatch, error):
     """Patch _point_record so that the worker's first point raises error,
     while the caller's first point waits for the worker to have failed and
